@@ -67,11 +67,13 @@ pub fn generate_music(cfg: MusicConfig, n: usize, seed: u64) -> (Vec<f64>, Vec<f
     let mut left = Vec::with_capacity(n);
     let mut right = Vec::with_capacity(n);
     let mut hat_filter = Biquad::highpass(fs, 6_000.0, 0.707);
+    let mut envelopes = BeatEnvelopes::default();
     let mut beat_idx = 0usize;
     let mut i = 0;
     while i < n {
         let chord = chords[(beat_idx / 2) % chords.len()];
         let this_len = beat_len.min(n - i);
+        envelopes.fill(this_len, fs);
         // Per-beat random pan offsets for the harmonics.
         let pans: Vec<f64> = chord
             .iter()
@@ -93,16 +95,10 @@ pub fn generate_music(cfg: MusicConfig, n: usize, seed: u64) -> (Vec<f64>, Vec<f
                 l += tone_l * (1.0 - pan.max(0.0)) * 0.25;
                 r += tone_r * (1.0 + pan.min(0.0)) * 0.25;
             }
-            // Beat envelope.
-            let beat_env = (-(k as f64) / (0.3 * this_len as f64)).exp();
-            // Percussion: kick (decaying 60 Hz) + hat (high-passed noise).
-            let kick = if kick_on {
-                (TAU * 60.0 * (k as f64 / fs)).sin() * (-(k as f64) / (0.1 * this_len as f64)).exp()
-            } else {
-                0.0
-            };
+            let beat_env = envelopes.beat[k];
+            let kick = if kick_on { envelopes.kick[k] } else { 0.0 };
             let noise = rng.gen::<f64>() * 2.0 - 1.0;
-            let hat = hat_filter.push(noise) * (-(k as f64) / (0.05 * this_len as f64)).exp();
+            let hat = hat_filter.push(noise) * envelopes.hat[k];
             let perc = 0.5 * kick + cfg.broadband * 0.6 * hat;
             // Hat panned opposite ways in L/R for stereo content.
             l = l * (0.6 + 0.4 * beat_env) + perc + cfg.stereo_width * 0.3 * hat;
@@ -116,6 +112,44 @@ pub fn generate_music(cfg: MusicConfig, n: usize, seed: u64) -> (Vec<f64>, Vec<f
     crate::speech::normalise_peak(&mut left, 0.9);
     crate::speech::normalise_peak(&mut right, 0.9);
     (left, right)
+}
+
+/// The per-sample envelopes of one beat. They depend only on the
+/// sample's offset `k` into the beat and the beat's length, so they are
+/// tabulated once per beat length (every beat but a truncated last one
+/// shares a table).
+#[derive(Debug, Default)]
+struct BeatEnvelopes {
+    len: usize,
+    /// Beat envelope on the harmonics.
+    beat: Vec<f64>,
+    /// Kick drum: a decaying 60 Hz tone.
+    kick: Vec<f64>,
+    /// Hat (high-passed noise) decay.
+    hat: Vec<f64>,
+}
+
+impl BeatEnvelopes {
+    fn fill(&mut self, this_len: usize, fs: f64) {
+        if self.len == this_len {
+            return;
+        }
+        self.len = this_len;
+        let ks = 0..this_len;
+        self.beat = ks
+            .clone()
+            .map(|k| (-(k as f64) / (0.3 * this_len as f64)).exp())
+            .collect();
+        self.kick = ks
+            .clone()
+            .map(|k| {
+                (TAU * 60.0 * (k as f64 / fs)).sin() * (-(k as f64) / (0.1 * this_len as f64)).exp()
+            })
+            .collect();
+        self.hat = ks
+            .map(|k| (-(k as f64) / (0.05 * this_len as f64)).exp())
+            .collect();
+    }
 }
 
 #[cfg(test)]

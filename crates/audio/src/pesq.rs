@@ -24,9 +24,10 @@
 //! interference level, which holds by construction.
 
 use fmbs_dsp::corr::find_lag;
-use fmbs_dsp::fft::power_spectrum;
+use fmbs_dsp::fft::Fft;
 use fmbs_dsp::stats::rms;
 use fmbs_dsp::windows::Window;
+use fmbs_dsp::Complex;
 
 /// Number of Bark-spaced bands in the filterbank.
 const N_BANDS: usize = 18;
@@ -93,7 +94,7 @@ pub fn disturbance(reference: &[f64], degraded: &[f64], sample_rate: f64) -> f64
 
     // --- 3. Bark-spectral disturbance ------------------------------------
     let frame = ((sample_rate * FRAME_S) as usize).next_power_of_two();
-    let hop = frame / 2;
+    let hop = (frame / 2).max(1);
     let window = Window::Hann.coefficients(frame);
     // Precompute bin→band mapping.
     let n_bins = frame / 2 + 1;
@@ -105,12 +106,19 @@ pub fn disturbance(reference: &[f64], degraded: &[f64], sample_rate: f64) -> f64
         })
         .collect();
 
-    let band_powers = |seg: &[f64], scale: f64| -> [f64; N_BANDS] {
-        let scaled: Vec<f64> = seg.iter().map(|x| x * scale).collect();
-        let spec = power_spectrum(&scaled, &window, frame);
+    // One plan and one buffer for every frame: the windowed, scaled
+    // power spectrum of `fmbs_dsp::fft::power_spectrum`, binned into bands.
+    let fft = Fft::new(frame);
+    let spec_scale = 1.0 / (frame as f64 * frame as f64);
+    let mut buf = vec![Complex::ZERO; frame];
+    let mut band_powers = |seg: &[f64], scale: f64| -> [f64; N_BANDS] {
+        for ((b, &x), &w) in buf.iter_mut().zip(seg).zip(&window) {
+            *b = Complex::new(x * scale * w, 0.0);
+        }
+        fft.forward(&mut buf);
         let mut bands = [0.0; N_BANDS];
-        for (k, &p) in spec.iter().enumerate() {
-            bands[band_of[k]] += p;
+        for (z, &band) in buf.iter().zip(&band_of) {
+            bands[band] += z.norm_sqr() * spec_scale;
         }
         bands
     };

@@ -808,36 +808,42 @@ fn require_writable_parent(flag: &str, path: &str) {
     }
 }
 
-/// Prints one figure's stage breakdown: calls, total/self wall-time and
-/// each stage's self-time share of the figure's wall-time. Self-times
-/// are disjoint (nested stages subtract), so the shares add up and the
-/// trailing coverage line is a meaningful "how much of the run the
-/// instrumentation explains".
+/// Prints one figure's stage breakdown: calls, total and self CPU-seconds,
+/// and each stage's share of the figure's thread capacity. Stage times
+/// are summed over every worker thread that ran the stage, so a parallel
+/// sweep's self CPU-seconds exceed its wall time; shares are therefore
+/// taken of `wall × worker threads` ([`profile_coverage`]). Self-times are
+/// disjoint (nested stages subtract, and a thread waiting on sweep workers
+/// counts no self-time), so the shares add up to the trailing coverage
+/// line — "how much of the run's capacity the instrumentation explains"
+/// — which cannot exceed 100%.
 fn print_profile(id: &str, c: &Collector, wall_s: f64) {
     let stats = c.stage_stats();
-    println!("profile {id} (wall {wall_s:.3} s):");
+    let threads = worker_threads();
+    println!("profile {id} (wall {wall_s:.3} s, {threads} worker thread(s)):");
     if stats.is_empty() {
         println!("  no instrumented stages ran (survey/arithmetic figure)");
         return;
     }
     println!(
-        "  {:<22} {:>9} {:>10} {:>10} {:>7}",
-        "stage", "calls", "total s", "self s", "% wall"
+        "  {:<22} {:>9} {:>12} {:>11} {:>7}",
+        "stage", "calls", "total CPU-s", "self CPU-s", "% cap"
     );
     for (name, s) in &stats {
+        let self_s = s.self_nanos as f64 * 1e-9;
         println!(
-            "  {:<22} {:>9} {:>10.4} {:>10.4} {:>6.1}%",
+            "  {:<22} {:>9} {:>12.4} {:>11.4} {:>6.1}%",
             name,
             s.calls,
             s.total_nanos as f64 * 1e-9,
-            s.self_nanos as f64 * 1e-9,
-            100.0 * (s.self_nanos as f64 * 1e-9) / wall_s.max(1e-12),
+            self_s,
+            100.0 * profile_coverage(self_s, wall_s, threads),
         );
     }
     let covered = c.self_time_secs();
     println!(
-        "  stage self-times cover {covered:.3} s = {:.1}% of figure wall-time",
-        100.0 * covered / wall_s.max(1e-12),
+        "  stage self-times cover {covered:.3} CPU-s = {:.1}% of wall × {threads} thread(s)",
+        100.0 * profile_coverage(covered, wall_s, threads),
     );
     let counters = c.counters();
     if !counters.is_empty() {
@@ -847,6 +853,20 @@ fn print_profile(id: &str, c: &Collector, wall_s: f64) {
             .collect();
         println!("  counters: {}", rendered.join(" "));
     }
+}
+
+/// The worker threads a figure can keep busy: the sweep engine and the
+/// Fig. 5 windows both size their pools from `available_parallelism()`.
+fn worker_threads() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The share of a figure's thread capacity, `wall_s × threads`, that
+/// `self_cpu_s` seconds of stage self-time account for. Each busy
+/// thread's self-times are disjoint and fit inside the wall time, and no
+/// pool has more than `threads` workers, so the share is at most 1.
+fn profile_coverage(self_cpu_s: f64, wall_s: f64, threads: usize) -> f64 {
+    self_cpu_s / (wall_s * threads.max(1) as f64).max(1e-12)
 }
 
 /// `--trace-out`: one JSON object per recorded span, plus a trailing
@@ -1082,5 +1102,39 @@ fn main() {
             std::fs::write(&path, serde_json::to_string_pretty(e).unwrap()).expect("write json");
             eprintln!("wrote {path}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn coverage_divides_by_wall_times_threads() {
+        assert_eq!(profile_coverage(3.0, 2.0, 2), 0.75);
+        assert_eq!(profile_coverage(1.0, 2.0, 0), 0.5);
+        assert!(profile_coverage(1.0, 0.0, 1).is_finite());
+    }
+
+    #[test]
+    fn parallel_sweep_figure_coverage_stays_within_capacity() {
+        // fig7 is a parallel sweep: its sweep_point self-times are summed
+        // over every worker, so they exceed the figure's wall time on a
+        // multi-core host, but never its wall × worker-thread capacity.
+        let collector = Collector::new();
+        let started = Instant::now();
+        {
+            let _obs = fmbs_obs::install(Some(collector.clone()));
+            experiments::fig7(Grid::Quick);
+        }
+        let wall_s = started.elapsed().as_secs_f64();
+        let covered = collector.self_time_secs();
+        let share = profile_coverage(covered, wall_s, worker_threads());
+        assert!(covered > 0.0, "the sweep recorded its stages");
+        assert!(
+            share <= 1.0,
+            "coverage {share} of wall {wall_s} s × {} threads",
+            worker_threads()
+        );
     }
 }

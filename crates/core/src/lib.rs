@@ -86,7 +86,6 @@ pub mod prelude {
     };
     pub use crate::sim::physical::{PhysicalSim, PhysicalSimConfig};
     pub use crate::sim::scenario::{ReceiverKind, Scenario, TagKind, Workload};
-    pub use crate::sim::stream::{run_ber_sweep, SweepPoint as StreamSweepPoint};
     pub use crate::sim::sweep::{SweepBuilder, SweepResults, SweepValue};
     pub use crate::sim::{SimOutput, Simulator, Tier};
     pub use crate::stereo_bs::{StereoBackscatter, StereoHost, StereoOutcome};

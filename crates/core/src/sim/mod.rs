@@ -19,8 +19,6 @@
 //!   and payload derivations are memoised behind their exact derivation
 //!   inputs and shared across worker threads, so grid points stop
 //!   regenerating identical programmes and waveforms.
-//! * [`stream`] — a bounded producer/consumer pipeline for running large
-//!   parameter sweeps with constant memory.
 //!
 //! Both tiers implement [`Simulator`], the seam everything above the
 //! simulators is built on: a scenario fully describes an experiment
@@ -55,7 +53,6 @@ pub mod fast;
 pub mod metric;
 pub mod physical;
 pub mod scenario;
-pub mod stream;
 pub mod sweep;
 
 use fmbs_channel::backscatter_link::LinkBudget;

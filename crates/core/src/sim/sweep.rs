@@ -618,6 +618,9 @@ impl SweepBuilder {
         let cursor = AtomicUsize::new(0);
         let (tx, rx) = channel::bounded::<(usize, f64)>(points.len());
         let mut values: Vec<Option<f64>> = vec![None; points.len()];
+        // The workers profile the points; this thread only waits, so the
+        // wait must not count again as self-time of a stage open here.
+        let obs_wait = fmbs_obs::waiting();
         std::thread::scope(|scope| {
             for obs in obs_children.iter().take(workers) {
                 let tx = tx.clone();
@@ -649,6 +652,7 @@ impl SweepBuilder {
                 values[i] = Some(v);
             }
         });
+        drop(obs_wait);
         if let Some(parent) = obs_parent {
             for child in obs_children.into_iter().flatten() {
                 parent.absorb(&child);

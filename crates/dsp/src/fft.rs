@@ -11,9 +11,10 @@ use crate::TAU;
 
 /// A planned FFT of a fixed power-of-two size.
 ///
-/// Construction pre-computes the bit-reversal permutation and twiddle
-/// factors; [`Fft::forward`] and [`Fft::inverse`] then run without
-/// allocating.
+/// Construction pre-computes the bit-reversal permutation and the
+/// twiddle factors, stored stage by stage so each butterfly stage reads
+/// one contiguous run of them; [`Fft::forward`] and [`Fft::inverse`]
+/// then run without allocating or bounds-checking per butterfly.
 ///
 /// # Example
 /// ```
@@ -29,7 +30,9 @@ use crate::TAU;
 #[derive(Debug, Clone)]
 pub struct Fft {
     n: usize,
-    // Twiddles for the forward transform, grouped by butterfly stage.
+    // Forward twiddles, stage by stage: the stage whose butterflies span
+    // `2h` points reads `twiddles[h - 1..2h - 1]`, entry `k` being
+    // W_n^{k·n/2h} = e^{-2πi·k·(n/2h)/n}. `n − 1` entries in all.
     twiddles: Vec<Complex>,
     bitrev: Vec<u32>,
 }
@@ -48,10 +51,15 @@ impl Fft {
         let bitrev = (0..n as u32)
             .map(|i| i.reverse_bits() >> (32 - bits.max(1)))
             .collect::<Vec<_>>();
-        // Half-size twiddle table: W_n^k = e^{-2πik/n} for k in 0..n/2.
-        let twiddles = (0..n / 2)
-            .map(|k| Complex::from_angle(-TAU * k as f64 / n as f64))
-            .collect();
+        let mut twiddles = Vec::with_capacity(n - 1);
+        let mut half = 1;
+        while half < n {
+            let step = n / (2 * half);
+            twiddles.extend(
+                (0..half).map(|k| Complex::from_angle(-TAU * (k * step) as f64 / n as f64)),
+            );
+            half *= 2;
+        }
         Fft {
             n,
             twiddles,
@@ -78,47 +86,41 @@ impl Fft {
         }
     }
 
-    fn transform(&self, buf: &mut [Complex], inverse: bool) {
+    /// Bit-reverses `buf`, then runs the radix-2 butterfly stages with
+    /// each twiddle mapped through `twiddle` (identity forward, conjugate
+    /// inverse — one monomorphised loop each).
+    fn butterflies(&self, buf: &mut [Complex], twiddle: impl Fn(Complex) -> Complex) {
         assert_eq!(buf.len(), self.n, "buffer length must match planned size");
-        if self.n == 1 {
-            return;
-        }
         self.permute(buf);
-        let mut len = 2;
-        while len <= self.n {
-            let half = len / 2;
-            let step = self.n / len;
-            for start in (0..self.n).step_by(len) {
-                for k in 0..half {
-                    let mut w = self.twiddles[k * step];
-                    if inverse {
-                        w = w.conj();
-                    }
-                    let a = buf[start + k];
-                    let b = buf[start + k + half] * w;
-                    buf[start + k] = a + b;
-                    buf[start + k + half] = a - b;
+        let mut half = 1;
+        while half < self.n {
+            let tw = &self.twiddles[half - 1..2 * half - 1];
+            for block in buf.chunks_exact_mut(2 * half) {
+                let (lo, hi) = block.split_at_mut(half);
+                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
+                    let x = *a;
+                    let y = *b * twiddle(w);
+                    *a = x + y;
+                    *b = x - y;
                 }
             }
-            len *= 2;
-        }
-        if inverse {
-            let scale = 1.0 / self.n as f64;
-            for v in buf.iter_mut() {
-                *v = v.scale(scale);
-            }
+            half *= 2;
         }
     }
 
     /// In-place forward DFT: `X[k] = Σ x[n]·e^{-2πikn/N}`.
     pub fn forward(&self, buf: &mut [Complex]) {
-        self.transform(buf, false);
+        self.butterflies(buf, |w| w);
     }
 
     /// In-place inverse DFT, normalised by `1/N` so that
     /// `inverse(forward(x)) == x`.
     pub fn inverse(&self, buf: &mut [Complex]) {
-        self.transform(buf, true);
+        self.butterflies(buf, Complex::conj);
+        let scale = 1.0 / self.n as f64;
+        for v in buf.iter_mut() {
+            *v = v.scale(scale);
+        }
     }
 }
 
@@ -155,21 +157,26 @@ pub fn power_spectrum(signal: &[f64], window: &[f64], n: usize) -> Vec<f64> {
 pub fn welch_psd(signal: &[f64], n: usize) -> Vec<f64> {
     assert!(n.is_power_of_two(), "segment size must be a power of two");
     let window = crate::windows::Window::Hann.coefficients(n);
-    let hop = n / 2;
-    let mut acc = vec![0.0; n / 2 + 1];
-    let mut count = 0usize;
-    let mut start = 0usize;
-    while start + n <= signal.len() {
-        let seg = power_spectrum(&signal[start..start + n], &window, n);
-        for (a, s) in acc.iter_mut().zip(seg.iter()) {
-            *a += s;
-        }
-        count += 1;
-        start += hop;
-    }
-    if count == 0 {
+    if signal.len() < n {
         // Too short for even one segment: fall back to a single padded FFT.
         return power_spectrum(signal, &window, n);
+    }
+    // One plan and one buffer for every segment; each segment's bins are
+    // scaled and accumulated exactly as `power_spectrum` computes them.
+    let fft = Fft::new(n);
+    let scale = 1.0 / (n as f64 * n as f64);
+    let mut buf = vec![Complex::ZERO; n];
+    let mut acc = vec![0.0; n / 2 + 1];
+    let mut count = 0usize;
+    for seg in signal.windows(n).step_by((n / 2).max(1)) {
+        for ((b, &x), &w) in buf.iter_mut().zip(seg).zip(&window) {
+            *b = Complex::new(x * w, 0.0);
+        }
+        fft.forward(&mut buf);
+        for (a, z) in acc.iter_mut().zip(&buf) {
+            *a += z.norm_sqr() * scale;
+        }
+        count += 1;
     }
     for a in acc.iter_mut() {
         *a /= count as f64;
@@ -196,6 +203,108 @@ pub fn band_power(psd: &[f64], sample_rate: f64, f_lo: f64, f_hi: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::windows::Window;
+
+    /// The original strided radix-2 loop: one half-size twiddle table
+    /// walked with stride `n / len`, a per-butterfly `inverse` branch.
+    fn reference_transform(buf: &mut [Complex], inverse: bool) {
+        let n = buf.len();
+        if n == 1 {
+            return;
+        }
+        let bits = n.trailing_zeros();
+        for i in 0..n {
+            let j = ((i as u32).reverse_bits() >> (32 - bits)) as usize;
+            if j > i {
+                buf.swap(i, j);
+            }
+        }
+        let twiddles: Vec<Complex> = (0..n / 2)
+            .map(|k| Complex::from_angle(-TAU * k as f64 / n as f64))
+            .collect();
+        let mut len = 2;
+        while len <= n {
+            let half = len / 2;
+            let step = n / len;
+            for start in (0..n).step_by(len) {
+                for k in 0..half {
+                    let mut w = twiddles[k * step];
+                    if inverse {
+                        w = w.conj();
+                    }
+                    let a = buf[start + k];
+                    let b = buf[start + k + half] * w;
+                    buf[start + k] = a + b;
+                    buf[start + k + half] = a - b;
+                }
+            }
+            len *= 2;
+        }
+        if inverse {
+            let scale = 1.0 / n as f64;
+            for v in buf.iter_mut() {
+                *v = v.scale(scale);
+            }
+        }
+    }
+
+    fn bits(buf: &[Complex]) -> Vec<(u64, u64)> {
+        buf.iter()
+            .map(|z| (z.re.to_bits(), z.im.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn stage_contiguous_loop_matches_reference_bit_for_bit() {
+        for log_n in 0..=14 {
+            let n = 1usize << log_n;
+            let fft = Fft::new(n);
+            let input: Vec<Complex> = (0..n)
+                .map(|i| Complex::new((i as f64 * 0.731).sin(), (i as f64 * 0.173).cos() - 0.2))
+                .collect();
+            for inverse in [false, true] {
+                let mut want = input.clone();
+                reference_transform(&mut want, inverse);
+                let mut got = input.clone();
+                if inverse {
+                    fft.inverse(&mut got);
+                } else {
+                    fft.forward(&mut got);
+                }
+                assert_eq!(bits(&got), bits(&want), "n = {n}, inverse = {inverse}");
+            }
+        }
+    }
+
+    #[test]
+    fn welch_equals_mean_of_per_segment_spectra() {
+        let signal: Vec<f64> = (0..5_000)
+            .map(|i| (i as f64 * 0.05).sin() + 0.3 * (i as f64 * 1.7).cos())
+            .collect();
+        for n in [64, 256, 1024] {
+            let window = Window::Hann.coefficients(n);
+            let mut acc = vec![0.0; n / 2 + 1];
+            let mut count = 0usize;
+            let mut start = 0;
+            while start + n <= signal.len() {
+                let seg = power_spectrum(&signal[start..start + n], &window, n);
+                for (a, s) in acc.iter_mut().zip(&seg) {
+                    *a += s;
+                }
+                count += 1;
+                start += n / 2;
+            }
+            let want: Vec<u64> = acc.iter().map(|a| (a / count as f64).to_bits()).collect();
+            let got: Vec<u64> = welch_psd(&signal, n).iter().map(|p| p.to_bits()).collect();
+            assert_eq!(got, want, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn welch_with_one_point_segments_terminates() {
+        // n = 1 gives a zero half-segment hop; the hop must still advance.
+        assert_eq!(welch_psd(&[1.0], 1).len(), 1);
+        assert_eq!(welch_psd(&[1.0, -2.0, 0.5], 1).len(), 1);
+    }
 
     #[test]
     fn forward_of_impulse_is_flat() {

@@ -27,8 +27,9 @@ use crate::fft::Fft;
 /// FFT form costs ≈ `2·(N/L)·log₂N` butterfly operations per sample with
 /// `N ≈ 4·taps` and `L = N − taps + 1`, i.e. roughly `10·log₂(taps)`.
 /// The crossover therefore sits near a few dozen taps; below it, and for
-/// signals too short to amortise the twiddle-table setup, the direct
-/// form stays faster.
+/// signals too short to amortise planning the transform (an `N`-entry
+/// bit-reversal table and `N − 1` stage-ordered twiddles, one `sin_cos`
+/// each), the direct form stays faster.
 pub fn fft_convolution_wins(taps: usize, len: usize) -> bool {
     taps >= 48 && len >= 256 && len >= 2 * taps
 }

@@ -85,20 +85,30 @@ impl Upsampler {
 
     /// Pushes one input sample and returns `factor` output samples.
     pub fn push(&mut self, x: f64) -> Vec<f64> {
-        let n = self.delay.len();
-        self.delay[self.pos] = x;
         let mut out = Vec::with_capacity(self.factor);
+        self.push_into(x, &mut out);
+        out
+    }
+
+    /// Pushes one input sample and appends its `factor` output samples
+    /// to `out`. Each branch sums newest sample first, wrapping round the
+    /// circular delay line: `delay[pos], …, delay[0], delay[n−1], …,
+    /// delay[pos+1]`.
+    fn push_into(&mut self, x: f64, out: &mut Vec<f64>) {
+        self.delay[self.pos] = x;
+        let (newer, older) = self.delay.split_at(self.pos + 1);
         for branch in &self.branches {
+            let (head, tail) = branch.split_at(newer.len());
             let mut acc = 0.0;
-            let mut idx = self.pos;
-            for &t in branch {
-                acc += t * self.delay[idx];
-                idx = if idx == 0 { n - 1 } else { idx - 1 };
+            for (&t, &d) in head.iter().zip(newer.iter().rev()) {
+                acc += t * d;
+            }
+            for (&t, &d) in tail.iter().zip(older.iter().rev()) {
+                acc += t * d;
             }
             out.push(acc);
         }
-        self.pos = (self.pos + 1) % n;
-        out
+        self.pos = (self.pos + 1) % self.delay.len();
     }
 
     /// Upsamples an entire buffer, returning `input.len() · factor`
@@ -107,7 +117,7 @@ impl Upsampler {
         self.reset();
         let mut out = Vec::with_capacity(input.len() * self.factor);
         for &x in input {
-            out.extend(self.push(x));
+            self.push_into(x, &mut out);
         }
         out
     }
@@ -224,6 +234,46 @@ mod tests {
         assert!((measured - 1_000.0).abs() < 25.0, "measured {measured}");
         // Amplitude preserved (within filter ripple).
         assert!((steady_rms(&out) - std::f64::consts::FRAC_1_SQRT_2).abs() < 0.05);
+    }
+
+    /// The original per-sample loop: one index walking the delay line
+    /// backwards with a wrap branch, a fresh `Vec` per input sample.
+    fn reference_push(up: &mut Upsampler, x: f64) -> Vec<f64> {
+        let n = up.delay.len();
+        up.delay[up.pos] = x;
+        let mut out = Vec::new();
+        for branch in &up.branches {
+            let mut acc = 0.0;
+            let mut idx = up.pos;
+            for &t in branch {
+                acc += t * up.delay[idx];
+                idx = if idx == 0 { n - 1 } else { idx - 1 };
+            }
+            out.push(acc);
+        }
+        up.pos = (up.pos + 1) % n;
+        out
+    }
+
+    #[test]
+    fn process_equals_concatenated_pushes() {
+        let sig: Vec<f64> = (0..500)
+            .map(|i| (i as f64 * 0.21).sin() + 0.01 * i as f64)
+            .collect();
+        for (factor, taps) in [(10, 8), (3, 5), (1, 16)] {
+            let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            let mut reference = Upsampler::new(factor, taps);
+            let want = bits(
+                sig.iter()
+                    .flat_map(|&x| reference_push(&mut reference, x))
+                    .collect(),
+            );
+            let mut pushed = Upsampler::new(factor, taps);
+            let got_push = bits(sig.iter().flat_map(|&x| pushed.push(x)).collect());
+            let got_process = bits(Upsampler::new(factor, taps).process(&sig));
+            assert_eq!(got_push, want, "push, factor {factor}");
+            assert_eq!(got_process, want, "process, factor {factor}");
+        }
     }
 
     #[test]

@@ -43,15 +43,16 @@
 //! figure regeneration and prints the per-stage breakdown:
 //!
 //! ```text
-//! profile network_capacity (wall 0.127 s):
-//!   stage                      calls    total s     self s  % wall
-//!   ber_calibrate                  1     0.0554     0.0001    0.1%
-//!   fft_conv                      88     0.0178     0.0178   14.0%
-//!   net_engine                    20     0.0442     0.0441   34.6%
-//!   packet_model                   3     0.0272     0.0272   21.4%
-//!   sweep_point                   52     0.0996     0.0357   28.0%
+//! profile network_capacity (wall 0.185 s, 2 worker thread(s)):
+//!   stage                      calls  total CPU-s  self CPU-s   % cap
+//!   ber_calibrate                  1       0.0695      0.0002    0.0%
+//!   ber_lookup                  2728       0.0002      0.0002    0.1%
+//!   fft_conv                      88       0.0515      0.0515   13.9%
+//!   net_engine                    20       0.1191      0.1189   32.2%
+//!   packet_model                   3       0.0387      0.0387   10.5%
+//!   sweep_point                   52       0.2495      0.0758   20.5%
 //!   ...
-//!   stage self-times cover 0.127 s = 99.7% of figure wall-time
+//!   stage self-times cover 0.288 CPU-s = 78.1% of wall × 2 thread(s)
 //!   counters: cache.host_hits=30 cache.host_misses=2 ...
 //! ```
 //!
@@ -359,6 +360,40 @@ impl Drop for StageGuard {
     }
 }
 
+/// Marks the time until the returned guard drops as this thread waiting
+/// on worker threads that profile their own work (the sweep engine's
+/// collecting thread). The wait is subtracted from the self-time of the
+/// stage open on this thread, as a nested stage's time would be, so one
+/// interval is not counted both on the waiting thread and on the
+/// workers. Records no stage; with no collector installed it is one
+/// thread-local read.
+pub fn waiting() -> WaitGuard {
+    let active = ACTIVE.with(|a| a.borrow().is_some());
+    WaitGuard {
+        start: active.then(Instant::now),
+    }
+}
+
+/// Credits its lifetime to the enclosing stage's nested time on drop
+/// (see [`waiting`]).
+pub struct WaitGuard {
+    start: Option<Instant>,
+}
+
+impl Drop for WaitGuard {
+    fn drop(&mut self) {
+        let Some(start) = self.start.take() else {
+            return;
+        };
+        let waited = start.elapsed().as_nanos() as u64;
+        STACK.with(|s| {
+            if let Some(parent) = s.borrow_mut().last_mut() {
+                *parent += waited;
+            }
+        });
+    }
+}
+
 /// Opens a stage for the rest of the enclosing block:
 /// `span!(stages::NET_ENGINE);`.
 #[macro_export]
@@ -434,6 +469,23 @@ mod tests {
         assert_eq!(inner.self_nanos, inner.total_nanos);
         // Disjoint self-times: the sum never exceeds the outer total.
         assert!(inner.self_nanos + outer.self_nanos <= outer.total_nanos);
+    }
+
+    #[test]
+    fn waiting_is_not_self_time() {
+        let c = Collector::new();
+        {
+            let _g = install(Some(c.clone()));
+            let _outer = stage("outer");
+            let _wait = waiting();
+            std::thread::sleep(std::time::Duration::from_millis(4));
+        }
+        let outer = c.stage_stats()[0].1;
+        assert!(outer.total_nanos >= 4_000_000);
+        assert!(
+            outer.self_nanos < outer.total_nanos - 3_000_000,
+            "the wait left the outer stage's self-time: {outer:?}"
+        );
     }
 
     #[test]
