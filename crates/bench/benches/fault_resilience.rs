@@ -8,7 +8,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fmbs_core::sim::fast::FastSim;
-use fmbs_net::prelude::{ArqConfig, BerTable, BerTableSpec, FaultSpec, NetworkConfig, NetworkSim};
+use fmbs_net::prelude::{ArqConfig, BerTable, BerTableSpec, Deployment, FaultSpec};
 use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
@@ -31,10 +31,13 @@ fn bench(c: &mut Criterion) {
         ("arq_no_fault", FaultSpec::none()),
         ("arq_all_faults", all_faults),
     ] {
-        let mut cfg = NetworkConfig::new(n_tags, n_slots);
-        cfg.arq = Some(ArqConfig::default());
-        cfg.faults = faults;
-        let sim = NetworkSim::new(cfg, table.clone());
+        let sim = Deployment::city(n_tags)
+            .slots(n_slots)
+            .arq(ArqConfig::default())
+            .faults(faults)
+            .build()
+            .expect("bench deployment is valid")
+            .into_sim(table.clone());
         g.bench_function(name, |b| b.iter(|| std::hint::black_box(sim.run())));
     }
     g.finish();

@@ -5,8 +5,17 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fmbs_core::sim::fast::FastSim;
-use fmbs_net::prelude::{BerTable, BerTableSpec, NetworkConfig, NetworkSim};
+use fmbs_net::prelude::{BerTable, BerTableSpec, CitySim, Deployment};
 use std::sync::Arc;
+
+/// The `n_tags` × `n_slots` single-cell city over `table`.
+fn city(n_tags: usize, n_slots: u64, table: &Arc<BerTable>) -> CitySim {
+    Deployment::city(n_tags)
+        .slots(n_slots)
+        .build()
+        .expect("bench deployment is valid")
+        .into_sim(table.clone())
+}
 
 fn bench(c: &mut Criterion) {
     // Calibrate once, outside the timed region: the whole point of the
@@ -17,12 +26,12 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Elements(10_000 * 1_000));
     g.bench_function("tags10k_slots1k", |b| {
-        let sim = NetworkSim::new(NetworkConfig::new(10_000, 1_000), table.clone());
+        let sim = city(10_000, 1_000, &table);
         b.iter(|| std::hint::black_box(sim.run()))
     });
     g.throughput(Throughput::Elements(500 * 10_000));
     g.bench_function("tags500_slots10k", |b| {
-        let sim = NetworkSim::new(NetworkConfig::new(500, 10_000), table.clone());
+        let sim = city(500, 10_000, &table);
         b.iter(|| std::hint::black_box(sim.run()))
     });
     g.finish();

@@ -8,7 +8,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fmbs_core::sim::fast::FastSim;
 use fmbs_core::sim::scenario::{AppProfile, ArrivalModel};
-use fmbs_net::prelude::{BerTable, BerTableSpec, NetworkConfig, NetworkSim, Traffic};
+use fmbs_net::prelude::{BerTable, BerTableSpec, Deployment, Traffic};
 use fmbs_workload::arrivals::TraceSpec;
 use std::sync::Arc;
 
@@ -23,7 +23,8 @@ fn bench(c: &mut Criterion) {
     g.sample_size(10);
     g.throughput(Throughput::Elements(n_tags as u64 * n_slots));
     for (name, offered_load) in [("poisson_load05", 0.05), ("poisson_load005", 0.005)] {
-        let mut cfg = NetworkConfig::new(n_tags, n_slots);
+        let deployment = Deployment::city(n_tags).slots(n_slots);
+        let cfg = deployment.network_config();
         let trace = TraceSpec {
             n_tags,
             n_slots,
@@ -34,8 +35,11 @@ fn bench(c: &mut Criterion) {
             seed: cfg.seed,
         }
         .generate();
-        cfg.traffic = Traffic::Trace(Arc::new(trace));
-        let sim = NetworkSim::new(cfg, table.clone());
+        let sim = deployment
+            .traffic(Traffic::Trace(Arc::new(trace)))
+            .build()
+            .expect("bench deployment is valid")
+            .into_sim(table.clone());
         g.bench_function(name, |b| b.iter(|| std::hint::black_box(sim.run())));
     }
     g.finish();

@@ -25,7 +25,7 @@ use fmbs_core::sim::sweep::{SweepBuilder, SweepResults};
 use fmbs_core::sim::Tier;
 use fmbs_net::prelude::{
     ArqConfig, BerTable, BerTableSpec, CityScenario, Deployment, FaultKind, FaultSpec,
-    NetCollisionRate, NetGoodput, NetSpec, Receiver, Station,
+    HarvestProfile, NetCollisionRate, NetGoodput, Receiver, Station,
 };
 use fmbs_survey::drive::DriveSurvey;
 use fmbs_survey::occupancy;
@@ -780,20 +780,19 @@ pub fn ablation(_grid: Grid) -> Experiment {
     }
 }
 
-/// Since PR 9 every figure's flat network spec is assembled through the
-/// [`Deployment`] builder and the `From<Deployment> for NetSpec` shim,
-/// so build-time validation (band, ARQ, fault windows) fronts each
-/// sweep. The builder's tag count is a placeholder here: a flat
-/// [`NetSpec`] takes its density from the scenario's `n_tags` axis.
-/// City-parameterized deployment shim: a campaign city
-/// contributes its harvest profile and band plan through its corpus
-/// deployment; `None` is the flat pre-campaign world. Flat figures
-/// still take density from the scenario's `n_tags` axis and ambient
-/// power from the scenario itself (see [`bench_base`]).
+/// The flat figures' deployment: [`Deployment::at`] places it at every
+/// grid point, so build-time validation (band, geometry, ARQ, fault
+/// windows) fronts each point, and density, horizon, radius, ambient
+/// power, guard ring and seed all come from the point's scenario. A
+/// campaign city contributes exactly one field here, its harvest
+/// profile; its ambient power and seed arrive through [`bench_base`],
+/// and its band plan and geometry do not reach the flat figures.
+/// `None` is the flat pre-campaign world (mains power).
 fn deployed_in(table: &Arc<BerTable>, city: Option<&CityScenario>) -> Deployment {
+    let flat = Deployment::city(1).link(table.clone());
     match city {
-        Some(c) => c.deployment().link(table.clone()),
-        None => Deployment::city(1).link(table.clone()),
+        Some(c) => flat.harvest(c.harvest),
+        None => flat,
     }
 }
 
@@ -827,8 +826,6 @@ pub fn network_capacity_city(grid: Grid, city: &CityScenario) -> Experiment {
 }
 
 fn network_capacity_for(grid: Grid, city: Option<&CityScenario>) -> Experiment {
-    use fmbs_net::prelude::HarvestProfile;
-
     let table_spec = match grid {
         Grid::Quick => BerTableSpec::quick(),
         Grid::Full => BerTableSpec::dense(),
@@ -847,10 +844,7 @@ fn network_capacity_for(grid: Grid, city: Option<&CityScenario>) -> Experiment {
     let goodput = SweepBuilder::new(base)
         .n_tags(n_tags.iter().copied())
         .mac_slot_counts(frames)
-        .run(
-            &FastSim,
-            &NetGoodput(NetSpec::from(deployed_in(&table, city))),
-        );
+        .run(&FastSim, &NetGoodput(deployed_in(&table, city)));
     let mut series: Vec<Series> = goodput
         .series_by(|v| v.scenario.mac_slots, |v| v.scenario.n_tags as f64)
         .into_iter()
@@ -862,8 +856,8 @@ fn network_capacity_for(grid: Grid, city: Option<&CityScenario>) -> Experiment {
         .mac_slot_counts([frames[1]])
         .run(
             &FastSim,
-            &NetGoodput(NetSpec::from(deployed_in(&table, city).harvest(
-                HarvestProfile::Solar(fmbs_core::harvest::Illumination::Streetlight),
+            &NetGoodput(deployed_in(&table, city).harvest(HarvestProfile::Solar(
+                fmbs_core::harvest::Illumination::Streetlight,
             ))),
         );
     series.push(Series::new(
@@ -874,10 +868,7 @@ fn network_capacity_for(grid: Grid, city: Option<&CityScenario>) -> Experiment {
     let collisions = SweepBuilder::new(base)
         .n_tags(n_tags.iter().copied())
         .mac_slot_counts([frames[1]])
-        .run(
-            &FastSim,
-            &NetCollisionRate(NetSpec::from(deployed_in(&table, city))),
-        );
+        .run(&FastSim, &NetCollisionRate(deployed_in(&table, city)));
     series.push(Series::new(
         "collision rate",
         collisions.series(|v| v.scenario.n_tags as f64),
@@ -953,7 +944,7 @@ pub fn workload_slo_latency_city(grid: Grid, city: &CityScenario) -> Experiment 
 fn workload_slo_latency_for(grid: Grid, city: Option<&CityScenario>) -> Experiment {
     let table = workload_table(grid);
     let tags = workload_tags(grid);
-    let spec = || WorkloadSpec::new(NetSpec::from(deployed_in(&table, city)));
+    let spec = || WorkloadSpec::new(deployed_in(&table, city));
 
     let mut series = Vec::new();
     for (model, name) in [
@@ -1017,7 +1008,7 @@ pub fn workload_slo_miss_city(grid: Grid, city: &CityScenario) -> Experiment {
 fn workload_slo_miss_for(grid: Grid, city: Option<&CityScenario>) -> Experiment {
     let table = workload_table(grid);
     let tags = workload_tags(grid);
-    let spec = || WorkloadSpec::new(NetSpec::from(deployed_in(&table, city)));
+    let spec = || WorkloadSpec::new(deployed_in(&table, city));
 
     let mut series = Vec::new();
     for (policy, name) in [
@@ -1088,17 +1079,23 @@ pub fn fault_plan(kind: FaultKind) -> FaultSpec {
 }
 
 /// Shared deployment under test: streetlight-harvested tags (so
-/// brownouts actually starve something) with the default ARQ on. A
-/// campaign city substitutes its own harvest profile — a mains-powered
-/// city *should* shrug off brownouts, and the figure shows it.
-fn fault_workload_in(table: &Arc<BerTable>, city: Option<&CityScenario>) -> WorkloadSpec {
+/// brownouts actually starve something) under `faults` with `arq` on.
+/// A campaign city substitutes its own harvest profile — a
+/// mains-powered city *should* shrug off brownouts, and the figure
+/// shows it.
+fn fault_workload_in(
+    table: &Arc<BerTable>,
+    city: Option<&CityScenario>,
+    faults: FaultSpec,
+    arq: ArqConfig,
+) -> WorkloadSpec {
     let deployment = match city {
         Some(_) => deployed_in(table, city),
-        None => deployed_in(table, None).harvest(fmbs_net::prelude::HarvestProfile::Solar(
+        None => deployed_in(table, None).harvest(HarvestProfile::Solar(
             fmbs_core::harvest::Illumination::Streetlight,
         )),
     };
-    WorkloadSpec::new(NetSpec::from(deployment.arq(ArqConfig::default())))
+    WorkloadSpec::new(deployment.faults(faults).arq(arq))
 }
 
 /// Delivery ratio and retransmission overhead versus tag density under
@@ -1112,6 +1109,7 @@ pub fn fault_resilience_goodput_for(
     let table = workload_table(grid);
     let tags = workload_tags(grid);
     let kinds: Vec<FaultKind> = kind.map_or_else(|| FaultKind::ALL.to_vec(), |k| vec![k]);
+    let clean = || fault_workload_in(&table, city, FaultSpec::none(), ArqConfig::default());
     let sweep = |metric: &dyn Metric| {
         SweepBuilder::new(workload_base_in(grid, ArrivalModel::Poisson, city))
             .n_tags(tags.iter().copied())
@@ -1121,11 +1119,10 @@ pub fn fault_resilience_goodput_for(
 
     let mut series = vec![Series::new(
         "delivery ratio, no fault",
-        sweep(&DeliveryRatio(fault_workload_in(&table, city))),
+        sweep(&DeliveryRatio(clean())),
     )];
     for k in &kinds {
-        let mut spec = fault_workload_in(&table, city);
-        spec.net.faults = fault_plan(*k);
+        let spec = fault_workload_in(&table, city, fault_plan(*k), ArqConfig::default());
         series.push(Series::new(
             format!("delivery ratio, {}", k.name()),
             sweep(&DeliveryRatio(spec)),
@@ -1136,11 +1133,10 @@ pub fn fault_resilience_goodput_for(
     // the ARQ hardest (the restricted build mirrors its own kind).
     series.push(Series::new(
         "retx overhead, no fault",
-        sweep(&RetxOverhead(fault_workload_in(&table, city))),
+        sweep(&RetxOverhead(clean())),
     ));
     let stressor = kind.unwrap_or(FaultKind::Burst);
-    let mut spec = fault_workload_in(&table, city);
-    spec.net.faults = fault_plan(stressor);
+    let spec = fault_workload_in(&table, city, fault_plan(stressor), ArqConfig::default());
     series.push(Series::new(
         format!("retx overhead, {}", stressor.name()),
         sweep(&RetxOverhead(spec)),
@@ -1194,12 +1190,15 @@ pub fn fault_resilience_recovery_for(
         for n in cells {
             let mut scenario = workload_base_in(grid, ArrivalModel::Poisson, city);
             scenario.n_tags = n;
-            let mut spec = fault_workload_in(&table, city);
-            spec.net.faults = fault_plan(kind);
-            spec.net.arq = Some(ArqConfig {
-                max_retx: b,
-                ..ArqConfig::default()
-            });
+            let spec = fault_workload_in(
+                &table,
+                city,
+                fault_plan(kind),
+                ArqConfig {
+                    max_retx: b,
+                    ..ArqConfig::default()
+                },
+            );
             r_mean += RecoveryTimeSlots::new(spec.clone()).evaluate(&FastSim, &scenario)
                 / cells.len() as f64;
             o_mean += RetxOverhead(spec).evaluate(&FastSim, &scenario) / cells.len() as f64;

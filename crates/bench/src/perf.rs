@@ -227,10 +227,14 @@ pub fn net_series_path(sweep_path: &str) -> String {
 /// `samples` timed runs; calibration is untimed).
 pub fn measure_net(label: &str, samples: usize) -> NetPerfRecord {
     use fmbs_core::sim::fast::FastSim as Fast;
-    use fmbs_net::prelude::{BerTable, BerTableSpec, NetworkConfig, NetworkSim};
+    use fmbs_net::prelude::{BerTable, BerTableSpec, Deployment};
     let (n_tags, n_slots) = (10_000usize, 1_000u64);
     let table = std::sync::Arc::new(BerTable::calibrate(&Fast, &BerTableSpec::quick()));
-    let sim = NetworkSim::new(NetworkConfig::new(n_tags, n_slots), table);
+    let sim = Deployment::city(n_tags)
+        .slots(n_slots)
+        .build()
+        .expect("acceptance-bar deployment is valid")
+        .into_sim(table);
     let mut best = f64::INFINITY;
     let mut delivered = 0;
     for _ in 0..samples.max(1) {
@@ -279,11 +283,12 @@ pub fn is_workload_label(label: &str) -> bool {
 pub fn measure_net_workload(label: &str, samples: usize) -> NetPerfRecord {
     use fmbs_core::sim::fast::FastSim as Fast;
     use fmbs_core::sim::scenario::{AppProfile, ArrivalModel};
-    use fmbs_net::prelude::{BerTable, BerTableSpec, NetworkConfig, NetworkSim, Traffic};
+    use fmbs_net::prelude::{BerTable, BerTableSpec, Deployment, Traffic};
     use fmbs_workload::arrivals::TraceSpec;
     let (n_tags, n_slots) = (10_000usize, 1_000u64);
     let table = std::sync::Arc::new(BerTable::calibrate(&Fast, &BerTableSpec::quick()));
-    let mut cfg = NetworkConfig::new(n_tags, n_slots);
+    let deployment = Deployment::city(n_tags).slots(n_slots);
+    let cfg = deployment.network_config();
     let trace = TraceSpec {
         n_tags,
         n_slots,
@@ -294,8 +299,11 @@ pub fn measure_net_workload(label: &str, samples: usize) -> NetPerfRecord {
         seed: cfg.seed,
     }
     .generate();
-    cfg.traffic = Traffic::Trace(std::sync::Arc::new(trace));
-    let sim = NetworkSim::new(cfg, table);
+    let sim = deployment
+        .traffic(Traffic::Trace(std::sync::Arc::new(trace)))
+        .build()
+        .expect("workload acceptance-bar deployment is valid")
+        .into_sim(table);
     let mut best = f64::INFINITY;
     let mut delivered = 0;
     for _ in 0..samples.max(1) {
@@ -346,19 +354,22 @@ pub fn is_faults_label(label: &str) -> bool {
 /// are all on the timed hot path.
 pub fn measure_net_faults(label: &str, samples: usize) -> NetPerfRecord {
     use fmbs_core::sim::fast::FastSim as Fast;
-    use fmbs_net::prelude::{
-        ArqConfig, BerTable, BerTableSpec, FaultSpec, NetworkConfig, NetworkSim,
-    };
+    use fmbs_net::prelude::{ArqConfig, BerTable, BerTableSpec, Deployment, FaultSpec};
     let (n_tags, n_slots) = (10_000usize, 1_000u64);
     let table = std::sync::Arc::new(BerTable::calibrate(&Fast, &BerTableSpec::quick()));
-    let mut cfg = NetworkConfig::new(n_tags, n_slots);
-    cfg.arq = Some(ArqConfig::default());
-    cfg.faults = FaultSpec::none()
-        .with_outages(1, 120)
-        .with_brownouts(2, 150, 0.25)
-        .with_bursts(2, 80, 0.03)
-        .with_resets(64);
-    let sim = NetworkSim::new(cfg, table);
+    let sim = Deployment::city(n_tags)
+        .slots(n_slots)
+        .arq(ArqConfig::default())
+        .faults(
+            FaultSpec::none()
+                .with_outages(1, 120)
+                .with_brownouts(2, 150, 0.25)
+                .with_bursts(2, 80, 0.03)
+                .with_resets(64),
+        )
+        .build()
+        .expect("fault acceptance-bar deployment is valid")
+        .into_sim(table);
     let mut best = f64::INFINITY;
     let mut delivered = 0;
     for _ in 0..samples.max(1) {

@@ -16,7 +16,6 @@
 use super::decoder::DataDecoder;
 use super::encoder::DataEncoder;
 use super::Bitrate;
-use bytes::Bytes;
 
 /// Number of alternating preamble bits.
 const PREAMBLE_BITS: usize = 16;
@@ -104,7 +103,7 @@ pub struct FrameDecoder {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// The payload bytes.
-    pub payload: Bytes,
+    pub payload: Vec<u8>,
     /// Sample index where the frame body began.
     pub body_start: usize,
 }
@@ -201,7 +200,7 @@ impl FrameDecoder {
             return None;
         }
         Some(Frame {
-            payload: Bytes::copy_from_slice(payload),
+            payload: payload.to_vec(),
             body_start: offset,
         })
     }

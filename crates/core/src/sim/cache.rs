@@ -37,12 +37,12 @@ use super::scenario::{Scenario, SynthesisedPayload, Workload};
 use crate::modem::Bitrate;
 use fmbs_audio::program::ProgramKind;
 use fmbs_dsp::complex::Complex;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// Host-audio cache key: every input of the
 /// [`Scenario::host_audio_uncached`] derivation.
@@ -316,7 +316,13 @@ impl SweepCache {
             n,
             rate_bits: rate.to_bits(),
         };
-        if let Some(hit) = self.host.lock().get(&key).cloned() {
+        if let Some(hit) = self
+            .host
+            .lock()
+            .expect("sweep cache lock poisoned")
+            .get(&key)
+            .cloned()
+        {
             self.host_hits.fetch_add(1, Ordering::Relaxed);
             fmbs_obs::counter!("cache.host_hits");
             return (*hit).clone();
@@ -326,7 +332,10 @@ impl SweepCache {
         self.host_misses.fetch_add(1, Ordering::Relaxed);
         fmbs_obs::counter!("cache.host_misses");
         let computed = s.host_audio_uncached(rate, n);
-        self.host.lock().insert(key, Arc::new(computed.clone()));
+        self.host
+            .lock()
+            .expect("sweep cache lock poisoned")
+            .insert(key, Arc::new(computed.clone()));
         computed
     }
 
@@ -353,7 +362,13 @@ impl SweepCache {
             f_back_bits: scenario.f_back_hz.to_bits(),
             stereo_band: scenario.workload.stereo_band(),
         };
-        if let Some(hit) = self.front_end.lock().get(&key).cloned() {
+        if let Some(hit) = self
+            .front_end
+            .lock()
+            .expect("sweep cache lock poisoned")
+            .get(&key)
+            .cloned()
+        {
             self.front_end_hits.fetch_add(1, Ordering::Relaxed);
             fmbs_obs::counter!("cache.front_end_hits");
             return hit;
@@ -365,7 +380,7 @@ impl SweepCache {
         // ([`FRONT_END_MAX_SAMPLES`]); the computed value is returned
         // either way, so the cap never changes results.
         let samples = computed.0.len() + computed.1.len();
-        let mut map = self.front_end.lock();
+        let mut map = self.front_end.lock().expect("sweep cache lock poisoned");
         if self.front_end_samples.load(Ordering::Relaxed) + samples <= FRONT_END_MAX_SAMPLES
             && map.insert(key, computed.clone()).is_none()
         {
@@ -377,7 +392,13 @@ impl SweepCache {
     /// The [`Workload::synthesise`] derivation, memoised.
     pub fn payload(&self, w: &Workload, rate: f64) -> SynthesisedPayload {
         let key = (PayloadKey::new(w), rate.to_bits());
-        if let Some(hit) = self.payload.lock().get(&key).cloned() {
+        if let Some(hit) = self
+            .payload
+            .lock()
+            .expect("sweep cache lock poisoned")
+            .get(&key)
+            .cloned()
+        {
             self.payload_hits.fetch_add(1, Ordering::Relaxed);
             fmbs_obs::counter!("cache.payload_hits");
             return (*hit).clone();
@@ -387,7 +408,10 @@ impl SweepCache {
         self.payload_misses.fetch_add(1, Ordering::Relaxed);
         fmbs_obs::counter!("cache.payload_misses");
         let computed = w.synthesise_uncached(rate);
-        self.payload.lock().insert(key, Arc::new(computed.clone()));
+        self.payload
+            .lock()
+            .expect("sweep cache lock poisoned")
+            .insert(key, Arc::new(computed.clone()));
         computed
     }
 }

@@ -17,7 +17,6 @@ use super::metric::Metric;
 use super::scenario::Scenario;
 use super::{Simulator, Tier};
 use crate::modem::Bitrate;
-use crossbeam::channel;
 use fmbs_audio::program::ProgramKind;
 use fmbs_channel::fading::MotionProfile;
 use fmbs_channel::units::Dbm;
@@ -616,7 +615,7 @@ impl SweepBuilder {
             .map(|w| obs_parent.as_ref().map(|p| p.child(w as u32)))
             .collect();
         let cursor = AtomicUsize::new(0);
-        let (tx, rx) = channel::bounded::<(usize, f64)>(points.len());
+        let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, f64)>(points.len());
         let mut values: Vec<Option<f64>> = vec![None; points.len()];
         // The workers profile the points; this thread only waits, so the
         // wait must not count again as self-time of a stage open here.

@@ -340,6 +340,21 @@ mod tests {
                 ..
             })
         ));
+        // A zero receiver pitch stacks every cell on one point.
+        let stacked = dir.join("stacked.json");
+        std::fs::write(
+            &stacked,
+            text.replace("\"id\": \"seattle\"", "\"id\": \"stacked\"")
+                .replace("\"pitch_ft\": 40.0", "\"pitch_ft\": 0"),
+        )
+        .unwrap();
+        assert!(matches!(
+            CityScenario::from_path(&stacked),
+            Err(CorpusError::Deployment {
+                cause: DeploymentError::Geometry { .. },
+                ..
+            })
+        ));
         // Empty corpus directory.
         let empty_dir = dir.join("empty");
         std::fs::create_dir_all(&empty_dir).unwrap();

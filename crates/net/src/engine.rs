@@ -30,9 +30,8 @@
 
 use crate::deploy::{city_occupancy, HarvestProfile, SiteMap};
 use crate::faults::{FaultSchedule, FaultSpec};
-use crate::link::BerTable;
+use crate::link::{BerTable, PacketModel};
 use fmbs_core::modem::Bitrate;
-use fmbs_core::sim::scenario::{Scenario, Workload};
 use fmbs_fm::band::{BandOccupancy, Channel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -305,6 +304,9 @@ pub enum Traffic {
     Trace(Arc<ArrivalTrace>),
 }
 
+/// Cap on the binary-exponential backoff exponent.
+const MAX_BACKOFF_EXP: u32 = 8;
+
 /// Everything that parameterises one network run.
 #[derive(Debug, Clone)]
 pub struct NetworkConfig {
@@ -328,13 +330,6 @@ pub struct NetworkConfig {
     pub harvest: HarvestProfile,
     /// Energy storage per tag in µJ (tags start full).
     pub storage_uj: f64,
-    /// Cap on the binary-exponential backoff exponent.
-    pub max_backoff_exp: u32,
-    /// Whether frames carry the rate-1/2 FEC of
-    /// [`fmbs_core::modem::fec`] (overlay links have a ~2% raw-BER
-    /// interference floor, so uncoded frames of useful length rarely
-    /// survive — see [`crate::link::PacketModel`]).
-    pub coding: bool,
     /// Run seed.
     pub seed: u64,
     /// Record the slot-level event trace (off for large capacity runs).
@@ -376,8 +371,6 @@ impl NetworkConfig {
             occupancy: city_occupancy(Channel(17), fmbs_core::DEFAULT_F_BACK_HZ),
             harvest: HarvestProfile::Mains,
             storage_uj: 40.0,
-            max_backoff_exp: 8,
-            coding: true,
             seed: 0x5EED,
             record_trace: false,
             trace_cap: usize::MAX,
@@ -385,28 +378,6 @@ impl NetworkConfig {
             drop_expired: false,
             faults: FaultSpec::none(),
             arq: None,
-        }
-    }
-
-    /// Builds the config a [`Scenario`] describes: `n_tags`,
-    /// `mac_slots`, `f_back_hz` (as the channel plan's guard ring),
-    /// ambient power, distance (as the deployment radius) and the data
-    /// workload's bitrate all come from the scenario, which is what lets
-    /// the sweep engine treat network axes like any other axis.
-    pub fn from_scenario(s: &Scenario) -> Self {
-        let bitrate = match s.workload {
-            Workload::Data { bitrate, .. } => bitrate,
-            _ => Bitrate::Kbps1_6,
-        };
-        NetworkConfig {
-            n_tags: s.n_tags.max(1) as usize,
-            n_slots: s.mac_slots.max(1) as u64,
-            bitrate,
-            cell_radius_ft: s.distance_ft.max(1.0),
-            mean_power_dbm: s.ambient_at_tag.0,
-            occupancy: city_occupancy(Channel(17), s.f_back_hz),
-            seed: s.seed,
-            ..NetworkConfig::new(1, 1)
         }
     }
 
@@ -595,82 +566,40 @@ struct TagState {
     fallback: bool,
 }
 
-/// The network simulator: a config plus the link table it reads BER
-/// from. `run` is a pure function of both, so one instance can be shared
-/// across sweep workers.
-#[derive(Debug, Clone)]
-pub struct NetworkSim {
-    cfg: NetworkConfig,
-    table: Arc<BerTable>,
-    packets: Arc<crate::link::PacketModel>,
+/// The next rate below `b` in [`Bitrate::ALL`].
+fn step_down(b: Bitrate) -> Option<Bitrate> {
+    let i = Bitrate::ALL.iter().position(|&x| x == b)?;
+    (i > 0).then(|| Bitrate::ALL[i - 1])
 }
 
-impl NetworkSim {
-    /// Builds a simulator over a calibrated link table. The packet-level
-    /// FEC survival curve is measured here, once per simulator — it is a
-    /// property of the code and the frame length, not of the run seed.
-    pub fn new(cfg: NetworkConfig, table: Arc<BerTable>) -> Self {
-        let packets = Arc::new(crate::link::PacketModel::for_frame(
-            cfg.packet_bits,
-            cfg.coding,
-        ));
-        Self::with_packet_model(cfg, table, packets)
+/// Runs a one-cell deployment to the slot horizon: the tags of `cfg`
+/// on one disc, one [`DomainSim`] stepped slot by slot with no
+/// cross-domain extras. [`crate::topology::CitySim`] runs every
+/// single-receiver plan through here.
+pub(crate) fn run_cell(cfg: &NetworkConfig, table: &BerTable, packets: Arc<PacketModel>) -> NetRun {
+    let deployment = SiteMap::generate(
+        cfg.n_tags,
+        cfg.cell_radius_ft,
+        cfg.mean_power_dbm,
+        &cfg.occupancy,
+        cfg.host,
+        cfg.harvest,
+        cfg.slot_secs(),
+        cfg.storage_uj,
+        cfg.seed,
+    );
+    let mut d = DomainSim::new(
+        cfg.clone(),
+        table,
+        packets,
+        &deployment.sites,
+        deployment.n_channels,
+    );
+    while let Some(slot) = d.peek_slot() {
+        d.gather(slot);
+        d.resolve(slot, None);
     }
-
-    /// Builds a simulator over a pre-measured packet model — the form
-    /// sweep metrics use, so one FEC Monte-Carlo serves a whole grid
-    /// instead of re-running per point.
-    pub fn with_packet_model(
-        cfg: NetworkConfig,
-        table: Arc<BerTable>,
-        packets: Arc<crate::link::PacketModel>,
-    ) -> Self {
-        NetworkSim {
-            cfg,
-            table,
-            packets,
-        }
-    }
-
-    /// The configuration this simulator runs.
-    pub fn config(&self) -> &NetworkConfig {
-        &self.cfg
-    }
-
-    /// The next rate below `b` in [`Bitrate::ALL`].
-    fn step_down(b: Bitrate) -> Option<Bitrate> {
-        let i = Bitrate::ALL.iter().position(|&x| x == b)?;
-        (i > 0).then(|| Bitrate::ALL[i - 1])
-    }
-
-    /// Runs the deployment to the slot horizon.
-    pub fn run(&self) -> NetRun {
-        fmbs_obs::span!(fmbs_obs::stages::NET_ENGINE);
-        let cfg = &self.cfg;
-        let deployment = SiteMap::generate(
-            cfg.n_tags,
-            cfg.cell_radius_ft,
-            cfg.mean_power_dbm,
-            &cfg.occupancy,
-            cfg.host,
-            cfg.harvest,
-            cfg.slot_secs(),
-            cfg.storage_uj,
-            cfg.seed,
-        );
-        let mut d = DomainSim::new(
-            cfg.clone(),
-            &self.table,
-            self.packets.clone(),
-            &deployment.sites,
-            deployment.n_channels,
-        );
-        while let Some(slot) = d.peek_slot() {
-            d.gather(slot);
-            d.resolve(slot, None);
-        }
-        d.finish()
-    }
+    d.finish()
 }
 
 /// Cross-domain inputs injected into one slot's resolution by the metro
@@ -726,15 +655,15 @@ pub fn capture_winner(attempts: &[u32], rx_dbm: &[f64], margin_db: f64) -> Optio
 
 /// One collision domain's complete engine state, stepped slot by slot.
 ///
-/// The single-receiver [`NetworkSim::run`] drives exactly one of these
-/// (so the pre-metro figures stay bit-identical), and the metro engine
+/// The single-receiver [`run_cell`] drives exactly one of these, and
+/// the metro engine
 /// in [`crate::topology`] drives one per receiver cell in lockstep,
 /// exchanging co-channel transmit counts at slot barriers. Tag indices
 /// are *local* to the domain; the metro layer owns the local→global
 /// mapping.
 pub(crate) struct DomainSim {
     cfg: NetworkConfig,
-    packets: Arc<crate::link::PacketModel>,
+    packets: Arc<PacketModel>,
     sched: FaultSchedule,
     rf: bool,
     fb_plan: Option<(Bitrate, u64)>,
@@ -755,7 +684,7 @@ impl DomainSim {
     pub(crate) fn new(
         cfg: NetworkConfig,
         table: &BerTable,
-        packets: Arc<crate::link::PacketModel>,
+        packets: Arc<PacketModel>,
         sites: &[crate::deploy::TagSite],
         n_channels: usize,
     ) -> Self {
@@ -769,9 +698,7 @@ impl DomainSim {
         // Graceful degradation: the fallback rate and the airtime
         // stretch (slots per fallback frame) are fixed per run.
         let fb_plan: Option<(Bitrate, u64)> = cfg.arq.as_ref().and_then(|a| {
-            let fb = a
-                .fallback_bitrate
-                .or_else(|| NetworkSim::step_down(cfg.bitrate))?;
+            let fb = a.fallback_bitrate.or_else(|| step_down(cfg.bitrate))?;
             let stretch = (cfg.bitrate.bits_per_second() / fb.bits_per_second())
                 .ceil()
                 .max(1.0) as u64;
@@ -1204,7 +1131,7 @@ impl DomainSim {
                     (Outcome::Collided, next)
                 } else {
                     self.stats.collided += 1;
-                    t.backoff_exp = (t.backoff_exp + 1).min(self.cfg.max_backoff_exp);
+                    t.backoff_exp = (t.backoff_exp + 1).min(MAX_BACKOFF_EXP);
                     let window = 1u64 << t.backoff_exp;
                     let delay = t.rng.gen_range(0..window);
                     (Outcome::Collided, Some(slot + 1 + delay))
@@ -1372,7 +1299,7 @@ impl DomainSim {
             }
         } else {
             t.pkt_attempts += 1;
-            t.backoff_exp = (t.backoff_exp + 1).min(cfg.max_backoff_exp);
+            t.backoff_exp = (t.backoff_exp + 1).min(MAX_BACKOFF_EXP);
             let window = 1u64 << t.backoff_exp;
             let delay = t.rng.gen_range(0..window);
             Some(resume + delay)
@@ -1386,6 +1313,12 @@ mod tests {
     use crate::link::{BerTable, BerTableSpec};
     use fmbs_core::harvest::Illumination;
     use fmbs_core::sim::fast::FastSim;
+
+    /// Runs `cfg` through the one-cell runner over `table`.
+    fn simulate(cfg: NetworkConfig, table: Arc<BerTable>) -> NetRun {
+        let packets = PacketModel::for_frame(cfg.packet_bits);
+        run_cell(&cfg, &table, packets)
+    }
 
     fn table() -> Arc<BerTable> {
         Arc::new(BerTable::from_grid(
@@ -1412,7 +1345,7 @@ mod tests {
     fn single_tag_saturates_its_channel() {
         let mut cfg = NetworkConfig::new(1, 400);
         cfg.record_trace = true;
-        let run = NetworkSim::new(cfg, table()).run();
+        let run = simulate(cfg, table());
         // One tag, no contention: it transmits in nearly every slot
         // after its start, and most packets survive the link.
         assert!(run.stats.attempts > 350, "{:?}", run.stats);
@@ -1425,7 +1358,7 @@ mod tests {
     #[test]
     fn contention_causes_collisions_and_backoff_resolves_them() {
         let cfg = NetworkConfig::new(300, 400);
-        let run = NetworkSim::new(cfg, table()).run();
+        let run = simulate(cfg, table());
         assert!(run.stats.collided > 0, "300 tags must collide sometimes");
         assert!(run.stats.delivered > 0, "backoff must still deliver");
         assert!(run.stats.collision_rate() < 1.0);
@@ -1436,7 +1369,7 @@ mod tests {
     #[test]
     fn goodput_grows_with_tags_until_contention() {
         let at = |n: usize| {
-            let run = NetworkSim::new(NetworkConfig::new(n, 300), table()).run();
+            let run = simulate(NetworkConfig::new(n, 300), table());
             run.stats.goodput_bps()
         };
         // A handful of tags on ~60 free channels: nearly linear scaling.
@@ -1450,9 +1383,9 @@ mod tests {
         let mut cfg = NetworkConfig::new(1, 2_000);
         cfg.harvest = HarvestProfile::Solar(Illumination::Streetlight);
         cfg.storage_uj = 4.0;
-        let duty_run = NetworkSim::new(cfg.clone(), table()).run();
+        let duty_run = simulate(cfg.clone(), table());
         cfg.harvest = HarvestProfile::Mains;
-        let mains_run = NetworkSim::new(cfg, table()).run();
+        let mains_run = simulate(cfg, table());
         assert!(duty_run.stats.starved_slots > 0, "{:?}", duty_run.stats);
         assert!(
             duty_run.stats.delivered * 4 < mains_run.stats.delivered,
@@ -1469,13 +1402,13 @@ mod tests {
     fn same_seed_runs_are_trace_identical() {
         let mut cfg = NetworkConfig::new(120, 250);
         cfg.record_trace = true;
-        let a = NetworkSim::new(cfg.clone(), table()).run();
-        let b = NetworkSim::new(cfg.clone(), table()).run();
+        let a = simulate(cfg.clone(), table());
+        let b = simulate(cfg.clone(), table());
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.stats.delivered, b.stats.delivered);
         assert_eq!(a.stats.latencies_slots, b.stats.latencies_slots);
         cfg.seed ^= 1;
-        let c = NetworkSim::new(cfg, table()).run();
+        let c = simulate(cfg, table());
         assert_ne!(a.trace, c.trace, "different seed must change the trace");
     }
 
@@ -1483,13 +1416,13 @@ mod tests {
     fn trace_cap_truncates_with_explicit_accounting() {
         let mut cfg = NetworkConfig::new(4, 300);
         cfg.record_trace = true;
-        let full = NetworkSim::new(cfg.clone(), table()).run();
+        let full = simulate(cfg.clone(), table());
         assert!(!full.trace.truncated());
         assert_eq!(full.trace.dropped(), 0);
         let total = full.trace.len();
         assert!(total > 16, "need enough events to truncate");
         cfg.trace_cap = 16;
-        let capped = NetworkSim::new(cfg, table()).run();
+        let capped = simulate(cfg, table());
         // The cap keeps a prefix and accounts for every cut event —
         // nothing disappears silently, and the run itself is unchanged.
         assert_eq!(capped.trace.len(), 16);
@@ -1498,22 +1431,6 @@ mod tests {
         assert_eq!(capped.trace.events[..], full.trace.events[..16]);
         assert_eq!(capped.stats.attempts, full.stats.attempts);
         assert_eq!(capped.stats.delivered, full.stats.delivered);
-    }
-
-    #[test]
-    fn from_scenario_reads_the_network_axes() {
-        use fmbs_audio::program::ProgramKind;
-        use fmbs_core::sim::scenario::Scenario;
-        let mut s = Scenario::bench(-35.0, 12.0, ProgramKind::News)
-            .with_workload(Workload::data(Bitrate::Kbps3_2, 100));
-        s.n_tags = 40;
-        s.mac_slots = 777;
-        let cfg = NetworkConfig::from_scenario(&s);
-        assert_eq!(cfg.n_tags, 40);
-        assert_eq!(cfg.n_slots, 777);
-        assert_eq!(cfg.bitrate, Bitrate::Kbps3_2);
-        assert_eq!(cfg.mean_power_dbm, -35.0);
-        assert_eq!(cfg.cell_radius_ft, 12.0);
     }
 
     fn trace_of(per_tag: Vec<Vec<(u64, u32)>>) -> Traffic {
@@ -1536,7 +1453,7 @@ mod tests {
     fn empty_queue_keeps_a_tag_idle() {
         let mut cfg = NetworkConfig::new(2, 300);
         cfg.traffic = trace_of(vec![vec![(5, 50), (40, 50)], vec![]]);
-        let run = NetworkSim::new(cfg, table()).run();
+        let run = simulate(cfg, table());
         assert_eq!(run.stats.offered, 2);
         assert!(run.stats.delivered <= 2);
         assert_eq!(run.stats.per_tag_delivered[1], 0, "no traffic, no frames");
@@ -1553,7 +1470,7 @@ mod tests {
         // later deliveries carry queueing delay: sojourns strictly grow.
         let mut cfg = NetworkConfig::new(1, 500);
         cfg.traffic = trace_of(vec![vec![(10, 100); 4]]);
-        let run = NetworkSim::new(cfg, table()).run();
+        let run = simulate(cfg, table());
         assert!(run.stats.delivered >= 2, "{:?}", run.stats);
         let s = &run.stats.sojourn_slots;
         assert!(s.windows(2).all(|w| w[0] < w[1]), "{s:?}");
@@ -1582,7 +1499,7 @@ mod tests {
         let mut cfg = NetworkConfig::new(1, 100);
         cfg.traffic = trace_of(vec![vec![(5, 0), (5, 0)]]);
         cfg.drop_expired = true;
-        let run = NetworkSim::new(cfg.clone(), perfect_table()).run();
+        let run = simulate(cfg.clone(), perfect_table());
         assert_eq!(run.stats.attempts, 1, "{:?}", run.stats);
         assert_eq!(run.stats.delivered, 1);
         assert_eq!(run.stats.on_time, 1, "deadline slot itself is on-time");
@@ -1591,7 +1508,7 @@ mod tests {
         // Without shedding, the late second packet still transmits and
         // still misses its deadline.
         cfg.drop_expired = false;
-        let late = NetworkSim::new(cfg, perfect_table()).run();
+        let late = simulate(cfg, perfect_table());
         assert_eq!(late.stats.delivered, 2);
         assert_eq!(late.stats.on_time, 1);
         assert!(late.stats.queue_conserved(), "{:?}", late.stats);
@@ -1607,7 +1524,7 @@ mod tests {
         let mut cfg = NetworkConfig::new(1, 100);
         cfg.traffic = trace_of(vec![vec![(0, 0), (0, 0), (0, 0), (0, 0)]]);
         cfg.drop_expired = true;
-        let run = NetworkSim::new(cfg.clone(), perfect_table()).run();
+        let run = simulate(cfg.clone(), perfect_table());
         assert_eq!(run.stats.attempts, 1, "shed before keying the radio");
         assert_eq!(run.stats.delivered, 1);
         assert_eq!(run.stats.expired_dropped, 3);
@@ -1636,7 +1553,7 @@ mod tests {
                 .map(|_| (0..8).map(|k| (40 * k, 400u32)).collect())
                 .collect(),
         );
-        let run = NetworkSim::new(cfg, lossy).run();
+        let run = simulate(cfg, lossy);
         assert!(run.stats.retransmissions > 0, "{:?}", run.stats);
         assert_eq!(run.stats.acked, run.stats.delivered);
         assert!(run.stats.abandoned > 0, "budget of 2 must exhaust");
@@ -1652,7 +1569,7 @@ mod tests {
         cfg.arq = Some(ArqConfig::default());
         cfg.faults = FaultSpec::none().with_bursts(1, 120, 0.5);
         cfg.record_trace = true;
-        let run = NetworkSim::new(cfg.clone(), perfect_table()).run();
+        let run = simulate(cfg.clone(), perfect_table());
         assert!(run.stats.rate_fallback_slots > 0, "{:?}", run.stats);
         assert!(run.stats.delivered > 0);
         // The fallback link rides the same calibrated table (here via
@@ -1674,7 +1591,7 @@ mod tests {
         let mut cfg = NetworkConfig::new(8, 600);
         cfg.faults = FaultSpec::none().with_outages(1, 150);
         cfg.record_trace = true;
-        let run = NetworkSim::new(cfg.clone(), perfect_table()).run();
+        let run = simulate(cfg.clone(), perfect_table());
         let sched = cfg.faults.schedule(cfg.n_slots, cfg.n_tags);
         let w = sched.outages[0];
         assert!(
@@ -1689,9 +1606,9 @@ mod tests {
         // extra starvation relative to the fault-free run.
         cfg.harvest = HarvestProfile::RfAmbient;
         cfg.storage_uj = 2.0;
-        let faulted = NetworkSim::new(cfg.clone(), perfect_table()).run();
+        let faulted = simulate(cfg.clone(), perfect_table());
         cfg.faults = FaultSpec::none();
-        let clean = NetworkSim::new(cfg, perfect_table()).run();
+        let clean = simulate(cfg, perfect_table());
         assert!(
             faulted.stats.delivered <= clean.stats.delivered,
             "outage cannot add deliveries: {} vs {}",
@@ -1705,9 +1622,9 @@ mod tests {
         let mut cfg = NetworkConfig::new(1, 2_000);
         cfg.harvest = HarvestProfile::Solar(Illumination::Streetlight);
         cfg.storage_uj = 4.0;
-        let clean = NetworkSim::new(cfg.clone(), perfect_table()).run();
+        let clean = simulate(cfg.clone(), perfect_table());
         cfg.faults = FaultSpec::none().with_brownouts(2, 400, 0.1);
-        let browned = NetworkSim::new(cfg, perfect_table()).run();
+        let browned = simulate(cfg, perfect_table());
         assert!(
             browned.stats.delivered < clean.stats.delivered,
             "brownout {} vs clean {}",
@@ -1730,7 +1647,7 @@ mod tests {
                 .map(|_| (0..200).map(|k| (k, 300u32)).collect())
                 .collect(),
         );
-        let run = NetworkSim::new(cfg, perfect_table()).run();
+        let run = simulate(cfg, perfect_table());
         assert!(run.stats.abandoned > 0, "{:?}", run.stats);
         assert!(run.stats.queue_conserved(), "{:?}", run.stats);
     }
@@ -1741,9 +1658,9 @@ mod tests {
         // different *fault* seeds, identical traces.
         let mut cfg = NetworkConfig::new(60, 300);
         cfg.record_trace = true;
-        let base = NetworkSim::new(cfg.clone(), table()).run();
+        let base = simulate(cfg.clone(), table());
         cfg.faults = FaultSpec::none().with_seed(0xDEAD_BEEF);
-        let refitted = NetworkSim::new(cfg, table()).run();
+        let refitted = simulate(cfg, table());
         assert_eq!(base.trace, refitted.trace);
         assert_eq!(base.stats.delivered, refitted.stats.delivered);
         assert_eq!(base.stats.latencies_slots, refitted.stats.latencies_slots);
@@ -1758,12 +1675,12 @@ mod tests {
             .with_outages(1, 60)
             .with_bursts(2, 40, 0.05)
             .with_resets(6);
-        let a = NetworkSim::new(cfg.clone(), table()).run();
-        let b = NetworkSim::new(cfg.clone(), table()).run();
+        let a = simulate(cfg.clone(), table());
+        let b = simulate(cfg.clone(), table());
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.stats.abandoned, b.stats.abandoned);
         cfg.faults.seed ^= 1;
-        let c = NetworkSim::new(cfg, table()).run();
+        let c = simulate(cfg, table());
         assert_ne!(a.trace, c.trace, "fault seed must move the windows");
     }
 
@@ -1777,13 +1694,13 @@ mod tests {
         let mut cfg = NetworkConfig::new(200, 300);
         cfg.traffic = trace_of(arrivals);
         cfg.record_trace = true;
-        let a = NetworkSim::new(cfg.clone(), table()).run();
-        let b = NetworkSim::new(cfg.clone(), table()).run();
+        let a = simulate(cfg.clone(), table());
+        let b = simulate(cfg.clone(), table());
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.stats.sojourn_slots, b.stats.sojourn_slots);
         assert!(a.stats.queue_conserved(), "{:?}", a.stats);
         cfg.seed ^= 1;
-        let c = NetworkSim::new(cfg, table()).run();
+        let c = simulate(cfg, table());
         assert_ne!(a.trace, c.trace, "different seed must change the trace");
     }
 
@@ -1802,7 +1719,7 @@ mod tests {
                 seed: 9,
             },
         ));
-        let run = NetworkSim::new(NetworkConfig::new(20, 200), table).run();
+        let run = simulate(NetworkConfig::new(20, 200), table);
         assert!(run.stats.delivered > 0);
     }
 }

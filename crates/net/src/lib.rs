@@ -49,12 +49,13 @@
 //!
 //! // Calibrate the link abstraction from the fast physics tier once...
 //! let table = Arc::new(BerTable::calibrate(&FastSim, &BerTableSpec::quick()));
-//! // ...then sweep a deployment axis through the ordinary engine.
+//! // ...then sweep a deployment axis through the ordinary engine: each
+//! // grid point runs the one-cell deployment `Deployment::at` places.
 //! let base = Scenario::bench(-40.0, 12.0, ProgramKind::News)
 //!     .with_workload(Workload::data(Bitrate::Kbps1_6, 256));
 //! let results = SweepBuilder::new(base)
 //!     .n_tags([8, 64])
-//!     .run(&FastSim, &NetGoodput(NetSpec::new(table)));
+//!     .run(&FastSim, &NetGoodput(Deployment::city(1).link(table)));
 //! assert_eq!(results.points.len(), 2);
 //! assert!(results.points.iter().all(|p| p.value > 0.0));
 //! ```
@@ -76,11 +77,11 @@ pub mod prelude {
     pub use crate::deploy::{city_occupancy, HarvestProfile, SiteMap, TagSite};
     pub use crate::engine::{
         ArqConfig, Arrival, ArrivalTrace, Event, EventQueue, EventTrace, NetRun, NetStats,
-        NetworkConfig, NetworkSim, Outcome, TraceEvent, TraceKind, Traffic,
+        NetworkConfig, Outcome, TraceEvent, TraceKind, Traffic,
     };
     pub use crate::faults::{recovery_time_slots, FaultKind, FaultSchedule, FaultSpec, Window};
     pub use crate::link::{BerTable, BerTableSpec, TableDelta, TableDeltaCell};
-    pub use crate::metrics::{NetCollisionRate, NetFairness, NetGoodput, NetLatency, NetSpec};
+    pub use crate::metrics::{NetCollisionRate, NetFairness, NetGoodput, NetLatency};
     pub use crate::topology::{
         capture_winner, CityPlan, CitySim, CollisionDomain, Deployment, DeploymentError, MetroRun,
         MetroTopology, Placement, Receiver, Station,

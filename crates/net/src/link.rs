@@ -16,6 +16,8 @@ use fmbs_core::sim::scenario::{Scenario, Workload};
 use fmbs_core::sim::sweep::SweepBuilder;
 use fmbs_core::sim::Simulator;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 /// How to sample the physics tier when calibrating a [`BerTable`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -331,7 +333,7 @@ impl TableDelta {
 /// ([`fmbs_core::modem::fec`]) at each grid BER and interpolates the
 /// resulting survival curve, the same sample-then-interpolate pattern as
 /// [`BerTable`] itself.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PacketModel {
     ber_grid: Vec<f64>,
     success: Vec<f64>,
@@ -382,27 +384,24 @@ impl PacketModel {
     }
 
     /// The standard model for a frame length: the FEC-measured curve
-    /// when `coding` is on (128 trials, seed derived from the frame
-    /// length — a property of the code, not of any run), else the
-    /// uncoded closed form.
-    pub fn for_frame(packet_bits: u32, coding: bool) -> Self {
-        if coding {
-            PacketModel::coded(packet_bits, 128, 0xFEC ^ packet_bits as u64)
-        } else {
-            PacketModel::uncoded(packet_bits)
-        }
-    }
-
-    /// The uncoded closed form: a frame survives only if every raw bit
-    /// does, `(1 − ber)^bits`.
-    pub fn uncoded(packet_bits: u32) -> Self {
-        PacketModel {
-            ber_grid: Self::GRID.to_vec(),
-            success: Self::GRID
-                .iter()
-                .map(|&p| (1.0 - p).powi(packet_bits as i32))
-                .collect(),
-        }
+    /// (128 trials, seed derived from the frame length — a property of
+    /// the code, not of any run). Each length is measured once per
+    /// process, inside the table's lock, so every caller (and every
+    /// sweep worker) shares one handle and the measurement count never
+    /// depends on thread scheduling.
+    pub fn for_frame(packet_bits: u32) -> Arc<PacketModel> {
+        static MODELS: Mutex<BTreeMap<u32, Arc<PacketModel>>> = Mutex::new(BTreeMap::new());
+        let mut models = MODELS.lock().expect("packet-model table poisoned");
+        models
+            .entry(packet_bits)
+            .or_insert_with(|| {
+                Arc::new(PacketModel::coded(
+                    packet_bits,
+                    128,
+                    0xFEC ^ packet_bits as u64,
+                ))
+            })
+            .clone()
     }
 
     /// Interpolated frame-survival probability at a raw link BER.
@@ -487,6 +486,20 @@ mod tests {
         assert!((d.quantile_abs(1.0) - 0.04).abs() < 1e-12);
         let report = d.render();
         assert!(report.contains("max 0.0400"), "{report}");
+    }
+
+    #[test]
+    fn packet_models_are_measured_once_per_frame_length() {
+        let a = PacketModel::for_frame(256);
+        let b = PacketModel::for_frame(256);
+        assert!(Arc::ptr_eq(&a, &b), "one shared handle per length");
+        let fresh = PacketModel::coded(256, 128, 0xFEC ^ 256);
+        assert_eq!(*a, fresh);
+        assert!(a
+            .success
+            .iter()
+            .zip(&fresh.success)
+            .all(|(x, y)| x.to_bits() == y.to_bits()));
     }
 
     #[test]

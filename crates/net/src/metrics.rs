@@ -1,167 +1,33 @@
 //! Network-level [`Metric`] implementations.
 //!
-//! Each metric wraps a [`NetSpec`] — the calibrated link table plus the
-//! MAC/energy knobs a [`Scenario`] does not carry — and measures one
-//! aspect of the deployment the scenario describes. Because they
-//! implement the ordinary [`Metric`] trait, the existing
+//! Each metric wraps a [`Deployment`] — the calibrated link table
+//! (`.link(table)`) plus the harvest, framing, fault and ARQ knobs a
+//! [`Scenario`] does not carry — and measures one aspect of the
+//! one-cell deployment [`Deployment::at`] places at each grid point.
+//! Because they implement the ordinary [`Metric`] trait, the existing
 //! [`fmbs_core::sim::sweep::SweepBuilder`] engine sweeps network axes
 //! (`n_tags`, `mac_slot_counts`, `f_backs_hz`, power, radius) exactly
 //! like physics axes, with the same parallel == serial bit-identity.
 //!
 //! The `sim: &dyn Simulator` argument every metric receives is unused
 //! here by design: the per-packet physics was pre-sampled into the
-//! [`BerTable`] at calibration time — that substitution *is* the link
-//! abstraction.
+//! [`crate::link::BerTable`] at calibration time — that substitution
+//! *is* the link abstraction.
 
-use crate::deploy::HarvestProfile;
-use crate::engine::{ArqConfig, NetRun, NetStats, NetworkConfig, NetworkSim};
-use crate::faults::FaultSpec;
-use crate::link::{BerTable, PacketModel};
+use crate::engine::NetStats;
+use crate::topology::Deployment;
 use fmbs_core::sim::metric::Metric;
 use fmbs_core::sim::scenario::Scenario;
 use fmbs_core::sim::Simulator;
-use std::sync::Arc;
 
-/// Shared setup for the network metrics: the link table plus the knobs
-/// that stay fixed across a sweep.
-#[derive(Debug, Clone)]
-pub struct NetSpec {
-    /// The BER-calibrated link abstraction.
-    pub table: Arc<BerTable>,
-    /// What powers the tags.
-    pub harvest: HarvestProfile,
-    /// Packet length in bits.
-    pub packet_bits: u32,
-    /// Per-tag energy storage in µJ.
-    pub storage_uj: f64,
-    /// Deterministic fault plan every run inherits (zero-count — and
-    /// therefore invisible — by default).
-    pub faults: FaultSpec,
-    /// Link-layer ARQ; `None` keeps the fire-and-forget MAC.
-    pub arq: Option<ArqConfig>,
-    /// The frame-survival curve for `packet_bits` — measured once per
-    /// spec (see [`PacketModel::for_frame`]) so a sweep's grid points
-    /// share one FEC Monte-Carlo instead of re-running it per point.
-    packets: Arc<PacketModel>,
-}
-
-impl NetSpec {
-    /// Mains-powered 256-bit packets over `table`.
-    pub fn new(table: Arc<BerTable>) -> Self {
-        let packet_bits = 256;
-        NetSpec {
-            table,
-            harvest: HarvestProfile::Mains,
-            packet_bits,
-            storage_uj: 40.0,
-            faults: FaultSpec::none(),
-            arq: None,
-            packets: Arc::new(PacketModel::for_frame(packet_bits, true)),
-        }
-    }
-
-    /// Replaces the harvest profile.
-    pub fn with_harvest(mut self, harvest: HarvestProfile) -> Self {
-        self.harvest = harvest;
-        self
-    }
-
-    /// Replaces the fault plan.
-    pub fn with_faults(mut self, faults: FaultSpec) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Switches the link-layer ARQ on.
-    pub fn with_arq(mut self, arq: ArqConfig) -> Self {
-        self.arq = Some(arq);
-        self
-    }
-
-    /// Replaces the packet length (re-measures the survival curve).
-    pub fn with_packet_bits(mut self, bits: u32) -> Self {
-        self.packet_bits = bits;
-        self.packets = Arc::new(PacketModel::for_frame(bits, true));
-        self
-    }
-
-    /// The [`NetworkConfig`] this spec runs `scenario` under — exposed
-    /// so the workload tier can read the slot duration and attach a
-    /// traffic trace before running.
-    pub fn config(&self, scenario: &Scenario) -> NetworkConfig {
-        let mut cfg = NetworkConfig::from_scenario(scenario);
-        cfg.harvest = self.harvest;
-        cfg.packet_bits = self.packet_bits;
-        cfg.storage_uj = self.storage_uj;
-        cfg.faults = self.faults.clone();
-        cfg.arq = self.arq.clone();
-        cfg
-    }
-
-    /// Runs an explicit config over the spec's shared link table and
-    /// packet model.
-    pub fn run_config(&self, cfg: NetworkConfig) -> NetStats {
-        self.run_config_full(cfg).stats
-    }
-
-    /// Like [`NetSpec::run_config`] but returns the full [`NetRun`] —
-    /// the form resilience metrics use, since recovery time is computed
-    /// over the per-attempt trace.
-    pub fn run_config_full(&self, cfg: NetworkConfig) -> NetRun {
-        NetworkSim::with_packet_model(cfg, self.table.clone(), self.packets.clone()).run()
-    }
-
-    /// Runs the deployment the scenario describes and returns its
-    /// statistics.
-    pub fn run(&self, scenario: &Scenario) -> NetStats {
-        self.run_config(self.config(scenario))
-    }
-}
-
-/// The one-line migration shim from the [`crate::topology::Deployment`]
-/// builder to a sweepable flat spec. The field mapping is direct:
-///
-/// | `Deployment` builder     | `NetSpec` field |
-/// |--------------------------|-----------------|
-/// | `.link(table)`           | `table` (required here) |
-/// | `.harvest(..)`           | `harvest`       |
-/// | `.packet_bits(..)`       | `packet_bits` (+ re-measured `packets`) |
-/// | `.storage(..)`           | `storage_uj`    |
-/// | `.faults(..)`            | `faults`        |
-/// | `.arq(..)`               | `arq`           |
-///
-/// Geometry (`.receivers`/`.stations`/`.placement`/`.capture`) does not
-/// map: a `NetSpec` sweeps the classic single-receiver engine, where the
-/// scenario's own axes (`n_tags`, `distance_ft`, power) set the cell.
-/// Multi-receiver plans run through [`crate::topology::CitySim`]
-/// instead.
-///
-/// # Panics
-/// On an invalid deployment (the [`crate::topology::DeploymentError`]
-/// message is included) or when no `.link(..)` table was attached —
-/// `Deployment::build` is the non-panicking path.
-impl From<crate::topology::Deployment> for NetSpec {
-    fn from(d: crate::topology::Deployment) -> NetSpec {
-        if let Err(e) = d.build() {
-            panic!("invalid Deployment: {e}");
-        }
-        let table = d
-            .link_table()
-            .expect("Deployment -> NetSpec needs .link(table)");
-        let mut spec = NetSpec::new(table).with_harvest(d.harvest_profile());
-        if d.packet_bits_cfg() != spec.packet_bits {
-            spec = spec.with_packet_bits(d.packet_bits_cfg());
-        }
-        spec.storage_uj = d.storage_cfg();
-        spec.faults = d.fault_spec().clone();
-        spec.arq = d.arq_cfg().cloned();
-        spec
-    }
+/// The statistics of `deployment` run at the `scenario` grid point.
+fn stats_at(deployment: &Deployment, scenario: &Scenario) -> NetStats {
+    deployment.at(scenario).run_point().stats
 }
 
 /// Aggregate network goodput in bits per second.
 #[derive(Debug, Clone)]
-pub struct NetGoodput(pub NetSpec);
+pub struct NetGoodput(pub Deployment);
 
 impl Metric for NetGoodput {
     fn name(&self) -> &'static str {
@@ -169,13 +35,13 @@ impl Metric for NetGoodput {
     }
 
     fn evaluate(&self, _sim: &dyn Simulator, scenario: &Scenario) -> f64 {
-        self.0.run(scenario).goodput_bps()
+        stats_at(&self.0, scenario).goodput_bps()
     }
 }
 
 /// Fraction of transmission attempts lost to collisions.
 #[derive(Debug, Clone)]
-pub struct NetCollisionRate(pub NetSpec);
+pub struct NetCollisionRate(pub Deployment);
 
 impl Metric for NetCollisionRate {
     fn name(&self) -> &'static str {
@@ -183,13 +49,13 @@ impl Metric for NetCollisionRate {
     }
 
     fn evaluate(&self, _sim: &dyn Simulator, scenario: &Scenario) -> f64 {
-        self.0.run(scenario).collision_rate()
+        stats_at(&self.0, scenario).collision_rate()
     }
 }
 
 /// Jain's fairness index over per-tag delivered packets.
 #[derive(Debug, Clone)]
-pub struct NetFairness(pub NetSpec);
+pub struct NetFairness(pub Deployment);
 
 impl Metric for NetFairness {
     fn name(&self) -> &'static str {
@@ -197,7 +63,7 @@ impl Metric for NetFairness {
     }
 
     fn evaluate(&self, _sim: &dyn Simulator, scenario: &Scenario) -> f64 {
-        self.0.run(scenario).jain_fairness()
+        stats_at(&self.0, scenario).jain_fairness()
     }
 }
 
@@ -205,17 +71,17 @@ impl Metric for NetFairness {
 /// packet's first attempt to its delivery).
 #[derive(Debug, Clone)]
 pub struct NetLatency {
-    /// Shared setup.
-    pub spec: NetSpec,
+    /// The deployment under measurement.
+    pub deployment: Deployment,
     /// Percentile in [0, 1] (e.g. 0.95).
     pub percentile: f64,
 }
 
 impl NetLatency {
     /// The 95th-percentile latency metric.
-    pub fn p95(spec: NetSpec) -> Self {
+    pub fn p95(deployment: Deployment) -> Self {
         NetLatency {
-            spec,
+            deployment,
             percentile: 0.95,
         }
     }
@@ -227,22 +93,22 @@ impl Metric for NetLatency {
     }
 
     fn evaluate(&self, _sim: &dyn Simulator, scenario: &Scenario) -> f64 {
-        self.spec
-            .run(scenario)
-            .latency_percentile_secs(self.percentile)
+        stats_at(&self.deployment, scenario).latency_percentile_secs(self.percentile)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::BerTable;
     use fmbs_audio::program::ProgramKind;
     use fmbs_core::modem::Bitrate;
     use fmbs_core::sim::fast::FastSim;
     use fmbs_core::sim::scenario::Workload;
+    use std::sync::Arc;
 
-    fn spec() -> NetSpec {
-        NetSpec::new(Arc::new(BerTable::from_grid(
+    fn spec() -> Deployment {
+        Deployment::city(1).link(Arc::new(BerTable::from_grid(
             vec![-60.0, -20.0],
             vec![1.0, 30.0],
             vec![Bitrate::Kbps1_6],

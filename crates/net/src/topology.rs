@@ -1,10 +1,9 @@
 //! Metro-scale deployment geometry and the sharded parallel engine.
 //!
-//! This module is the network tier's front door since PR 9: a typed
-//! [`Deployment`] builder replaces flat `NetworkConfig`/`NetSpec` field
-//! construction, validates every invariant at build time (one typed
-//! [`DeploymentError`] instead of three scattered failure modes), and
-//! compiles down to per-domain specs:
+//! This module is the network tier's front door: a typed [`Deployment`]
+//! builder is the one configuration a caller writes, validates every
+//! invariant at build time (one typed [`DeploymentError`]), and compiles
+//! down to per-domain specs that [`CitySim`], the one engine, runs:
 //!
 //! * **Geometry** — FM [`Station`]s (position + transmit power),
 //!   [`Receiver`] cells, and tag [`Placement`] models (uniform over the
@@ -27,14 +26,13 @@
 //!   domains simulate on a worker pool with parallel == serial
 //!   bit-identity (same discipline the sweep engine proves).
 //!
-//! Single-receiver plans compile to the exact pre-metro engine path, so
-//! every pre-PR9 figure reproduces bit-for-bit; see
-//! [`crate::metrics::NetSpec`]'s `From<Deployment>` shim for the
-//! one-line migration of flat-spec call sites.
+//! A single-receiver plan is the one-domain case: one collision domain
+//! stepped with no cross-domain extras. Sweep metrics place such a cell
+//! at each grid point with [`Deployment::at`].
 
 use crate::deploy::{city_occupancy, unit, HarvestProfile, TagSite};
 use crate::engine::{
-    ArqConfig, ArrivalTrace, DomainSim, EventTrace, NetRun, NetStats, NetworkConfig, NetworkSim,
+    run_cell, ArqConfig, ArrivalTrace, DomainSim, EventTrace, NetRun, NetStats, NetworkConfig,
     SlotExtras, TraceEvent, Traffic,
 };
 use crate::faults::{FaultKind, FaultSpec};
@@ -42,6 +40,7 @@ use crate::link::{BerTable, PacketModel};
 use fmbs_channel::pathloss::free_space_path_loss_db;
 use fmbs_core::modem::Bitrate;
 use fmbs_core::power::{IcPowerModel, PAPER_OPERATING_POINT};
+use fmbs_core::sim::scenario::{Scenario, Workload};
 use fmbs_core::sim::sweep::splitmix64;
 use fmbs_fm::band::{BandOccupancy, Channel, FM_CHANNEL_SPACING_HZ};
 use serde::{Deserialize, Serialize};
@@ -196,6 +195,13 @@ pub enum DeploymentError {
         /// The rejected per-transmitter BER elevation.
         ber: f64,
     },
+    /// A receiver cell or the ambient power is unusable: a radius that is
+    /// not finite and positive, a centre that is not finite or that
+    /// another receiver already occupies, or a non-finite mean power.
+    Geometry {
+        /// What was wrong.
+        reason: String,
+    },
     /// A tag landed farther from its nearest receiver than that cell's
     /// radius — the receiver layout does not cover the placement.
     UncoveredTag {
@@ -233,6 +239,10 @@ impl DeploymentError {
             DeploymentError::InterferenceBer { .. } => {
                 "pass a fraction in [0, 1] to .co_channel_ber(..)"
             }
+            DeploymentError::Geometry { .. } => {
+                "give each receiver its own finite centre and a finite radius > 0 \
+                 (Receiver::grid needs pitch_ft > 0), and a finite .power(..)"
+            }
             DeploymentError::UncoveredTag { .. } => {
                 "grow the receiver radii or tighten the placement (Receiver::grid covers by construction)"
             }
@@ -269,6 +279,7 @@ impl std::fmt::Display for DeploymentError {
             DeploymentError::InterferenceBer { ber } => {
                 write!(f, "co-channel BER step {ber} is outside [0, 1]")
             }
+            DeploymentError::Geometry { reason } => write!(f, "invalid geometry: {reason}"),
             DeploymentError::UncoveredTag {
                 tag,
                 distance_ft,
@@ -340,7 +351,7 @@ pub struct CityPlan {
 
 impl CityPlan {
     /// The engine configuration at the plan's core. Single-receiver
-    /// plans run exactly this through the pre-metro engine path.
+    /// plans run exactly this as one collision domain.
     pub fn network_config(&self) -> &NetworkConfig {
         &self.cfg
     }
@@ -383,8 +394,9 @@ impl CityPlan {
     }
 }
 
-/// The redesigned deployment builder — the network tier's single entry
-/// point since PR 9 (see the [module docs](self) for the full model).
+/// The deployment builder: the one configuration of the network tier
+/// (see the [module docs](self) for the full model). It holds the core
+/// engine config plus the geometry and link that compile on top of it.
 ///
 /// ```
 /// use fmbs_core::sim::fast::FastSim;
@@ -405,23 +417,7 @@ impl CityPlan {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Deployment {
-    n_tags: usize,
-    n_slots: u64,
-    bitrate: Bitrate,
-    packet_bits: u32,
-    cell_radius_ft: f64,
-    mean_power_dbm: f64,
-    host: Channel,
-    occupancy: BandOccupancy,
-    harvest: HarvestProfile,
-    storage_uj: f64,
-    seed: u64,
-    record_trace: bool,
-    trace_cap: usize,
-    traffic: Traffic,
-    drop_expired: bool,
-    faults: FaultSpec,
-    arq: Option<ArqConfig>,
+    cfg: NetworkConfig,
     stations: Vec<Station>,
     receivers: Vec<Receiver>,
     placement: Placement,
@@ -432,30 +428,19 @@ pub struct Deployment {
 
 impl Deployment {
     /// A city deployment of `n_tags` tags with the tier's historical
-    /// defaults: one receiver cell of 16 ft, 1.6 kbps, 256-bit packets,
-    /// mains power, 1000 slots — exactly `NetworkConfig::new`'s world.
+    /// defaults: `NetworkConfig::new(n_tags, 1_000)` (1.6 kbps, 256-bit
+    /// packets, mains power) in one receiver cell of 16 ft.
     pub fn city(n_tags: usize) -> Self {
-        let base = NetworkConfig::new(n_tags, 1_000);
+        Deployment::one_cell(NetworkConfig::new(n_tags, 1_000))
+    }
+
+    /// `cfg` in one receiver cell of `cfg.cell_radius_ft`, with the
+    /// default geometry and no link table.
+    fn one_cell(cfg: NetworkConfig) -> Self {
         Deployment {
-            n_tags,
-            n_slots: base.n_slots,
-            bitrate: base.bitrate,
-            packet_bits: base.packet_bits,
-            cell_radius_ft: base.cell_radius_ft,
-            mean_power_dbm: base.mean_power_dbm,
-            host: base.host,
-            occupancy: base.occupancy,
-            harvest: base.harvest,
-            storage_uj: base.storage_uj,
-            seed: base.seed,
-            record_trace: base.record_trace,
-            trace_cap: base.trace_cap,
-            traffic: base.traffic,
-            drop_expired: base.drop_expired,
-            faults: base.faults,
-            arq: base.arq,
+            receivers: vec![Receiver::at(0.0, 0.0, cfg.cell_radius_ft)],
+            cfg,
             stations: Vec::new(),
-            receivers: vec![Receiver::at(0.0, 0.0, base.cell_radius_ft)],
             placement: Placement::UniformDisc,
             capture_margin_db: None,
             co_channel_ber: 0.01,
@@ -463,96 +448,145 @@ impl Deployment {
         }
     }
 
+    /// The one-cell deployment this one runs at a sweep point.
+    ///
+    /// From `scenario`: `n_tags` and `mac_slots` (each at least 1), the
+    /// data workload's bitrate (1.6 kbps otherwise), `distance_ft` as
+    /// the cell radius (at least 1 ft), the ambient power, `f_back_hz`
+    /// as the guard ring around channel 17, and the seed. From `self`:
+    /// harvest, packet bits, storage, faults, ARQ and the link table.
+    /// Everything else keeps its [`Deployment::city`] default; this
+    /// deployment's host, occupancy, stations, receivers, placement and
+    /// capture do not carry over. This is what lets the sweep engine
+    /// treat network axes like any other axis.
+    pub fn at(&self, scenario: &Scenario) -> Deployment {
+        let bitrate = match scenario.workload {
+            Workload::Data { bitrate, .. } => bitrate,
+            _ => Bitrate::Kbps1_6,
+        };
+        let cfg = NetworkConfig {
+            n_tags: scenario.n_tags.max(1) as usize,
+            n_slots: scenario.mac_slots.max(1) as u64,
+            bitrate,
+            cell_radius_ft: scenario.distance_ft.max(1.0),
+            mean_power_dbm: scenario.ambient_at_tag.0,
+            occupancy: city_occupancy(Channel(17), scenario.f_back_hz),
+            seed: scenario.seed,
+            harvest: self.cfg.harvest,
+            packet_bits: self.cfg.packet_bits,
+            storage_uj: self.cfg.storage_uj,
+            faults: self.cfg.faults.clone(),
+            arq: self.cfg.arq.clone(),
+            ..NetworkConfig::new(1, 1)
+        };
+        Deployment {
+            link: self.link.clone(),
+            ..Deployment::one_cell(cfg)
+        }
+    }
+
+    /// Builds, simulates and runs this deployment — one sweep point.
+    ///
+    /// # Panics
+    /// When the deployment is invalid (the [`DeploymentError`] and its
+    /// hint are in the message) or was built without `.link(..)`.
+    pub fn run_point(&self) -> MetroRun {
+        match self.build() {
+            Ok(plan) => plan.sim().run(),
+            Err(e) => panic!("invalid Deployment: {e} (hint: {})", e.hint()),
+        }
+    }
+
     /// Sets the slot horizon.
     pub fn slots(mut self, n_slots: u64) -> Self {
-        self.n_slots = n_slots;
+        self.cfg.n_slots = n_slots;
         self
     }
 
     /// Sets every tag's data rate.
     pub fn bitrate(mut self, bitrate: Bitrate) -> Self {
-        self.bitrate = bitrate;
+        self.cfg.bitrate = bitrate;
         self
     }
 
     /// Sets the packet length in bits (and with it the slot duration).
     pub fn packet_bits(mut self, bits: u32) -> Self {
-        self.packet_bits = bits;
+        self.cfg.packet_bits = bits;
         self
     }
 
     /// Sets the mean ambient FM power (dBm) tags hear when no explicit
     /// [`Station`]s are configured.
     pub fn power(mut self, mean_power_dbm: f64) -> Self {
-        self.mean_power_dbm = mean_power_dbm;
+        self.cfg.mean_power_dbm = mean_power_dbm;
         self
     }
 
     /// Replaces the band occupancy the frequency plan is computed over.
     pub fn occupancy(mut self, occupancy: BandOccupancy) -> Self {
-        self.occupancy = occupancy;
+        self.cfg.occupancy = occupancy;
         self
     }
 
     /// Rebuilds the default synthetic city occupancy around `host` with
     /// the given minimum backscatter shift (guard ring).
     pub fn host(mut self, host: Channel, min_shift_hz: f64) -> Self {
-        self.host = host;
-        self.occupancy = city_occupancy(host, min_shift_hz);
+        self.cfg.host = host;
+        self.cfg.occupancy = city_occupancy(host, min_shift_hz);
         self
     }
 
     /// Sets what powers the tags.
     pub fn harvest(mut self, harvest: HarvestProfile) -> Self {
-        self.harvest = harvest;
+        self.cfg.harvest = harvest;
         self
     }
 
     /// Sets per-tag energy storage in µJ.
     pub fn storage(mut self, storage_uj: f64) -> Self {
-        self.storage_uj = storage_uj;
+        self.cfg.storage_uj = storage_uj;
         self
     }
 
     /// Sets the run seed.
     pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
+        self.cfg.seed = seed;
         self
     }
 
     /// Records the slot-level event trace (off by default).
     pub fn record_trace(mut self, on: bool) -> Self {
-        self.record_trace = on;
+        self.cfg.record_trace = on;
         self
     }
 
     /// Caps the recorded trace (see [`EventTrace::dropped`]).
     pub fn trace_cap(mut self, cap: usize) -> Self {
-        self.trace_cap = cap;
+        self.cfg.trace_cap = cap;
         self
     }
 
     /// Sets the traffic model (saturated, or a workload arrival trace).
     pub fn traffic(mut self, traffic: Traffic) -> Self {
-        self.traffic = traffic;
+        self.cfg.traffic = traffic;
         self
     }
 
     /// Sheds queued packets whose deadline already passed.
     pub fn drop_expired(mut self, on: bool) -> Self {
-        self.drop_expired = on;
+        self.cfg.drop_expired = on;
         self
     }
 
     /// Installs a deterministic fault plan.
     pub fn faults(mut self, faults: FaultSpec) -> Self {
-        self.faults = faults;
+        self.cfg.faults = faults;
         self
     }
 
     /// Switches the link-layer ARQ on.
     pub fn arq(mut self, arq: ArqConfig) -> Self {
-        self.arq = Some(arq);
+        self.cfg.arq = Some(arq);
         self
     }
 
@@ -562,13 +596,13 @@ impl Deployment {
         self
     }
 
-    /// Places the receiver cells. One receiver keeps the classic
-    /// single-cell engine; two or more shard the run into parallel
-    /// collision domains.
+    /// Places the receiver cells. One receiver is a single collision
+    /// domain; two or more shard the run into parallel collision
+    /// domains.
     pub fn receivers(mut self, receivers: impl IntoIterator<Item = Receiver>) -> Self {
         self.receivers = receivers.into_iter().collect();
         if let [only] = self.receivers.as_slice() {
-            self.cell_radius_ft = only.radius_ft;
+            self.cfg.cell_radius_ft = only.radius_ft;
         }
         self
     }
@@ -594,60 +628,37 @@ impl Deployment {
         self
     }
 
-    /// Attaches the calibrated link table, letting [`CityPlan::sim`]
-    /// and the `From<Deployment> for NetSpec` shim work without passing
-    /// it again.
+    /// Attaches the calibrated link table, letting [`CityPlan::sim`],
+    /// [`Deployment::at`] and [`Deployment::run_point`] work without
+    /// passing it again.
     pub fn link(mut self, table: Arc<BerTable>) -> Self {
         self.link = Some(table);
         self
     }
 
-    /// The attached link table, if any.
-    pub fn link_table(&self) -> Option<Arc<BerTable>> {
-        self.link.clone()
-    }
-
-    /// The configured harvest profile (for the `NetSpec` shim).
-    pub fn harvest_profile(&self) -> HarvestProfile {
-        self.harvest
-    }
-
-    /// The configured packet length in bits.
-    pub fn packet_bits_cfg(&self) -> u32 {
-        self.packet_bits
-    }
-
-    /// The configured per-tag storage in µJ.
-    pub fn storage_cfg(&self) -> f64 {
-        self.storage_uj
-    }
-
-    /// The configured fault plan.
-    pub fn fault_spec(&self) -> &FaultSpec {
-        &self.faults
-    }
-
-    /// The configured ARQ, if any.
-    pub fn arq_cfg(&self) -> Option<&ArqConfig> {
-        self.arq.as_ref()
+    /// The engine configuration at the deployment's core.
+    pub fn network_config(&self) -> &NetworkConfig {
+        &self.cfg
     }
 
     /// Validates every invariant and compiles the deployment into a
-    /// runnable [`CityPlan`] — the single place the band-full, ARQ and
-    /// fault-window failure modes surface, as one typed error.
+    /// runnable [`CityPlan`] — the single place the band-full, geometry,
+    /// ARQ and fault-window failure modes surface, as one typed error.
     pub fn build(&self) -> Result<CityPlan, DeploymentError> {
-        if self.n_tags == 0 {
+        let cfg = &self.cfg;
+        if cfg.n_tags == 0 {
             return Err(DeploymentError::NoTags);
         }
-        if self.n_slots == 0 {
+        if cfg.n_slots == 0 {
             return Err(DeploymentError::NoSlots);
         }
         if self.receivers.is_empty() {
             return Err(DeploymentError::NoReceivers);
         }
-        if self.occupancy.free_channels().is_empty() {
+        self.validate_geometry()?;
+        if cfg.occupancy.free_channels().is_empty() {
             return Err(DeploymentError::BandFull {
-                occupied: self.occupancy.occupied_count(),
+                occupied: cfg.occupancy.occupied_count(),
             });
         }
         self.validate_arq()?;
@@ -663,34 +674,13 @@ impl Deployment {
             });
         }
 
-        let cfg = NetworkConfig {
-            n_tags: self.n_tags,
-            n_slots: self.n_slots,
-            bitrate: self.bitrate,
-            packet_bits: self.packet_bits,
-            cell_radius_ft: self.cell_radius_ft,
-            mean_power_dbm: self.mean_power_dbm,
-            host: self.host,
-            occupancy: self.occupancy.clone(),
-            harvest: self.harvest,
-            storage_uj: self.storage_uj,
-            max_backoff_exp: 8,
-            coding: true,
-            seed: self.seed,
-            record_trace: self.record_trace,
-            trace_cap: self.trace_cap,
-            traffic: self.traffic.clone(),
-            drop_expired: self.drop_expired,
-            faults: self.faults.clone(),
-            arq: self.arq.clone(),
-        };
         let topology = if self.receivers.len() >= 2 {
-            Some(self.synthesize(&cfg)?)
+            Some(self.synthesize()?)
         } else {
             None
         };
         Ok(CityPlan {
-            cfg,
+            cfg: cfg.clone(),
             topology,
             capture_margin_db: self.capture_margin_db,
             co_channel_ber: self.co_channel_ber,
@@ -698,8 +688,44 @@ impl Deployment {
         })
     }
 
+    fn validate_geometry(&self) -> Result<(), DeploymentError> {
+        let fail = |reason: String| Err(DeploymentError::Geometry { reason });
+        if !self.cfg.mean_power_dbm.is_finite() {
+            return fail(format!(
+                "mean power {} dBm is not finite",
+                self.cfg.mean_power_dbm
+            ));
+        }
+        for (i, r) in self.receivers.iter().enumerate() {
+            if !r.x_ft.is_finite() || !r.y_ft.is_finite() {
+                return fail(format!(
+                    "receiver {i} centre ({}, {}) ft is not finite",
+                    r.x_ft, r.y_ft
+                ));
+            }
+            if !r.radius_ft.is_finite() || r.radius_ft <= 0.0 {
+                return fail(format!(
+                    "receiver {i} radius {} ft is not finite and positive",
+                    r.radius_ft
+                ));
+            }
+            if let Some(j) = self.receivers[..i]
+                .iter()
+                .position(|o| o.x_ft == r.x_ft && o.y_ft == r.y_ft)
+            {
+                return fail(format!(
+                    "receivers {j} and {i} share the centre ({}, {}) ft",
+                    r.x_ft, r.y_ft
+                ));
+            }
+        }
+        Ok(())
+    }
+
     fn validate_arq(&self) -> Result<(), DeploymentError> {
-        let Some(a) = &self.arq else { return Ok(()) };
+        let Some(a) = &self.cfg.arq else {
+            return Ok(());
+        };
         let fail = |reason: String| Err(DeploymentError::ArqInvalid { reason });
         if a.ack_slots > 1024 {
             return fail(format!("ack_slots {} exceeds 1024", a.ack_slots));
@@ -714,10 +740,10 @@ impl Deployment {
             return fail("recover_after must be >= 1".into());
         }
         if let Some(fb) = a.fallback_bitrate {
-            if fb.bits_per_second() >= self.bitrate.bits_per_second() {
+            if fb.bits_per_second() >= self.cfg.bitrate.bits_per_second() {
                 return fail(format!(
                     "fallback bitrate {:?} is not below the nominal {:?}",
-                    fb, self.bitrate
+                    fb, self.cfg.bitrate
                 ));
             }
         }
@@ -725,18 +751,19 @@ impl Deployment {
     }
 
     fn validate_faults(&self) -> Result<(), DeploymentError> {
-        let f = &self.faults;
+        let f = &self.cfg.faults;
+        let n_slots = self.cfg.n_slots;
         let windows = [
             (FaultKind::Outage, f.outages, f.outage_slots as u64),
             (FaultKind::Brownout, f.brownouts, f.brownout_slots as u64),
             (FaultKind::Burst, f.bursts, f.burst_slots as u64),
         ];
         for (kind, count, window_slots) in windows {
-            if count > 0 && (window_slots == 0 || window_slots > self.n_slots) {
+            if count > 0 && (window_slots == 0 || window_slots > n_slots) {
                 return Err(DeploymentError::FaultWindow {
                     kind,
                     window_slots,
-                    horizon: self.n_slots,
+                    horizon: n_slots,
                 });
             }
         }
@@ -756,9 +783,10 @@ impl Deployment {
     /// Compiles the multi-receiver geometry: deterministic tag
     /// placement, nearest-receiver domain assignment, per-domain
     /// frequency plans and the co-channel overlap table.
-    fn synthesize(&self, cfg: &NetworkConfig) -> Result<MetroTopology, DeploymentError> {
+    fn synthesize(&self) -> Result<MetroTopology, DeploymentError> {
+        let cfg = &self.cfg;
         let rx = &self.receivers;
-        let seed = self.seed;
+        let seed = cfg.seed;
         let slot_secs = cfg.slot_secs();
         let urban = fmbs_channel::pathloss::LogDistanceModel::urban_fm();
         // Area-weighted cell choice for uniform placement.
@@ -768,7 +796,7 @@ impl Deployment {
         let mut tags_of: Vec<Vec<u32>> = vec![Vec::new(); rx.len()];
         let mut dist_of: Vec<Vec<f64>> = vec![Vec::new(); rx.len()];
         let mut power_of: Vec<Vec<f64>> = vec![Vec::new(); rx.len()];
-        for i in 0..self.n_tags {
+        for i in 0..cfg.n_tags {
             let pick = unit(seed, i as u64, 10);
             let cell = match self.placement {
                 Placement::UniformDisc => {
@@ -818,7 +846,7 @@ impl Deployment {
             }
             let shadow = 8.0 * (unit(seed, i as u64, 13) - 0.5);
             let power_dbm = if self.stations.is_empty() {
-                self.mean_power_dbm + shadow
+                cfg.mean_power_dbm + shadow
             } else {
                 self.stations
                     .iter()
@@ -837,7 +865,7 @@ impl Deployment {
         // Per-domain frequency plans and site synthesis.
         let mut domains = Vec::with_capacity(rx.len());
         for (cell, tags) in tags_of.iter().enumerate() {
-            let shifts = fmbs_core::mac::assign_f_back(&self.occupancy, self.host, tags.len());
+            let shifts = fmbs_core::mac::assign_f_back(&cfg.occupancy, cfg.host, tags.len());
             let mut chan_keys: Vec<i64> = Vec::new();
             let mut sites = Vec::with_capacity(tags.len());
             let mut rx_dbm = Vec::with_capacity(tags.len());
@@ -865,9 +893,9 @@ impl Deployment {
                     power_dbm,
                     f_back_hz,
                     channel,
-                    harvest_uw: self.harvest.harvest_uw(fmbs_channel::units::Dbm(power_dbm)),
+                    harvest_uw: cfg.harvest.harvest_uw(fmbs_channel::units::Dbm(power_dbm)),
                     tx_cost_uj,
-                    storage_uj: self.storage_uj.max(2.0 * tx_cost_uj),
+                    storage_uj: cfg.storage_uj.max(2.0 * tx_cost_uj),
                 });
                 rx_dbm
                     .push(power_dbm - free_space_path_loss_db(distance_ft * FT_TO_M, urban.f_hz).0);
@@ -918,10 +946,10 @@ pub struct MetroRun {
     pub trace: EventTrace,
 }
 
-/// The metro simulator: a compiled [`CityPlan`] plus the link table.
-/// Single-receiver plans delegate to the classic [`NetworkSim`] path
-/// bit-exactly; multi-receiver plans step one [`CollisionDomain`] per
-/// event queue in lockstep, on a worker pool, with parallel == serial
+/// The network engine: a compiled [`CityPlan`] plus the link table.
+/// A single-receiver plan runs as one collision domain on the calling
+/// thread; multi-receiver plans step one [`CollisionDomain`] per event
+/// queue in lockstep, on a worker pool, with parallel == serial
 /// bit-identity.
 #[derive(Debug, Clone)]
 pub struct CitySim {
@@ -931,13 +959,11 @@ pub struct CitySim {
 }
 
 impl CitySim {
-    /// Builds the simulator; the packet-survival curve is measured once
-    /// here and shared across every domain worker.
+    /// Builds the simulator over the process-wide packet-survival curve
+    /// for the plan's frame length ([`PacketModel::for_frame`]), shared
+    /// across every domain worker.
     pub fn new(plan: CityPlan, table: Arc<BerTable>) -> Self {
-        let packets = Arc::new(PacketModel::for_frame(
-            plan.cfg.packet_bits,
-            plan.cfg.coding,
-        ));
+        let packets = PacketModel::for_frame(plan.cfg.packet_bits);
         CitySim {
             plan,
             table,
@@ -968,14 +994,7 @@ impl CitySim {
     pub fn run_with_threads(&self, threads: usize) -> MetroRun {
         fmbs_obs::span!(fmbs_obs::stages::NET_ENGINE);
         let Some(topo) = &self.plan.topology else {
-            // Single receiver: the classic engine path, bit-exact with
-            // a pre-PR9 NetworkSim run of the same config.
-            let run = NetworkSim::with_packet_model(
-                self.plan.cfg.clone(),
-                self.table.clone(),
-                self.packets.clone(),
-            )
-            .run();
+            let run = run_cell(&self.plan.cfg, &self.table, self.packets.clone());
             return MetroRun {
                 per_domain: vec![run.stats.clone()],
                 stats: run.stats,
@@ -1189,10 +1208,10 @@ mod tests {
     }
 
     #[test]
-    fn single_receiver_plan_matches_classic_engine_bit_for_bit() {
+    fn single_receiver_plan_matches_the_one_cell_runner_bit_for_bit() {
         let mut cfg = NetworkConfig::new(150, 300);
         cfg.record_trace = true;
-        let classic = NetworkSim::new(cfg, table()).run();
+        let cell = run_cell(&cfg, &table(), PacketModel::for_frame(cfg.packet_bits));
         let metro = Deployment::city(150)
             .slots(300)
             .record_trace(true)
@@ -1200,9 +1219,9 @@ mod tests {
             .expect("valid")
             .into_sim(table())
             .run();
-        assert_eq!(classic.trace, metro.trace);
-        assert_eq!(classic.stats.delivered, metro.stats.delivered);
-        assert_eq!(classic.stats.latencies_slots, metro.stats.latencies_slots);
+        assert_eq!(cell.trace, metro.trace);
+        assert_eq!(cell.stats.delivered, metro.stats.delivered);
+        assert_eq!(cell.stats.latencies_slots, metro.stats.latencies_slots);
     }
 
     #[test]
@@ -1271,6 +1290,106 @@ mod tests {
                 .unwrap_err(),
             DeploymentError::FaultWindow { .. }
         ));
+    }
+
+    #[test]
+    fn build_rejects_degenerate_geometry() {
+        let geometry = |d: Deployment| matches!(d.build(), Err(DeploymentError::Geometry { .. }));
+        // A zero pitch stacks nine zero-radius cells on one point.
+        assert!(geometry(
+            Deployment::city(5).receivers(Receiver::grid(3, 3, 0.0))
+        ));
+        assert!(geometry(Deployment::city(5).receivers([Receiver::at(
+            0.0,
+            0.0,
+            f64::NAN
+        )])));
+        assert!(geometry(Deployment::city(5).receivers([
+            Receiver::at(0.0, 0.0, 10.0),
+            Receiver::at(f64::INFINITY, 0.0, 10.0),
+        ])));
+        assert!(geometry(Deployment::city(5).receivers([
+            Receiver::at(5.0, 5.0, 10.0),
+            Receiver::at(5.0, 5.0, 20.0),
+        ])));
+        assert!(geometry(Deployment::city(5).power(f64::NAN)));
+        let err = Deployment::city(5)
+            .receivers(Receiver::grid(3, 3, 0.0))
+            .build()
+            .unwrap_err();
+        assert!(err.hint().contains("pitch_ft > 0"), "{}", err.hint());
+        assert!(Deployment::city(5)
+            .receivers(Receiver::grid(3, 3, 40.0))
+            .build()
+            .is_ok());
+    }
+
+    fn point(n_tags: u32, mac_slots: u32) -> Scenario {
+        use fmbs_audio::program::ProgramKind;
+        let mut s = Scenario::bench(-35.0, 12.0, ProgramKind::News)
+            .with_workload(Workload::data(Bitrate::Kbps1_6, 256));
+        s.n_tags = n_tags;
+        s.mac_slots = mac_slots;
+        s
+    }
+
+    #[test]
+    fn at_reads_the_network_axes() {
+        use fmbs_audio::program::ProgramKind;
+        let mut s = Scenario::bench(-35.0, 12.0, ProgramKind::News)
+            .with_workload(Workload::data(Bitrate::Kbps3_2, 100));
+        s.n_tags = 40;
+        s.mac_slots = 777;
+        let at = Deployment::city(1).at(&s);
+        let cfg = at.network_config();
+        assert_eq!(cfg.n_tags, 40);
+        assert_eq!(cfg.n_slots, 777);
+        assert_eq!(cfg.bitrate, Bitrate::Kbps3_2);
+        assert_eq!(cfg.mean_power_dbm, -35.0);
+        assert_eq!(cfg.cell_radius_ft, 12.0);
+    }
+
+    #[test]
+    fn at_drops_the_template_geometry() {
+        use fmbs_core::harvest::Illumination;
+        let harvest = HarvestProfile::Solar(Illumination::Streetlight);
+        let faults = FaultSpec::none().with_seed(3).with_bursts(1, 50, 0.05);
+        let flat = Deployment::city(1)
+            .harvest(harvest)
+            .faults(faults.clone())
+            .arq(ArqConfig::default())
+            .link(table());
+        let mut occupancy = city_occupancy(Channel(60), 400_000.0);
+        occupancy.set_occupied(Channel(20), true);
+        let template = Deployment::city(900)
+            .slots(50)
+            .host(Channel(60), 400_000.0)
+            .occupancy(occupancy)
+            .stations([Station::at(3_000.0, 0.0)])
+            .receivers(Receiver::grid(2, 2, 100.0))
+            .placement(Placement::ClusteredHotspots { spread_ft: 5.0 })
+            .capture(3.0)
+            .harvest(harvest)
+            .faults(faults)
+            .arq(ArqConfig::default())
+            .link(table());
+        let s = point(60, 400);
+        let flat_run = flat.at(&s).run_point();
+        let template_run = template.at(&s).run_point();
+        assert_eq!(
+            format!("{:?}", flat_run.stats),
+            format!("{:?}", template_run.stats)
+        );
+        assert_eq!(template_run.per_domain.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid Deployment")]
+    fn run_point_panics_on_an_invalid_deployment() {
+        let windowed = Deployment::city(1)
+            .faults(FaultSpec::none().with_outages(1, 500))
+            .link(table());
+        windowed.at(&point(8, 100)).run_point();
     }
 
     #[test]

@@ -40,7 +40,10 @@
 //!     .with_traffic(ArrivalModel::Poisson, 0.02, AppProfile::SensorBeacon);
 //! let miss = SweepBuilder::new(base)
 //!     .n_tags([8, 256])
-//!     .run(&FastSim, &DeadlineMissRate(WorkloadSpec::new(NetSpec::new(table))));
+//!     .run(
+//!         &FastSim,
+//!         &DeadlineMissRate(WorkloadSpec::new(Deployment::city(1).link(table))),
+//!     );
 //! assert_eq!(miss.points.len(), 2);
 //! assert!(miss.points.iter().all(|p| (0.0..=1.0).contains(&p.value)));
 //! ```

@@ -1,9 +1,10 @@
 //! SLO metrics over trace-driven runs.
 //!
-//! A [`WorkloadSpec`] bundles the network tier's [`NetSpec`] with an
+//! A [`WorkloadSpec`] bundles the network tier's [`Deployment`] with an
 //! admission [`Policy`]; `run` generates the scenario's arrival trace,
-//! applies the policy, replays the trace through the `fmbs-net` engine
-//! and returns combined statistics. The metric wrappers implement the
+//! applies the policy, replays the trace through the one-cell
+//! deployment [`Deployment::at`] places at the grid point and returns
+//! combined statistics. The metric wrappers implement the
 //! ordinary [`Metric`] trait, so `offered_load`, `arrival_model` and
 //! `app_profile` sweep exactly like physics axes — same point seeds,
 //! same parallel == serial bit-identity.
@@ -19,16 +20,16 @@ use fmbs_core::sim::metric::Metric;
 use fmbs_core::sim::scenario::{ArrivalModel, Scenario};
 use fmbs_core::sim::Simulator;
 use fmbs_dsp::stats::quantile_nearest_rank_counted;
-use fmbs_net::engine::{NetStats, Traffic};
-use fmbs_net::metrics::NetSpec;
+use fmbs_net::engine::{EventTrace, NetStats, Traffic};
+use fmbs_net::topology::Deployment;
 use std::sync::Arc;
 
-/// Shared setup for the SLO metrics: the network spec plus the
-/// admission policy traffic is filtered through.
+/// Shared setup for the SLO metrics: the deployment plus the admission
+/// policy traffic is filtered through.
 #[derive(Debug, Clone)]
 pub struct WorkloadSpec {
-    /// Link table, harvest profile and packet framing.
-    pub net: NetSpec,
+    /// Link table (`.link(table)`), harvest, framing, faults and ARQ.
+    pub net: Deployment,
     /// Admission policy applied to every generated trace.
     pub policy: Policy,
 }
@@ -81,7 +82,7 @@ impl WorkloadStats {
 
 impl WorkloadSpec {
     /// Admit-all over `net`.
-    pub fn new(net: NetSpec) -> Self {
+    pub fn new(net: Deployment) -> Self {
         WorkloadSpec {
             net,
             policy: Policy::AdmitAll,
@@ -112,11 +113,10 @@ impl WorkloadSpec {
         &self,
         scenario: &Scenario,
         record_trace: bool,
-    ) -> (WorkloadStats, fmbs_net::engine::EventTrace) {
-        let mut cfg = self.net.config(scenario);
-        cfg.record_trace = record_trace;
+    ) -> (WorkloadStats, EventTrace) {
+        let point = self.net.at(scenario).record_trace(record_trace);
         if scenario.arrival_model == ArrivalModel::Saturated {
-            let run = self.net.run_config_full(cfg);
+            let run = point.run_point();
             return (
                 WorkloadStats {
                     net: run.stats,
@@ -126,16 +126,18 @@ impl WorkloadSpec {
                 run.trace,
             );
         }
-        let trace = TraceSpec::from_scenario(scenario, cfg.slot_secs()).generate();
+        let slot_secs = point.network_config().slot_secs();
+        let trace = TraceSpec::from_scenario(scenario, slot_secs).generate();
         let Admitted {
             trace,
             offered_raw,
             admission_shed,
             drop_expired,
         } = self.policy.apply(trace);
-        cfg.traffic = Traffic::Trace(Arc::new(trace));
-        cfg.drop_expired = drop_expired;
-        let run = self.net.run_config_full(cfg);
+        let run = point
+            .traffic(Traffic::Trace(Arc::new(trace)))
+            .drop_expired(drop_expired)
+            .run_point();
         (
             WorkloadStats {
                 net: run.stats,
@@ -247,7 +249,7 @@ mod tests {
     use fmbs_net::link::BerTable;
 
     fn spec() -> WorkloadSpec {
-        WorkloadSpec::new(NetSpec::new(Arc::new(BerTable::from_grid(
+        WorkloadSpec::new(Deployment::city(1).link(Arc::new(BerTable::from_grid(
             vec![-60.0, -20.0],
             vec![1.0, 30.0],
             vec![Bitrate::Kbps1_6],

@@ -4,8 +4,9 @@
 //! conditions; these measure what the fault layer of
 //! [`fmbs_net::faults`] costs and what the engine's link-layer ARQ
 //! ([`fmbs_net::engine::ArqConfig`]) buys back. All three are ordinary
-//! [`Metric`] impls over a [`WorkloadSpec`] whose [`NetSpec`]
-//! carries the fault plan and ARQ parameters, so fault axes sweep with
+//! [`Metric`] impls over a [`WorkloadSpec`] whose
+//! [`fmbs_net::topology::Deployment`] carries the fault plan and ARQ
+//! parameters, so fault axes sweep with
 //! the usual parallel == serial bit-identity.
 //!
 //! * [`DeliveryRatio`] — offered packets eventually delivered (ACKed,
@@ -100,8 +101,9 @@ impl Metric for RecoveryTimeSlots {
     }
 
     fn evaluate(&self, _sim: &dyn Simulator, scenario: &Scenario) -> f64 {
-        let cfg = self.spec.net.config(scenario);
-        let sched = self.spec.net.faults.schedule(cfg.n_slots, cfg.n_tags);
+        let point = self.spec.net.at(scenario);
+        let cfg = point.network_config();
+        let sched = cfg.faults.schedule(cfg.n_slots, cfg.n_tags);
         let Some(span) = sched.span() else {
             return 0.0;
         };
@@ -129,11 +131,11 @@ mod tests {
     use fmbs_net::engine::ArqConfig;
     use fmbs_net::faults::FaultSpec;
     use fmbs_net::link::BerTable;
-    use fmbs_net::metrics::NetSpec;
+    use fmbs_net::topology::Deployment;
     use std::sync::Arc;
 
     fn spec(ber: f64) -> WorkloadSpec {
-        WorkloadSpec::new(NetSpec::new(Arc::new(BerTable::from_grid(
+        WorkloadSpec::new(Deployment::city(1).link(Arc::new(BerTable::from_grid(
             vec![-60.0, -20.0],
             vec![1.0, 30.0],
             vec![Bitrate::Kbps1_6],
@@ -155,8 +157,10 @@ mod tests {
         let s = scenario(24, 0.02);
         let clean = DeliveryRatio(spec(1e-4)).evaluate(&FastSim, &s);
         let mut faulted = spec(1e-4);
-        faulted.net.faults = FaultSpec::none().with_outages(1, 300);
-        faulted.net.arq = Some(ArqConfig::default());
+        faulted.net = faulted
+            .net
+            .faults(FaultSpec::none().with_outages(1, 300))
+            .arq(ArqConfig::default());
         let hit = DeliveryRatio(faulted).evaluate(&FastSim, &s);
         assert!((0.0..=1.0).contains(&clean) && (0.0..=1.0).contains(&hit));
         assert!(hit <= clean, "outage {hit} vs clean {clean}");
@@ -168,7 +172,7 @@ mod tests {
         // Without ARQ nothing is ever retransmitted.
         assert_eq!(RetxOverhead(spec(8e-2)).evaluate(&FastSim, &s), 0.0);
         let mut arq = spec(8e-2);
-        arq.net.arq = Some(ArqConfig::default());
+        arq.net = arq.net.arq(ArqConfig::default());
         let overhead = RetxOverhead(arq).evaluate(&FastSim, &s);
         assert!(overhead > 0.0 && overhead < 1.0, "overhead {overhead}");
     }
@@ -181,8 +185,10 @@ mod tests {
             0.0
         );
         let mut faulted = spec(1e-4);
-        faulted.net.faults = FaultSpec::none().with_outages(1, 200);
-        faulted.net.arq = Some(ArqConfig::default());
+        faulted.net = faulted
+            .net
+            .faults(FaultSpec::none().with_outages(1, 200))
+            .arq(ArqConfig::default());
         let t = RecoveryTimeSlots::new(faulted).evaluate(&FastSim, &s);
         assert!(t.is_finite() && t >= 0.0, "recovery {t}");
         assert!(t <= 900.0, "capped at the horizon");

@@ -42,8 +42,8 @@ fn main() {
 
     println!("retx budget   delivered/offered   retx overhead   recovery (slots)");
     for max_retx in [0u32, 1, 4, 8] {
-        // The deployment is described through the builder and lowered to
-        // the flat spec the workload runner consumes.
+        // The deployment is described through the builder; the workload
+        // runner places it at the scenario's point.
         let city = Deployment::city(64)
             .harvest(HarvestProfile::Solar(
                 fmbs_core::harvest::Illumination::Streetlight,
@@ -54,7 +54,7 @@ fn main() {
                 ..ArqConfig::default()
             })
             .link(table.clone());
-        let spec = WorkloadSpec::new(NetSpec::from(city));
+        let spec = WorkloadSpec::new(city);
 
         let mut s = base;
         s.n_tags = 64;

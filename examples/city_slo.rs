@@ -24,16 +24,16 @@ fn main() {
 
     // Streetlight-harvested tags: duty cycling from the energy model
     // shapes the tail even before contention does. The deployment is
-    // described once through the builder (which validates it) and
-    // lowered to the flat spec the sweep runner consumes; the scenario
-    // axis below overrides tag density per run.
+    // described once through the builder; every run places it at the
+    // scenario's point (`Deployment::at`, validated at build), so the
+    // scenario below sets tag density per run.
     let city = Deployment::city(64)
         .harvest(HarvestProfile::Solar(
             fmbs_core::harvest::Illumination::Streetlight,
         ))
         .storage(10.0)
         .link(table);
-    let spec = WorkloadSpec::new(NetSpec::from(city));
+    let spec = WorkloadSpec::new(city);
 
     // A day-shaped arrival curve compressed onto the simulated horizon:
     // sensor beacons at a modest per-tag load, densities rising until

@@ -127,18 +127,21 @@ fn network_runs_are_event_level_deterministic() {
         vec![Bitrate::Kbps1_6],
         vec![0.001, 0.01, 0.005, 0.05],
     ));
-    let mut cfg = NetworkConfig::new(150, 300);
-    cfg.record_trace = true;
-    let a = NetworkSim::new(cfg.clone(), table.clone()).run();
-    let b = NetworkSim::new(cfg.clone(), table.clone()).run();
+    let city = Deployment::city(150)
+        .slots(300)
+        .record_trace(true)
+        .link(table);
+    let run = |d: &Deployment| d.build().expect("valid deployment").sim().run();
+    let a = run(&city);
+    let b = run(&city);
     assert_eq!(a.trace, b.trace, "same-seed traces must be identical");
     assert_eq!(a.stats.delivered, b.stats.delivered);
     assert_eq!(a.stats.attempts, b.stats.attempts);
     assert_eq!(a.stats.per_tag_delivered, b.stats.per_tag_delivered);
     assert_eq!(a.stats.latencies_slots, b.stats.latencies_slots);
 
-    cfg.seed ^= 0xF00D;
-    let c = NetworkSim::new(cfg, table).run();
+    let seed = city.network_config().seed ^ 0xF00D;
+    let c = run(&city.seed(seed));
     assert_ne!(a.trace, c.trace, "a fresh seed must change the trace");
 }
 
@@ -160,13 +163,13 @@ fn parallel_n_tags_sweep_is_bit_identical_to_serial() {
             .mac_slot_counts([128, 256])
             .repeats(2);
         let (serial, parallel) = if metric_run == 0 {
-            let m = NetGoodput(NetSpec::new(table.clone()));
+            let m = NetGoodput(Deployment::city(1).link(table.clone()));
             (
                 sweep.run_serial(&FastSim, &m),
                 sweep.clone().threads(4).run(&FastSim, &m),
             )
         } else {
-            let m = NetCollisionRate(NetSpec::new(table.clone()));
+            let m = NetCollisionRate(Deployment::city(1).link(table.clone()));
             (
                 sweep.run_serial(&FastSim, &m),
                 sweep.clone().threads(4).run(&FastSim, &m),
@@ -232,14 +235,14 @@ fn latency_and_fairness_track_contention() {
         s.mac_slots = 400;
         s
     };
-    let lat = NetLatency::p95(NetSpec::new(table.clone()));
+    let lat = NetLatency::p95(Deployment::city(1).link(table.clone()));
     let sparse = lat.evaluate(&FastSim, &scenario(4));
     let dense = lat.evaluate(&FastSim, &scenario(400));
     assert!(
         dense > sparse,
         "p95 latency under contention ({dense}) must exceed sparse ({sparse})"
     );
-    let fair = NetFairness(NetSpec::new(table));
+    let fair = NetFairness(Deployment::city(1).link(table));
     for n in [4, 400] {
         let f = fair.evaluate(&FastSim, &scenario(n));
         assert!(f > 0.0 && f <= 1.0, "fairness {f} out of range at n={n}");

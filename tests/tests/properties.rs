@@ -512,7 +512,7 @@ proptest! {
     ) {
         use fmbs_core::modem::Bitrate;
         use fmbs_core::sim::scenario::{AppProfile, ArrivalModel, Workload};
-        use fmbs_net::prelude::NetSpec;
+        use fmbs_net::prelude::Deployment;
         use fmbs_workload::prelude::{Policy, WorkloadSpec};
         let model =
             [ArrivalModel::Poisson, ArrivalModel::Diurnal, ArrivalModel::Mmpp][model_idx];
@@ -532,7 +532,7 @@ proptest! {
             .with_traffic(model, load, profile);
         s.n_tags = n_tags;
         s.mac_slots = mac_slots;
-        let stats = WorkloadSpec::new(NetSpec::new(shared_ber_table()))
+        let stats = WorkloadSpec::new(Deployment::city(1).link(shared_ber_table()))
             .with_policy(policy)
             .run(&s);
         prop_assert!(stats.conserved(), "{:?}", stats);
@@ -555,14 +555,14 @@ proptest! {
         use fmbs_core::sim::fast::FastSim;
         use fmbs_core::sim::scenario::{AppProfile, ArrivalModel, Workload};
         use fmbs_core::sim::sweep::SweepBuilder;
-        use fmbs_net::prelude::NetSpec;
+        use fmbs_net::prelude::Deployment;
         use fmbs_workload::prelude::{DeadlineMissRate, WorkloadSpec};
         let mut base = Scenario::bench(-40.0, 16.0, ProgramKind::News)
             .with_workload(Workload::data(Bitrate::Kbps1_6, 256))
             .with_seed(seed);
         base.n_tags = n_tags;
         base.mac_slots = 300;
-        let metric = DeadlineMissRate(WorkloadSpec::new(NetSpec::new(shared_ber_table())));
+        let metric = DeadlineMissRate(WorkloadSpec::new(Deployment::city(1).link(shared_ber_table())));
         let sweep = SweepBuilder::new(base)
             .arrival_models([ArrivalModel::Poisson, ArrivalModel::Mmpp])
             .offered_loads([0.01, 0.05])
@@ -635,17 +635,20 @@ proptest! {
         seed in any::<u64>(),
         fault_seed in any::<u64>(),
     ) {
-        use fmbs_net::prelude::{ArqConfig, NetSpec};
+        use fmbs_net::prelude::{ArqConfig, Deployment};
         use fmbs_workload::prelude::{Policy, WorkloadSpec};
         let policy = [
             Policy::AdmitAll,
             Policy::RateCap { max_load: load / 2.0 },
             Policy::DeadlineAware,
         ][policy_idx];
-        let mut net = NetSpec::new(shared_ber_table())
-            .with_faults(chaos_fault_spec(kind_idx, fault_seed, n_faults, fault_len, level));
+        // A sweep point rejects a fault window longer than its horizon,
+        // so pass the length the schedule clamps it to: the same schedule.
+        let fault_len = fault_len.min(mac_slots);
+        let mut net = Deployment::city(1).link(shared_ber_table())
+            .faults(chaos_fault_spec(kind_idx, fault_seed, n_faults, fault_len, level));
         if arq_on {
-            net = net.with_arq(ArqConfig::default());
+            net = net.arq(ArqConfig::default());
         }
         let stats = WorkloadSpec::new(net)
             .with_policy(policy)
@@ -665,12 +668,12 @@ proptest! {
         seed in any::<u64>(),
         fault_seed in any::<u64>(),
     ) {
-        use fmbs_net::prelude::{ArqConfig, NetSpec};
+        use fmbs_net::prelude::{ArqConfig, Deployment};
         use fmbs_workload::prelude::WorkloadSpec;
         let spec = WorkloadSpec::new(
-            NetSpec::new(shared_ber_table())
-                .with_faults(chaos_fault_spec(kind_idx, fault_seed, 2, 80, 0.3))
-                .with_arq(ArqConfig::default()),
+            Deployment::city(1).link(shared_ber_table())
+                .faults(chaos_fault_spec(kind_idx, fault_seed, 2, 80, 0.3))
+                .arq(ArqConfig::default()),
         );
         let s = chaos_scenario(n_tags, 300, 0.04, seed);
         let a = spec.run(&s);
@@ -691,12 +694,12 @@ proptest! {
         use fmbs_core::sim::fast::FastSim;
         use fmbs_core::sim::scenario::{AppProfile, ArrivalModel};
         use fmbs_core::sim::sweep::SweepBuilder;
-        use fmbs_net::prelude::{ArqConfig, NetSpec};
+        use fmbs_net::prelude::{ArqConfig, Deployment};
         use fmbs_workload::prelude::{DeliveryRatio, WorkloadSpec};
         let metric = DeliveryRatio(WorkloadSpec::new(
-            NetSpec::new(shared_ber_table())
-                .with_faults(chaos_fault_spec(kind_idx, fault_seed, 2, 60, 0.4))
-                .with_arq(ArqConfig::default()),
+            Deployment::city(1).link(shared_ber_table())
+                .faults(chaos_fault_spec(kind_idx, fault_seed, 2, 60, 0.4))
+                .arq(ArqConfig::default()),
         ));
         let sweep = SweepBuilder::new(chaos_scenario(n_tags, 250, 0.03, seed))
             .arrival_models([ArrivalModel::Poisson, ArrivalModel::Mmpp])
@@ -720,16 +723,16 @@ proptest! {
         seed in any::<u64>(),
         fault_seed in any::<u64>(),
     ) {
-        use fmbs_net::prelude::{ArqConfig, FaultSpec, NetSpec};
+        use fmbs_net::prelude::{ArqConfig, Deployment, FaultSpec};
         use fmbs_workload::prelude::WorkloadSpec;
-        let mk = |net: NetSpec| {
-            let net = if arq_on { net.with_arq(ArqConfig::default()) } else { net };
+        let mk = |net: Deployment| {
+            let net = if arq_on { net.arq(ArqConfig::default()) } else { net };
             WorkloadSpec::new(net)
         };
         let s = chaos_scenario(n_tags, 300, 0.04, seed);
-        let plain = mk(NetSpec::new(shared_ber_table())).run(&s);
-        let zeroed = mk(NetSpec::new(shared_ber_table())
-            .with_faults(FaultSpec::none().with_seed(fault_seed)))
+        let plain = mk(Deployment::city(1).link(shared_ber_table())).run(&s);
+        let zeroed = mk(Deployment::city(1).link(shared_ber_table())
+            .faults(FaultSpec::none().with_seed(fault_seed)))
             .run(&s);
         prop_assert_eq!(format!("{:?}", plain), format!("{:?}", zeroed));
     }
@@ -749,12 +752,12 @@ proptest! {
         fault_seed in any::<u64>(),
     ) {
         use fmbs_core::sim::scenario::ArrivalModel;
-        use fmbs_net::prelude::{ArqConfig, NetSpec};
+        use fmbs_net::prelude::{ArqConfig, Deployment};
         use fmbs_workload::prelude::WorkloadSpec;
-        let mut net = NetSpec::new(shared_ber_table())
-            .with_faults(chaos_fault_spec(kind_idx, fault_seed, 2, 80, 0.3));
+        let mut net = Deployment::city(1).link(shared_ber_table())
+            .faults(chaos_fault_spec(kind_idx, fault_seed, 2, 80, 0.3));
         if arq_on {
-            net = net.with_arq(ArqConfig::default());
+            net = net.arq(ArqConfig::default());
         }
         let spec = WorkloadSpec::new(net);
         let mut s = chaos_scenario(n_tags, 300, 0.05, seed);
