@@ -5,8 +5,9 @@
 //! sharded hot path honest at a size criterion can iterate.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use fmbs_bench::perf::scenario;
 use fmbs_core::sim::fast::FastSim;
-use fmbs_net::prelude::{BerTable, BerTableSpec, Deployment, Receiver, Station};
+use fmbs_net::prelude::{BerTable, BerTableSpec};
 use std::sync::Arc;
 
 fn bench(c: &mut Criterion) {
@@ -14,11 +15,7 @@ fn bench(c: &mut Criterion) {
     // the timed work is the sharded discrete-event engine alone.
     let table = Arc::new(BerTable::calibrate(&FastSim, &BerTableSpec::quick()));
     let (n_tags, n_slots) = (100_000usize, 1_000u64);
-    let sim = Deployment::city(n_tags)
-        .slots(n_slots)
-        .stations([Station::at(10_000.0, 0.0)])
-        .receivers(Receiver::grid(4, 4, 40.0))
-        .capture(6.0)
+    let sim = (scenario("+metro").deployment)(n_tags, n_slots)
         .link(table)
         .build()
         .expect("metro bench deployment is valid")

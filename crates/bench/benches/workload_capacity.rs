@@ -6,6 +6,7 @@
 //! labelled `+workload`) via `repro --perf`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use fmbs_bench::perf::scenario;
 use fmbs_core::sim::fast::FastSim;
 use fmbs_core::sim::scenario::{AppProfile, ArrivalModel};
 use fmbs_net::prelude::{BerTable, BerTableSpec, Deployment, Traffic};
@@ -17,26 +18,32 @@ fn bench(c: &mut Criterion) {
     // region: the benchmark measures the queued discrete-event engine,
     // not the arrival sampler.
     let table = Arc::new(BerTable::calibrate(&FastSim, &BerTableSpec::quick()));
-    let (n_tags, n_slots) = (10_000usize, 1_000u64);
+    let row = scenario("+workload");
+    let (n_tags, n_slots) = (row.n_tags, row.n_slots);
+
+    // The light-load variant is not a tracked series.
+    let light = Deployment::city(n_tags).slots(n_slots);
+    let cfg = light.network_config();
+    let trace = TraceSpec {
+        n_tags,
+        n_slots,
+        slot_secs: cfg.slot_secs(),
+        model: ArrivalModel::Poisson,
+        offered_load: 0.005,
+        profile: AppProfile::SensorBeacon,
+        seed: cfg.seed,
+    }
+    .generate();
+    let light = light.traffic(Traffic::Trace(Arc::new(trace)));
 
     let mut g = c.benchmark_group("workload_capacity");
     g.sample_size(10);
     g.throughput(Throughput::Elements(n_tags as u64 * n_slots));
-    for (name, offered_load) in [("poisson_load05", 0.05), ("poisson_load005", 0.005)] {
-        let deployment = Deployment::city(n_tags).slots(n_slots);
-        let cfg = deployment.network_config();
-        let trace = TraceSpec {
-            n_tags,
-            n_slots,
-            slot_secs: cfg.slot_secs(),
-            model: ArrivalModel::Poisson,
-            offered_load,
-            profile: AppProfile::SensorBeacon,
-            seed: cfg.seed,
-        }
-        .generate();
+    for (name, deployment) in [
+        ("poisson_load05", (row.deployment)(n_tags, n_slots)),
+        ("poisson_load005", light),
+    ] {
         let sim = deployment
-            .traffic(Traffic::Trace(Arc::new(trace)))
             .build()
             .expect("bench deployment is valid")
             .into_sim(table.clone());

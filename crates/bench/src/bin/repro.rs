@@ -23,12 +23,15 @@
 //!                       # intentional physics change
 //! repro --goldens dir   # golden directory for --check / --bless
 //!                       # (default goldens/)
-//! repro --perf [file]   # measure sweep + network throughput, append
-//!                       # to the tracked series (default
-//!                       # BENCH_sweep.json / BENCH_net.json)
+//! repro --perf [file]   # measure sweep throughput and every network
+//!                       # row of perf::NET_SCENARIOS, append to the
+//!                       # tracked series (default BENCH_sweep.json /
+//!                       # BENCH_net.json); a row's records carry its
+//!                       # label suffix, so --label must not end in one
 //! repro --perf ... --gate
-//!                       # additionally fail if throughput drops >30%
-//!                       # below the last committed BENCH entry
+//!                       # additionally fail if a series drops >30%
+//!                       # below its last committed BENCH entry or a
+//!                       # row has no committed entry
 //! repro --profile network_capacity
 //!                       # regenerate with an observability collector
 //!                       # installed and print a per-figure stage
@@ -73,9 +76,11 @@ use fmbs_bench::experiments::{self, ExperimentSpec, Grid, REGISTRY};
 use fmbs_bench::manifest::{self, FigureEntry};
 use fmbs_bench::perf;
 use fmbs_bench::report::Experiment;
+use fmbs_core::sim::fast::FastSim;
 use fmbs_core::sim::Tier;
 use fmbs_net::corpus::CityScenario;
 use fmbs_net::faults::FaultKind;
+use fmbs_net::prelude::{BerTable, BerTableSpec};
 use fmbs_obs::Collector;
 use std::sync::Arc;
 use std::time::Instant;
@@ -319,15 +324,26 @@ fn run_perf(path: &str, label: &str, gate: bool) {
     // Baselines are read from the committed repo-root series *before*
     // anything is appended: with the default path the fresh record lands
     // in the same file, and a gate reading it afterwards would compare
-    // the measurement against itself. The four network populations come
-    // out of one `net_baselines` parse, so BENCH_net.json is read
-    // exactly once and a malformed file is one error, not four.
-    let baselines = gate.then(|| {
-        (
-            perf::last_sweep_record("BENCH_sweep.json"),
-            perf::net_baselines("BENCH_net.json"),
-        )
-    });
+    // the measurement against itself.
+    let (sweep_baseline, net_baselines) = gate
+        .then(|| {
+            (
+                perf::last_sweep_record("BENCH_sweep.json"),
+                perf::net_baselines("BENCH_net.json"),
+            )
+        })
+        .unzip();
+    let mut failed = false;
+    let mut report = |outcome: Result<perf::GateOutcome, String>| match outcome {
+        Ok(o) => {
+            println!("{}", o.render());
+            failed |= !o.passed;
+        }
+        Err(e) => {
+            eprintln!("perf gate: {e}");
+            failed = true;
+        }
+    };
     let rec = match perf::record_full(path, label, 3) {
         Ok(rec) => {
             println!(
@@ -349,136 +365,67 @@ fn run_perf(path: &str, label: &str, gate: bool) {
             std::process::exit(1);
         }
     };
+    if let Some(baseline) = sweep_baseline {
+        report(baseline.map(|b| perf::gate_sweep(&b, &rec, perf::MAX_PERF_DROP)));
+    }
+    // BENCH_net.json is parsed once, so a malformed file is one error,
+    // not one per row.
+    let net_baselines = match net_baselines {
+        Some(Ok(baselines)) => Some(baselines),
+        Some(Err(e)) => {
+            report(Err(e));
+            None
+        }
+        None => None,
+    };
+    // One calibrated link table serves every row; calibration is untimed.
+    let table = Arc::new(BerTable::calibrate(&FastSim, &BerTableSpec::quick()));
     let net_path = perf::net_series_path(path);
-    let net_rec = match perf::record_net(&net_path, label, 2) {
-        Ok(rec) => {
-            println!(
-                "network throughput: {} tags x {} slots in {:.2} s \
-                 ({:.2e} tag-slots/s, {} packets delivered) -> {net_path}",
-                rec.n_tags, rec.n_slots, rec.elapsed_s, rec.tag_slots_per_sec, rec.delivered,
-            );
-            rec
-        }
-        Err(e) => {
-            eprintln!("--perf (network) failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let workload_rec = match perf::record_net_workload(&net_path, label, 2) {
-        Ok(rec) => {
-            println!(
-                "workload throughput: {} tags x {} slots (poisson trace) in {:.2} s \
-                 ({:.2e} tag-slots/s, {} packets delivered) -> {net_path}",
-                rec.n_tags, rec.n_slots, rec.elapsed_s, rec.tag_slots_per_sec, rec.delivered,
-            );
-            rec
-        }
-        Err(e) => {
-            eprintln!("--perf (workload) failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let faults_rec = match perf::record_net_faults(&net_path, label, 2) {
-        Ok(rec) => {
-            println!(
-                "faults throughput: {} tags x {} slots (all fault classes + ARQ) in {:.2} s \
-                 ({:.2e} tag-slots/s, {} packets delivered) -> {net_path}",
-                rec.n_tags, rec.n_slots, rec.elapsed_s, rec.tag_slots_per_sec, rec.delivered,
-            );
-            rec
-        }
-        Err(e) => {
-            eprintln!("--perf (faults) failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    // The metro run is the 10^6-tag x 10^4-slot acceptance bar: one
-    // timed sample (it dwarfs the others), sharded on every core.
-    let metro_rec = match perf::record_net_metro(&net_path, label, 1) {
-        Ok(rec) => {
-            println!(
-                "metro throughput: {} tags x {} slots (16 cells, capture on) in {:.2} s \
-                 ({:.2e} tag-slots/s, {} packets delivered) -> {net_path}",
-                rec.n_tags, rec.n_slots, rec.elapsed_s, rec.tag_slots_per_sec, rec.delivered,
-            );
-            rec
-        }
-        Err(e) => {
-            eprintln!("--perf (metro) failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Some((sweep_baseline, net_baselines)) = baselines {
-        let mut outcomes: Vec<Result<perf::GateOutcome, String>> = Vec::new();
-        outcomes.push(sweep_baseline.map(|b| perf::gate_sweep(&b, &rec, perf::MAX_PERF_DROP)));
-        match net_baselines {
-            Ok(b) => {
-                // The saturated population exists since the series was
-                // first committed: missing means the file is broken.
-                outcomes.push(
-                    b.net
-                        .map(|base| perf::gate_net(&base, &net_rec, perf::MAX_PERF_DROP))
-                        .ok_or_else(|| {
-                            "BENCH_net.json has no saturated network records".to_string()
-                        }),
-                );
-                // The workload, faults and metro populations are newer
-                // than the shared series file: a parseable file with no
-                // such record yet seeds the series instead of failing
-                // the gate.
-                type GateFn =
-                    fn(&perf::NetPerfRecord, &perf::NetPerfRecord, f64) -> perf::GateOutcome;
-                let optional: [(
-                    &str,
-                    Option<perf::NetPerfRecord>,
-                    GateFn,
-                    &perf::NetPerfRecord,
-                ); 3] = [
-                    (
-                        "workload",
-                        b.workload,
-                        perf::gate_net_workload,
-                        &workload_rec,
-                    ),
-                    ("faults", b.faults, perf::gate_net_faults, &faults_rec),
-                    ("metro", b.metro, perf::gate_net_metro, &metro_rec),
-                ];
-                for (name, baseline, gate_fn, measured) in optional {
-                    match baseline {
-                        Some(base) => {
-                            outcomes.push(Ok(gate_fn(&base, measured, perf::MAX_PERF_DROP)));
-                        }
-                        None => println!(
-                            "{name} tag-slots/s: no committed baseline yet; seeding the series"
-                        ),
-                    }
-                }
+    for row in perf::NET_SCENARIOS {
+        let rec = match perf::measure_net(row, &table, label)
+            .and_then(|rec| perf::append(&net_path, rec))
+        {
+            Ok(rec) => rec,
+            Err(e) => {
+                eprintln!("--perf ({}) failed: {e}", row.what);
+                std::process::exit(1);
             }
-            // One parse, one message: the file-level failure is not
-            // repeated once per population.
-            Err(e) => outcomes.push(Err(e)),
-        }
-        let mut failed = false;
-        for outcome in outcomes {
-            match outcome {
-                Ok(o) => {
-                    println!("{}", o.render());
-                    failed |= !o.passed;
-                }
-                Err(e) => {
-                    eprintln!("perf gate: {e}");
-                    failed = true;
-                }
-            }
-        }
-        if failed {
-            eprintln!(
-                "perf gate failed: throughput dropped more than {:.0}% below the \
-                 committed baseline",
-                100.0 * perf::MAX_PERF_DROP,
+        };
+        println!(
+            "{} throughput: {} tags x {} slots in {:.2} s \
+             ({:.2e} tag-slots/s, {} packets delivered) -> {net_path}",
+            row.what, rec.n_tags, rec.n_slots, rec.elapsed_s, rec.tag_slots_per_sec, rec.delivered,
+        );
+        if let Some(baselines) = &net_baselines {
+            report(
+                baselines
+                    .get(row.suffix)
+                    .map(|base| {
+                        perf::compare(
+                            &format!("{} tag-slots/s", row.what),
+                            rec.tag_slots_per_sec,
+                            &base.label,
+                            base.tag_slots_per_sec,
+                            perf::MAX_PERF_DROP,
+                        )
+                    })
+                    .ok_or_else(|| {
+                        format!(
+                            "BENCH_net.json has no committed baseline for the {} row \
+                             (label suffix \"{}\")",
+                            row.what, row.suffix
+                        )
+                    }),
             );
-            std::process::exit(1);
         }
+    }
+    if failed {
+        eprintln!(
+            "perf gate failed: throughput dropped more than {:.0}% below the \
+             committed baseline, or a baseline is missing",
+            100.0 * perf::MAX_PERF_DROP,
+        );
+        std::process::exit(1);
     }
 }
 
@@ -977,6 +924,18 @@ fn main() {
         std::process::exit(2);
     }
     if let Some(path) = &cli.perf {
+        // Records are told apart by label suffix: a label that already
+        // ends in a row's suffix would file the saturated record under
+        // that row and corrupt its baseline.
+        let suffix = perf::scenario(&cli.label).suffix;
+        if !suffix.is_empty() {
+            eprintln!(
+                "--label {} ends in the \"{suffix}\" row suffix that --perf appends itself; \
+                 pick a label without it",
+                cli.label,
+            );
+            std::process::exit(2);
+        }
         run_perf(path, &cli.label, cli.gate);
         return;
     }

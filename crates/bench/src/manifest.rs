@@ -77,8 +77,10 @@ fn bench_baselines(sweep_path: &str) -> Value {
             ("figure_wall_s".into(), r.figure_wall_s.to_value()),
         ])
     });
-    let net = perf::last_net_record(&perf::net_series_path(sweep_path))
+    // The saturated row (empty label suffix).
+    let net = perf::net_baselines(&perf::net_series_path(sweep_path))
         .ok()
+        .and_then(|mut rows| rows.remove(""))
         .map(|r| {
             Value::Map(vec![
                 ("label".into(), r.label.to_value()),

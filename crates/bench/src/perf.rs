@@ -1,20 +1,27 @@
-//! Tracked sweep-throughput perf series.
+//! Tracked perf series.
 //!
 //! The vendored criterion stand-in prints medians but persists nothing,
 //! so `repro --perf` measures the same fixed 25-point BER grid the
-//! `sweep_throughput` criterion bench runs and **appends** the result to
-//! a JSON series file (default `BENCH_sweep.json` at the repo root).
-//! Future PRs regress against the trajectory instead of a number in a
-//! commit message.
+//! `sweep_throughput` criterion bench runs, plus every network
+//! deployment in [`NET_SCENARIOS`], and **appends** the results to JSON
+//! series files (default `BENCH_sweep.json` and `BENCH_net.json` at the
+//! repo root). Future PRs regress against the trajectory instead of a
+//! number in a commit message.
 
 use fmbs_audio::program::ProgramKind;
 use fmbs_core::modem::Bitrate;
 use fmbs_core::sim::cache::CacheStats;
 use fmbs_core::sim::fast::FastSim;
 use fmbs_core::sim::metric::Ber;
-use fmbs_core::sim::scenario::{Scenario, Workload};
+use fmbs_core::sim::scenario::{AppProfile, ArrivalModel, Scenario, Workload};
 use fmbs_core::sim::sweep::SweepBuilder;
+use fmbs_net::prelude::{
+    ArqConfig, BerTable, Deployment, FaultSpec, NetStats, Receiver, Station, Traffic,
+};
+use fmbs_workload::arrivals::TraceSpec;
 use serde::{Deserialize, Serialize, Value};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// One measurement of the perf series.
@@ -80,11 +87,59 @@ impl Deserialize for PerfRecord {
     }
 }
 
-/// The persisted series (newest record last).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct PerfSeries {
-    /// Measurements, oldest first.
-    pub series: Vec<PerfRecord>,
+/// A persisted perf series file, `{"series": [...]}`, oldest record
+/// first: [`PerfRecord`]s in `BENCH_sweep.json`, [`NetPerfRecord`]s in
+/// `BENCH_net.json`.
+///
+/// Serialization is hand-written because the vendored serde derive has
+/// no generics.
+struct Series<T> {
+    series: Vec<T>,
+}
+
+impl<T: Serialize> Serialize for Series<T> {
+    fn to_value(&self) -> Value {
+        Value::Map(vec![("series".into(), self.series.to_value())])
+    }
+}
+
+impl<T: Deserialize> Deserialize for Series<T> {
+    fn from_value(v: &Value) -> Result<Self, serde::Error> {
+        Ok(Series {
+            series: Vec::from_value(v.get_field("series")?)?,
+        })
+    }
+}
+
+/// Reads every record of the series file at `path`, oldest first.
+fn read_series<T: Deserialize>(path: &str) -> Result<Vec<T>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let series: Series<T> =
+        serde_json::from_str(&text).map_err(|e| format!("{path} is not a perf series: {e:?}"))?;
+    Ok(series.series)
+}
+
+/// Appends `rec` to the series file at `path` (created when missing;
+/// unreadable or unparseable files are reported, not clobbered — the
+/// trajectory is the whole point of the file).
+pub fn append<T: Serialize + Deserialize + Clone>(path: &str, rec: T) -> Result<T, String> {
+    let mut series = if std::path::Path::new(path).exists() {
+        read_series(path)?
+    } else {
+        Vec::new()
+    };
+    series.push(rec.clone());
+    let json = serde_json::to_string_pretty(&Series { series })
+        .map_err(|e| format!("serialise: {e:?}"))?;
+    std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
+    Ok(rec)
+}
+
+fn unix_now() -> u64 {
+    std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs())
+        .unwrap_or(0)
 }
 
 /// The same fixed 25-point BER grid as the `sweep_throughput` bench.
@@ -114,10 +169,7 @@ pub fn measure(label: &str, samples: usize) -> PerfRecord {
         parallel_best = parallel_best.min(t.elapsed().as_secs_f64());
     }
     PerfRecord {
-        unix_time: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
+        unix_time: unix_now(),
         label: label.to_string(),
         grid_points: n_points,
         serial_points_per_sec: n_points as f64 / serial_best,
@@ -146,11 +198,9 @@ pub fn measure_figure_walls() -> Vec<(String, f64)> {
         .collect()
 }
 
-/// Measures and appends to the series file at `path` (created when
-/// missing; unreadable or unparseable files are reported, not
-/// clobbered — the trajectory is the whole point of the file).
+/// Measures and appends to the series file at `path` (see [`append`]).
 pub fn record(path: &str, label: &str, samples: usize) -> Result<PerfRecord, String> {
-    append_sweep(path, measure(label, samples))
+    append(path, measure(label, samples))
 }
 
 /// Like [`record`] but with the per-figure wall-time column measured
@@ -158,22 +208,7 @@ pub fn record(path: &str, label: &str, samples: usize) -> Result<PerfRecord, Str
 pub fn record_full(path: &str, label: &str, samples: usize) -> Result<PerfRecord, String> {
     let mut rec = measure(label, samples);
     rec.figure_wall_s = measure_figure_walls();
-    append_sweep(path, rec)
-}
-
-fn append_sweep(path: &str, rec: PerfRecord) -> Result<PerfRecord, String> {
-    let mut series: PerfSeries = if std::path::Path::new(path).exists() {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read existing {path}: {e}"))?;
-        serde_json::from_str(&text)
-            .map_err(|e| format!("{path} exists but is not a perf series: {e:?}"))?
-    } else {
-        PerfSeries::default()
-    };
-    series.series.push(rec.clone());
-    let json = serde_json::to_string_pretty(&series).map_err(|e| format!("serialise: {e:?}"))?;
-    std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
-    Ok(rec)
+    append(path, rec)
 }
 
 /// One measurement of the network-tier perf series.
@@ -181,7 +216,8 @@ fn append_sweep(path: &str, rec: PerfRecord) -> Result<PerfRecord, String> {
 pub struct NetPerfRecord {
     /// Seconds since the Unix epoch when the measurement ran.
     pub unix_time: u64,
-    /// A free-form label (git describe, PR number, "baseline", ...).
+    /// A free-form label (git describe, "baseline", ...) followed by
+    /// the [`NetScenario::suffix`] of the measured row.
     pub label: String,
     /// Deployed tags in the measured run.
     pub n_tags: usize,
@@ -193,13 +229,6 @@ pub struct NetPerfRecord {
     pub tag_slots_per_sec: f64,
     /// Packets delivered (sanity: the run did real work).
     pub delivered: u64,
-}
-
-/// The persisted network perf series (newest record last).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct NetPerfSeries {
-    /// Measurements, oldest first.
-    pub series: Vec<NetPerfRecord>,
 }
 
 /// The network series file that rides along a sweep series file:
@@ -222,72 +251,79 @@ pub fn net_series_path(sweep_path: &str) -> String {
     }
 }
 
-/// Measures the acceptance-bar network run — 10,000 tags × 1,000 slots
-/// over a quick-calibrated link table — and returns the record (best of
-/// `samples` timed runs; calibration is untimed).
-pub fn measure_net(label: &str, samples: usize) -> NetPerfRecord {
-    use fmbs_core::sim::fast::FastSim as Fast;
-    use fmbs_net::prelude::{BerTable, BerTableSpec, Deployment};
-    let (n_tags, n_slots) = (10_000usize, 1_000u64);
-    let table = std::sync::Arc::new(BerTable::calibrate(&Fast, &BerTableSpec::quick()));
-    let sim = Deployment::city(n_tags)
-        .slots(n_slots)
-        .build()
-        .expect("acceptance-bar deployment is valid")
-        .into_sim(table);
-    let mut best = f64::INFINITY;
-    let mut delivered = 0;
-    for _ in 0..samples.max(1) {
-        let t = Instant::now();
-        let run = sim.run();
-        best = best.min(t.elapsed().as_secs_f64());
-        delivered = run.stats.delivered;
-    }
-    NetPerfRecord {
-        unix_time: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        label: label.to_string(),
-        n_tags,
-        n_slots,
-        elapsed_s: best,
-        tag_slots_per_sec: n_tags as f64 * n_slots as f64 / best,
-        delivered,
-    }
+/// One tracked network series: a deployment `repro --perf` times,
+/// appends to `BENCH_net.json` and gates against the newest committed
+/// record of the same row.
+///
+/// The vendored serde stand-in cannot deserialise records with unknown
+/// or missing fields, so every row shares [`NetPerfRecord`] verbatim and
+/// the rows are told apart by label suffix alone (see [`scenario`]).
+#[derive(Debug, Clone, Copy)]
+pub struct NetScenario {
+    /// Label suffix of this row's records ("" for the saturated row).
+    pub suffix: &'static str,
+    /// Series name in the printed line and the gate ("network", ...).
+    pub what: &'static str,
+    /// Deployed tags in the measured run.
+    pub n_tags: usize,
+    /// Simulated slots.
+    pub n_slots: u64,
+    /// Timed repetitions (best-of).
+    pub samples: usize,
+    /// The deployment at `(n_tags, n_slots)`; benches also build it at
+    /// other sizes.
+    pub deployment: fn(usize, u64) -> Deployment,
 }
 
-/// Measures the network run and appends to the series file at `path`
-/// (same create/don't-clobber policy as [`record`]).
-pub fn record_net(path: &str, label: &str, samples: usize) -> Result<NetPerfRecord, String> {
-    append_net(path, measure_net(label, samples))
+/// Every tracked network series, one row each. Every row must have a
+/// committed baseline in `BENCH_net.json`: `repro --perf --gate` fails
+/// on a row without one.
+pub const NET_SCENARIOS: &[NetScenario] = &[
+    NetScenario {
+        suffix: "",
+        what: "network",
+        n_tags: 10_000,
+        n_slots: 1_000,
+        samples: 2,
+        deployment: saturated,
+    },
+    NetScenario {
+        suffix: "+workload",
+        what: "workload",
+        n_tags: 10_000,
+        n_slots: 1_000,
+        samples: 2,
+        deployment: poisson_trace,
+    },
+    NetScenario {
+        suffix: "+faults",
+        what: "faults",
+        n_tags: 10_000,
+        n_slots: 1_000,
+        samples: 2,
+        deployment: combined_faults,
+    },
+    // One timed sample: this run dwarfs the others.
+    NetScenario {
+        suffix: "+metro",
+        what: "metro",
+        n_tags: 1_000_000,
+        n_slots: 10_000,
+        samples: 1,
+        deployment: metro_acceptance_deployment,
+    },
+];
+
+/// Full-buffer saturation in one cell: every tag always has a frame.
+fn saturated(n_tags: usize, n_slots: u64) -> Deployment {
+    Deployment::city(n_tags).slots(n_slots)
 }
 
-/// Label suffix marking the workload (trace-driven) records inside the
-/// shared `BENCH_net.json` series. The vendored serde stand-in cannot
-/// deserialise records with unknown-or-missing fields, so the workload
-/// series reuses [`NetPerfRecord`] verbatim and the two populations are
-/// told apart by label alone.
-pub const WORKLOAD_LABEL_SUFFIX: &str = "+workload";
-
-/// Whether a net-series record belongs to the workload population.
-pub fn is_workload_label(label: &str) -> bool {
-    label.ends_with(WORKLOAD_LABEL_SUFFIX)
-}
-
-/// Measures the workload acceptance-bar run — the same 10,000 tags ×
-/// 1,000 slots, but trace-driven: Poisson arrivals at a moderate load
-/// through the per-tag FIFO queues instead of full-buffer saturation.
-/// Trace generation and table calibration are untimed, like the
-/// saturated benchmark's calibration.
-pub fn measure_net_workload(label: &str, samples: usize) -> NetPerfRecord {
-    use fmbs_core::sim::fast::FastSim as Fast;
-    use fmbs_core::sim::scenario::{AppProfile, ArrivalModel};
-    use fmbs_net::prelude::{BerTable, BerTableSpec, Deployment, Traffic};
-    use fmbs_workload::arrivals::TraceSpec;
-    let (n_tags, n_slots) = (10_000usize, 1_000u64);
-    let table = std::sync::Arc::new(BerTable::calibrate(&Fast, &BerTableSpec::quick()));
-    let deployment = Deployment::city(n_tags).slots(n_slots);
+/// The saturated cell driven by Poisson arrivals at offered load 0.05
+/// through the per-tag FIFO queues. The trace is generated here, while
+/// the deployment is built, so it stays out of the timed run.
+fn poisson_trace(n_tags: usize, n_slots: u64) -> Deployment {
+    let deployment = saturated(n_tags, n_slots);
     let cfg = deployment.network_config();
     let trace = TraceSpec {
         n_tags,
@@ -299,121 +335,26 @@ pub fn measure_net_workload(label: &str, samples: usize) -> NetPerfRecord {
         seed: cfg.seed,
     }
     .generate();
-    let sim = deployment
-        .traffic(Traffic::Trace(std::sync::Arc::new(trace)))
-        .build()
-        .expect("workload acceptance-bar deployment is valid")
-        .into_sim(table);
-    let mut best = f64::INFINITY;
-    let mut delivered = 0;
-    for _ in 0..samples.max(1) {
-        let t = Instant::now();
-        let run = sim.run();
-        best = best.min(t.elapsed().as_secs_f64());
-        delivered = run.stats.delivered;
-        debug_assert!(run.stats.queue_conserved(), "{:?}", run.stats);
-    }
-    NetPerfRecord {
-        unix_time: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        label: format!("{label}{WORKLOAD_LABEL_SUFFIX}"),
-        n_tags,
-        n_slots,
-        elapsed_s: best,
-        tag_slots_per_sec: n_tags as f64 * n_slots as f64 / best,
-        delivered,
-    }
+    deployment.traffic(Traffic::Trace(Arc::new(trace)))
 }
 
-/// Measures the workload run and appends to the shared net series file.
-pub fn record_net_workload(
-    path: &str,
-    label: &str,
-    samples: usize,
-) -> Result<NetPerfRecord, String> {
-    append_net(path, measure_net_workload(label, samples))
+/// The saturated cell with every fault class active and the default ARQ
+/// on, so the fault bookkeeping and retransmission paths are all on the
+/// timed hot path.
+fn combined_faults(n_tags: usize, n_slots: u64) -> Deployment {
+    saturated(n_tags, n_slots).arq(ArqConfig::default()).faults(
+        FaultSpec::none()
+            .with_outages(1, 120)
+            .with_brownouts(2, 150, 0.25)
+            .with_bursts(2, 80, 0.03)
+            .with_resets(64),
+    )
 }
 
-/// Label suffix marking the fault-injection records (full fault plan +
-/// ARQ over the saturated run) inside the shared `BENCH_net.json`
-/// series — same label-only population split as
-/// [`WORKLOAD_LABEL_SUFFIX`].
-pub const FAULTS_LABEL_SUFFIX: &str = "+faults";
-
-/// Whether a net-series record belongs to the fault-injection
-/// population.
-pub fn is_faults_label(label: &str) -> bool {
-    label.ends_with(FAULTS_LABEL_SUFFIX)
-}
-
-/// Measures the fault-injection acceptance-bar run — the saturated
-/// 10,000 tags × 1,000 slots with every fault class active and the
-/// default ARQ on, so the fault bookkeeping and retransmission paths
-/// are all on the timed hot path.
-pub fn measure_net_faults(label: &str, samples: usize) -> NetPerfRecord {
-    use fmbs_core::sim::fast::FastSim as Fast;
-    use fmbs_net::prelude::{ArqConfig, BerTable, BerTableSpec, Deployment, FaultSpec};
-    let (n_tags, n_slots) = (10_000usize, 1_000u64);
-    let table = std::sync::Arc::new(BerTable::calibrate(&Fast, &BerTableSpec::quick()));
-    let sim = Deployment::city(n_tags)
-        .slots(n_slots)
-        .arq(ArqConfig::default())
-        .faults(
-            FaultSpec::none()
-                .with_outages(1, 120)
-                .with_brownouts(2, 150, 0.25)
-                .with_bursts(2, 80, 0.03)
-                .with_resets(64),
-        )
-        .build()
-        .expect("fault acceptance-bar deployment is valid")
-        .into_sim(table);
-    let mut best = f64::INFINITY;
-    let mut delivered = 0;
-    for _ in 0..samples.max(1) {
-        let t = Instant::now();
-        let run = sim.run();
-        best = best.min(t.elapsed().as_secs_f64());
-        delivered = run.stats.delivered;
-        debug_assert!(run.stats.queue_conserved(), "{:?}", run.stats);
-    }
-    NetPerfRecord {
-        unix_time: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        label: format!("{label}{FAULTS_LABEL_SUFFIX}"),
-        n_tags,
-        n_slots,
-        elapsed_s: best,
-        tag_slots_per_sec: n_tags as f64 * n_slots as f64 / best,
-        delivered,
-    }
-}
-
-/// Measures the fault-injection run and appends to the shared net
-/// series file.
-pub fn record_net_faults(path: &str, label: &str, samples: usize) -> Result<NetPerfRecord, String> {
-    append_net(path, measure_net_faults(label, samples))
-}
-
-/// Label suffix marking the metro-scale (sharded multi-receiver)
-/// records inside the shared `BENCH_net.json` series — same label-only
-/// population split as [`WORKLOAD_LABEL_SUFFIX`].
-pub const METRO_LABEL_SUFFIX: &str = "+metro";
-
-/// Whether a net-series record belongs to the metro-scale population.
-pub fn is_metro_label(label: &str) -> bool {
-    label.ends_with(METRO_LABEL_SUFFIX)
-}
-
-/// The metro acceptance-bar geometry: 10⁶ tags sharded across a 4×4
-/// receiver grid with capture on — the deployment the ISSUE's scale
-/// target names, shared by the perf series and the CI identity test.
-pub fn metro_acceptance_deployment(n_tags: usize, n_slots: u64) -> fmbs_net::prelude::Deployment {
-    use fmbs_net::prelude::{Deployment, Receiver, Station};
+/// The metro acceptance-bar geometry: tags sharded across a 4×4
+/// receiver grid with capture on — the `+metro` row at 10⁶ tags, also
+/// used by the CI identity test.
+pub fn metro_acceptance_deployment(n_tags: usize, n_slots: u64) -> Deployment {
     Deployment::city(n_tags)
         .slots(n_slots)
         .stations([Station::at(10_000.0, 0.0)])
@@ -421,59 +362,79 @@ pub fn metro_acceptance_deployment(n_tags: usize, n_slots: u64) -> fmbs_net::pre
         .capture(6.0)
 }
 
-/// Measures the metro acceptance-bar run — 10⁶ tags × 10⁴ slots sharded
-/// across 16 collision domains on every available core. Errs (instead
-/// of panicking) when the deployment fails build-time validation, with
-/// the typed error's hint attached.
-pub fn measure_net_metro(label: &str, samples: usize) -> Result<NetPerfRecord, String> {
-    use fmbs_core::sim::fast::FastSim as Fast;
-    use fmbs_net::prelude::{BerTable, BerTableSpec};
-    let (n_tags, n_slots) = (1_000_000usize, 10_000u64);
-    let table = std::sync::Arc::new(BerTable::calibrate(&Fast, &BerTableSpec::quick()));
-    let plan = metro_acceptance_deployment(n_tags, n_slots)
+/// The row a record label belongs to: the row whose non-empty suffix
+/// ends the label, else the saturated row.
+pub fn scenario(label: &str) -> &'static NetScenario {
+    NET_SCENARIOS
+        .iter()
+        .filter(|row| label.ends_with(row.suffix))
+        .max_by_key(|row| row.suffix.len())
+        .expect("the saturated row's empty suffix matches every label")
+}
+
+/// Times `row`'s deployment over `table` and returns its record (best
+/// of `row.samples` runs, labelled `label` + the row suffix). Building
+/// the deployment is untimed. Every timed run must conserve its queues;
+/// errs, naming the row, when one does not or when the deployment fails
+/// build-time validation.
+pub fn measure_net(
+    row: &NetScenario,
+    table: &Arc<BerTable>,
+    label: &str,
+) -> Result<NetPerfRecord, String> {
+    let sim = (row.deployment)(row.n_tags, row.n_slots)
         .build()
-        .map_err(|e| format!("invalid metro deployment: {e}\n  hint: {}", e.hint()))?;
-    let sim = plan.into_sim(table);
+        .map_err(|e| format!("invalid {} deployment: {e}\n  hint: {}", row.what, e.hint()))?
+        .into_sim(table.clone());
     let mut best = f64::INFINITY;
     let mut delivered = 0;
-    for _ in 0..samples.max(1) {
+    for _ in 0..row.samples.max(1) {
         let t = Instant::now();
         let run = sim.run();
         best = best.min(t.elapsed().as_secs_f64());
+        check_conserved(row, &run.stats)?;
         delivered = run.stats.delivered;
     }
     Ok(NetPerfRecord {
-        unix_time: std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs())
-            .unwrap_or(0),
-        label: format!("{label}{METRO_LABEL_SUFFIX}"),
-        n_tags,
-        n_slots,
+        unix_time: unix_now(),
+        label: format!("{label}{}", row.suffix),
+        n_tags: row.n_tags,
+        n_slots: row.n_slots,
         elapsed_s: best,
-        tag_slots_per_sec: n_tags as f64 * n_slots as f64 / best,
+        tag_slots_per_sec: row.n_tags as f64 * row.n_slots as f64 / best,
         delivered,
     })
 }
 
-/// Measures the metro run and appends to the shared net series file.
-pub fn record_net_metro(path: &str, label: &str, samples: usize) -> Result<NetPerfRecord, String> {
-    append_net(path, measure_net_metro(label, samples)?)
+/// Queue conservation of one run of `row` ([`NetStats::queue_conserved`]).
+fn check_conserved(row: &NetScenario, stats: &NetStats) -> Result<(), String> {
+    if stats.queue_conserved() {
+        return Ok(());
+    }
+    // Without the per-tag and per-delivery vectors: at 10⁶ tags they
+    // would bury the counters.
+    let counters = NetStats {
+        per_tag_delivered: Vec::new(),
+        latencies_slots: Vec::new(),
+        sojourn_slots: Vec::new(),
+        ..stats.clone()
+    };
+    Err(format!(
+        "{} row (label suffix \"{}\") does not conserve its queues: {counters:?}",
+        row.what, row.suffix
+    ))
 }
 
-fn append_net(path: &str, rec: NetPerfRecord) -> Result<NetPerfRecord, String> {
-    let mut series: NetPerfSeries = if std::path::Path::new(path).exists() {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| format!("read existing {path}: {e}"))?;
-        serde_json::from_str(&text)
-            .map_err(|e| format!("{path} exists but is not a net perf series: {e:?}"))?
-    } else {
-        NetPerfSeries::default()
-    };
-    series.series.push(rec.clone());
-    let json = serde_json::to_string_pretty(&series).map_err(|e| format!("serialise: {e:?}"))?;
-    std::fs::write(path, json).map_err(|e| format!("write {path}: {e}"))?;
-    Ok(rec)
+/// Reads and parses the network series at `path` once and returns the
+/// newest record of each row, keyed by [`NetScenario::suffix`]. A
+/// malformed file is one error, not one per row. Same read-before-append
+/// caveat as [`last_sweep_record`].
+pub fn net_baselines(path: &str) -> Result<BTreeMap<&'static str, NetPerfRecord>, String> {
+    let mut newest = BTreeMap::new();
+    for rec in read_series::<NetPerfRecord>(path)? {
+        newest.insert(scenario(&rec.label).suffix, rec);
+    }
+    Ok(newest)
 }
 
 // ------------------------------------------------------ regression gate
@@ -548,83 +509,9 @@ pub fn compare(
 /// a fresh measurement must read the baseline *before* appending to the
 /// same file, or they would compare the measurement against itself.
 pub fn last_sweep_record(path: &str) -> Result<PerfRecord, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read baseline {path}: {e}"))?;
-    let series: PerfSeries =
-        serde_json::from_str(&text).map_err(|e| format!("{path} is not a perf series: {e:?}"))?;
-    series
-        .series
-        .last()
-        .cloned()
+    read_series(path)?
+        .pop()
         .ok_or_else(|| format!("{path} has no records"))
-}
-
-/// The four baseline populations of one net series file, split by
-/// label suffix and read with a *single* parse — see [`net_baselines`].
-#[derive(Debug, Clone, Default)]
-pub struct NetBaselines {
-    /// Newest saturated clean record (no suffix), if any.
-    pub net: Option<NetPerfRecord>,
-    /// Newest trace-driven workload record ([`WORKLOAD_LABEL_SUFFIX`]).
-    pub workload: Option<NetPerfRecord>,
-    /// Newest fault-injection record ([`FAULTS_LABEL_SUFFIX`]).
-    pub faults: Option<NetPerfRecord>,
-    /// Newest metro-scale record ([`METRO_LABEL_SUFFIX`]).
-    pub metro: Option<NetPerfRecord>,
-}
-
-/// Reads and parses the network series at `path` once and splits the
-/// newest record of each label population out of it. This is what a
-/// `--perf --gate` run calls: the file is read exactly once, so a
-/// malformed series surfaces as *one* error instead of one per
-/// population (the per-population [`last_net_record`]-family accessors
-/// are thin views over this). Same read-before-append caveat as
-/// [`last_sweep_record`].
-pub fn net_baselines(path: &str) -> Result<NetBaselines, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("read baseline {path}: {e}"))?;
-    let series: NetPerfSeries = serde_json::from_str(&text)
-        .map_err(|e| format!("{path} is not a net perf series: {e:?}"))?;
-    let mut baselines = NetBaselines::default();
-    for r in series.series.iter().rev() {
-        let slot = if is_workload_label(&r.label) {
-            &mut baselines.workload
-        } else if is_faults_label(&r.label) {
-            &mut baselines.faults
-        } else if is_metro_label(&r.label) {
-            &mut baselines.metro
-        } else {
-            &mut baselines.net
-        };
-        if slot.is_none() {
-            *slot = Some(r.clone());
-        }
-    }
-    Ok(baselines)
-}
-
-/// Reads the last *saturated clean* record of the network series at
-/// `path` (workload and fault-injection records share the file but are
-/// separate populations — see [`WORKLOAD_LABEL_SUFFIX`] /
-/// [`FAULTS_LABEL_SUFFIX`]; same read-before-append caveat as
-/// [`last_sweep_record`]).
-pub fn last_net_record(path: &str) -> Result<NetPerfRecord, String> {
-    net_baselines(path)?
-        .net
-        .ok_or_else(|| format!("{path} has no saturated network records"))
-}
-
-/// Reads the last *workload* record of the network series at `path`.
-/// `Ok(None)` means the file parses but no workload record exists yet
-/// (the population is new); callers seed the series instead of gating.
-pub fn last_net_workload_record(path: &str) -> Result<Option<NetPerfRecord>, String> {
-    Ok(net_baselines(path)?.workload)
-}
-
-/// Reads the last *fault-injection* record of the network series at
-/// `path`. `Ok(None)` means the file parses but no faults record exists
-/// yet (the population is new); callers seed the series instead of
-/// gating.
-pub fn last_net_faults_record(path: &str) -> Result<Option<NetPerfRecord>, String> {
-    Ok(net_baselines(path)?.faults)
 }
 
 /// Gates a fresh sweep measurement against a baseline record (serial
@@ -635,74 +522,6 @@ pub fn gate_sweep(baseline: &PerfRecord, measured: &PerfRecord, max_drop: f64) -
         measured.serial_points_per_sec,
         &baseline.label,
         baseline.serial_points_per_sec,
-        max_drop,
-    )
-}
-
-/// Gates a fresh network measurement against a baseline record
-/// (tag·slots/s).
-pub fn gate_net(baseline: &NetPerfRecord, measured: &NetPerfRecord, max_drop: f64) -> GateOutcome {
-    compare(
-        "network tag-slots/s",
-        measured.tag_slots_per_sec,
-        &baseline.label,
-        baseline.tag_slots_per_sec,
-        max_drop,
-    )
-}
-
-/// Reads the last *metro-scale* record of the network series at
-/// `path`. `Ok(None)` means the file parses but no metro record exists
-/// yet (the population is new); callers seed the series instead of
-/// gating.
-pub fn last_net_metro_record(path: &str) -> Result<Option<NetPerfRecord>, String> {
-    Ok(net_baselines(path)?.metro)
-}
-
-/// Gates a fresh workload (trace-driven) measurement against a
-/// workload baseline record.
-pub fn gate_net_workload(
-    baseline: &NetPerfRecord,
-    measured: &NetPerfRecord,
-    max_drop: f64,
-) -> GateOutcome {
-    compare(
-        "workload tag-slots/s",
-        measured.tag_slots_per_sec,
-        &baseline.label,
-        baseline.tag_slots_per_sec,
-        max_drop,
-    )
-}
-
-/// Gates a fresh fault-injection measurement against a faults baseline
-/// record.
-pub fn gate_net_faults(
-    baseline: &NetPerfRecord,
-    measured: &NetPerfRecord,
-    max_drop: f64,
-) -> GateOutcome {
-    compare(
-        "faults tag-slots/s",
-        measured.tag_slots_per_sec,
-        &baseline.label,
-        baseline.tag_slots_per_sec,
-        max_drop,
-    )
-}
-
-/// Gates a fresh metro-scale measurement against a metro baseline
-/// record.
-pub fn gate_net_metro(
-    baseline: &NetPerfRecord,
-    measured: &NetPerfRecord,
-    max_drop: f64,
-) -> GateOutcome {
-    compare(
-        "metro tag-slots/s",
-        measured.tag_slots_per_sec,
-        &baseline.label,
-        baseline.tag_slots_per_sec,
         max_drop,
     )
 }
@@ -762,7 +581,7 @@ mod tests {
             cache: CacheStats::default(),
             figure_wall_s: Vec::new(),
         };
-        let series = PerfSeries {
+        let series = Series {
             series: vec![mk("old", 1_000.0), mk("newest", 100.0)],
         };
         std::fs::write(path, serde_json::to_string_pretty(&series).unwrap()).unwrap();
@@ -777,59 +596,51 @@ mod tests {
         let _ = std::fs::remove_file(path);
     }
 
+    fn write_net_series(path: &str, labels: &[&str]) {
+        let series = Series {
+            series: labels
+                .iter()
+                .map(|&label| NetPerfRecord {
+                    unix_time: 0,
+                    label: label.into(),
+                    n_tags: 10_000,
+                    n_slots: 1_000,
+                    elapsed_s: 1.0,
+                    tag_slots_per_sec: 1.0,
+                    delivered: 1,
+                })
+                .collect(),
+        };
+        std::fs::write(path, serde_json::to_string_pretty(&series).unwrap()).unwrap();
+    }
+
     #[test]
     fn net_baseline_lookups_split_the_populations() {
         let dir = std::env::temp_dir().join("fmbs_perf_workload_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("BENCH_net.json");
         let path = path.to_str().unwrap();
-        let mk = |label: &str, tps: f64| NetPerfRecord {
-            unix_time: 0,
-            label: label.into(),
-            n_tags: 10_000,
-            n_slots: 1_000,
-            elapsed_s: 1.0,
-            tag_slots_per_sec: tps,
-            delivered: 1,
-        };
-        // Saturated-only series: no workload baseline yet.
-        let series = NetPerfSeries {
-            series: vec![mk("old", 1.0), mk("new", 2.0)],
-        };
-        std::fs::write(path, serde_json::to_string_pretty(&series).unwrap()).unwrap();
-        assert_eq!(last_net_record(path).unwrap().label, "new");
-        assert!(last_net_workload_record(path).unwrap().is_none());
-        // Mixed series: each lookup finds its own population's last
-        // record, not the file's last record.
-        let series = NetPerfSeries {
-            series: vec![
-                mk("old", 1.0),
-                mk("ci+workload", 3.0),
-                mk("new", 2.0),
-                mk("ci+faults", 4.0),
-                mk("pr9+metro", 5.0),
-            ],
-        };
-        std::fs::write(path, serde_json::to_string_pretty(&series).unwrap()).unwrap();
-        assert_eq!(last_net_record(path).unwrap().label, "new");
-        assert_eq!(
-            last_net_workload_record(path).unwrap().unwrap().label,
-            "ci+workload"
+        // Saturated-only series: no other row has a baseline yet.
+        write_net_series(path, &["old", "new"]);
+        let baselines = net_baselines(path).unwrap();
+        assert_eq!(baselines[""].label, "new");
+        assert_eq!(baselines.len(), 1);
+        // Mixed series: each row finds its own newest record, not the
+        // file's last record.
+        write_net_series(
+            path,
+            &["old", "ci+workload", "new", "ci+faults", "pr9+metro"],
         );
-        assert_eq!(
-            last_net_faults_record(path).unwrap().unwrap().label,
-            "ci+faults"
-        );
-        assert!(is_workload_label("ci+workload"));
-        assert!(!is_workload_label("ci"));
-        assert_eq!(
-            last_net_metro_record(path).unwrap().unwrap().label,
-            "pr9+metro"
-        );
-        assert!(is_faults_label("ci+faults"));
-        assert!(!is_faults_label("ci+workload"));
-        assert!(is_metro_label("pr9+metro"));
-        assert!(!is_metro_label("pr9"));
+        let baselines = net_baselines(path).unwrap();
+        assert_eq!(baselines[""].label, "new");
+        assert_eq!(baselines["+workload"].label, "ci+workload");
+        assert_eq!(baselines["+faults"].label, "ci+faults");
+        assert_eq!(baselines["+metro"].label, "pr9+metro");
+        assert_eq!(scenario("ci+workload").what, "workload");
+        assert_eq!(scenario("ci").suffix, "");
+        assert_eq!(scenario("ci+faults").what, "faults");
+        assert_eq!(scenario("pr9+metro").what, "metro");
+        assert_eq!(scenario("pr9").what, "network");
         let _ = std::fs::remove_file(path);
     }
 
@@ -840,41 +651,95 @@ mod tests {
         let path = dir.join("BENCH_net.json");
         let path = path.to_str().unwrap();
         // A malformed file yields a single error from the one shared
-        // parse; every thin wrapper reports that same failure rather
-        // than four differently-worded ones.
+        // parse, not one per row.
         std::fs::write(path, "{ not json").unwrap();
         let err = net_baselines(path).unwrap_err();
-        assert!(err.contains("not a net perf series"), "{err}");
-        assert_eq!(last_net_record(path).unwrap_err(), err);
-        assert_eq!(last_net_workload_record(path).unwrap_err(), err);
-        assert_eq!(last_net_faults_record(path).unwrap_err(), err);
-        assert_eq!(last_net_metro_record(path).unwrap_err(), err);
-        // One parse populates every population slot.
-        let mk = |label: &str| NetPerfRecord {
-            unix_time: 0,
-            label: label.into(),
-            n_tags: 10_000,
-            n_slots: 1_000,
-            elapsed_s: 1.0,
-            tag_slots_per_sec: 1.0,
-            delivered: 1,
-        };
-        let series = NetPerfSeries {
-            series: vec![
-                mk("a"),
-                mk("a+workload"),
-                mk("a+faults"),
-                mk("a+metro"),
-                mk("b"),
-            ],
-        };
-        std::fs::write(path, serde_json::to_string_pretty(&series).unwrap()).unwrap();
+        assert!(err.contains("not a perf series"), "{err}");
+        // One parse fills every row.
+        write_net_series(path, &["a", "a+workload", "a+faults", "a+metro", "b"]);
         let baselines = net_baselines(path).unwrap();
-        assert_eq!(baselines.net.unwrap().label, "b");
-        assert_eq!(baselines.workload.unwrap().label, "a+workload");
-        assert_eq!(baselines.faults.unwrap().label, "a+faults");
-        assert_eq!(baselines.metro.unwrap().label, "a+metro");
+        for row in NET_SCENARIOS {
+            assert!(baselines.contains_key(row.suffix), "{row:?}");
+        }
+        assert_eq!(baselines[""].label, "b");
+        assert_eq!(baselines["+workload"].label, "a+workload");
+        assert_eq!(baselines["+faults"].label, "a+faults");
+        assert_eq!(baselines["+metro"].label, "a+metro");
         let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn committed_bench_net_has_a_baseline_for_every_row() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_net.json");
+        let records: Vec<NetPerfRecord> = read_series(path).unwrap();
+        for rec in &records {
+            let claims = NET_SCENARIOS
+                .iter()
+                .filter(|r| !r.suffix.is_empty() && rec.label.ends_with(r.suffix))
+                .count();
+            assert!(claims <= 1, "{} ends in two row suffixes", rec.label);
+            let row = scenario(&rec.label);
+            assert_eq!(
+                (rec.n_tags, rec.n_slots),
+                (row.n_tags, row.n_slots),
+                "{} is not a {} record",
+                rec.label,
+                row.what
+            );
+        }
+        let baselines = net_baselines(path).unwrap();
+        for row in NET_SCENARIOS {
+            assert!(
+                baselines.contains_key(row.suffix),
+                "no committed baseline for the {} row (suffix \"{}\")",
+                row.what,
+                row.suffix
+            );
+        }
+    }
+
+    #[test]
+    fn conservation_failure_names_the_row() {
+        let row = scenario("+workload");
+        let conserved = NetStats {
+            offered: 10,
+            delivered: 3,
+            still_queued: 7,
+            ..NetStats::default()
+        };
+        assert!(check_conserved(row, &conserved).is_ok());
+        let leaky = NetStats {
+            still_queued: 6,
+            per_tag_delivered: vec![1; 1_000],
+            ..conserved
+        };
+        let err = check_conserved(row, &leaky).unwrap_err();
+        assert!(
+            err.contains("workload row") && err.contains("+workload"),
+            "{err}"
+        );
+        assert!(
+            err.contains("offered: 10") && err.contains("still_queued: 6"),
+            "{err}"
+        );
+        assert!(err.contains("per_tag_delivered: []"), "{err}");
+    }
+
+    #[test]
+    fn measure_net_labels_and_checks_a_small_row() {
+        let table = Arc::new(BerTable::calibrate(
+            &FastSim,
+            &fmbs_net::prelude::BerTableSpec::quick(),
+        ));
+        let row = NetScenario {
+            n_tags: 200,
+            n_slots: 200,
+            ..*scenario("+workload")
+        };
+        let rec = measure_net(&row, &table, "t").unwrap();
+        assert_eq!(rec.label, "t+workload");
+        assert_eq!((rec.n_tags, rec.n_slots), (200, 200));
+        assert!(rec.delivered > 0 && rec.tag_slots_per_sec > 0.0, "{rec:?}");
     }
 
     #[test]
@@ -887,7 +752,7 @@ mod tests {
             r#""serial_points_per_sec":10.0,"parallel_points_per_sec":20.0,"#,
             r#""cache":{"host_hits":4,"host_misses":1,"payload_hits":4,"payload_misses":1}}]}"#,
         );
-        let series: PerfSeries = serde_json::from_str(text).unwrap();
+        let series: Series<PerfRecord> = serde_json::from_str(text).unwrap();
         let rec = &series.series[0];
         assert!(rec.figure_wall_s.is_empty());
         assert_eq!(rec.cache.version, 1, "unversioned records read as v1");
@@ -930,11 +795,10 @@ mod tests {
         let _ = std::fs::remove_file(path);
         record(path, "first", 1).unwrap();
         record(path, "second", 1).unwrap();
-        let series: PerfSeries =
-            serde_json::from_str(&std::fs::read_to_string(path).unwrap()).unwrap();
-        assert_eq!(series.series.len(), 2);
-        assert_eq!(series.series[0].label, "first");
-        assert_eq!(series.series[1].label, "second");
+        let series: Vec<PerfRecord> = read_series(path).unwrap();
+        assert_eq!(series.len(), 2);
+        assert_eq!(series[0].label, "first");
+        assert_eq!(series[1].label, "second");
         let _ = std::fs::remove_file(path);
     }
 }

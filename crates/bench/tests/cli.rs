@@ -142,3 +142,27 @@ fn repro_fault_rejects_check_bless_perf() {
         );
     }
 }
+
+/// `--perf` appends each row's suffix to the label and tells records
+/// apart by it, so a label that already ends in a row suffix would file
+/// the saturated record as that row's baseline. It exits 2 naming the
+/// suffix, before anything is measured or written.
+#[test]
+fn repro_perf_rejects_a_label_with_a_row_suffix() {
+    let dir = std::env::temp_dir().join("fmbs_cli_perf_label_test");
+    let path = dir.join("BENCH_sweep.json");
+    let path = path.to_str().unwrap();
+    for label in ["x+workload", "x+faults", "x+metro"] {
+        let (code, stderr) = run_repro(&["--perf", path, "--label", label]);
+        assert_eq!(code, Some(2), "{label} stderr: {stderr}");
+        let suffix = &label[1..];
+        assert!(
+            stderr.contains(&format!("\"{suffix}\" row suffix")),
+            "{label}: {stderr}"
+        );
+        assert!(
+            !std::path::Path::new(path).exists(),
+            "{label}: wrote {path}"
+        );
+    }
+}
