@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use fmbs_core::tag::{Tag, TagConfig};
 use fmbs_dsp::complex::Complex;
+use fmbs_dsp::corr::find_lag;
 use fmbs_dsp::fft::Fft;
 use fmbs_dsp::fir::FirDesign;
 use fmbs_dsp::goertzel::goertzel_power;
@@ -45,6 +46,24 @@ fn bench(c: &mut Criterion) {
             let mut tag = Tag::new(TagConfig::paper_default(2_560_000.0));
             std::hint::black_box(tag.backscatter_cosine(&incident, &baseband))
         })
+    });
+    // The cooperative decoder's alignment search: 1 s of ×10-upsampled
+    // audio at 48 kHz on each phone, lags within ±50 ms.
+    let (len, max_lag) = (480_000, 24_000);
+    g.throughput(Throughput::Elements(len as u64));
+    g.bench_function("xcorr_coop", |b| {
+        let a: Vec<f64> = (0..len)
+            .map(|i| (i as f64 * 0.013).sin() * (i as f64 * 0.000_71).cos())
+            .collect();
+        let delayed: Vec<f64> = (0..len).map(|i| a[(i + len - 311) % len]).collect();
+        b.iter(|| std::hint::black_box(find_lag(&a, &delayed, max_lag)))
+    });
+    // Planning the coop transform size once the shared twiddle table has
+    // grown to it: the bit-reversal table only.
+    let n_plan = 1 << 19;
+    g.throughput(Throughput::Elements(n_plan as u64));
+    g.bench_function("fft_plan_512k", |b| {
+        b.iter(|| std::hint::black_box(Fft::new(n_plan)))
     });
     g.finish();
 }

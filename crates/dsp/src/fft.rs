@@ -8,13 +8,47 @@
 
 use crate::complex::Complex;
 use crate::TAU;
+use std::sync::{Arc, Mutex};
+
+/// The process-wide forward twiddle table, stage by stage: the stage
+/// whose butterflies span `2h` points reads entries `h − 1..2h − 1`,
+/// entry `k` being `e^{-2πik/2h}`. No entry depends on the transform
+/// size, so the table for size `n` is the first `n − 1` entries of the
+/// table for any larger size; it only ever grows.
+static TWIDDLES: Mutex<Option<Arc<[Complex]>>> = Mutex::new(None);
+
+/// Returns the shared twiddle table, grown to at least `n − 1` entries.
+fn shared_twiddles(n: usize) -> Arc<[Complex]> {
+    // The table is replaced whole, never mutated in place, so a
+    // poisoned lock still guards a consistent value.
+    let mut shared = TWIDDLES.lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(table) = shared.as_ref().filter(|t| t.len() + 1 >= n) {
+        return table.clone();
+    }
+    let have = shared.as_ref().map_or(&[][..], |t| &t[..]);
+    let mut table = Vec::with_capacity(n - 1);
+    table.extend_from_slice(have);
+    let mut half = have.len() + 1;
+    while half < n {
+        // `-TAU·k / 2h` rounds exactly as the per-size formula
+        // `-TAU·(k·n/2h) / n` did: both scale one rounded product by a
+        // power of two.
+        table.extend((0..half).map(|k| Complex::from_angle(-TAU * k as f64 / (2 * half) as f64)));
+        half *= 2;
+    }
+    let table: Arc<[Complex]> = table.into();
+    *shared = Some(table.clone());
+    table
+}
 
 /// A planned FFT of a fixed power-of-two size.
 ///
-/// Construction pre-computes the bit-reversal permutation and the
-/// twiddle factors, stored stage by stage so each butterfly stage reads
-/// one contiguous run of them; [`Fft::forward`] and [`Fft::inverse`]
-/// then run without allocating or bounds-checking per butterfly.
+/// Construction builds the bit-reversal permutation and takes a handle
+/// on the process-wide twiddle table (grown on first use of a larger
+/// size, so planning runs no `sin_cos` for a size already seen). The
+/// twiddles are stored stage by stage so each butterfly stage reads one
+/// contiguous run of them; [`Fft::forward`] and [`Fft::inverse`] then
+/// run without allocating or bounds-checking per butterfly.
 ///
 /// # Example
 /// ```
@@ -30,10 +64,9 @@ use crate::TAU;
 #[derive(Debug, Clone)]
 pub struct Fft {
     n: usize,
-    // Forward twiddles, stage by stage: the stage whose butterflies span
-    // `2h` points reads `twiddles[h - 1..2h - 1]`, entry `k` being
-    // W_n^{k·n/2h} = e^{-2πi·k·(n/2h)/n}. `n − 1` entries in all.
-    twiddles: Vec<Complex>,
+    // The shared forward twiddles (see `TWIDDLES`); this plan reads its
+    // first `n − 1` entries.
+    twiddles: Arc<[Complex]>,
     bitrev: Vec<u32>,
 }
 
@@ -51,18 +84,9 @@ impl Fft {
         let bitrev = (0..n as u32)
             .map(|i| i.reverse_bits() >> (32 - bits.max(1)))
             .collect::<Vec<_>>();
-        let mut twiddles = Vec::with_capacity(n - 1);
-        let mut half = 1;
-        while half < n {
-            let step = n / (2 * half);
-            twiddles.extend(
-                (0..half).map(|k| Complex::from_angle(-TAU * (k * step) as f64 / n as f64)),
-            );
-            half *= 2;
-        }
         Fft {
             n,
-            twiddles,
+            twiddles: shared_twiddles(n),
             bitrev,
         }
     }
@@ -255,6 +279,10 @@ mod tests {
 
     #[test]
     fn stage_contiguous_loop_matches_reference_bit_for_bit() {
+        // Plan a larger size first, so every size below reads a prefix of
+        // a table grown past it: bit-identity must not depend on planning
+        // order.
+        assert_eq!(Fft::new(1 << 16).len(), 1 << 16);
         for log_n in 0..=14 {
             let n = 1usize << log_n;
             let fft = Fft::new(n);

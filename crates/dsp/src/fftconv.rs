@@ -28,8 +28,11 @@ use crate::fft::Fft;
 /// `N ≈ 4·taps` and `L = N − taps + 1`, i.e. roughly `10·log₂(taps)`.
 /// The crossover therefore sits near a few dozen taps; below it, and for
 /// signals too short to amortise planning the transform (an `N`-entry
-/// bit-reversal table and `N − 1` stage-ordered twiddles, one `sin_cos`
-/// each), the direct form stays faster.
+/// bit-reversal table; the twiddles come from the shared table in
+/// [`crate::fft`], so planning runs no `sin_cos` for a size seen
+/// before), the direct form stays faster. The thresholds predate the
+/// shared table and stay as they are: moving them would switch filters
+/// between the two forms and change output bytes.
 pub fn fft_convolution_wins(taps: usize, len: usize) -> bool {
     taps >= 48 && len >= 256 && len >= 2 * taps
 }

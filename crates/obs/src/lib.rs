@@ -91,6 +91,9 @@ pub mod stages {
     pub const RF_FRONT_END: &str = "rf_front_end";
     /// FFT-based convolution (overlap–save) in the DSP layer.
     pub const FFT_CONV: &str = "fft_conv";
+    /// Cross-correlation for time alignment (`fmbs_dsp::corr`): the
+    /// cooperative decoder's and the PESQ metric's lag search.
+    pub const XCORR: &str = "xcorr";
     /// One sweep point: a metric evaluated against one scenario.
     pub const SWEEP_POINT: &str = "sweep_point";
     /// Link-table BER lookups (deployment-time and fallback).
