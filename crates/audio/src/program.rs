@@ -12,7 +12,7 @@
 //!   §3.3.1), while music carries genuine L−R content. Fig. 5 is the CDF
 //!   of exactly this.
 
-use crate::music::{generate_music, MusicConfig};
+use crate::music::{MusicBed, MusicConfig};
 use crate::speech::{generate_speech, SpeechConfig};
 use serde::{Deserialize, Serialize};
 
@@ -50,6 +50,17 @@ impl ProgramKind {
             ProgramKind::PopMusic => "Pop music",
             ProgramKind::RockMusic => "Rock music",
             ProgramKind::Silence => "Silence",
+        }
+    }
+
+    /// The music style this genre plays, if any: Pop and Mixed play
+    /// pop, Rock plays rock. A [`MusicBed`] of this style is what
+    /// [`ProgramGenerator::render`] needs for the genre.
+    pub fn music(self, sample_rate: f64) -> Option<MusicConfig> {
+        match self {
+            ProgramKind::PopMusic | ProgramKind::Mixed => Some(MusicConfig::pop(sample_rate)),
+            ProgramKind::RockMusic => Some(MusicConfig::rock(sample_rate)),
+            ProgramKind::News | ProgramKind::Silence => None,
         }
     }
 }
@@ -110,6 +121,31 @@ impl ProgramGenerator {
     /// Generates `seconds` of stereo programme of the given genre.
     pub fn generate(&self, kind: ProgramKind, seconds: f64) -> StereoProgram {
         let n = (self.sample_rate * seconds).round() as usize;
+        let bed = kind
+            .music(self.sample_rate)
+            .map(|cfg| MusicBed::new(cfg, n));
+        self.render(kind, n, bed.as_ref())
+    }
+
+    /// Renders `n` samples of stereo programme of the given genre, its
+    /// music (if any) drawn from `bed`. Many generators can share one
+    /// bed: the output equals [`ProgramGenerator::generate`]'s.
+    ///
+    /// # Panics
+    ///
+    /// If `bed` is not an `n`-sample bed of `kind.music(sample_rate)`
+    /// for a genre with music.
+    pub fn render(&self, kind: ProgramKind, n: usize, bed: Option<&MusicBed>) -> StereoProgram {
+        let music = |seed: u64| {
+            let bed = bed.expect("a music genre needs its music bed");
+            assert_eq!(
+                Some(bed.config()),
+                kind.music(self.sample_rate),
+                "wrong music bed"
+            );
+            assert_eq!(bed.len(), n, "music bed length");
+            bed.render(seed)
+        };
         let (left, right) = match kind {
             ProgramKind::Silence => (vec![0.0; n], vec![0.0; n]),
             ProgramKind::News => {
@@ -118,27 +154,17 @@ impl ProgramGenerator {
                 let s = generate_speech(SpeechConfig::announcer(self.sample_rate), n, self.seed);
                 (s.clone(), s)
             }
-            ProgramKind::PopMusic => {
-                generate_music(MusicConfig::pop(self.sample_rate), n, self.seed)
-            }
-            ProgramKind::RockMusic => {
-                generate_music(MusicConfig::rock(self.sample_rate), n, self.seed)
-            }
+            ProgramKind::PopMusic | ProgramKind::RockMusic => music(self.seed),
             ProgramKind::Mixed => {
                 // Alternate 2 s speech (mono) and 2 s pop (stereo).
                 let seg = (2.0 * self.sample_rate) as usize;
                 let speech =
                     generate_speech(SpeechConfig::announcer(self.sample_rate), n, self.seed);
-                let (ml, mr) = generate_music(MusicConfig::pop(self.sample_rate), n, self.seed + 1);
-                let mut left = Vec::with_capacity(n);
-                let mut right = Vec::with_capacity(n);
-                for i in 0..n {
+                let (mut left, mut right) = music(self.seed.wrapping_add(1));
+                for (i, &s) in speech.iter().enumerate() {
                     if (i / seg).is_multiple_of(2) {
-                        left.push(speech[i]);
-                        right.push(speech[i]);
-                    } else {
-                        left.push(ml[i]);
-                        right.push(mr[i]);
+                        left[i] = s;
+                        right[i] = s;
                     }
                 }
                 (left, right)
@@ -212,6 +238,40 @@ mod tests {
         let a = ProgramGenerator::new(FS, 5).generate(ProgramKind::Mixed, 1.0);
         let b = ProgramGenerator::new(FS, 5).generate(ProgramKind::Mixed, 1.0);
         assert_eq!(a.left, b.left);
+    }
+
+    #[test]
+    fn mixed_at_the_largest_seed_wraps_its_music_seed() {
+        // Mixed draws its music from `seed + 1`, which must wrap (not
+        // overflow) at u64::MAX; the music half then plays seed 0's pop.
+        let n = (FS * 3.0) as usize;
+        let p = ProgramGenerator::new(FS, u64::MAX).generate(ProgramKind::Mixed, 3.0);
+        let pop = ProgramGenerator::new(FS, 0).generate(ProgramKind::PopMusic, 3.0);
+        let seg = (2.0 * FS) as usize;
+        assert_eq!(p.left.len(), n);
+        assert_eq!(p.left[seg..], pop.left[seg..]);
+        assert_eq!(p.right[seg..], pop.right[seg..]);
+    }
+
+    #[test]
+    fn render_from_a_shared_bed_equals_generate() {
+        let n = (FS * 2.5) as usize;
+        let bed = MusicBed::new(MusicConfig::pop(FS), n);
+        for kind in [ProgramKind::Mixed, ProgramKind::PopMusic] {
+            for seed in [1, 2] {
+                let got = ProgramGenerator::new(FS, seed).render(kind, n, Some(&bed));
+                let want = ProgramGenerator::new(FS, seed).generate(kind, 2.5);
+                assert_eq!(got.left, want.left, "{kind:?} seed {seed}");
+                assert_eq!(got.right, want.right, "{kind:?} seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong music bed")]
+    fn render_rejects_another_genres_bed() {
+        let bed = MusicBed::new(MusicConfig::pop(FS), 100);
+        let _ = ProgramGenerator::new(FS, 1).render(ProgramKind::RockMusic, 100, Some(&bed));
     }
 
     #[test]

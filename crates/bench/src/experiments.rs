@@ -182,12 +182,11 @@ pub fn fig5(grid: Grid) -> Experiment {
         Grid::Quick => 8,
         Grid::Full => 24,
     };
-    let series = ProgramKind::BROADCAST_GENRES
+    let kinds = ProgramKind::BROADCAST_GENRES;
+    let series = kinds
         .iter()
-        .map(|kind| {
-            let cdf = stereo_util::stereo_utilisation_cdf(*kind, windows, 17);
-            Series::new(kind.label(), cdf.points())
-        })
+        .zip(stereo_util::stereo_utilisation_cdfs(&kinds, windows, 17))
+        .map(|(kind, cdf)| Series::new(kind.label(), cdf.points()))
         .collect();
     Experiment {
         id: "fig5".into(),

@@ -21,7 +21,8 @@
 //! purpose-salted RNG streams (one per process), the combining loops are
 //! branch-free slice walks, and the capture filter runs as overlap-save
 //! FFT convolution — see the [`super`] module docs for how this keeps
-//! parallel sweeps bit-identical to serial ones.
+//! parallel sweeps bit-identical to serial ones. Only the channel the
+//! payload rides (mono, or L−R for stereo-band payloads) is synthesised.
 
 use super::metric::STEREO_PAYLOAD_GAIN;
 use super::scenario::{ReceiverKind, Scenario};
@@ -89,9 +90,13 @@ impl FastSim {
     /// `payload` is the tag's baseband (audio or FSK waveform) at
     /// [`FAST_AUDIO_RATE`], peak ≤ 1. `payload_in_stereo_band` selects
     /// whether the payload rides the L−R band (stereo backscatter)
-    /// instead of the mono band. The returned [`SimOutput`] has empty
-    /// `payload_ref`/`tx_bits` — those describe *synthesised* workloads
-    /// and are filled by the [`Simulator`] entry point.
+    /// instead of the mono band. Only that channel is synthesised: the
+    /// other of [`SimOutput::mono`] and [`SimOutput::difference`] is
+    /// all-zero (length `payload.len()`), as is `difference` when the
+    /// pilot is not detected; `pilot_detected` and `host_mono` are always
+    /// filled. The returned [`SimOutput`] has empty `payload_ref`/`tx_bits`
+    /// — those describe *synthesised* workloads and are filled by the
+    /// [`Simulator`] entry point.
     pub fn run_payload(
         &self,
         s: &Scenario,
@@ -123,12 +128,16 @@ impl FastSim {
         let mut rng_stereo = StdRng::seed_from_u64(s.seed.wrapping_mul(0x9E37).wrapping_add(0x57E));
 
         let pilot_detected = budget.backscatter_at_rx.0 > PILOT_DETECT_RSSI_DBM;
+        // Only the channel the payload rides is synthesised: the metrics
+        // read no other (see "Throughput design" in `sim`). The
+        // difference channel stays all-zero without a pilot: the
+        // receiver never leaves mono mode.
+        let synthesised = !payload_in_stereo_band || pilot_detected;
 
         // Contiguous per-block output/scratch buffers: the combining
         // loops below are branch-free slice walks the compiler can
         // autovectorise; no per-sample push or bounds-checked get.
-        let mut mono = vec![0.0f64; n];
-        let mut difference = vec![0.0f64; n];
+        let mut channel = vec![0.0f64; n];
         let mut clicks = vec![0.0f64; n];
         let mut gauss = vec![0.0f64; block.max(1)];
         // Click state: a decaying impulse excited at Poisson arrivals.
@@ -166,74 +175,53 @@ impl FastSim {
                 *c = click_level;
             }
 
-            // 2. Mono channel: gaussian block + branch-free combine.
-            for g in gauss[..len].iter_mut() {
-                *g = gaussian(&mut rng_mono);
-            }
-            {
-                let out = &mut mono[i..i + len];
-                let hm = &host_mono[i..i + len];
-                let cl = &clicks[i..i + len];
-                let gs = &gauss[..len];
-                if payload_in_stereo_band {
-                    for k in 0..len {
-                        out[k] = sig_gain * hm[k] + noise_rms * gs[k] + cl[k];
-                    }
+            // 2. The payload's channel: a gaussian block from that
+            //    channel's own stream, then a branch-free combine — mono
+            //    (host + payload) or L−R (host difference + payload at
+            //    the stereo gain, under the stereo noise penalty).
+            if synthesised {
+                let (rng, host, gain, rms) = if payload_in_stereo_band {
+                    (
+                        &mut rng_stereo,
+                        &host_diff,
+                        STEREO_PAYLOAD_GAIN,
+                        stereo_noise_rms,
+                    )
                 } else {
-                    let p = &payload[i..i + len];
-                    for k in 0..len {
-                        out[k] = sig_gain * (hm[k] + p[k]) + noise_rms * gs[k] + cl[k];
-                    }
-                }
-            }
-
-            // 3. Difference channel — stays all-zero without a pilot
-            //    (the receiver never leaves mono mode).
-            if pilot_detected {
+                    (&mut rng_mono, &host_mono, 1.0, noise_rms)
+                };
                 for g in gauss[..len].iter_mut() {
-                    *g = gaussian(&mut rng_stereo);
+                    *g = gaussian(rng);
                 }
-                let out = &mut difference[i..i + len];
-                let hd = &host_diff[i..i + len];
+                let out = &mut channel[i..i + len];
+                let hc = &host[i..i + len];
+                let p = &payload[i..i + len];
                 let cl = &clicks[i..i + len];
                 let gs = &gauss[..len];
-                if payload_in_stereo_band {
-                    let p = &payload[i..i + len];
-                    for k in 0..len {
-                        out[k] = sig_gain * (hd[k] + STEREO_PAYLOAD_GAIN * p[k])
-                            + stereo_noise_rms * gs[k]
-                            + cl[k];
-                    }
-                } else {
-                    for k in 0..len {
-                        out[k] = sig_gain * hd[k] + stereo_noise_rms * gs[k] + cl[k];
-                    }
+                for k in 0..len {
+                    out[k] = sig_gain * (hc[k] + gain * p[k]) + rms * gs[k] + cl[k];
                 }
             }
             i += len;
         }
 
-        // Receiver audio chain. The capture low-pass is designed once and
-        // shared by both channels (same taps; `filter_aligned` resets the
-        // delay line per call and routes through FFT convolution when the
-        // tap-count × length heuristic favours it). An undetected pilot
-        // leaves `difference` all-zero, and a linear filter of zeros is
-        // zeros — skip it.
-        let (mono, difference) = match s.receiver {
-            ReceiverKind::Smartphone => {
-                let mut lpf = phone_capture_filter();
-                let m = lpf.filter_aligned(&mono);
-                let d = if pilot_detected {
-                    lpf.filter_aligned(&difference)
-                } else {
-                    difference
-                };
-                (m, d)
+        // Receiver audio chain: the phone's capture low-pass (routed
+        // through FFT convolution when the tap-count × length heuristic
+        // favours it), or the car's cabin acoustics on the mono channel.
+        // An all-zero channel stays all-zero.
+        let channel = match s.receiver {
+            ReceiverKind::Smartphone if synthesised => {
+                phone_capture_filter().filter_aligned(&channel)
             }
-            ReceiverKind::Car => {
-                let chain = CabinChain::default_at(FAST_AUDIO_RATE);
-                (chain.apply(&mono, s.seed ^ 0xCA7), difference)
+            ReceiverKind::Car if !payload_in_stereo_band => {
+                CabinChain::default_at(FAST_AUDIO_RATE).apply(&channel, s.seed ^ 0xCA7)
             }
+            _ => channel,
+        };
+        let (mono, difference) = if payload_in_stereo_band {
+            (vec![0.0; n], channel)
+        } else {
+            (channel, vec![0.0; n])
         };
 
         SimOutput {
@@ -399,6 +387,29 @@ mod tests {
         assert_eq!(out.tx_bits.len(), 50);
         assert_eq!(out.mono.len(), out.payload_ref.len());
         assert_eq!(FastSim.name(), "fast");
+    }
+
+    #[test]
+    fn only_the_payload_channel_is_synthesised() {
+        let payload = tone(1_000.0, 0.25, 0.9);
+        let n = payload.len();
+        for s in [
+            Scenario::bench(-30.0, 4.0, ProgramKind::RockMusic),
+            Scenario::car(-30.0, 30.0, ProgramKind::RockMusic),
+        ] {
+            // Mono-band payload with the pilot detected: L−R is not read,
+            // so it stays all-zero.
+            let mono = FastSim.run_payload(&s, &payload, false);
+            assert!(mono.pilot_detected);
+            assert_eq!(mono.difference, vec![0.0; n]);
+            assert!(fmbs_dsp::stats::rms(&mono.mono) > 0.01);
+            // Stereo-band payload: the mono channel is not read.
+            let stereo = FastSim.run_payload(&s, &payload, true);
+            assert!(stereo.pilot_detected);
+            assert_eq!(stereo.mono, vec![0.0; n]);
+            assert!(fmbs_dsp::stats::rms(&stereo.difference) > 0.01);
+            assert_eq!(stereo.host_mono, mono.host_mono);
+        }
     }
 
     #[test]

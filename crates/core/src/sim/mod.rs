@@ -27,7 +27,7 @@
 //!
 //! # Throughput design
 //!
-//! Three layers keep the sweep hot path fast without giving up
+//! Four layers keep the sweep hot path fast without giving up
 //! determinism:
 //!
 //! 1. **Block processing** — [`fast::FastSim::run_payload`] generates
@@ -47,6 +47,12 @@
 //!    is a coordinate hash, while its *programme* seed is shared per
 //!    repetition, so cached and uncached runs produce the same figures
 //!    bit for bit.
+//! 4. **Only the read channel** — every metric decodes a payload from
+//!    one receiver channel: L−R for stereo-band payloads, mono
+//!    otherwise. The fast tier synthesises only that channel (its
+//!    noise draws, combine loop and capture filter) and returns the
+//!    other all-zero. Each channel's noise comes from its own salted
+//!    stream, so skipping one leaves the other's bits unchanged.
 
 pub mod cache;
 pub mod fast;
@@ -63,9 +69,13 @@ use std::sync::LazyLock;
 #[derive(Debug, Clone)]
 pub struct SimOutput {
     /// The mono audio the receiver outputs (host + payload + noise).
+    /// The fast tier synthesises it for mono-band payloads only and
+    /// leaves it all-zero for stereo-band ones.
     pub mono: Vec<f64>,
     /// The L−R difference channel (stereo payload path); zeros when the
-    /// pilot was not detected.
+    /// pilot was not detected. The fast tier synthesises it for
+    /// stereo-band payloads only and leaves it all-zero for mono-band
+    /// ones, whether or not the pilot was detected.
     pub difference: Vec<f64>,
     /// Whether the pilot was detected (stereo decoding engaged).
     pub pilot_detected: bool,

@@ -114,33 +114,100 @@ impl MpxComposer {
     /// coherently.
     #[inline]
     pub fn compose(&mut self, left: f64, right: f64, rds: f64) -> f64 {
-        let pilot_phase = self.pilot_nco.phase();
-        let pilot = pilot_phase.sin();
-        let sub38 = (2.0 * pilot_phase).sin();
-        let sub57 = (3.0 * pilot_phase).cos();
-        self.pilot_nco.next_cos(); // advance
-        let mono = (left + right) / 2.0;
-        let diff = (left - right) / 2.0;
-        self.levels.mono * mono
-            + self.levels.pilot * pilot
-            + self.levels.stereo * diff * sub38
-            + self.levels.rds * rds * sub57
+        mix(self.levels, left, right, rds, self.next_carriers())
     }
 
-    /// Composes a whole buffer of stereo audio into MPX samples.
+    /// Composes a whole buffer of stereo audio into MPX samples: the
+    /// carriers of the next `min(left.len(), right.len())` samples are
+    /// tabulated ([`MpxComposer::carriers`]), then combined with the
+    /// audio. Equal, bit for bit, to calling [`MpxComposer::compose`]
+    /// per sample.
     pub fn compose_buffer(&mut self, left: &[f64], right: &[f64], rds: &[f64]) -> Vec<f64> {
         let n = left.len().min(right.len());
-        (0..n)
-            .map(|i| {
-                let r = rds.get(i).copied().unwrap_or(0.0);
-                self.compose(left[i], right[i], r)
-            })
-            .collect()
+        self.carriers(n).compose(left, right, rds)
+    }
+
+    /// Tabulates the pilot, 38 kHz and 57 kHz carriers of the next `n`
+    /// samples, advancing the oscillator past them. The table depends
+    /// only on the sample rate, the levels and the oscillator phase, so
+    /// composers that start at the same phase (every fresh one) can share
+    /// it: [`MpxCarriers::compose`] of any audio equals what this
+    /// composer's `compose_buffer` would have produced.
+    pub fn carriers(&mut self, n: usize) -> MpxCarriers {
+        let mut c = MpxCarriers {
+            levels: self.levels,
+            pilot: Vec::with_capacity(n),
+            sub38: Vec::with_capacity(n),
+            sub57: Vec::with_capacity(n),
+        };
+        for _ in 0..n {
+            let [pilot, sub38, sub57] = self.next_carriers();
+            c.pilot.push(pilot);
+            c.sub38.push(sub38);
+            c.sub57.push(sub57);
+        }
+        c
+    }
+
+    /// `[pilot, sub38, sub57]` at the current phase; advances one sample.
+    #[inline]
+    fn next_carriers(&mut self) -> [f64; 3] {
+        let pilot_phase = self.pilot_nco.phase();
+        let pilot = self.pilot_nco.next_sin();
+        [pilot, (2.0 * pilot_phase).sin(), (3.0 * pilot_phase).cos()]
     }
 
     /// Resets oscillator phases.
     pub fn reset(&mut self) {
         self.pilot_nco.set_phase(0.0);
+    }
+}
+
+/// The MPX expression for one sample, given its `[pilot, sub38, sub57]`
+/// carriers.
+#[inline]
+fn mix(levels: MpxLevels, left: f64, right: f64, rds: f64, carriers: [f64; 3]) -> f64 {
+    let [pilot, sub38, sub57] = carriers;
+    let mono = (left + right) / 2.0;
+    let diff = (left - right) / 2.0;
+    levels.mono * mono
+        + levels.pilot * pilot
+        + levels.stereo * diff * sub38
+        + levels.rds * rds * sub57
+}
+
+/// A tabulated run of MPX carriers and the levels to combine them at
+/// (see [`MpxComposer::carriers`]). One vector per carrier, so no
+/// allocation is larger than the composed signal's.
+#[derive(Debug, Clone)]
+pub struct MpxCarriers {
+    levels: MpxLevels,
+    pilot: Vec<f64>,
+    sub38: Vec<f64>,
+    sub57: Vec<f64>,
+}
+
+impl MpxCarriers {
+    /// Composes `min(left.len(), right.len())` MPX samples from the
+    /// table; `rds` is zero past its end.
+    ///
+    /// # Panics
+    ///
+    /// If the audio is longer than the table.
+    pub fn compose(&self, left: &[f64], right: &[f64], rds: &[f64]) -> Vec<f64> {
+        let n = left.len().min(right.len());
+        assert!(
+            n <= self.pilot.len(),
+            "{n} audio samples past a {}-sample carrier table",
+            self.pilot.len()
+        );
+        (0..n)
+            .map(|i| {
+                let r = rds.get(i).copied().unwrap_or(0.0);
+                let carriers = [self.pilot[i], self.sub38[i], self.sub57[i]];
+                mix(self.levels, left[i], right[i], r, carriers)
+            })
+            .collect()
     }
 }
 
@@ -273,6 +340,53 @@ mod tests {
         let mpx = comp.compose_buffer(&l, &r, &vec![1.0; n]);
         let bound = 0.45 + 0.1 + 0.45 + 0.04 + 1e-9;
         assert!(mpx.iter().all(|x| x.abs() <= bound));
+    }
+
+    #[test]
+    fn carrier_table_composes_like_per_sample_compose() {
+        let n = 30_001;
+        let l = tone(800.0, n);
+        let r = tone(1_300.0, n);
+        let rds: Vec<f64> = (0..n / 2)
+            .map(|i| if i % 7 < 3 { 1.0 } else { -1.0 })
+            .collect();
+        let mut reference = MpxComposer::new(FS, MpxLevels::default());
+        let mut table = reference.clone();
+        // Twice over, so the second buffer starts at a nonzero phase.
+        for _ in 0..2 {
+            let want: Vec<u64> = (0..n)
+                .map(|i| {
+                    let x = reference.compose(l[i], r[i], rds.get(i).copied().unwrap_or(0.0));
+                    x.to_bits()
+                })
+                .collect();
+            let got: Vec<u64> = table
+                .compose_buffer(&l, &r, &rds)
+                .iter()
+                .map(|x| x.to_bits())
+                .collect();
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn one_carrier_table_serves_many_fresh_composers() {
+        let n = 20_000;
+        let carriers = MpxComposer::new(FS, MpxLevels::default()).carriers(n);
+        for f in [500.0, 2_500.0] {
+            let (l, r) = (tone(f, n), tone(1.5 * f, n));
+            let want = MpxComposer::new(FS, MpxLevels::default()).compose_buffer(&l, &r, &[]);
+            assert_eq!(carriers.compose(&l, &r, &[]), want);
+            // A shorter window reads a prefix of the table.
+            assert_eq!(carriers.compose(&l[..99], &r, &[]), want[..99]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "carrier table")]
+    fn carrier_table_rejects_longer_audio() {
+        let carriers = MpxComposer::new(FS, MpxLevels::default()).carriers(10);
+        let _ = carriers.compose(&[0.0; 11], &[0.0; 11], &[]);
     }
 
     #[test]

@@ -84,6 +84,14 @@ use std::time::Instant;
 pub mod stages {
     /// Host-programme audio synthesis (`Scenario::host_audio`).
     pub const HOST_AUDIO: &str = "host_audio_synth";
+    /// Fig. 5 programme synthesis (`fmbs_survey::stereo_util`): a
+    /// window's programme render, and the shared music bed it draws on.
+    pub const PROGRAM_SYNTH: &str = "program_synth";
+    /// Fig. 5 MPX composition: a window's multiplex, and the shared
+    /// carrier table it draws on.
+    pub const MPX_COMPOSE: &str = "mpx_compose";
+    /// Fig. 5 band-power measurement (`measure_band_powers`).
+    pub const BAND_POWERS: &str = "band_powers";
     /// Tag payload waveform synthesis (`Workload::synthesise`).
     pub const PAYLOAD_SYNTH: &str = "payload_synth";
     /// The physical tier's RF front end (host modulator + backscatter

@@ -30,6 +30,6 @@ pub mod prelude {
     pub use crate::drive::DriveSurvey;
     pub use crate::occupancy::min_shift_cdf;
     pub use crate::stations::{City, CityStations};
-    pub use crate::stereo_util::stereo_utilisation_cdf;
+    pub use crate::stereo_util::stereo_utilisation_cdfs;
     pub use crate::temporal::TemporalSurvey;
 }
