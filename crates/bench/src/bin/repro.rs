@@ -72,7 +72,7 @@
 
 use fmbs_bench::campaign;
 use fmbs_bench::check::{self, Tolerance};
-use fmbs_bench::experiments::{self, ExperimentSpec, Grid, REGISTRY};
+use fmbs_bench::experiments::{self, BuildCtx, ExperimentSpec, Grid, Vary, REGISTRY};
 use fmbs_bench::manifest::{self, FigureEntry};
 use fmbs_bench::perf;
 use fmbs_bench::report::Experiment;
@@ -233,12 +233,14 @@ fn parse_cli() -> Cli {
 
 /// Resolves experiment ids (all of them when none given); the family
 /// ids `calibration`, `workload_slo`, `fault_resilience` and
-/// `metro_scale` expand to every figure sharing the prefix; unknown ids
-/// exit non-zero with near-miss suggestions.
+/// `metro_scale` expand to every figure sharing the prefix; a figure
+/// named twice runs once, at its first position; unknown ids exit
+/// non-zero with near-miss suggestions.
 fn resolve_specs(ids: &[String]) -> Vec<&'static ExperimentSpec> {
     if ids.is_empty() {
         return REGISTRY.iter().collect();
     }
+    let mut seen = std::collections::HashSet::new();
     ids.iter()
         .flat_map(|id| {
             let family = experiments::family_specs(id);
@@ -255,6 +257,7 @@ fn resolve_specs(ids: &[String]) -> Vec<&'static ExperimentSpec> {
                 std::process::exit(2);
             })]
         })
+        .filter(|spec| seen.insert(spec.id))
         .collect()
 }
 
@@ -280,7 +283,7 @@ fn require_tier_capable(specs: &[&'static ExperimentSpec], tier: Tier) {
         return;
     }
     for spec in specs {
-        if spec.tiered.is_none() {
+        if !spec.reads(Vary::Tier) {
             eprintln!(
                 "figure {} cannot run on the {} tier: its measurement does not sweep a \
                  simulator (surveys, arithmetic tables and the calibration family run both \
@@ -290,7 +293,7 @@ fn require_tier_capable(specs: &[&'static ExperimentSpec], tier: Tier) {
             );
             eprintln!(
                 "  tier-capable figures: {}",
-                experiments::physical_capable_ids().join(", "),
+                experiments::ids_varying(Vary::Tier).join(", "),
             );
             std::process::exit(2);
         }
@@ -305,7 +308,7 @@ fn require_fault_capable(specs: &[&'static ExperimentSpec], fault: Option<FaultK
         return;
     };
     for spec in specs {
-        if !spec.id.starts_with("fault_resilience") {
+        if !spec.reads(Vary::Fault) {
             eprintln!(
                 "figure {} does not inject faults: --fault {} only applies to the \
                  fault_resilience family",
@@ -313,7 +316,8 @@ fn require_fault_capable(specs: &[&'static ExperimentSpec], fault: Option<FaultK
                 kind.name(),
             );
             eprintln!(
-                "  fault-capable figures: fault_resilience_goodput, fault_resilience_recovery"
+                "  fault-capable figures: {}",
+                experiments::ids_varying(Vary::Fault).join(", "),
             );
             std::process::exit(2);
         }
@@ -429,7 +433,7 @@ fn run_perf(path: &str, label: &str, gate: bool) {
     }
 }
 
-/// When checking the full set, a golden file whose id is no longer in
+/// When checking the whole registry, a golden file whose id is no longer in
 /// the registry means a figure was renamed or removed without cleaning
 /// up — flag it rather than letting goldens/ drift.
 fn stale_goldens(specs: &[&'static ExperimentSpec], goldens_dir: &str) -> Vec<String> {
@@ -448,13 +452,14 @@ fn stale_goldens(specs: &[&'static ExperimentSpec], goldens_dir: &str) -> Vec<St
 }
 
 /// `--check`: re-run the quick grids, assert the machine-checkable paper
-/// expectations and diff against the committed goldens.
-fn run_check(specs: &[&'static ExperimentSpec], goldens_dir: &str) {
+/// expectations and diff against the committed goldens. `all_ids` says
+/// no ids were given, so `specs` is the whole registry.
+fn run_check(specs: &[&'static ExperimentSpec], goldens_dir: &str, all_ids: bool) {
     let tol = Tolerance::default();
     let mut failures = 0usize;
-    // Only meaningful on the full set: a subset check must not flag the
-    // figures it was told to skip.
-    if specs.len() == REGISTRY.len() {
+    // Only meaningful on the whole registry: a subset check must not
+    // flag the figures it was told to skip.
+    if all_ids {
         for stem in stale_goldens(specs, goldens_dir) {
             failures += 1;
             println!(
@@ -950,7 +955,7 @@ fn main() {
         // A bare `--fault burst` means "the figures that inject faults":
         // narrow to the fault-resilience family instead of tripping over
         // the first physics figure.
-        specs.retain(|s| s.id.starts_with("fault_resilience"));
+        specs.retain(|s| s.reads(Vary::Fault));
         eprintln!(
             "no ids given: running the {} fault_resilience figure(s) restricted to --fault {}",
             specs.len(),
@@ -962,7 +967,7 @@ fn main() {
         // A bare `--tier physical` means "everything that can": narrow
         // the full registry to the tier-capable figures instead of
         // tripping over the first survey figure.
-        specs.retain(|s| s.tiered.is_some());
+        specs.retain(|s| s.reads(Vary::Tier));
         eprintln!(
             "no ids given: running all {} tier-capable figure(s) on the {} tier",
             specs.len(),
@@ -972,7 +977,7 @@ fn main() {
     require_tier_capable(&specs, cli.tier);
     require_valid_metro(&specs, if cli.full { Grid::Full } else { Grid::Quick });
     if cli.check {
-        run_check(&specs, &cli.goldens_dir);
+        run_check(&specs, &cli.goldens_dir, cli.ids.is_empty());
         return;
     }
     if cli.bless {
@@ -998,6 +1003,11 @@ fn main() {
                 Collector::new()
             }
         });
+    let ctx = BuildCtx {
+        tier: cli.tier,
+        fault: cli.fault,
+        ..BuildCtx::new(grid)
+    };
     let mut results: Vec<Experiment> = Vec::with_capacity(specs.len());
     let mut figures: Vec<FigureEntry> = Vec::with_capacity(specs.len());
     for spec in &specs {
@@ -1005,16 +1015,7 @@ fn main() {
         let started = Instant::now();
         let e = {
             let _obs = fmbs_obs::install(fig_collector.clone());
-            match (cli.fault, cli.tier, spec.tiered) {
-                (Some(kind), _, _) if spec.id == "fault_resilience_goodput" => {
-                    experiments::fault_resilience_goodput_for(grid, Some(kind), None)
-                }
-                (Some(kind), _, _) if spec.id == "fault_resilience_recovery" => {
-                    experiments::fault_resilience_recovery_for(grid, Some(kind), None)
-                }
-                (_, Tier::Fast, _) | (_, _, None) => (spec.build)(grid),
-                (_, tier, Some(tiered)) => tiered(grid, tier),
-            }
+            (spec.at)(&ctx)
         };
         let wall_s = started.elapsed().as_secs_f64();
         if let (Some(parent), Some(child)) = (&run_collector, &fig_collector) {
@@ -1084,7 +1085,7 @@ mod tests {
         let started = Instant::now();
         {
             let _obs = fmbs_obs::install(Some(collector.clone()));
-            experiments::fig7(Grid::Quick);
+            experiments::fig7(&BuildCtx::new(Grid::Quick));
         }
         let wall_s = started.elapsed().as_secs_f64();
         let covered = collector.self_time_secs();

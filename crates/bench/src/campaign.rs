@@ -4,8 +4,8 @@
 //! city with a *single* shared [`SweepCache`] installed for the whole
 //! grid — the sweep engine adopts an already-installed cache, so the
 //! host-audio/payload/front-end work one figure derives is served to
-//! every later figure and city. City-invariant figures (anything
-//! without an [`ExperimentSpec::city`] builder) are built once and
+//! every later figure and city. City-invariant figures (any whose
+//! [`ExperimentSpec::varies`] lacks [`Vary::City`]) are built once and
 //! their digests reused across cities.
 //!
 //! The per-city output is a *deterministic* canonical-JSON manifest:
@@ -18,7 +18,7 @@
 //! drift anywhere in a figure flips its city's manifest.
 
 use crate::check::{canonical_json, canonical_value};
-use crate::experiments::{ExperimentSpec, Grid};
+use crate::experiments::{BuildCtx, ExperimentSpec, Grid, Vary};
 use crate::manifest::MANIFEST_VERSION;
 use fmbs_core::sim::cache::{self, CacheStats, SweepCache};
 use fmbs_net::prelude::CityScenario;
@@ -146,8 +146,8 @@ pub fn build_city_manifest(
 /// Runs the campaign grid: every spec × every city, one shared cache.
 ///
 /// City-invariant figures build once (before the first city) and their
-/// cells are reused; city-capable figures rebuild per city through
-/// their [`ExperimentSpec::city`] builder. Everything runs under one
+/// cells are reused; city-capable figures ([`Vary::City`]) rebuild per
+/// city with the city in their [`BuildCtx`]. Everything runs under one
 /// installed [`SweepCache`], which the sweep engine adopts instead of
 /// creating per-sweep caches — the second figure onward sees hits on
 /// work the first derived.
@@ -165,10 +165,10 @@ pub fn run_campaign(
     let shared = SweepCache::new();
     let _guard = cache::install(Some(shared.clone()));
 
-    let n_invariant = specs.iter().filter(|s| s.city.is_none()).count();
+    let n_invariant = specs.iter().filter(|s| !s.reads(Vary::City)).count();
     let invariant: BTreeMap<&str, CampaignFigure> = specs
         .iter()
-        .filter(|s| s.city.is_none())
+        .filter(|s| !s.reads(Vary::City))
         .enumerate()
         .map(|(i, s)| {
             let e = {
@@ -188,16 +188,19 @@ pub fn run_campaign(
             progress(&format!("city {} ({}/{})", city.id, ci + 1, cities.len()));
             let figures: Vec<CampaignFigure> = specs
                 .iter()
-                .map(|s| match s.city {
-                    Some(build_city) => {
-                        let e = {
-                            fmbs_obs::span!(fmbs_obs::stages::CAMPAIGN_FIGURE);
-                            build_city(grid, city)
-                        };
-                        progress(&format!("  {}: {}", city.id, s.id));
-                        figure_cell(&e, true)
+                .map(|s| {
+                    if !s.reads(Vary::City) {
+                        return invariant[s.id].clone();
                     }
-                    None => invariant[s.id].clone(),
+                    let e = {
+                        fmbs_obs::span!(fmbs_obs::stages::CAMPAIGN_FIGURE);
+                        (s.at)(&BuildCtx {
+                            city: Some(city),
+                            ..BuildCtx::new(grid)
+                        })
+                    };
+                    progress(&format!("  {}: {}", city.id, s.id));
+                    figure_cell(&e, true)
                 })
                 .collect();
             CityRun {

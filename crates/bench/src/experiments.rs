@@ -1,6 +1,6 @@
-//! One regeneration function per table/figure of the paper.
+//! One builder per table/figure of the paper.
 //!
-//! Each function reproduces the *workload and measurement* of the
+//! Each builder reproduces the *workload and measurement* of the
 //! corresponding experiment on the simulated substrate. Every swept
 //! figure is a declarative [`SweepBuilder`] spec — typed axes over
 //! power/distance/rate/genre/motion plus a [`Metric`] — executed in
@@ -10,8 +10,14 @@
 //! completes in minutes; pass `--full` to the `repro` binary for the
 //! dense grids.
 //!
-//! The [`REGISTRY`] maps experiment ids (`fig8a`, `power`, ...) to their
-//! builders; `repro` and external callers go through [`by_id`]/[`all`].
+//! Every builder has one signature, `fn(&BuildCtx) -> Experiment`: a
+//! [`BuildCtx`] carries everything a build can vary (grid density,
+//! simulation tier, campaign city, injected fault class), and
+//! [`BuildCtx::new`] is the canonical context the goldens record. The
+//! [`REGISTRY`] maps experiment ids (`fig8a`, `power`, ...) to their
+//! builders, their checks and the axes each builder reads
+//! ([`ExperimentSpec::varies`]); `repro`, the campaign runner and
+//! external callers go through [`spec_by_id`]/[`REGISTRY`].
 
 use crate::check::{Axis, Dir, Expectation, Select};
 use crate::report::{Experiment, Series};
@@ -81,6 +87,50 @@ impl Grid {
     }
 }
 
+/// Everything a figure build can vary. A builder reads the fields its
+/// registry row names in [`ExperimentSpec::varies`] and ignores the
+/// rest.
+#[derive(Debug, Clone, Copy)]
+pub struct BuildCtx<'a> {
+    /// Grid density.
+    pub grid: Grid,
+    /// Simulation tier the figure's sweeps run on (`repro --tier`).
+    pub tier: Tier,
+    /// Corpus city whose environment the figure runs in
+    /// (`repro --campaign`); `None` is the flat pre-campaign world.
+    pub city: Option<&'a CityScenario>,
+    /// The one fault class to inject (`repro --fault`); `None` injects
+    /// every class.
+    pub fault: Option<FaultKind>,
+}
+
+impl BuildCtx<'_> {
+    /// The canonical context the goldens record: fast tier, no city,
+    /// every fault class.
+    pub fn new(grid: Grid) -> Self {
+        BuildCtx {
+            grid,
+            tier: Tier::Fast,
+            city: None,
+            fault: None,
+        }
+    }
+}
+
+/// A [`BuildCtx`] axis a builder reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Vary {
+    /// [`BuildCtx::tier`]: the figure sweeps a simulator, so
+    /// `repro --tier physical` reruns it on the RF-rate tier.
+    Tier,
+    /// [`BuildCtx::city`]: the figure depends on a deployment
+    /// environment, so the campaign rebuilds it per corpus city.
+    City,
+    /// [`BuildCtx::fault`]: the figure injects faults, so
+    /// `repro --fault` narrows it to one class.
+    Fault,
+}
+
 /// Tags a figure title with the non-default tier it ran on, so a
 /// physical-tier rerun is never mistaken for the fast-tier canonical
 /// figure (whose title the golden records).
@@ -101,7 +151,7 @@ fn series_per_dbm(results: &SweepResults) -> Vec<Series> {
 }
 
 /// Fig. 2a — CDF of FM power across a city.
-pub fn fig2a(_grid: Grid) -> Experiment {
+pub fn fig2a(_ctx: &BuildCtx) -> Experiment {
     let cdf = DriveSurvey::seattle_like().cdf();
     Experiment {
         id: "fig2a".into(),
@@ -116,7 +166,7 @@ pub fn fig2a(_grid: Grid) -> Experiment {
 }
 
 /// Fig. 2b — CDF of power at a fixed location over 24 h.
-pub fn fig2b(_grid: Grid) -> Experiment {
+pub fn fig2b(_ctx: &BuildCtx) -> Experiment {
     let cdf = TemporalSurvey::paper_default().cdf();
     Experiment {
         id: "fig2b".into(),
@@ -129,7 +179,7 @@ pub fn fig2b(_grid: Grid) -> Experiment {
 }
 
 /// Fig. 4a — licensed vs detectable stations in five cities.
-pub fn fig4a(_grid: Grid) -> Experiment {
+pub fn fig4a(_ctx: &BuildCtx) -> Experiment {
     let mut licensed = Vec::new();
     let mut detectable = Vec::new();
     for (i, city) in City::ALL.iter().enumerate() {
@@ -153,7 +203,7 @@ pub fn fig4a(_grid: Grid) -> Experiment {
 }
 
 /// Fig. 4b — CDF of the minimum shift frequency to a free channel.
-pub fn fig4b(_grid: Grid) -> Experiment {
+pub fn fig4b(_ctx: &BuildCtx) -> Experiment {
     let series = City::ALL
         .iter()
         .map(|city| {
@@ -177,8 +227,8 @@ pub fn fig4b(_grid: Grid) -> Experiment {
 }
 
 /// Fig. 5 — CDF of stereo-band power over guard-band power, per genre.
-pub fn fig5(grid: Grid) -> Experiment {
-    let windows = match grid {
+pub fn fig5(ctx: &BuildCtx) -> Experiment {
+    let windows = match ctx.grid {
         Grid::Quick => 8,
         Grid::Full => 24,
     };
@@ -199,20 +249,15 @@ pub fn fig5(grid: Grid) -> Experiment {
 }
 
 /// Fig. 6 — receiver SNR versus backscattered tone frequency.
-pub fn fig6(grid: Grid) -> Experiment {
-    fig6_tier(grid, Tier::Fast)
-}
-
-/// [`fig6`] on a selectable simulation tier.
-pub fn fig6_tier(grid: Grid, tier: Tier) -> Experiment {
-    let freqs: Vec<f64> = match grid {
+pub fn fig6(ctx: &BuildCtx) -> Experiment {
+    let freqs: Vec<f64> = match ctx.grid {
         Grid::Quick => vec![
             500.0, 1_000.0, 2_000.0, 4_000.0, 6_000.0, 8_000.0, 10_000.0, 12_000.0, 13_000.0,
             14_000.0, 15_000.0,
         ],
         Grid::Full => (1..=30).map(|i| 500.0 * i as f64).collect(),
     };
-    let secs = grid.audio_secs().min(2.0);
+    let secs = ctx.grid.audio_secs().min(2.0);
     let base = Scenario::bench(-20.0, 4.0, ProgramKind::Silence);
     let band = |stereo_band: bool| {
         let workload = Workload::Tone {
@@ -223,8 +268,8 @@ pub fn fig6_tier(grid: Grid, tier: Tier) -> Experiment {
         };
         SweepBuilder::new(base.with_workload(workload))
             .tone_freqs_hz(freqs.iter().copied())
-            .repeats(grid.repeats())
-            .run_on(tier, &ToneSnr::default())
+            .repeats(ctx.grid.repeats())
+            .run_on(ctx.tier, &ToneSnr::default())
             .series(|v| match v.scenario.workload {
                 Workload::Tone { freq_hz, .. } => freq_hz / 1_000.0,
                 _ => unreachable!(),
@@ -233,7 +278,7 @@ pub fn fig6_tier(grid: Grid, tier: Tier) -> Experiment {
     Experiment {
         id: "fig6".into(),
         title: tier_title(
-            tier,
+            ctx.tier,
             "Received SNR vs backscattered audio frequency (Moto G1 model)",
         ),
         x_label: "frequency (kHz)".into(),
@@ -247,22 +292,17 @@ pub fn fig6_tier(grid: Grid, tier: Tier) -> Experiment {
 }
 
 /// Fig. 7 — SNR versus power and distance (1 kHz tone).
-pub fn fig7(grid: Grid) -> Experiment {
-    fig7_tier(grid, Tier::Fast)
-}
-
-/// [`fig7`] on a selectable simulation tier.
-pub fn fig7_tier(grid: Grid, tier: Tier) -> Experiment {
+pub fn fig7(ctx: &BuildCtx) -> Experiment {
     let base = Scenario::bench(-20.0, 4.0, ProgramKind::Silence)
         .with_workload(Workload::tone(1_000.0, 0.5));
     let results = SweepBuilder::new(base)
-        .powers_dbm(grid.powers_dbm())
-        .distances_ft(grid.distances_ft())
-        .repeats(grid.repeats())
-        .run_on(tier, &ToneSnr::default());
+        .powers_dbm(ctx.grid.powers_dbm())
+        .distances_ft(ctx.grid.distances_ft())
+        .repeats(ctx.grid.repeats())
+        .run_on(ctx.tier, &ToneSnr::default());
     Experiment {
         id: "fig7".into(),
-        title: tier_title(tier, "SNR vs receiving power and distance"),
+        title: tier_title(ctx.tier, "SNR vs receiving power and distance"),
         x_label: "distance (ft)".into(),
         y_label: "SNR (dB)".into(),
         series: series_per_dbm(&results),
@@ -271,7 +311,9 @@ pub fn fig7_tier(grid: Grid, tier: Tier) -> Experiment {
     }
 }
 
-fn fig8(grid: Grid, bitrate: Bitrate, tier: Tier) -> Experiment {
+/// Fig. 8a/b/c — BER of overlay backscatter at 100 bps, 1.6 kbps and
+/// 3.2 kbps.
+fn fig8(ctx: &BuildCtx, bitrate: Bitrate) -> Experiment {
     let id = match bitrate {
         Bitrate::Bps100 => "fig8a",
         Bitrate::Kbps1_6 => "fig8b",
@@ -280,17 +322,17 @@ fn fig8(grid: Grid, bitrate: Bitrate, tier: Tier) -> Experiment {
     // Average over genre hosts and repeats, as the paper loops four
     // station clips.
     let base = Scenario::bench(-20.0, 2.0, ProgramKind::News)
-        .with_workload(Workload::data(bitrate, grid.data_bits()));
+        .with_workload(Workload::data(bitrate, ctx.grid.data_bits()));
     let results = SweepBuilder::new(base)
-        .powers_dbm(grid.powers_dbm())
-        .distances_ft(grid.distances_ft())
+        .powers_dbm(ctx.grid.powers_dbm())
+        .distances_ft(ctx.grid.distances_ft())
         .programs([ProgramKind::News, ProgramKind::RockMusic])
-        .repeats(grid.repeats())
-        .run_on(tier, &Ber::default());
+        .repeats(ctx.grid.repeats())
+        .run_on(ctx.tier, &Ber::default());
     Experiment {
         id: id.into(),
         title: tier_title(
-            tier,
+            ctx.tier,
             &format!("BER with overlay backscatter — {}", bitrate.label()),
         ),
         x_label: "distance (ft)".into(),
@@ -306,36 +348,6 @@ fn fig8(grid: Grid, bitrate: Bitrate, tier: Tier) -> Experiment {
     }
 }
 
-/// Fig. 8a — BER of overlay backscatter at 100 bps.
-pub fn fig8a(grid: Grid) -> Experiment {
-    fig8(grid, Bitrate::Bps100, Tier::Fast)
-}
-
-/// [`fig8a`] on a selectable simulation tier.
-pub fn fig8a_tier(grid: Grid, tier: Tier) -> Experiment {
-    fig8(grid, Bitrate::Bps100, tier)
-}
-
-/// Fig. 8b — BER of overlay backscatter at 1.6 kbps.
-pub fn fig8b(grid: Grid) -> Experiment {
-    fig8(grid, Bitrate::Kbps1_6, Tier::Fast)
-}
-
-/// [`fig8b`] on a selectable simulation tier.
-pub fn fig8b_tier(grid: Grid, tier: Tier) -> Experiment {
-    fig8(grid, Bitrate::Kbps1_6, tier)
-}
-
-/// Fig. 8c — BER of overlay backscatter at 3.2 kbps.
-pub fn fig8c(grid: Grid) -> Experiment {
-    fig8(grid, Bitrate::Kbps3_2, Tier::Fast)
-}
-
-/// [`fig8c`] on a selectable simulation tier.
-pub fn fig8c_tier(grid: Grid, tier: Tier) -> Experiment {
-    fig8(grid, Bitrate::Kbps3_2, tier)
-}
-
 /// Fig. 9 — BER with maximal-ratio combining (1.6 kbps).
 ///
 /// The paper runs this at −40 dBm, where its errors come from the looped
@@ -345,21 +357,18 @@ pub fn fig8c_tier(grid: Grid, tier: Tier) -> Experiment {
 /// mechanism is therefore exercised in the noise/click-limited regime at
 /// −60 dBm, where repetitions see independent impairments exactly as
 /// §3.4 assumes. Documented in EXPERIMENTS.md.
-pub fn fig9(grid: Grid) -> Experiment {
-    fig9_tier(grid, Tier::Fast)
-}
-
-/// [`fig9`] on a selectable simulation tier.
-pub fn fig9_tier(grid: Grid, tier: Tier) -> Experiment {
-    let base = Scenario::bench(-60.0, 8.0, ProgramKind::RockMusic)
-        .with_workload(Workload::data(Bitrate::Kbps1_6, grid.data_bits().max(800)));
+pub fn fig9(ctx: &BuildCtx) -> Experiment {
+    let base = Scenario::bench(-60.0, 8.0, ProgramKind::RockMusic).with_workload(Workload::data(
+        Bitrate::Kbps1_6,
+        ctx.grid.data_bits().max(800),
+    ));
     // MRC depth is a typed sweep axis: one grid, one engine run, four
     // series (the metric reads each point's `mrc_depth`).
     let results = SweepBuilder::new(base)
         .distances_ft([8.0, 10.0, 12.0, 13.0, 14.0])
         .mrc_depths([1, 2, 3, 4])
-        .repeats(grid.repeats())
-        .run_on(tier, &BerMrc::from_scenario());
+        .repeats(ctx.grid.repeats())
+        .run_on(ctx.tier, &BerMrc::from_scenario());
     let series = results
         .series_by(|v| v.scenario.mrc_depth, |v| v.scenario.distance_ft)
         .into_iter()
@@ -375,7 +384,7 @@ pub fn fig9_tier(grid: Grid, tier: Tier) -> Experiment {
     Experiment {
         id: "fig9".into(),
         title: tier_title(
-            tier,
+            ctx.tier,
             "BER with MRC (overlay, 1.6 kbps, -60 dBm; see EXPERIMENTS.md)",
         ),
         x_label: "distance (ft)".into(),
@@ -386,12 +395,7 @@ pub fn fig9_tier(grid: Grid, tier: Tier) -> Experiment {
 }
 
 /// Fig. 10 — overlay vs stereo backscatter BER at −30 dBm.
-pub fn fig10(grid: Grid) -> Experiment {
-    fig10_tier(grid, Tier::Fast)
-}
-
-/// [`fig10`] on a selectable simulation tier.
-pub fn fig10_tier(grid: Grid, tier: Tier) -> Experiment {
+pub fn fig10(ctx: &BuildCtx) -> Experiment {
     let base = Scenario::bench(-30.0, 1.0, ProgramKind::News);
     let mut series = Vec::new();
     for bitrate in [Bitrate::Kbps1_6, Bitrate::Kbps3_2] {
@@ -401,13 +405,16 @@ pub fn fig10_tier(grid: Grid, tier: Tier) -> Experiment {
             "3.2kbps"
         };
         for (mode, workload) in [
-            ("Overlay", Workload::data(bitrate, grid.data_bits())),
-            ("Stereo", Workload::stereo_data(bitrate, grid.data_bits())),
+            ("Overlay", Workload::data(bitrate, ctx.grid.data_bits())),
+            (
+                "Stereo",
+                Workload::stereo_data(bitrate, ctx.grid.data_bits()),
+            ),
         ] {
             let results = SweepBuilder::new(base.with_workload(workload))
                 .distances_ft([1.0, 2.0, 3.0, 4.0])
-                .repeats(grid.repeats())
-                .run_on(tier, &Ber::default());
+                .repeats(ctx.grid.repeats())
+                .run_on(ctx.tier, &Ber::default());
             series.push(Series::new(
                 format!("{mode}  {rate}"),
                 results.series(|v| v.scenario.distance_ft),
@@ -416,7 +423,7 @@ pub fn fig10_tier(grid: Grid, tier: Tier) -> Experiment {
     }
     Experiment {
         id: "fig10".into(),
-        title: tier_title(tier, "BER: overlay vs stereo backscatter (-30 dBm)"),
+        title: tier_title(ctx.tier, "BER: overlay vs stereo backscatter (-30 dBm)"),
         x_label: "distance (ft)".into(),
         y_label: "Bit-error rate".into(),
         series,
@@ -425,21 +432,16 @@ pub fn fig10_tier(grid: Grid, tier: Tier) -> Experiment {
 }
 
 /// Fig. 11 — PESQ of overlay audio backscatter.
-pub fn fig11(grid: Grid) -> Experiment {
-    fig11_tier(grid, Tier::Fast)
-}
-
-/// [`fig11`] on a selectable simulation tier.
-pub fn fig11_tier(grid: Grid, tier: Tier) -> Experiment {
+pub fn fig11(ctx: &BuildCtx) -> Experiment {
     let base = Scenario::bench(-20.0, 2.0, ProgramKind::News)
-        .with_workload(Workload::speech(grid.audio_secs()));
+        .with_workload(Workload::speech(ctx.grid.audio_secs()));
     let results = SweepBuilder::new(base)
-        .powers_dbm(grid.powers_dbm())
-        .distances_ft(grid.distances_ft())
-        .run_on(tier, &Pesq::default());
+        .powers_dbm(ctx.grid.powers_dbm())
+        .distances_ft(ctx.grid.distances_ft())
+        .run_on(ctx.tier, &Pesq::default());
     Experiment {
         id: "fig11".into(),
-        title: tier_title(tier, "PESQ with overlay backscatter"),
+        title: tier_title(ctx.tier, "PESQ with overlay backscatter"),
         x_label: "distance (ft)".into(),
         y_label: "PESQ score".into(),
         series: series_per_dbm(&results),
@@ -449,22 +451,17 @@ pub fn fig11_tier(grid: Grid, tier: Tier) -> Experiment {
 }
 
 /// Fig. 12 — PESQ of cooperative backscatter.
-pub fn fig12(grid: Grid) -> Experiment {
-    fig12_tier(grid, Tier::Fast)
-}
-
-/// [`fig12`] on a selectable simulation tier.
-pub fn fig12_tier(grid: Grid, tier: Tier) -> Experiment {
+pub fn fig12(ctx: &BuildCtx) -> Experiment {
     let base = Scenario::bench(-20.0, 2.0, ProgramKind::News)
-        .with_workload(Workload::coop_audio(grid.audio_secs()));
+        .with_workload(Workload::coop_audio(ctx.grid.audio_secs()));
     let results = SweepBuilder::new(base)
         .powers_dbm([-20.0, -30.0, -40.0, -50.0])
-        .distances_ft(grid.distances_ft())
-        .run_on(tier, &CoopPesq::default());
+        .distances_ft(ctx.grid.distances_ft())
+        .run_on(ctx.tier, &CoopPesq::default());
     Experiment {
         id: "fig12".into(),
         title: tier_title(
-            tier,
+            ctx.tier,
             "PESQ with cooperative backscatter (two-phone cancellation)",
         ),
         x_label: "distance (ft)".into(),
@@ -474,19 +471,21 @@ pub fn fig12_tier(grid: Grid, tier: Tier) -> Experiment {
     }
 }
 
-fn fig13(grid: Grid, id: &str, title: &str, tier: Tier) -> Experiment {
+/// Fig. 13a/b — PESQ of stereo backscatter on a stereo news station,
+/// and on a mono station its pilot converts to stereo.
+fn fig13(ctx: &BuildCtx, id: &str, title: &str) -> Experiment {
     // Both host situations share the pipeline: a news host's L−R is
     // nearly empty, and a mono host contributes nothing to L−R once the
     // tag's pilot flips the receiver to stereo (§5.3).
     let base = Scenario::bench(-20.0, 2.0, ProgramKind::News)
-        .with_workload(Workload::stereo_speech(grid.audio_secs()));
+        .with_workload(Workload::stereo_speech(ctx.grid.audio_secs()));
     let results = SweepBuilder::new(base)
         .powers_dbm([-20.0, -30.0, -40.0])
-        .distances_ft(grid.distances_ft())
-        .run_on(tier, &Pesq::default());
+        .distances_ft(ctx.grid.distances_ft())
+        .run_on(ctx.tier, &Pesq::default());
     Experiment {
         id: id.into(),
-        title: tier_title(tier, title),
+        title: tier_title(ctx.tier, title),
         x_label: "distance (ft)".into(),
         y_label: "PESQ score".into(),
         series: series_per_dbm(&results),
@@ -496,44 +495,8 @@ fn fig13(grid: Grid, id: &str, title: &str, tier: Tier) -> Experiment {
     }
 }
 
-/// Fig. 13a — PESQ of stereo backscatter on a stereo news station.
-pub fn fig13a(grid: Grid) -> Experiment {
-    fig13a_tier(grid, Tier::Fast)
-}
-
-/// [`fig13a`] on a selectable simulation tier.
-pub fn fig13a_tier(grid: Grid, tier: Tier) -> Experiment {
-    fig13(
-        grid,
-        "fig13a",
-        "PESQ, stereo backscatter on a stereo news station",
-        tier,
-    )
-}
-
-/// Fig. 13b — PESQ of stereo backscatter on a mono station converted to
-/// stereo.
-pub fn fig13b(grid: Grid) -> Experiment {
-    fig13b_tier(grid, Tier::Fast)
-}
-
-/// [`fig13b`] on a selectable simulation tier.
-pub fn fig13b_tier(grid: Grid, tier: Tier) -> Experiment {
-    fig13(
-        grid,
-        "fig13b",
-        "PESQ, mono station converted to stereo",
-        tier,
-    )
-}
-
 /// Fig. 14 — car receiver: SNR (a) and PESQ (b) versus range.
-pub fn fig14(grid: Grid) -> Experiment {
-    fig14_tier(grid, Tier::Fast)
-}
-
-/// [`fig14`] on a selectable simulation tier.
-pub fn fig14_tier(grid: Grid, tier: Tier) -> Experiment {
+pub fn fig14(ctx: &BuildCtx) -> Experiment {
     let distances = [20.0, 30.0, 40.0, 50.0, 60.0, 70.0, 80.0];
     let powers = [-20.0, -30.0];
     let snr = SweepBuilder::new(
@@ -542,16 +505,16 @@ pub fn fig14_tier(grid: Grid, tier: Tier) -> Experiment {
     )
     .powers_dbm(powers)
     .distances_ft(distances)
-    .repeats(grid.repeats())
-    .run_on(tier, &ToneSnr::default());
+    .repeats(ctx.grid.repeats())
+    .run_on(ctx.tier, &ToneSnr::default());
     let pesq = SweepBuilder::new(
         Scenario::car(-20.0, 20.0, ProgramKind::News)
-            .with_workload(Workload::speech(grid.audio_secs())),
+            .with_workload(Workload::speech(ctx.grid.audio_secs())),
     )
     .powers_dbm(powers)
     .distances_ft(distances)
-    .repeats(grid.repeats())
-    .run_on(tier, &Pesq::default());
+    .repeats(ctx.grid.repeats())
+    .run_on(ctx.tier, &Pesq::default());
     // Interleave as the paper's panel order: SNR then PESQ per power.
     let mut series = Vec::new();
     for &p in &powers {
@@ -567,7 +530,7 @@ pub fn fig14_tier(grid: Grid, tier: Tier) -> Experiment {
     }
     Experiment {
         id: "fig14".into(),
-        title: tier_title(tier, "Overlay backscatter into a car receiver"),
+        title: tier_title(ctx.tier, "Overlay backscatter into a car receiver"),
         x_label: "distance (ft)".into(),
         y_label: "SNR (dB) / PESQ".into(),
         series,
@@ -576,12 +539,7 @@ pub fn fig14_tier(grid: Grid, tier: Tier) -> Experiment {
 }
 
 /// Fig. 17b — smart-fabric BER across mobility.
-pub fn fig17(grid: Grid) -> Experiment {
-    fig17_tier(grid, Tier::Fast)
-}
-
-/// [`fig17`] on a selectable simulation tier.
-pub fn fig17_tier(grid: Grid, tier: Tier) -> Experiment {
+pub fn fig17(ctx: &BuildCtx) -> Experiment {
     let motions = [
         MotionProfile::Standing,
         MotionProfile::Walking,
@@ -591,22 +549,22 @@ pub fn fig17_tier(grid: Grid, tier: Tier) -> Experiment {
     let run = |workload: Workload, metric: &dyn Metric| {
         SweepBuilder::new(base.with_workload(workload))
             .motions(motions)
-            .repeats(grid.repeats().max(2))
-            .run_on(tier, metric)
+            .repeats(ctx.grid.repeats().max(2))
+            .run_on(ctx.tier, metric)
             .series(|v| v.coords.motion as f64)
     };
     let s100 = run(
-        Workload::data(Bitrate::Bps100, grid.data_bits().min(300)),
+        Workload::data(Bitrate::Bps100, ctx.grid.data_bits().min(300)),
         &Ber::default(),
     );
     // The paper reports 1.6 kbps *with 2x MRC* for the shirt.
     let s1600 = run(
-        Workload::data(Bitrate::Kbps1_6, grid.data_bits()),
+        Workload::data(Bitrate::Kbps1_6, ctx.grid.data_bits()),
         &BerMrc::new(2),
     );
     Experiment {
         id: "fig17b".into(),
-        title: tier_title(tier, "Smart fabric BER (x: standing, walking, running)"),
+        title: tier_title(ctx.tier, "Smart fabric BER (x: standing, walking, running)"),
         x_label: "motion index".into(),
         y_label: "Bit-error rate".into(),
         series: vec![
@@ -619,7 +577,7 @@ pub fn fig17_tier(grid: Grid, tier: Tier) -> Experiment {
 }
 
 /// §4's power table and §2's battery-life comparison.
-pub fn power_table(_grid: Grid) -> Experiment {
+pub fn power_table(_ctx: &BuildCtx) -> Experiment {
     use fmbs_core::power::{comparisons, IcPowerModel, PAPER_OPERATING_POINT};
     let b = PAPER_OPERATING_POINT.breakdown();
     let series = vec![
@@ -678,25 +636,20 @@ pub fn power_table(_grid: Grid) -> Experiment {
 }
 
 /// §3.4's rate ceiling: BER versus symbol rate at a fixed good link.
-pub fn rates_table(grid: Grid) -> Experiment {
-    rates_table_tier(grid, Tier::Fast)
-}
-
-/// [`rates_table`] on a selectable simulation tier.
-pub fn rates_table_tier(grid: Grid, tier: Tier) -> Experiment {
+pub fn rates_table(ctx: &BuildCtx) -> Experiment {
     let base = Scenario::bench(-50.0, 10.0, ProgramKind::News)
-        .with_workload(Workload::data(Bitrate::Bps100, grid.data_bits()));
+        .with_workload(Workload::data(Bitrate::Bps100, ctx.grid.data_bits()));
     let results = SweepBuilder::new(base)
         .bitrates(Bitrate::ALL.iter().copied())
-        .repeats(grid.repeats())
-        .run_on(tier, &Ber::default());
+        .repeats(ctx.grid.repeats())
+        .run_on(ctx.tier, &Ber::default());
     let pts = results.series(|v| match v.scenario.workload {
         Workload::Data { bitrate, .. } => bitrate.symbol_rate(),
         _ => unreachable!(),
     });
     Experiment {
         id: "rates".into(),
-        title: tier_title(tier, "BER vs symbol rate at -50 dBm / 10 ft"),
+        title: tier_title(ctx.tier, "BER vs symbol rate at -50 dBm / 10 ft"),
         x_label: "symbols per second".into(),
         y_label: "Bit-error rate".into(),
         series: vec![Series::new("overlay", pts)],
@@ -708,7 +661,7 @@ pub fn rates_table_tier(grid: Grid, tier: Tier) -> Experiment {
 /// an ideal cosine and the four-state SSB switch, through the *physical*
 /// simulator. Reports the received 1 kHz tone SNR and the image-sideband
 /// leakage for each switch architecture.
-pub fn ablation(_grid: Grid) -> Experiment {
+pub fn ablation(_ctx: &BuildCtx) -> Experiment {
     use fmbs_core::sim::physical::{PhysicalSim, PhysicalSimConfig};
     use fmbs_core::tag::{Tag, TagConfig};
     use fmbs_dsp::complex::Complex;
@@ -811,25 +764,23 @@ fn bench_base(city: Option<&CityScenario>) -> Scenario {
     }
 }
 
-/// §8 at deployment scale — aggregate goodput and collision rate versus
-/// tag density, simulated on the `fmbs-net` network tier over a link
-/// abstraction calibrated from the fast physics tier.
-pub fn network_capacity(grid: Grid) -> Experiment {
-    network_capacity_for(grid, None)
-}
-
-/// Campaign entry point: [`network_capacity`] under a corpus city's
-/// ambient power, seed and harvest profile.
-pub fn network_capacity_city(grid: Grid, city: &CityScenario) -> Experiment {
-    network_capacity_for(grid, Some(city))
-}
-
-fn network_capacity_for(grid: Grid, city: Option<&CityScenario>) -> Experiment {
+/// The link table every network-tier figure runs over, calibrated from
+/// the fast physics tier at the grid's density.
+fn link_table(grid: Grid) -> Arc<BerTable> {
     let table_spec = match grid {
         Grid::Quick => BerTableSpec::quick(),
         Grid::Full => BerTableSpec::dense(),
     };
-    let table = Arc::new(BerTable::calibrate(&FastSim, &table_spec));
+    Arc::new(BerTable::calibrate(&FastSim, &table_spec))
+}
+
+/// §8 at deployment scale — aggregate goodput and collision rate versus
+/// tag density, simulated on the `fmbs-net` network tier over a link
+/// abstraction calibrated from the fast physics tier. A campaign city
+/// supplies the ambient power, seed and harvest profile.
+pub fn network_capacity(ctx: &BuildCtx) -> Experiment {
+    let (grid, city) = (ctx.grid, ctx.city);
+    let table = link_table(grid);
     let n_tags: Vec<u32> = match grid {
         Grid::Quick => vec![2, 8, 32, 128, 512],
         Grid::Full => vec![2, 8, 32, 128, 512, 2_048, 8_192],
@@ -914,36 +865,19 @@ fn workload_slots(grid: Grid) -> u32 {
     }
 }
 
-fn workload_base_in(grid: Grid, model: ArrivalModel, city: Option<&CityScenario>) -> Scenario {
+fn workload_base(ctx: &BuildCtx, model: ArrivalModel) -> Scenario {
     let mut s =
-        bench_base(city).with_traffic(model, WORKLOAD_OFFERED_LOAD, AppProfile::SensorBeacon);
-    s.mac_slots = workload_slots(grid);
+        bench_base(ctx.city).with_traffic(model, WORKLOAD_OFFERED_LOAD, AppProfile::SensorBeacon);
+    s.mac_slots = workload_slots(ctx.grid);
     s
-}
-
-fn workload_table(grid: Grid) -> Arc<BerTable> {
-    let table_spec = match grid {
-        Grid::Quick => BerTableSpec::quick(),
-        Grid::Full => BerTableSpec::dense(),
-    };
-    Arc::new(BerTable::calibrate(&FastSim, &table_spec))
 }
 
 /// p99/p999 sojourn time versus tag density under each arrival model,
 /// plus the rate-cap policy's effect on the Poisson tail.
-pub fn workload_slo_latency(grid: Grid) -> Experiment {
-    workload_slo_latency_for(grid, None)
-}
-
-/// Campaign entry point: [`workload_slo_latency`] under a corpus city.
-pub fn workload_slo_latency_city(grid: Grid, city: &CityScenario) -> Experiment {
-    workload_slo_latency_for(grid, Some(city))
-}
-
-fn workload_slo_latency_for(grid: Grid, city: Option<&CityScenario>) -> Experiment {
-    let table = workload_table(grid);
-    let tags = workload_tags(grid);
-    let spec = || WorkloadSpec::new(deployed_in(&table, city));
+pub fn workload_slo_latency(ctx: &BuildCtx) -> Experiment {
+    let table = link_table(ctx.grid);
+    let tags = workload_tags(ctx.grid);
+    let spec = || WorkloadSpec::new(deployed_in(&table, ctx.city));
 
     let mut series = Vec::new();
     for (model, name) in [
@@ -951,7 +885,7 @@ fn workload_slo_latency_for(grid: Grid, city: Option<&CityScenario>) -> Experime
         (ArrivalModel::Diurnal, "diurnal"),
         (ArrivalModel::Mmpp, "mmpp"),
     ] {
-        let run = SweepBuilder::new(workload_base_in(grid, model, city))
+        let run = SweepBuilder::new(workload_base(ctx, model))
             .n_tags(tags.iter().copied())
             .run(&FastSim, &SloLatencyP99(spec()));
         series.push(Series::new(
@@ -959,14 +893,14 @@ fn workload_slo_latency_for(grid: Grid, city: Option<&CityScenario>) -> Experime
             run.series(|v| v.scenario.n_tags as f64),
         ));
     }
-    let p999 = SweepBuilder::new(workload_base_in(grid, ArrivalModel::Poisson, city))
+    let p999 = SweepBuilder::new(workload_base(ctx, ArrivalModel::Poisson))
         .n_tags(tags.iter().copied())
         .run(&FastSim, &SloLatencyP999(spec()));
     series.push(Series::new(
         "p999 sojourn (s), poisson",
         p999.series(|v| v.scenario.n_tags as f64),
     ));
-    let capped = SweepBuilder::new(workload_base_in(grid, ArrivalModel::Poisson, city))
+    let capped = SweepBuilder::new(workload_base(ctx, ArrivalModel::Poisson))
         .n_tags(tags.iter().copied())
         .run(
             &FastSim,
@@ -995,19 +929,10 @@ fn workload_slo_latency_for(grid: Grid, city: Option<&CityScenario>) -> Experime
 
 /// Deadline-miss rate and absorbed demand versus tag density under each
 /// admission policy (Poisson arrivals, sensor-beacon deadlines).
-pub fn workload_slo_miss(grid: Grid) -> Experiment {
-    workload_slo_miss_for(grid, None)
-}
-
-/// Campaign entry point: [`workload_slo_miss`] under a corpus city.
-pub fn workload_slo_miss_city(grid: Grid, city: &CityScenario) -> Experiment {
-    workload_slo_miss_for(grid, Some(city))
-}
-
-fn workload_slo_miss_for(grid: Grid, city: Option<&CityScenario>) -> Experiment {
-    let table = workload_table(grid);
-    let tags = workload_tags(grid);
-    let spec = || WorkloadSpec::new(deployed_in(&table, city));
+pub fn workload_slo_miss(ctx: &BuildCtx) -> Experiment {
+    let table = link_table(ctx.grid);
+    let tags = workload_tags(ctx.grid);
+    let spec = || WorkloadSpec::new(deployed_in(&table, ctx.city));
 
     let mut series = Vec::new();
     for (policy, name) in [
@@ -1020,7 +945,7 @@ fn workload_slo_miss_for(grid: Grid, city: Option<&CityScenario>) -> Experiment 
         ),
         (Policy::DeadlineAware, "deadline-aware"),
     ] {
-        let run = SweepBuilder::new(workload_base_in(grid, ArrivalModel::Poisson, city))
+        let run = SweepBuilder::new(workload_base(ctx, ArrivalModel::Poisson))
             .n_tags(tags.iter().copied())
             .run(&FastSim, &DeadlineMissRate(spec().with_policy(policy)));
         series.push(Series::new(
@@ -1028,7 +953,7 @@ fn workload_slo_miss_for(grid: Grid, city: Option<&CityScenario>) -> Experiment 
             run.series(|v| v.scenario.n_tags as f64),
         ));
     }
-    let absorbed = SweepBuilder::new(workload_base_in(grid, ArrivalModel::Poisson, city))
+    let absorbed = SweepBuilder::new(workload_base(ctx, ArrivalModel::Poisson))
         .n_tags(tags.iter().copied())
         .run(&FastSim, &OfferedVsGoodput(spec()));
     series.push(Series::new(
@@ -1098,19 +1023,17 @@ fn fault_workload_in(
 }
 
 /// Delivery ratio and retransmission overhead versus tag density under
-/// each fault class (ARQ on throughout). `kind` narrows the fault
-/// series — the `repro --fault` path; `None` plots every class.
-pub fn fault_resilience_goodput_for(
-    grid: Grid,
-    kind: Option<FaultKind>,
-    city: Option<&CityScenario>,
-) -> Experiment {
-    let table = workload_table(grid);
-    let tags = workload_tags(grid);
+/// each fault class (ARQ on throughout). [`BuildCtx::fault`] narrows
+/// the fault series — the `repro --fault` path; `None` plots every
+/// class.
+pub fn fault_resilience_goodput(ctx: &BuildCtx) -> Experiment {
+    let (kind, city) = (ctx.fault, ctx.city);
+    let table = link_table(ctx.grid);
+    let tags = workload_tags(ctx.grid);
     let kinds: Vec<FaultKind> = kind.map_or_else(|| FaultKind::ALL.to_vec(), |k| vec![k]);
     let clean = || fault_workload_in(&table, city, FaultSpec::none(), ArqConfig::default());
     let sweep = |metric: &dyn Metric| {
-        SweepBuilder::new(workload_base_in(grid, ArrivalModel::Poisson, city))
+        SweepBuilder::new(workload_base(ctx, ArrivalModel::Poisson))
             .n_tags(tags.iter().copied())
             .run(&FastSim, metric)
             .series(|v| v.scenario.n_tags as f64)
@@ -1155,30 +1078,15 @@ pub fn fault_resilience_goodput_for(
     }
 }
 
-/// Registry entry point for the goodput figure (all fault classes).
-pub fn fault_resilience_goodput(grid: Grid) -> Experiment {
-    fault_resilience_goodput_for(grid, None, None)
-}
-
-/// Campaign entry point: [`fault_resilience_goodput`] under a corpus
-/// city (every fault class, the city's own harvest profile).
-pub fn fault_resilience_goodput_city(grid: Grid, city: &CityScenario) -> Experiment {
-    fault_resilience_goodput_for(grid, None, Some(city))
-}
-
 /// Goodput recovery time after a fault window versus the ARQ
 /// retransmission budget, averaged over a spread of tag densities (a
 /// single cell's recovery is a step function of burst alignment and
-/// far too jumpy to carry a trend). `kind` swaps the injected fault
-/// class (`repro --fault`; default station outage — resets have no
-/// window to recover from and report zero throughout).
-pub fn fault_resilience_recovery_for(
-    grid: Grid,
-    kind: Option<FaultKind>,
-    city: Option<&CityScenario>,
-) -> Experiment {
-    let table = workload_table(grid);
-    let kind = kind.unwrap_or(FaultKind::Outage);
+/// far too jumpy to carry a trend). [`BuildCtx::fault`] swaps the
+/// injected fault class (`repro --fault`; default station outage —
+/// resets have no window to recover from and report zero throughout).
+pub fn fault_resilience_recovery(ctx: &BuildCtx) -> Experiment {
+    let table = link_table(ctx.grid);
+    let kind = ctx.fault.unwrap_or(FaultKind::Outage);
     let budgets: [u32; 4] = [0, 1, 4, 8];
     let cells: [u32; 10] = [16, 24, 32, 48, 64, 80, 96, 112, 128, 160];
 
@@ -1187,11 +1095,11 @@ pub fn fault_resilience_recovery_for(
     for b in budgets {
         let (mut r_mean, mut o_mean) = (0.0, 0.0);
         for n in cells {
-            let mut scenario = workload_base_in(grid, ArrivalModel::Poisson, city);
+            let mut scenario = workload_base(ctx, ArrivalModel::Poisson);
             scenario.n_tags = n;
             let spec = fault_workload_in(
                 &table,
-                city,
+                ctx.city,
                 fault_plan(kind),
                 ArqConfig {
                     max_retx: b,
@@ -1227,17 +1135,6 @@ pub fn fault_resilience_recovery_for(
     }
 }
 
-/// Registry entry point for the recovery figure (station outage).
-pub fn fault_resilience_recovery(grid: Grid) -> Experiment {
-    fault_resilience_recovery_for(grid, None, None)
-}
-
-/// Campaign entry point: [`fault_resilience_recovery`] under a corpus
-/// city (station outage, the city's own harvest profile).
-pub fn fault_resilience_recovery_city(grid: Grid, city: &CityScenario) -> Experiment {
-    fault_resilience_recovery_for(grid, None, Some(city))
-}
-
 // ------------------------------------------- metro-scale family
 //
 // PR 9's sharded tier: multi-receiver cells partition the tag
@@ -1264,24 +1161,8 @@ fn city_tag_axis(city: &CityScenario, grid: Grid) -> Vec<usize> {
     }
 }
 
-/// A corpus city's metro deployment at a swept tag count: the city's
-/// full geometry (stations, receiver grid, placement, band plan,
-/// harvest, seed) with the horizon scaled by the grid the way
-/// [`metro_geometry`] scales its own.
-fn city_metro_deployment(
-    city: &CityScenario,
-    n_tags: usize,
-    grid: Grid,
-    table: &Arc<BerTable>,
-) -> Deployment {
-    let slots = match grid {
-        Grid::Quick => city.slots,
-        Grid::Full => city.slots * 4,
-    };
-    city.deployment_with_tags(n_tags)
-        .slots(slots)
-        .link(table.clone())
-}
+/// The canonical goodput figure's receiver grids: 1, 4 and 16 cells.
+const METRO_GRIDS: [(usize, usize); 3] = [(1, 1), (2, 2), (4, 4)];
 
 /// The shared metro geometry under test: an FM station ~3 km out
 /// (putting the shadowed ambient power mid-table), receiver cells on a
@@ -1295,8 +1176,20 @@ fn metro_geometry(n_tags: usize, grid: Grid) -> Deployment {
         .stations([Station::at(10_000.0, 0.0)])
 }
 
-fn metro_deployment(n_tags: usize, grid: Grid, table: &Arc<BerTable>) -> Deployment {
-    metro_geometry(n_tags, grid).link(table.clone())
+/// The metro figures' deployment at a swept tag count. With no city it
+/// is [`metro_geometry`] on a 2x2 receiver grid; a corpus city brings
+/// its full geometry (stations, receiver grid, placement, band plan,
+/// harvest, seed), its horizon scaled by the grid the way
+/// [`metro_geometry`] scales its own.
+fn metro_deployment(ctx: &BuildCtx, n_tags: usize, table: &Arc<BerTable>) -> Deployment {
+    let d = match ctx.city {
+        None => metro_geometry(n_tags, ctx.grid).receivers(Receiver::grid(2, 2, 40.0)),
+        Some(city) => city.deployment_with_tags(n_tags).slots(match ctx.grid {
+            Grid::Quick => city.slots,
+            Grid::Full => city.slots * 4,
+        }),
+    };
+    d.link(table.clone())
 }
 
 /// Build-time validation of every deployment the metro figures run,
@@ -1308,7 +1201,7 @@ pub fn metro_preflight(grid: Grid) -> Result<(), fmbs_net::prelude::DeploymentEr
     let n = *metro_tags(grid)
         .last()
         .expect("metro tag grid is non-empty");
-    for (nx, ny) in [(1usize, 1usize), (2, 2), (4, 4)] {
+    for (nx, ny) in METRO_GRIDS {
         metro_geometry(n, grid)
             .receivers(Receiver::grid(nx, ny, 40.0))
             .capture(6.0)
@@ -1317,131 +1210,106 @@ pub fn metro_preflight(grid: Grid) -> Result<(), fmbs_net::prelude::DeploymentEr
     Ok(())
 }
 
-/// City-wide goodput versus tag density at 1/4/16 receiver cells, plus
-/// cross-cell fairness at the densest receiver grid — the spatial-reuse
-/// dividend of sharding one cell into many collision domains.
-pub fn metro_scale_goodput(grid: Grid) -> Experiment {
-    let table = workload_table(grid);
-    let tags = metro_tags(grid);
+/// City-wide goodput versus tag density per receiver grid, plus
+/// cross-cell fairness at the densest grid — the spatial-reuse dividend
+/// of sharding one cell into many collision domains. The canonical
+/// figure compares 1, 4 and 16 cells on a 40 ft pitch; a campaign city
+/// compares a single-cell baseline with its *actual* receiver grid, at
+/// its own capture margin and at densities around its deployed count.
+pub fn metro_scale_goodput(ctx: &BuildCtx) -> Experiment {
+    let table = link_table(ctx.grid);
+    let (tags, grids, pitch, margin) = match ctx.city {
+        None => (metro_tags(ctx.grid), METRO_GRIDS.to_vec(), 40.0, 6.0),
+        Some(city) => {
+            let g = &city.receiver_grid;
+            // Single-cell baseline first, then the city's own grid
+            // (skipped when the city *is* single-cell — no second
+            // series to compare).
+            let mut grids = vec![(1, 1)];
+            if g.nx * g.ny > 1 {
+                grids.push((g.nx, g.ny));
+            }
+            let axis = city_tag_axis(city, ctx.grid);
+            (axis, grids, g.pitch_ft, city.capture_margin_db)
+        }
+    };
+    let densest = grids.iter().map(|(nx, ny)| nx * ny).max().unwrap_or(1);
 
     let mut series = Vec::new();
     let mut fairness = Vec::new();
-    for (nx, ny) in [(1usize, 1usize), (2, 2), (4, 4)] {
+    for (nx, ny) in grids {
         let cells = nx * ny;
         let mut pts = Vec::new();
         for &n in &tags {
-            let run = metro_deployment(n, grid, &table)
-                .receivers(Receiver::grid(nx, ny, 40.0))
-                .capture(6.0)
+            let run = metro_deployment(ctx, n, &table)
+                .receivers(Receiver::grid(nx, ny, pitch))
+                .capture(margin)
                 .build()
                 .expect("metro goodput deployment is valid")
                 .sim()
                 .run();
             pts.push((n as f64, run.stats.goodput_bps()));
-            if cells == 16 {
+            if cells > 1 && cells == densest {
                 fairness.push((n as f64, domain_fairness(&run.per_domain)));
             }
         }
-        let label = if cells == 1 {
-            "goodput (bps), 1 receiver cell".to_string()
-        } else {
-            format!("goodput (bps), {cells} receiver cells")
+        let label = match (cells, ctx.city) {
+            (1, _) => "goodput (bps), 1 receiver cell".to_string(),
+            (_, None) => format!("goodput (bps), {cells} receiver cells"),
+            (_, Some(_)) => format!("goodput (bps), {cells} receiver cells ({nx}x{ny} city grid)"),
         };
         series.push(Series::new(label, pts));
     }
-    series.push(Series::new("domain fairness (Jain), 16 cells", fairness));
-
-    Experiment {
-        id: "metro_scale_goodput".into(),
-        title: "Metro-scale goodput vs receiver-cell density (sharded fmbs-net tier)".into(),
-        x_label: "deployed tags".into(),
-        y_label: "bps / index".into(),
-        series,
-        paper_expectation:
-            "one receiver cell saturates on slotted-Aloha contention; partitioning the same \
-             population into 4 and 16 cells multiplies goodput through spatial reuse of the \
-             channel plan; uniform placement keeps cross-cell fairness high"
-                .into(),
-    }
-}
-
-/// Campaign entry point: the metro goodput figure on a corpus city's
-/// *actual* receiver grid versus a single-cell baseline — what spatial
-/// reuse buys that city at densities around its deployed count.
-pub fn metro_scale_goodput_city(grid: Grid, city: &CityScenario) -> Experiment {
-    let table = workload_table(grid);
-    let tags = city_tag_axis(city, grid);
-    let (nx, ny) = (city.receiver_grid.nx, city.receiver_grid.ny);
-    let cells = nx * ny;
-    let pitch = city.receiver_grid.pitch_ft;
-
-    let mut series = Vec::new();
-    let mut fairness = Vec::new();
-    // Single-cell baseline first, then the city's own grid (skipped
-    // when the city *is* single-cell — no second series to compare).
-    let mut grids = vec![(1usize, 1usize)];
-    if cells > 1 {
-        grids.push((nx, ny));
-    }
-    for (gx, gy) in grids {
-        let g_cells = gx * gy;
-        let mut pts = Vec::new();
-        for &n in &tags {
-            let run = city_metro_deployment(city, n, grid, &table)
-                .receivers(Receiver::grid(gx, gy, pitch))
-                .capture(city.capture_margin_db)
-                .build()
-                .expect("corpus city deployment is valid")
-                .sim()
-                .run();
-            pts.push((n as f64, run.stats.goodput_bps()));
-            if g_cells == cells && cells > 1 {
-                fairness.push((n as f64, domain_fairness(&run.per_domain)));
-            }
-        }
-        let label = if g_cells == 1 {
-            "goodput (bps), 1 receiver cell".to_string()
-        } else {
-            format!("goodput (bps), {g_cells} receiver cells ({nx}x{ny} city grid)")
-        };
-        series.push(Series::new(label, pts));
-    }
-    if cells > 1 {
+    if densest > 1 {
         series.push(Series::new(
-            format!("domain fairness (Jain), {cells} cells"),
+            format!("domain fairness (Jain), {densest} cells"),
             fairness,
         ));
     }
 
+    let (title, paper_expectation) = match ctx.city {
+        None => (
+            "Metro-scale goodput vs receiver-cell density (sharded fmbs-net tier)".to_string(),
+            "one receiver cell saturates on slotted-Aloha contention; partitioning the same \
+             population into 4 and 16 cells multiplies goodput through spatial reuse of the \
+             channel plan; uniform placement keeps cross-cell fairness high",
+        ),
+        Some(city) => (
+            format!(
+                "Metro-scale goodput vs tag density ({}: {}x{} receiver grid)",
+                city.id, city.receiver_grid.nx, city.receiver_grid.ny
+            ),
+            "the city's receiver grid outruns a single cell through spatial reuse of the \
+             channel plan at every density around the deployed operating point",
+        ),
+    };
     Experiment {
         id: "metro_scale_goodput".into(),
-        title: format!(
-            "Metro-scale goodput vs tag density ({}: {nx}x{ny} receiver grid)",
-            city.id
-        ),
+        title,
         x_label: "deployed tags".into(),
         y_label: "bps / index".into(),
         series,
-        paper_expectation:
-            "the city's receiver grid outruns a single cell through spatial reuse of the \
-             channel plan at every density around the deployed operating point"
-                .into(),
+        paper_expectation: paper_expectation.into(),
     }
 }
 
-/// Collision rate and goodput with the capture effect off versus a 6 dB
-/// capture margin, at 4 receiver cells — what physics rescues when the
-/// strongest colliding tag is decodable anyway.
-pub fn metro_scale_capture(grid: Grid) -> Experiment {
-    let table = workload_table(grid);
-    let tags = metro_tags(grid);
+/// Collision rate and goodput with the capture effect off versus on —
+/// what physics rescues when the strongest colliding tag is decodable
+/// anyway. The canonical figure runs 4 receiver cells at a 6 dB margin;
+/// a campaign city runs its own receiver grid at its own margin.
+pub fn metro_scale_capture(ctx: &BuildCtx) -> Experiment {
+    let table = link_table(ctx.grid);
+    let (tags, margin) = match ctx.city {
+        None => (metro_tags(ctx.grid), 6.0),
+        Some(city) => (city_tag_axis(city, ctx.grid), city.capture_margin_db),
+    };
 
     let mut collisions: Vec<Vec<(f64, f64)>> = vec![Vec::new(), Vec::new()];
     let mut goodputs: Vec<Vec<(f64, f64)>> = vec![Vec::new(), Vec::new()];
-    for (i, margin) in [None, Some(6.0)].into_iter().enumerate() {
+    for (i, m) in [None, Some(margin)].into_iter().enumerate() {
         for &n in &tags {
-            let mut d = metro_deployment(n, grid, &table).receivers(Receiver::grid(2, 2, 40.0));
-            if let Some(m) = margin {
+            let mut d = metro_deployment(ctx, n, &table);
+            if let Some(m) = m {
                 d = d.capture(m);
             }
             let run = d
@@ -1456,58 +1324,26 @@ pub fn metro_scale_capture(grid: Grid) -> Experiment {
     let [coll_off, coll_on] = [collisions.remove(0), collisions.remove(0)];
     let [good_off, good_on] = [goodputs.remove(0), goodputs.remove(0)];
 
-    Experiment {
-        id: "metro_scale_capture".into(),
-        title: "Capture effect under metro contention (4 receiver cells)".into(),
-        x_label: "deployed tags".into(),
-        y_label: "rate / bps".into(),
-        series: vec![
-            Series::new("collision rate, capture off", coll_off),
-            Series::new("collision rate, 6 dB capture margin", coll_on),
-            Series::new("goodput (bps), capture off", good_off),
-            Series::new("goodput (bps), 6 dB capture margin", good_on),
-        ],
-        paper_expectation:
+    let (title, paper_expectation) = match ctx.city {
+        None => (
+            "Capture effect under metro contention (4 receiver cells)".to_string(),
             "under dense contention a 6 dB capture margin converts part of each collision into \
              a delivery for the strongest tag: the collision rate drops and goodput rises \
-             relative to capture-off at the same density"
-                .into(),
-    }
-}
-
-/// Campaign entry point: the capture figure on a corpus city's receiver
-/// grid, capture off versus the city's configured margin.
-pub fn metro_scale_capture_city(grid: Grid, city: &CityScenario) -> Experiment {
-    let table = workload_table(grid);
-    let tags = city_tag_axis(city, grid);
-    let margin = city.capture_margin_db;
-
-    let mut collisions: Vec<Vec<(f64, f64)>> = vec![Vec::new(), Vec::new()];
-    let mut goodputs: Vec<Vec<(f64, f64)>> = vec![Vec::new(), Vec::new()];
-    for (i, m) in [None, Some(margin)].into_iter().enumerate() {
-        for &n in &tags {
-            let mut d = city_metro_deployment(city, n, grid, &table);
-            if let Some(m) = m {
-                d = d.capture(m);
-            }
-            let run = d
-                .build()
-                .expect("corpus city deployment is valid")
-                .sim()
-                .run();
-            collisions[i].push((n as f64, run.stats.collision_rate()));
-            goodputs[i].push((n as f64, run.stats.goodput_bps()));
-        }
-    }
-    let [coll_off, coll_on] = [collisions.remove(0), collisions.remove(0)];
-    let [good_off, good_on] = [goodputs.remove(0), goodputs.remove(0)];
-
+             relative to capture-off at the same density",
+        ),
+        Some(city) => (
+            format!(
+                "Capture effect under metro contention ({}: {margin} dB margin)",
+                city.id
+            ),
+            "the city's capture margin converts part of each collision into a delivery for \
+             the strongest tag: the collision rate drops and goodput rises relative to \
+             capture-off at the same density",
+        ),
+    };
     Experiment {
         id: "metro_scale_capture".into(),
-        title: format!(
-            "Capture effect under metro contention ({}: {} dB margin)",
-            city.id, margin
-        ),
+        title,
         x_label: "deployed tags".into(),
         y_label: "rate / bps".into(),
         series: vec![
@@ -1522,11 +1358,7 @@ pub fn metro_scale_capture_city(grid: Grid, city: &CityScenario) -> Experiment {
                 good_on,
             ),
         ],
-        paper_expectation:
-            "the city's capture margin converts part of each collision into a delivery for \
-             the strongest tag: the collision rate drops and goodput rises relative to \
-             capture-off at the same density"
-                .into(),
+        paper_expectation: paper_expectation.into(),
     }
 }
 
@@ -1628,12 +1460,12 @@ fn cross_tier_series(
 
 /// Calibration figure: fast-vs-physical **BER** agreement, point by
 /// point, on a shared power×distance data grid.
-pub fn calibration_ber(grid: Grid) -> Experiment {
-    let (bits, repeats) = match grid {
+pub fn calibration_ber(ctx: &BuildCtx) -> Experiment {
+    let (bits, repeats) = match ctx.grid {
         Grid::Quick => (240, 2),
         Grid::Full => (960, 4),
     };
-    let distances = match grid {
+    let distances = match ctx.grid {
         Grid::Quick => vec![4.0, 10.0, 16.0],
         Grid::Full => vec![2.0, 6.0, 10.0, 14.0, 18.0],
     };
@@ -1658,8 +1490,8 @@ pub fn calibration_ber(grid: Grid) -> Experiment {
 
 /// Calibration figure: fast-vs-physical **PESQ** agreement on a shared
 /// speech grid.
-pub fn calibration_pesq(grid: Grid) -> Experiment {
-    let (secs, repeats) = match grid {
+pub fn calibration_pesq(ctx: &BuildCtx) -> Experiment {
+    let (secs, repeats) = match ctx.grid {
         Grid::Quick => (0.75, 1),
         Grid::Full => (2.0, 2),
     };
@@ -1685,8 +1517,8 @@ pub fn calibration_pesq(grid: Grid) -> Experiment {
 /// the physical tier ([`BerTable::from_physical`]) against the standard
 /// fast-calibrated table — the per-cell |Δ| bounds what the whole
 /// fast→link→net stack inherits from the fast approximation.
-pub fn calibration_link(grid: Grid) -> Experiment {
-    let spec = match grid {
+pub fn calibration_link(ctx: &BuildCtx) -> Experiment {
+    let spec = match ctx.grid {
         Grid::Quick => BerTableSpec {
             powers_dbm: vec![-55.0, -45.0, -35.0],
             distances_ft: vec![4.0, 10.0, 16.0],
@@ -2586,246 +2418,85 @@ fn checks_calibration_link() -> Vec<Expectation> {
 pub struct ExperimentSpec {
     /// The paper id (`fig8a`, `power`, ...).
     pub id: &'static str,
-    /// Builds the experiment at a grid density.
+    /// Builds the canonical experiment ([`BuildCtx::new`]) at a grid
+    /// density — generated by the registry from [`ExperimentSpec::at`],
+    /// so the two never disagree.
     pub build: fn(Grid) -> Experiment,
-    /// The tier-selectable builder behind `repro --tier`: present only
-    /// for figures whose measurement sweeps a [`Simulator`] (surveys,
-    /// arithmetic tables and the calibration family — which runs both
-    /// tiers by construction — have none).
-    ///
-    /// [`Simulator`]: fmbs_core::sim::Simulator
-    pub tiered: Option<fn(Grid, Tier) -> Experiment>,
-    /// The corpus-parameterized builder behind `repro --campaign`:
-    /// present for figures whose measurement depends on a deployment
-    /// environment (the network/workload/fault/metro families). Figures
-    /// without one are city-invariant — the campaign builds them once
-    /// and reuses the result across every city.
-    pub city: Option<fn(Grid, &CityScenario) -> Experiment>,
+    /// The figure's one builder, in any [`BuildCtx`].
+    pub at: fn(&BuildCtx) -> Experiment,
+    /// The [`BuildCtx`] axes [`ExperimentSpec::at`] reads. A figure
+    /// without [`Vary::Tier`] cannot run on `repro --tier physical`
+    /// (surveys, arithmetic tables, and the calibration family, which
+    /// runs both tiers by construction); one without [`Vary::City`] is
+    /// city-invariant, so the campaign builds it once and reuses the
+    /// result across every city.
+    pub varies: &'static [Vary],
     /// The figure's machine-checkable paper expectations
     /// (`repro --check` evaluates them on the Quick grid).
     pub checks: fn() -> Vec<Expectation>,
 }
 
+impl ExperimentSpec {
+    /// Whether the figure's builder reads `axis` of its [`BuildCtx`].
+    pub fn reads(&self, axis: Vary) -> bool {
+        self.varies.contains(&axis)
+    }
+}
+
+/// The registry table, one row per figure:
+/// `id => builder, [axes it varies], checks;`. Each row's `build` is
+/// generated as its own builder in the canonical context, so a row
+/// cannot disagree with itself.
+macro_rules! registry {
+    ($($id:literal => $at:expr, [$($vary:ident),*], $checks:expr;)*) => {
+        &[$(ExperimentSpec {
+            id: $id,
+            build: |grid| ($at)(&BuildCtx::new(grid)),
+            at: $at,
+            varies: &[$(Vary::$vary),*],
+            checks: $checks,
+        }),*]
+    };
+}
+
 /// Every experiment, in paper order (calibration family last).
-pub const REGISTRY: &[ExperimentSpec] = &[
-    ExperimentSpec {
-        id: "fig2a",
-        build: fig2a,
-        tiered: None,
-        city: None,
-        checks: checks_fig2a,
-    },
-    ExperimentSpec {
-        id: "fig2b",
-        build: fig2b,
-        tiered: None,
-        city: None,
-        checks: checks_fig2b,
-    },
-    ExperimentSpec {
-        id: "fig4a",
-        build: fig4a,
-        tiered: None,
-        city: None,
-        checks: checks_fig4a,
-    },
-    ExperimentSpec {
-        id: "fig4b",
-        build: fig4b,
-        tiered: None,
-        city: None,
-        checks: checks_fig4b,
-    },
-    ExperimentSpec {
-        id: "fig5",
-        build: fig5,
-        tiered: None,
-        city: None,
-        checks: checks_fig5,
-    },
-    ExperimentSpec {
-        id: "fig6",
-        build: fig6,
-        tiered: Some(fig6_tier),
-        city: None,
-        checks: checks_fig6,
-    },
-    ExperimentSpec {
-        id: "fig7",
-        build: fig7,
-        tiered: Some(fig7_tier),
-        city: None,
-        checks: checks_fig7,
-    },
-    ExperimentSpec {
-        id: "fig8a",
-        build: fig8a,
-        tiered: Some(fig8a_tier),
-        city: None,
-        checks: checks_fig8a,
-    },
-    ExperimentSpec {
-        id: "fig8b",
-        build: fig8b,
-        tiered: Some(fig8b_tier),
-        city: None,
-        checks: checks_fig8b,
-    },
-    ExperimentSpec {
-        id: "fig8c",
-        build: fig8c,
-        tiered: Some(fig8c_tier),
-        city: None,
-        checks: checks_fig8c,
-    },
-    ExperimentSpec {
-        id: "fig9",
-        build: fig9,
-        tiered: Some(fig9_tier),
-        city: None,
-        checks: checks_fig9,
-    },
-    ExperimentSpec {
-        id: "fig10",
-        build: fig10,
-        tiered: Some(fig10_tier),
-        city: None,
-        checks: checks_fig10,
-    },
-    ExperimentSpec {
-        id: "fig11",
-        build: fig11,
-        tiered: Some(fig11_tier),
-        city: None,
-        checks: checks_fig11,
-    },
-    ExperimentSpec {
-        id: "fig12",
-        build: fig12,
-        tiered: Some(fig12_tier),
-        city: None,
-        checks: checks_fig12,
-    },
-    ExperimentSpec {
-        id: "fig13a",
-        build: fig13a,
-        tiered: Some(fig13a_tier),
-        city: None,
-        checks: checks_fig13,
-    },
-    ExperimentSpec {
-        id: "fig13b",
-        build: fig13b,
-        tiered: Some(fig13b_tier),
-        city: None,
-        checks: checks_fig13,
-    },
-    ExperimentSpec {
-        id: "fig14",
-        build: fig14,
-        tiered: Some(fig14_tier),
-        city: None,
-        checks: checks_fig14,
-    },
-    ExperimentSpec {
-        id: "fig17b",
-        build: fig17,
-        tiered: Some(fig17_tier),
-        city: None,
-        checks: checks_fig17,
-    },
-    ExperimentSpec {
-        id: "power",
-        build: power_table,
-        tiered: None,
-        city: None,
-        checks: checks_power,
-    },
-    ExperimentSpec {
-        id: "rates",
-        build: rates_table,
-        tiered: Some(rates_table_tier),
-        city: None,
-        checks: checks_rates,
-    },
-    ExperimentSpec {
-        id: "ablation",
-        build: ablation,
-        tiered: None,
-        city: None,
-        checks: checks_ablation,
-    },
-    ExperimentSpec {
-        id: "network_capacity",
-        build: network_capacity,
-        tiered: None,
-        city: Some(network_capacity_city),
-        checks: checks_network_capacity,
-    },
-    ExperimentSpec {
-        id: "workload_slo_latency",
-        build: workload_slo_latency,
-        tiered: None,
-        city: Some(workload_slo_latency_city),
-        checks: checks_workload_slo_latency,
-    },
-    ExperimentSpec {
-        id: "workload_slo_miss",
-        build: workload_slo_miss,
-        tiered: None,
-        city: Some(workload_slo_miss_city),
-        checks: checks_workload_slo_miss,
-    },
-    ExperimentSpec {
-        id: "fault_resilience_goodput",
-        build: fault_resilience_goodput,
-        tiered: None,
-        city: Some(fault_resilience_goodput_city),
-        checks: checks_fault_resilience_goodput,
-    },
-    ExperimentSpec {
-        id: "fault_resilience_recovery",
-        build: fault_resilience_recovery,
-        tiered: None,
-        city: Some(fault_resilience_recovery_city),
-        checks: checks_fault_resilience_recovery,
-    },
-    ExperimentSpec {
-        id: "metro_scale_goodput",
-        build: metro_scale_goodput,
-        tiered: None,
-        city: Some(metro_scale_goodput_city),
-        checks: checks_metro_scale_goodput,
-    },
-    ExperimentSpec {
-        id: "metro_scale_capture",
-        build: metro_scale_capture,
-        tiered: None,
-        city: Some(metro_scale_capture_city),
-        checks: checks_metro_scale_capture,
-    },
-    ExperimentSpec {
-        id: "calibration_ber",
-        build: calibration_ber,
-        tiered: None,
-        city: None,
-        checks: checks_calibration_ber,
-    },
-    ExperimentSpec {
-        id: "calibration_pesq",
-        build: calibration_pesq,
-        tiered: None,
-        city: None,
-        checks: checks_calibration_pesq,
-    },
-    ExperimentSpec {
-        id: "calibration_link",
-        build: calibration_link,
-        tiered: None,
-        city: None,
-        checks: checks_calibration_link,
-    },
-];
+pub const REGISTRY: &[ExperimentSpec] = registry! {
+    "fig2a" => fig2a, [], checks_fig2a;
+    "fig2b" => fig2b, [], checks_fig2b;
+    "fig4a" => fig4a, [], checks_fig4a;
+    "fig4b" => fig4b, [], checks_fig4b;
+    "fig5" => fig5, [], checks_fig5;
+    "fig6" => fig6, [Tier], checks_fig6;
+    "fig7" => fig7, [Tier], checks_fig7;
+    "fig8a" => |c| fig8(c, Bitrate::Bps100), [Tier], checks_fig8a;
+    "fig8b" => |c| fig8(c, Bitrate::Kbps1_6), [Tier], checks_fig8b;
+    "fig8c" => |c| fig8(c, Bitrate::Kbps3_2), [Tier], checks_fig8c;
+    "fig9" => fig9, [Tier], checks_fig9;
+    "fig10" => fig10, [Tier], checks_fig10;
+    "fig11" => fig11, [Tier], checks_fig11;
+    "fig12" => fig12, [Tier], checks_fig12;
+    "fig13a" => |c| fig13(c, "fig13a", "PESQ, stereo backscatter on a stereo news station"),
+        [Tier], checks_fig13;
+    "fig13b" => |c| fig13(c, "fig13b", "PESQ, mono station converted to stereo"),
+        [Tier], checks_fig13;
+    "fig14" => fig14, [Tier], checks_fig14;
+    "fig17b" => fig17, [Tier], checks_fig17;
+    "power" => power_table, [], checks_power;
+    "rates" => rates_table, [Tier], checks_rates;
+    "ablation" => ablation, [], checks_ablation;
+    "network_capacity" => network_capacity, [City], checks_network_capacity;
+    "workload_slo_latency" => workload_slo_latency, [City], checks_workload_slo_latency;
+    "workload_slo_miss" => workload_slo_miss, [City], checks_workload_slo_miss;
+    "fault_resilience_goodput" => fault_resilience_goodput, [City, Fault],
+        checks_fault_resilience_goodput;
+    "fault_resilience_recovery" => fault_resilience_recovery, [City, Fault],
+        checks_fault_resilience_recovery;
+    "metro_scale_goodput" => metro_scale_goodput, [City], checks_metro_scale_goodput;
+    "metro_scale_capture" => metro_scale_capture, [City], checks_metro_scale_capture;
+    "calibration_ber" => calibration_ber, [], checks_calibration_ber;
+    "calibration_pesq" => calibration_pesq, [], checks_calibration_pesq;
+    "calibration_link" => calibration_link, [], checks_calibration_link;
+};
 
 /// Family aliases the CLI accepts anywhere a figure id is accepted:
 /// each expands to every registry figure sharing the `{alias}_` prefix
@@ -2852,12 +2523,13 @@ pub fn family_specs(family: &str) -> Vec<&'static ExperimentSpec> {
         .collect()
 }
 
-/// Registry ids whose figures accept a simulation tier
-/// (`repro --tier physical <id>`).
-pub fn physical_capable_ids() -> Vec<&'static str> {
+/// Registry ids whose builders read `axis` — the figures
+/// `repro --tier` or `repro --fault` accept, or the campaign rebuilds
+/// per city.
+pub fn ids_varying(axis: Vary) -> Vec<&'static str> {
     REGISTRY
         .iter()
-        .filter(|s| s.tiered.is_some())
+        .filter(|s| s.reads(axis))
         .map(|s| s.id)
         .collect()
 }
@@ -2866,13 +2538,13 @@ pub fn physical_capable_ids() -> Vec<&'static str> {
 /// scoring as [`suggest_ids`] so the CLI's two "did you mean" surfaces
 /// never diverge).
 pub fn suggest_tiers(unknown: &str) -> Vec<&'static str> {
-    suggest_near(unknown, Tier::ALL.iter().map(|t| t.name()), Tier::ALL.len())
+    suggest_among(unknown, Tier::ALL.iter().map(|t| t.name()), Tier::ALL.len())
 }
 
 /// Near-miss suggestions for an unknown `--fault` kind, closest first
 /// (same scoring as [`suggest_ids`] and [`suggest_tiers`]).
 pub fn suggest_faults(unknown: &str) -> Vec<&'static str> {
-    suggest_near(
+    suggest_among(
         unknown,
         FaultKind::ALL.iter().map(|k| k.name()),
         FaultKind::ALL.len(),
@@ -2884,12 +2556,6 @@ pub fn suggest_faults(unknown: &str) -> Vec<&'static str> {
 pub fn spec_by_id(id: &str) -> Option<&'static ExperimentSpec> {
     let id = if id == "fig17" { "fig17b" } else { id };
     REGISTRY.iter().find(|spec| spec.id == id)
-}
-
-/// Looks an experiment up by id (accepting the `fig17` alias the paper
-/// text uses for `fig17b`).
-pub fn by_id(id: &str, grid: Grid) -> Option<Experiment> {
-    spec_by_id(id).map(|spec| (spec.build)(grid))
 }
 
 fn levenshtein(a: &str, b: &str) -> usize {
@@ -2911,9 +2577,8 @@ fn levenshtein(a: &str, b: &str) -> usize {
 /// and the campaign runner's city suggestions: candidates within a
 /// small edit distance or sharing a substring, closest first. Substring
 /// matches (e.g. `fig8` → `fig8a/b/c`) outrank pure edit distance; ties
-/// break on distance, then lexically. Public (unlike the fixed
-/// candidate sets' wrappers) so callers with runtime candidate lists —
-/// corpus city ids — get the exact same scoring.
+/// break on distance, then lexically. Public so callers with runtime
+/// candidate lists — corpus city ids — get the exact same scoring.
 pub fn suggest_among<'a>(
     unknown: &str,
     candidates: impl Iterator<Item = &'a str>,
@@ -2930,21 +2595,13 @@ pub fn suggest_among<'a>(
     scored.into_iter().take(max).map(|(_, _, c)| c).collect()
 }
 
-fn suggest_near(
-    unknown: &str,
-    candidates: impl Iterator<Item = &'static str>,
-    max: usize,
-) -> Vec<&'static str> {
-    suggest_among(unknown, candidates, max)
-}
-
 /// Near-miss suggestions for an unknown experiment id: registry ids
 /// *and family aliases* ([`FAMILIES`]) within a small edit distance or
 /// sharing a substring, closest first — so `metro` suggests
 /// `metro_scale` and `workload` suggests `workload_slo`, the names the
 /// CLI actually accepts.
 pub fn suggest_ids(unknown: &str, max: usize) -> Vec<&'static str> {
-    suggest_near(
+    suggest_among(
         unknown,
         REGISTRY
             .iter()
@@ -2952,11 +2609,6 @@ pub fn suggest_ids(unknown: &str, max: usize) -> Vec<&'static str> {
             .chain(FAMILIES.iter().copied()),
         max,
     )
-}
-
-/// Every experiment, in paper order.
-pub fn all(grid: Grid) -> Vec<Experiment> {
-    REGISTRY.iter().map(|spec| (spec.build)(grid)).collect()
 }
 
 #[cfg(test)]
@@ -2969,21 +2621,21 @@ mod tests {
 
     #[test]
     fn fig2a_has_69_cells_summarised() {
-        let e = fig2a(Grid::Quick);
+        let e = fig2a(&BuildCtx::new(Grid::Quick));
         assert_eq!(e.series.len(), 1);
         assert!(e.series[0].points.len() >= 10);
     }
 
     #[test]
     fn fig4a_matches_city_count() {
-        let e = fig4a(Grid::Quick);
+        let e = fig4a(&BuildCtx::new(Grid::Quick));
         assert_eq!(e.series[0].points.len(), 5);
         assert_eq!(e.series[1].points.len(), 5);
     }
 
     #[test]
     fn fig7_series_cover_all_powers() {
-        let e = fig7(Grid::Quick);
+        let e = fig7(&BuildCtx::new(Grid::Quick));
         assert_eq!(e.series.len(), 5);
         // SNR at -20 dBm close-in beats -60 dBm far-out.
         let strong = e.series[0].points[0].1;
@@ -2993,7 +2645,7 @@ mod tests {
 
     #[test]
     fn power_table_totals() {
-        let e = power_table(Grid::Quick);
+        let e = power_table(&BuildCtx::new(Grid::Quick));
         let total = e.series[0].points[3].1;
         assert!((total - 11.07).abs() < 1e-9);
     }
@@ -3005,20 +2657,16 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), 31, "duplicate registry id");
-        assert!(by_id("nope", Grid::Quick).is_none());
+        assert!(spec_by_id("nope").is_none());
     }
 
     #[test]
-    fn physical_capable_set_is_the_swept_physics_figures() {
-        let ids = physical_capable_ids();
-        assert_eq!(ids.len(), 14);
-        for id in ["fig6", "fig7", "fig8a", "fig9", "fig14", "fig17b", "rates"] {
-            assert!(ids.contains(&id), "{id} should be tier-selectable");
-        }
-        for id in [
-            "fig2a",
-            "power",
-            "ablation",
+    fn varies_names_the_axes_each_figure_reads() {
+        let tier = [
+            "fig6", "fig7", "fig8a", "fig8b", "fig8c", "fig9", "fig10", "fig11", "fig12", "fig13a",
+            "fig13b", "fig14", "fig17b", "rates",
+        ];
+        let city = [
             "network_capacity",
             "workload_slo_latency",
             "workload_slo_miss",
@@ -3026,9 +2674,26 @@ mod tests {
             "fault_resilience_recovery",
             "metro_scale_goodput",
             "metro_scale_capture",
-            "calibration_ber",
+        ];
+        let fault = ["fault_resilience_goodput", "fault_resilience_recovery"];
+        for (axis, want) in [
+            (Vary::Tier, &tier[..]),
+            (Vary::City, &city[..]),
+            (Vary::Fault, &fault[..]),
         ] {
-            assert!(!ids.contains(&id), "{id} should not be tier-selectable");
+            assert_eq!(ids_varying(axis), want, "{axis:?}");
+        }
+    }
+
+    #[test]
+    fn build_is_the_builder_in_the_canonical_context() {
+        for id in ["fig2a", "fig2b", "fig4a", "fig4b", "power"] {
+            let spec = spec_by_id(id).unwrap();
+            assert_eq!(
+                crate::check::canonical_json(&(spec.build)(Grid::Quick)),
+                crate::check::canonical_json(&(spec.at)(&BuildCtx::new(Grid::Quick))),
+                "{id}",
+            );
         }
     }
 
@@ -3153,7 +2818,7 @@ mod tests {
 
     #[test]
     fn fig17_alias_resolves() {
-        let e = by_id("fig17", Grid::Quick).expect("alias");
+        let e = (spec_by_id("fig17").expect("alias").build)(Grid::Quick);
         assert_eq!(e.id, "fig17b");
         assert_eq!(e.series.len(), 2);
         assert_eq!(e.series[0].points.len(), 3);
@@ -3161,7 +2826,7 @@ mod tests {
 
     #[test]
     fn dbm_series_labels_match_paper() {
-        let e = fig7(Grid::Quick);
+        let e = fig7(&BuildCtx::new(Grid::Quick));
         let labels: Vec<&str> = e.series.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(
             labels,

@@ -166,3 +166,15 @@ fn repro_perf_rejects_a_label_with_a_row_suffix() {
         );
     }
 }
+
+/// A figure named twice regenerates once: ids resolve to a set, in
+/// first-mention order.
+#[test]
+fn repro_repeated_id_runs_once() {
+    let (code, stderr) = run_repro(&["fig2a", "fig2a"]);
+    assert_eq!(code, Some(0), "stderr: {stderr}");
+    assert!(
+        stderr.contains("regenerating 1 experiment(s)"),
+        "repeated id ran twice: {stderr}"
+    );
+}

@@ -616,6 +616,10 @@ impl Deployment {
     /// Switches the capture effect on with the given margin in dB: in a
     /// contended slot the strongest received signal wins outright when
     /// its advantage over the runner-up is at least this.
+    ///
+    /// Multi-receiver plans only: a single-receiver plan runs as one
+    /// cell with no slot extras, so there the margin is ignored and
+    /// every collision stays a collision.
     pub fn capture(mut self, margin_db: f64) -> Self {
         self.capture_margin_db = Some(margin_db);
         self
@@ -623,6 +627,10 @@ impl Deployment {
 
     /// Sets the raw-BER elevation each co-channel transmission in an
     /// overlapping neighbour domain adds (default 0.01).
+    ///
+    /// Multi-receiver plans only: a single-receiver plan has no
+    /// neighbour domains and runs with no slot extras, so it ignores
+    /// this.
     pub fn co_channel_ber(mut self, ber: f64) -> Self {
         self.co_channel_ber = ber;
         self
@@ -1222,6 +1230,29 @@ mod tests {
         assert_eq!(cell.trace, metro.trace);
         assert_eq!(cell.stats.delivered, metro.stats.delivered);
         assert_eq!(cell.stats.latencies_slots, metro.stats.latencies_slots);
+    }
+
+    // Pins a known gap: one receiver runs through `run_cell`, which
+    // resolves slots without capture, so `.capture(..)` changes nothing
+    // there even under heavy contention.
+    #[test]
+    fn single_receiver_plan_ignores_capture() {
+        let run = |capture: Option<f64>| {
+            let mut d = Deployment::city(400)
+                .slots(200)
+                .receivers(Receiver::grid(1, 1, 40.0))
+                .record_trace(true);
+            if let Some(m) = capture {
+                d = d.capture(m);
+            }
+            d.build().expect("valid").into_sim(table()).run()
+        };
+        let (off, on) = (run(None), run(Some(6.0)));
+        assert!(off.stats.collided > 0, "the cell must be contended");
+        assert_eq!(off.trace, on.trace);
+        assert_eq!(off.stats.delivered, on.stats.delivered);
+        assert_eq!(off.stats.collided, on.stats.collided);
+        assert_eq!(off.stats.per_tag_delivered, on.stats.per_tag_delivered);
     }
 
     #[test]
