@@ -6,8 +6,10 @@ use fmbs_core::tag::{Tag, TagConfig};
 use fmbs_dsp::complex::Complex;
 use fmbs_dsp::corr::find_lag;
 use fmbs_dsp::fft::Fft;
-use fmbs_dsp::fir::FirDesign;
-use fmbs_dsp::goertzel::goertzel_power;
+use fmbs_dsp::fir::{ComplexFir, FirDesign};
+use fmbs_dsp::goertzel::{goertzel_power, GoertzelBank};
+use fmbs_dsp::resample::Upsampler;
+use fmbs_dsp::windows::Window;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("dsp_throughput");
@@ -47,6 +49,15 @@ fn bench(c: &mut Criterion) {
             std::hint::black_box(tag.backscatter_cosine(&incident, &baseband))
         })
     });
+    // The FDM receiver's 16-tone bank over one 200 sym/s window.
+    let window = 240;
+    g.throughput(Throughput::Elements(window as u64));
+    g.bench_function("goertzel_bank_16tone", |b| {
+        let freqs: Vec<f64> = (1..=16).map(|k| 800.0 * k as f64).collect();
+        let bank = GoertzelBank::new(48_000.0, &freqs);
+        let sig: Vec<f64> = (0..window).map(|i| (i as f64 * 0.7).sin()).collect();
+        b.iter(|| std::hint::black_box(bank.powers(&sig)))
+    });
     // The cooperative decoder's alignment search: 1 s of ×10-upsampled
     // audio at 48 kHz on each phone, lags within ±50 ms.
     let (len, max_lag) = (480_000, 24_000);
@@ -57,6 +68,30 @@ fn bench(c: &mut Criterion) {
             .collect();
         let delayed: Vec<f64> = (0..len).map(|i| a[(i + len - 311) % len]).collect();
         b.iter(|| std::hint::black_box(find_lag(&a, &delayed, max_lag)))
+    });
+    // The cooperative decoder's x10 upsampler over 2 s of 48 kHz audio.
+    let n_up = 96_000;
+    g.throughput(Throughput::Elements(n_up as u64));
+    g.bench_function("upsample_x10_96k", |b| {
+        let audio: Vec<f64> = (0..n_up).map(|i| (i as f64 * 0.21).sin()).collect();
+        let mut up = Upsampler::new(10, 8);
+        b.iter(|| std::hint::black_box(up.process(&audio)))
+    });
+    // The physical tier's channel filter: 127 taps over 0.75 s of IQ at
+    // 2.56 MHz, decimated by 10 to the MPX rate.
+    let n_iq = 1_920_000;
+    g.throughput(Throughput::Elements(n_iq as u64));
+    g.bench_function("channel_fir_127tap_decim10_1m92", |b| {
+        let iq: Vec<Complex> = (0..n_iq)
+            .map(|i| Complex::from_angle(i as f64 * 0.37).scale(0.8))
+            .collect();
+        let design = FirDesign {
+            taps: 127,
+            window: Window::Blackman,
+        }
+        .lowpass(2_560_000.0, 130_000.0);
+        let mut fir = ComplexFir::from_fir(&design);
+        b.iter(|| std::hint::black_box(fir.process_decimated(&iq, 10)))
     });
     // Planning the coop transform size once the shared twiddle table has
     // grown to it: the bit-reversal table only.

@@ -9,22 +9,30 @@
 //! either from a known origin (the BER experiments transmit continuously
 //! from t = 0) or from the frame preamble (see [`super::frame`]).
 
-use super::{fdm_tone_hz, Bitrate, FDM_GROUPS, FSK_ONE_HZ, FSK_ZERO_HZ};
-use fmbs_dsp::goertzel::goertzel_power;
+use super::{fdm_tone_hz, Bitrate, FDM_TONES, FSK_ONE_HZ, FSK_ZERO_HZ};
+use fmbs_dsp::goertzel::GoertzelBank;
 
 /// Non-coherent data decoder.
 #[derive(Debug, Clone)]
 pub struct DataDecoder {
     sample_rate: f64,
     bitrate: Bitrate,
+    /// Every tone a symbol can carry, measured in one pass per window:
+    /// `[one, zero]` for 2-FSK, the 16 FDM tones in grid order otherwise.
+    bank: GoertzelBank,
 }
 
 impl DataDecoder {
     /// Creates a decoder for audio at `sample_rate`.
     pub fn new(sample_rate: f64, bitrate: Bitrate) -> Self {
+        let tones: Vec<f64> = match bitrate {
+            Bitrate::Bps100 => vec![FSK_ONE_HZ, FSK_ZERO_HZ],
+            Bitrate::Kbps1_6 | Bitrate::Kbps3_2 => (0..FDM_TONES).map(fdm_tone_hz).collect(),
+        };
         DataDecoder {
             sample_rate,
             bitrate,
+            bank: GoertzelBank::new(sample_rate, &tones),
         }
     }
 
@@ -52,25 +60,21 @@ impl DataDecoder {
         bits
     }
 
-    /// Decodes a single symbol window into its bits.
+    /// Decodes a single symbol window into its bits. Every power is
+    /// compared with `total_cmp`, so a window holding NaN still decodes
+    /// (to arbitrary bits) instead of panicking.
     pub fn decode_symbol(&self, window: &[f64], bits: &mut Vec<bool>) {
+        let powers = self.bank.powers(window);
         match self.bitrate {
-            Bitrate::Bps100 => {
-                let p1 = goertzel_power(window, self.sample_rate, FSK_ONE_HZ);
-                let p0 = goertzel_power(window, self.sample_rate, FSK_ZERO_HZ);
-                bits.push(p1 > p0);
-            }
+            Bitrate::Bps100 => bits.push(powers[0] > powers[1]),
             Bitrate::Kbps1_6 | Bitrate::Kbps3_2 => {
-                for g in 0..FDM_GROUPS {
-                    let powers: Vec<f64> = (0..4)
-                        .map(|i| goertzel_power(window, self.sample_rate, fdm_tone_hz(4 * g + i)))
-                        .collect();
-                    let best = powers
+                for group in powers.chunks_exact(4) {
+                    // The last of equal maxima wins, as `max_by` keeps it.
+                    let best = group
                         .iter()
                         .enumerate()
-                        .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                        .unwrap()
-                        .0;
+                        .max_by(|a, b| a.1.total_cmp(b.1))
+                        .map_or(0, |(i, _)| i);
                     bits.push(best & 0b10 != 0);
                     bits.push(best & 0b01 != 0);
                 }
@@ -83,6 +87,14 @@ impl DataDecoder {
     /// Used as a link-quality indicator by the MAC layer.
     pub fn mean_decision_margin_db(&self, audio: &[f64], offset: usize, n_symbols: usize) -> f64 {
         let sps = self.samples_per_symbol();
+        // Margin is winner-vs-runner-up *within each decision*: the two
+        // FSK tones, or each FDM group's four tones (an FDM symbol
+        // legitimately contains four strong tones, one per group —
+        // comparing across groups would always report ~0 dB).
+        let group_len = match self.bitrate {
+            Bitrate::Bps100 => 2,
+            Bitrate::Kbps1_6 | Bitrate::Kbps3_2 => 4,
+        };
         let mut acc = 0.0;
         let mut count = 0usize;
         for s in 0..n_symbols {
@@ -91,24 +103,13 @@ impl DataDecoder {
             if end > audio.len() {
                 break;
             }
-            let window = &audio[start..end];
-            // Margin is winner-vs-runner-up *within each decision*: the
-            // two FSK tones, or each FDM group's four tones (an FDM
-            // symbol legitimately contains four strong tones, one per
-            // group — comparing across groups would always report ~0 dB).
-            let groups: Vec<Vec<f64>> = match self.bitrate {
-                Bitrate::Bps100 => vec![vec![FSK_ZERO_HZ, FSK_ONE_HZ]],
-                _ => (0..FDM_GROUPS)
-                    .map(|g| (0..4).map(|i| fdm_tone_hz(4 * g + i)).collect())
-                    .collect(),
-            };
-            for freqs in groups {
-                let mut powers: Vec<f64> = freqs
-                    .iter()
-                    .map(|&f| goertzel_power(window, self.sample_rate, f))
-                    .collect();
-                powers.sort_by(|a, b| b.partial_cmp(a).unwrap());
-                acc += 10.0 * (powers[0] / powers[1].max(1e-18)).log10();
+            for group in self
+                .bank
+                .powers(&audio[start..end])
+                .chunks_exact_mut(group_len)
+            {
+                group.sort_by(|a, b| b.total_cmp(a));
+                acc += 10.0 * (group[0] / group[1].max(1e-18)).log10();
                 count += 1;
             }
         }
@@ -208,6 +209,23 @@ mod tests {
         let m_noisy = dec.mean_decision_margin_db(&noisy, 0, 10);
         assert!(m_clean > m_noisy, "{m_clean} vs {m_noisy}");
         assert!(m_clean > 20.0);
+    }
+
+    #[test]
+    fn nan_audio_ends_in_a_result_at_every_rate() {
+        // A NaN in a window used to panic the FDM decision and the
+        // margin's sort; every rate must now return bits and a margin.
+        for rate in Bitrate::ALL {
+            let dec = DataDecoder::new(FS, rate);
+            let mut wave = DataEncoder::new(FS, rate).encode(&test_bits(64, 6));
+            wave[dec.samples_per_symbol() / 2] = f64::NAN;
+            let n_symbols = wave.len() / dec.samples_per_symbol();
+            assert_eq!(dec.decode(&wave, 0, 64).len(), 64, "{rate:?}");
+            dec.mean_decision_margin_db(&wave, 0, n_symbols);
+            let all_nan = vec![f64::NAN; wave.len()];
+            assert_eq!(dec.decode(&all_nan, 0, 64).len(), 64, "{rate:?}");
+            dec.mean_decision_margin_db(&all_nan, 0, n_symbols);
+        }
     }
 
     #[test]

@@ -166,14 +166,12 @@ impl FastSim {
 
             // 1. Click impulse train (sequential decay recurrence, but
             //    one multiply-add per sample).
-            for c in clicks[i..i + len].iter_mut() {
-                if rng_click.gen::<f64>() < p_click {
-                    let sign = if rng_click.gen::<bool>() { 1.0 } else { -1.0 };
-                    click_level += sign * (2.0 + 1.2 * rng_click.gen::<f64>());
-                }
-                click_level *= 0.82; // ~12-sample decay
-                *c = click_level;
-            }
+            fill_clicks(
+                &mut rng_click,
+                p_click,
+                &mut click_level,
+                &mut clicks[i..i + len],
+            );
 
             // 2. The payload's channel: a gaussian block from that
             //    channel's own stream, then a branch-free combine — mono
@@ -277,6 +275,29 @@ impl Simulator for FastSim {
     }
 }
 
+/// Fills `out` with the FM click impulse train: at each sample a click
+/// arrives with probability `p_click` and kicks `level` by a random-signed
+/// impulse; the level then decays (~12 samples). A level below the
+/// smallest normal `f64` is flushed to zero — left alone, `0.82 × 5e-324`
+/// rounds back to `5e-324`, and every later sample would multiply a
+/// subnormal. The flush changes no output: a subnormal adds nothing to a
+/// channel sample (never that small) nor to the next click's level.
+fn fill_clicks(rng: &mut StdRng, p_click: f64, level: &mut f64, out: &mut [f64]) {
+    let mut click_level = *level;
+    for c in out.iter_mut() {
+        if rng.gen::<f64>() < p_click {
+            let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+            click_level += sign * (2.0 + 1.2 * rng.gen::<f64>());
+        }
+        click_level *= 0.82; // ~12-sample decay
+        if click_level.abs() < f64::MIN_POSITIVE {
+            click_level = 0.0;
+        }
+        *c = click_level;
+    }
+    *level = click_level;
+}
+
 /// The phone capture chain's ~13 kHz low-pass (Fig. 6's cliff), at the
 /// fast simulator's audio rate.
 pub fn phone_capture_filter() -> Fir {
@@ -293,6 +314,7 @@ mod tests {
     use crate::modem::encoder::test_bits;
     use fmbs_audio::program::ProgramKind;
     use fmbs_channel::fading::MotionProfile;
+    use proptest::prelude::*;
 
     fn tone(f: f64, secs: f64, amp: f64) -> Vec<f64> {
         (0..(FAST_AUDIO_RATE * secs) as usize)
@@ -418,5 +440,63 @@ mod tests {
         let out = FastSim.run_payload(&s, &vec![0.0; 12_345], false);
         assert_eq!(out.mono.len(), 12_345);
         assert_eq!(out.difference.len(), 12_345);
+    }
+
+    /// The click recurrence without the subnormal flush.
+    fn unflushed_clicks(rng: &mut StdRng, p_click: f64, level: &mut f64, out: &mut [f64]) {
+        for c in out.iter_mut() {
+            if rng.gen::<f64>() < p_click {
+                let sign = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+                *level += sign * (2.0 + 1.2 * rng.gen::<f64>());
+            }
+            *level *= 0.82;
+            *c = *level;
+        }
+    }
+
+    /// Both recurrences over the same draws, 480-sample blocks as in
+    /// `run_payload`: `(flushed, unflushed)`.
+    fn click_trains(seed: u64, p_click: f64, n: usize) -> (Vec<f64>, Vec<f64>) {
+        let (mut flushed, mut unflushed) = (vec![0.0; n], vec![0.0; n]);
+        let (mut rng_a, mut rng_b) = (StdRng::seed_from_u64(seed), StdRng::seed_from_u64(seed));
+        let (mut level_a, mut level_b) = (0.0, 0.0);
+        for (a, b) in flushed.chunks_mut(480).zip(unflushed.chunks_mut(480)) {
+            fill_clicks(&mut rng_a, p_click, &mut level_a, a);
+            unflushed_clicks(&mut rng_b, p_click, &mut level_b, b);
+        }
+        (flushed, unflushed)
+    }
+
+    #[test]
+    fn unflushed_click_tail_sticks_on_a_subnormal() {
+        // The defect the flush removes: after a click the decay reaches
+        // 5e-324, where `× 0.82` rounds back to itself.
+        let (flushed, unflushed) = click_trains(11, 1e-4, 20_000);
+        assert!(unflushed.iter().any(|c| c.is_subnormal()));
+        assert!(!flushed.iter().any(|c| c.is_subnormal()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The flushed click train holds no subnormal, and a channel
+        /// built on it equals, bit for bit, one built on the unflushed
+        /// recurrence.
+        #[test]
+        fn click_flush_leaves_the_channel_unchanged(
+            seed in any::<u64>(),
+            log_p in -5.0f64..-1.0,
+            log_rms in -6.0f64..0.0,
+        ) {
+            let n = 20_000;
+            let (flushed, unflushed) = click_trains(seed, 10f64.powf(log_p), n);
+            prop_assert!(flushed.iter().all(|c| *c == 0.0 || c.is_normal()));
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xBA5E);
+            let rms = 10f64.powf(log_rms);
+            for (a, b) in flushed.iter().zip(&unflushed) {
+                let base = rms * gaussian(&mut rng);
+                prop_assert_eq!((base + a).to_bits(), (base + b).to_bits());
+            }
+        }
     }
 }

@@ -27,7 +27,7 @@
 //!
 //! # Throughput design
 //!
-//! Four layers keep the sweep hot path fast without giving up
+//! Five layers keep the sweep hot path fast without giving up
 //! determinism:
 //!
 //! 1. **Block processing** — [`fast::FastSim::run_payload`] generates
@@ -53,6 +53,16 @@
 //!    noise draws, combine loop and capture filter) and returns the
 //!    other all-zero. Each channel's noise comes from its own salted
 //!    stream, so skipping one leaves the other's bits unchanged.
+//! 5. **Lockstep accumulators** — the receive-side kernels (the
+//!    physical tier's decimating channel filter, the cooperative ×10
+//!    upsampler, the FSK/FDM decoder's Goertzel bank) advance several
+//!    independent accumulators together, so the CPU overlaps their adds
+//!    instead of waiting on each one. Every output still sums the same
+//!    terms in the same order from the same zero history, so results
+//!    are bit-identical to the one-output-at-a-time loops. The fast
+//!    tier's click decay flushes a level below `f64::MIN_POSITIVE` to
+//!    zero; such a level adds nothing to a channel sample, and left
+//!    alone it sticks on a subnormal that every later sample multiplies.
 
 pub mod cache;
 pub mod fast;

@@ -196,6 +196,7 @@ impl PhysicalSim {
         car_receiver: bool,
         mut fader: Option<JakesFader>,
     ) -> PhysicalOutput {
+        fmbs_obs::span!(fmbs_obs::stages::RF_BACK_END);
         let iq_rate = self.cfg.iq_rate;
 
         // 3. Powers. The budget's backscatter_at_rx already includes the
@@ -243,14 +244,13 @@ impl PhysicalSim {
         } else {
             ReceiverConfig::smartphone(iq_rate, self.cfg.f_back_hz)
         };
-        let bs_rx = FmReceiver::new(rx_cfg);
-        let backscatter_rx = bs_rx.receive(&rx_input);
-        let host_rx = if decode_host_channel {
-            let rx2 = FmReceiver::new(ReceiverConfig::smartphone(iq_rate, 0.0));
-            Some(rx2.receive(&rx_input))
-        } else {
-            None
+        let receive = |cfg: ReceiverConfig| {
+            fmbs_obs::span!(fmbs_obs::stages::FM_RECEIVE);
+            FmReceiver::new(cfg).receive(&rx_input)
         };
+        let backscatter_rx = receive(rx_cfg);
+        let host_rx =
+            decode_host_channel.then(|| receive(ReceiverConfig::smartphone(iq_rate, 0.0)));
         PhysicalOutput {
             backscatter_rx,
             host_rx,

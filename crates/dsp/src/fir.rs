@@ -6,6 +6,13 @@
 //! them are designed here with the windowed-sinc method, which is simple,
 //! numerically robust and linear-phase — matching the smoltcp guidance of
 //! preferring simplicity over cleverness.
+//!
+//! Invariant: the direct forms — per sample ([`ComplexFir::push`]) and
+//! the lockstep decimator ([`ComplexFir::process_decimated`]) — sum each
+//! output's terms in one order (taps in order, newest sample first,
+//! zeros before the first sample), so they agree bit for bit. The FFT
+//! form, where [`fft_convolution_wins`] routes a filter, agrees to
+//! rounding.
 
 use crate::complex::Complex;
 use crate::fftconv::{fft_convolution_wins, OverlapSave, OverlapSaveComplex};
@@ -260,27 +267,6 @@ impl ComplexFir {
         acc
     }
 
-    /// Pushes one IQ sample into the delay line without computing an
-    /// output — the cheap half of a decimating filter.
-    #[inline]
-    pub fn push_silent(&mut self, x: Complex) {
-        self.state[self.pos] = x;
-        self.pos = (self.pos + 1) % self.taps.len();
-    }
-
-    /// Computes the filter output for the sample most recently pushed.
-    #[inline]
-    fn output_at_pos(&self) -> Complex {
-        let n = self.taps.len();
-        let mut acc = Complex::ZERO;
-        let mut idx = if self.pos == 0 { n - 1 } else { self.pos - 1 };
-        for &t in &self.taps {
-            acc += self.state[idx].scale(t);
-            idx = if idx == 0 { n - 1 } else { idx - 1 };
-        }
-        acc
-    }
-
     /// Filters a whole IQ buffer (streaming).
     pub fn process(&mut self, input: &[Complex]) -> Vec<Complex> {
         input.iter().map(|&x| self.push(x)).collect()
@@ -288,31 +274,47 @@ impl ComplexFir {
 
     /// Filters a buffer keeping only every `decim`-th output (the first
     /// sample's output included) — the channel-select-and-decimate step
-    /// of the FM receiver. Equivalent to filtering everything and taking
-    /// `output[k·decim]`, but skips the discarded multiply-accumulates;
-    /// long filters are computed by overlap-save FFT convolution instead
-    /// when [`fft_convolution_wins`] says so — judged on the *effective*
-    /// per-input-sample cost `taps / decim`, since the direct form only
-    /// pays taps MACs at kept outputs while the FFT form always computes
-    /// every output.
+    /// of the FM receiver. Equal, bit for bit, to filtering everything
+    /// with [`ComplexFir::push`] and taking `output[k·decim]`, but skips
+    /// the discarded multiply-accumulates; long filters are computed by
+    /// overlap-save FFT convolution instead when [`fft_convolution_wins`]
+    /// says so — judged on the *effective* per-input-sample cost
+    /// `taps / decim`, since the direct form only pays taps MACs at kept
+    /// outputs while the FFT form always computes every output.
     ///
-    /// Resets state first: whole-signal operation.
+    /// The direct form reads the input slice in place and advances four
+    /// kept outputs per sweep over the taps, one accumulator each, so
+    /// the adds of different outputs overlap instead of waiting on one
+    /// another. Every output still sums the same terms in the same order
+    /// (taps in order, newest sample first, `Complex::ZERO` before the
+    /// first sample), so the result is bit-identical to the per-sample
+    /// filter.
+    ///
+    /// Resets state first: whole-signal operation. Afterwards the delay
+    /// line holds the input's tail, as if every sample had been pushed.
     pub fn process_decimated(&mut self, input: &[Complex], decim: usize) -> Vec<Complex> {
         assert!(decim >= 1, "decimation factor must be at least 1");
-        self.reset();
-        if fft_convolution_wins(self.taps.len().div_ceil(decim), input.len()) {
+        let out = if fft_convolution_wins(self.taps.len().div_ceil(decim), input.len()) {
             let mut eng = OverlapSaveComplex::new(&self.taps);
             let full = eng.process(input);
-            return full.into_iter().step_by(decim).collect();
-        }
-        let mut out = Vec::with_capacity(input.len() / decim + 1);
-        for (i, &z) in input.iter().enumerate() {
-            self.push_silent(z);
-            if i % decim == 0 {
-                out.push(self.output_at_pos());
-            }
-        }
+            full.into_iter().step_by(decim).collect()
+        } else {
+            decimate_direct(&self.taps, input, decim)
+        };
+        self.load_history(input);
         out
+    }
+
+    /// Sets the delay line to what pushing all of `input` into a reset
+    /// filter leaves behind.
+    fn load_history(&mut self, input: &[Complex]) {
+        let n = self.taps.len();
+        self.reset();
+        let tail = input.len().saturating_sub(n);
+        for (i, &z) in input.iter().enumerate().skip(tail) {
+            self.state[i % n] = z;
+        }
+        self.pos = input.len() % n;
     }
 
     /// Clears the delay line.
@@ -322,10 +324,58 @@ impl ComplexFir {
     }
 }
 
+/// Kept outputs the direct decimating filter computes per tap sweep.
+const DECIM_LANES: usize = 4;
+
+/// The direct form of [`ComplexFir::process_decimated`]: output `k` is
+/// the filter output at input index `k·decim`.
+fn decimate_direct(taps: &[f64], input: &[Complex], decim: usize) -> Vec<Complex> {
+    let n = taps.len();
+    let n_out = input.len().div_ceil(decim);
+    let mut out = Vec::with_capacity(n_out);
+    // Warm-up: outputs whose window reaches before the first sample.
+    let warm = n_out.min((n - 1).div_ceil(decim));
+    out.extend((0..warm).map(|k| output_at(taps, input, k * decim)));
+    // Steady state: DECIM_LANES outputs per sweep, each over its own
+    // window of the input, summed newest sample first.
+    let mut k = warm;
+    while k + DECIM_LANES <= n_out {
+        let windows: [&[Complex]; DECIM_LANES] = std::array::from_fn(|l| {
+            let end = (k + l) * decim + 1;
+            &input[end - n..end]
+        });
+        let mut acc = [Complex::ZERO; DECIM_LANES];
+        for (j, &t) in taps.iter().enumerate() {
+            let r = n - 1 - j;
+            for (a, w) in acc.iter_mut().zip(&windows) {
+                *a += w[r].scale(t);
+            }
+        }
+        out.extend(acc);
+        k += DECIM_LANES;
+    }
+    out.extend((k..n_out).map(|k| output_at(taps, input, k * decim)));
+    out
+}
+
+/// One filter output at input index `i`: taps in order, newest sample
+/// first, `Complex::ZERO` for samples before the start of `input` — what
+/// a reset delay line holds there.
+fn output_at(taps: &[f64], input: &[Complex], i: usize) -> Complex {
+    let mut acc = Complex::ZERO;
+    for (j, &t) in taps.iter().enumerate() {
+        let x = if j <= i { input[i - j] } else { Complex::ZERO };
+        acc += x.scale(t);
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{bits, edge_value};
     use crate::TAU;
+    use proptest::prelude::*;
 
     fn tone(fs: f64, f: f64, n: usize) -> Vec<f64> {
         (0..n).map(|i| (TAU * f * i as f64 / fs).sin()).collect()
@@ -501,6 +551,76 @@ mod tests {
         }
         for (a, b) in batch.iter().zip(streamed.iter()) {
             assert!((a - b).abs() < 1e-15);
+        }
+    }
+
+    /// The per-sample decimating loop the lockstep kernel replaced: push
+    /// every sample into the reset delay line, compute an output at
+    /// every `decim`-th.
+    fn reference_decimated(fir: &mut ComplexFir, input: &[Complex], decim: usize) -> Vec<Complex> {
+        fir.reset();
+        let mut out = Vec::new();
+        for (i, &z) in input.iter().enumerate() {
+            push_silent(fir, z);
+            if i % decim == 0 {
+                out.push(output_at_pos(fir));
+            }
+        }
+        out
+    }
+
+    fn push_silent(fir: &mut ComplexFir, x: Complex) {
+        fir.state[fir.pos] = x;
+        fir.pos = (fir.pos + 1) % fir.taps.len();
+    }
+
+    fn output_at_pos(fir: &ComplexFir) -> Complex {
+        let n = fir.taps.len();
+        let mut acc = Complex::ZERO;
+        let mut idx = if fir.pos == 0 { n - 1 } else { fir.pos - 1 };
+        for &t in &fir.taps {
+            acc += fir.state[idx].scale(t);
+            idx = if idx == 0 { n - 1 } else { idx - 1 };
+        }
+        acc
+    }
+
+    fn iq_bits(v: &[Complex]) -> Vec<u64> {
+        bits(v.iter().flat_map(|z| [z.re, z.im]))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The lockstep decimating filter equals the per-sample one bit
+        /// for bit — lengths shorter than the filter, decimation 1–12,
+        /// signed zeros, subnormals, NaN and infinities included — and
+        /// leaves a delay line that streams on exactly like it.
+        #[test]
+        fn decimated_lockstep_is_bit_identical(
+            raw_taps in prop::collection::vec(any::<u64>(), 1..48),
+            raw_input in prop::collection::vec(any::<u64>(), 0..320),
+            decim in 1usize..=12,
+            mode in 0u8..3,
+        ) {
+            let taps: Vec<f64> = raw_taps.iter().map(|&b| edge_value(b, mode.min(1))).collect();
+            let iq = |raw: &[u64], mode| -> Vec<Complex> {
+                raw.chunks_exact(2)
+                    .map(|p| Complex::new(edge_value(p[0], mode), edge_value(p[1], mode)))
+                    .collect()
+            };
+            let input = iq(&raw_input, mode);
+            let mut reference = ComplexFir::new(taps.clone());
+            let want = reference_decimated(&mut reference, &input, decim);
+            let mut lockstep = ComplexFir::new(taps);
+            let got = lockstep.process_decimated(&input, decim);
+            prop_assert_eq!(iq_bits(&got), iq_bits(&want));
+            prop_assert_eq!(lockstep.pos, reference.pos);
+            // Streaming on from both delay lines, with ordinary samples.
+            let more = iq(&raw_taps.repeat(2), 0);
+            let next_want: Vec<Complex> = more.iter().map(|&z| reference.push(z)).collect();
+            let next_got: Vec<Complex> = more.iter().map(|&z| lockstep.push(z)).collect();
+            prop_assert_eq!(iq_bits(&next_got), iq_bits(&next_want));
         }
     }
 }

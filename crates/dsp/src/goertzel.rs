@@ -6,6 +6,11 @@
 //! algorithm computes exactly that per-tone power at `O(N)` per tone without
 //! a full FFT, which is also how a low-power smartphone implementation would
 //! do it.
+//!
+//! Invariant: [`GoertzelBank`], [`goertzel_bank`], [`goertzel_power`] and
+//! [`StreamingGoertzel`] run the same recurrence over the same samples in
+//! the same order, so a tone's power is bit-identical whichever computes
+//! it.
 
 use crate::TAU;
 
@@ -16,12 +21,7 @@ use crate::TAU;
 /// amplitude sinusoid at exactly `freq` yields ~0.25 independent of window
 /// length.
 pub fn goertzel_power(signal: &[f64], sample_rate: f64, freq: f64) -> f64 {
-    let n = signal.len();
-    if n == 0 {
-        return 0.0;
-    }
-    let omega = TAU * freq / sample_rate;
-    let coeff = 2.0 * omega.cos();
+    let coeff = coefficient(sample_rate, freq);
     let mut s_prev = 0.0;
     let mut s_prev2 = 0.0;
     for &x in signal {
@@ -29,18 +29,78 @@ pub fn goertzel_power(signal: &[f64], sample_rate: f64, freq: f64) -> f64 {
         s_prev2 = s_prev;
         s_prev = s;
     }
-    let power = s_prev * s_prev + s_prev2 * s_prev2 - coeff * s_prev * s_prev2;
-    power / (n as f64 * n as f64)
+    normalised_power(coeff, s_prev, s_prev2, signal.len())
 }
 
 /// Computes Goertzel power for a set of frequencies over the same window.
 ///
 /// Used by the FDM-4FSK receiver which monitors 16 candidate tones.
 pub fn goertzel_bank(signal: &[f64], sample_rate: f64, freqs: &[f64]) -> Vec<f64> {
-    freqs
-        .iter()
-        .map(|&f| goertzel_power(signal, sample_rate, f))
-        .collect()
+    GoertzelBank::new(sample_rate, freqs).powers(signal)
+}
+
+/// Tones detected together in one pass over the window.
+const BANK_LANES: usize = 16;
+
+/// Goertzel detectors for a fixed set of tones at one sample rate: the
+/// coefficients are computed once, and every tone's recurrence advances
+/// in lockstep over one pass through the window, so the recurrences of
+/// different tones overlap instead of waiting on one another. Each tone
+/// still runs its own recurrence over the same samples in the same
+/// order, so every power is bit-identical to [`goertzel_power`].
+#[derive(Debug, Clone)]
+pub struct GoertzelBank {
+    coeffs: Vec<f64>,
+}
+
+impl GoertzelBank {
+    /// Creates a bank for `freqs` (Hz) at `sample_rate` (Hz).
+    pub fn new(sample_rate: f64, freqs: &[f64]) -> Self {
+        GoertzelBank {
+            coeffs: freqs.iter().map(|&f| coefficient(sample_rate, f)).collect(),
+        }
+    }
+
+    /// Each tone's normalised power over `signal`, in the order the
+    /// frequencies were given.
+    pub fn powers(&self, signal: &[f64]) -> Vec<f64> {
+        let mut out = Vec::with_capacity(self.coeffs.len());
+        for coeffs in self.coeffs.chunks(BANK_LANES) {
+            // Unused lanes run a zero coefficient and are dropped.
+            let mut c = [0.0; BANK_LANES];
+            c[..coeffs.len()].copy_from_slice(coeffs);
+            let mut s_prev = [0.0; BANK_LANES];
+            let mut s_prev2 = [0.0; BANK_LANES];
+            for &x in signal {
+                for l in 0..BANK_LANES {
+                    let s = x + c[l] * s_prev[l] - s_prev2[l];
+                    s_prev2[l] = s_prev[l];
+                    s_prev[l] = s;
+                }
+            }
+            out.extend(
+                (0..coeffs.len())
+                    .map(|l| normalised_power(c[l], s_prev[l], s_prev2[l], signal.len())),
+            );
+        }
+        out
+    }
+}
+
+/// The recurrence coefficient `2·cos(2π·freq/sample_rate)`.
+fn coefficient(sample_rate: f64, freq: f64) -> f64 {
+    let omega = TAU * freq / sample_rate;
+    2.0 * omega.cos()
+}
+
+/// `|X(f)|² / N²` from the recurrence's last two states; 0 for an empty
+/// window.
+fn normalised_power(coeff: f64, s_prev: f64, s_prev2: f64, n: usize) -> f64 {
+    if n == 0 {
+        return 0.0;
+    }
+    let power = s_prev * s_prev + s_prev2 * s_prev2 - coeff * s_prev * s_prev2;
+    power / (n as f64 * n as f64)
 }
 
 /// A streaming Goertzel detector that can be fed sample-by-sample and
@@ -57,9 +117,8 @@ pub struct StreamingGoertzel {
 impl StreamingGoertzel {
     /// Creates a detector for `freq` Hz at `sample_rate` Hz.
     pub fn new(sample_rate: f64, freq: f64) -> Self {
-        let omega = TAU * freq / sample_rate;
         StreamingGoertzel {
-            coeff: 2.0 * omega.cos(),
+            coeff: coefficient(sample_rate, freq),
             s_prev: 0.0,
             s_prev2: 0.0,
             count: 0,
@@ -76,12 +135,7 @@ impl StreamingGoertzel {
 
     /// Normalised power accumulated so far.
     pub fn power(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let p = self.s_prev * self.s_prev + self.s_prev2 * self.s_prev2
-            - self.coeff * self.s_prev * self.s_prev2;
-        p / (self.count as f64 * self.count as f64)
+        normalised_power(self.coeff, self.s_prev, self.s_prev2, self.count)
     }
 
     /// Clears accumulated state for the next symbol window.
@@ -95,6 +149,8 @@ impl StreamingGoertzel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{bits, edge_value};
+    use proptest::prelude::*;
 
     fn tone(fs: f64, f: f64, n: usize, amp: f64) -> Vec<f64> {
         (0..n)
@@ -162,5 +218,24 @@ mod tests {
             .unwrap()
             .0;
         assert_eq!(freqs[argmax], 4_000.0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// Every tone of a bank equals its own `goertzel_power` bit for
+        /// bit — banks wider than one pass's lanes, empty windows, signed
+        /// zeros, subnormals, NaN and infinities included.
+        #[test]
+        fn bank_is_bit_identical_to_per_tone_power(
+            raw in prop::collection::vec(any::<u64>(), 0..300),
+            freqs in prop::collection::vec(0.0f64..24_000.0, 0..40),
+            sample_rate in 8_000.0f64..96_000.0,
+            mode in 0u8..3,
+        ) {
+            let signal: Vec<f64> = raw.iter().map(|&b| edge_value(b, mode)).collect();
+            let want = bits(freqs.iter().map(|&f| goertzel_power(&signal, sample_rate, f)));
+            prop_assert_eq!(bits(goertzel_bank(&signal, sample_rate, &freqs)), want);
+        }
     }
 }

@@ -49,6 +49,38 @@ pub mod windows;
 
 pub use complex::Complex;
 
+/// Inputs for the kernels' bit-identity property tests.
+#[cfg(test)]
+pub(crate) mod testing {
+    /// Maps random bits to a kernel input. `mode` 0 draws ordinary values
+    /// in (−2, 2); mode 1 mixes in signed zeros and subnormals; mode 2
+    /// also NaN and infinities.
+    pub fn edge_value(bits: u64, mode: u8) -> f64 {
+        let special = (bits % 16) as u8;
+        let subnormal = f64::from_bits((bits >> 8) & 0x000F_FFFF_FFFF_FFFF);
+        match special {
+            0 if mode >= 1 => 0.0,
+            1 if mode >= 1 => -0.0,
+            2 if mode >= 1 => subnormal,
+            3 if mode >= 1 => -subnormal,
+            4 if mode >= 2 => f64::NAN,
+            5 if mode >= 2 => f64::INFINITY,
+            6 if mode >= 2 => f64::NEG_INFINITY,
+            _ => (bits >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0,
+        }
+    }
+
+    /// The bit patterns of a sequence of values, every NaN read as one
+    /// canonical NaN: Rust leaves the sign and payload of a NaN result
+    /// unspecified (the compiler may commute an add's operands), so only
+    /// NaN-ness is a property of the arithmetic.
+    pub fn bits(v: impl IntoIterator<Item = f64>) -> Vec<u64> {
+        v.into_iter()
+            .map(|x| if x.is_nan() { f64::NAN } else { x }.to_bits())
+            .collect()
+    }
+}
+
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::complex::Complex;

@@ -84,8 +84,9 @@ impl Nco {
         out
     }
 
+    /// Advances one sample without evaluating the oscillator.
     #[inline]
-    fn advance(&mut self) {
+    pub fn advance(&mut self) {
         self.phase += self.phase_inc;
         self.wrap();
     }

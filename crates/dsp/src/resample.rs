@@ -6,6 +6,11 @@
 //! that integer-factor interpolation (zero-stuff + polyphase low-pass);
 //! [`resample_linear`] serves rate conversions where sub-sample fidelity is
 //! not critical (e.g. converting between simulator rates for metrics).
+//!
+//! Invariant: [`Upsampler::process`] and [`Upsampler::push`] sum every
+//! polyphase branch in the same order (taps in order, newest sample
+//! first, zeros before the first sample), so batch and streaming output
+//! agree bit for bit.
 
 use crate::fir::FirDesign;
 use crate::windows::Window;
@@ -39,15 +44,28 @@ pub fn resample_linear(input: &[f64], rate_in: f64, rate_out: f64) -> Vec<f64> {
 /// Zero-stuffs by `factor` and low-passes at the original Nyquist with a
 /// windowed-sinc anti-imaging filter whose gain compensates the stuffing
 /// loss.
+///
+/// All `factor` polyphase branches of one input sample advance in
+/// lockstep over a transposed tap table, one accumulator per branch, so
+/// their adds overlap instead of waiting on one another. Each branch
+/// still sums its taps in order, newest sample first, so the output is
+/// bit-identical to evaluating the branches one after another.
 #[derive(Debug, Clone)]
 pub struct Upsampler {
     factor: usize,
-    // Polyphase branches: taps[phase][k] applied to the original-rate
-    // delay line.
-    branches: Vec<Vec<f64>>,
+    // Transposed polyphase table: row `k` holds tap `k` of every branch,
+    // `rows[k·stride + phase]`, applied to the k-th newest sample of the
+    // original-rate delay line. Rows are zero-padded to `stride`, a
+    // whole number of `BRANCH_LANES`.
+    rows: Vec<f64>,
+    stride: usize,
     delay: Vec<f64>,
     pos: usize,
 }
+
+/// Polyphase branches summed together, one accumulator each; a fixed
+/// count lets the accumulators live in registers.
+const BRANCH_LANES: usize = 16;
 
 impl Upsampler {
     /// Creates an upsampler by `factor` with a `taps_per_branch·factor`-tap
@@ -66,14 +84,16 @@ impl Upsampler {
         // Gain compensation: zero-stuffing divides energy by factor.
         let taps: Vec<f64> = proto.taps().iter().map(|t| t * factor as f64).collect();
         let branch_len = taps.len().div_ceil(factor);
-        let mut branches = vec![vec![0.0; branch_len]; factor];
+        let stride = factor.next_multiple_of(BRANCH_LANES);
+        let mut rows = vec![0.0; branch_len * stride];
         for (i, &t) in taps.iter().enumerate() {
-            branches[i % factor][i / factor] = t;
+            rows[(i / factor) * stride + i % factor] = t;
         }
         Upsampler {
             factor,
             delay: vec![0.0; branch_len],
-            branches,
+            rows,
+            stride,
             pos: 0,
         }
     }
@@ -85,40 +105,44 @@ impl Upsampler {
 
     /// Pushes one input sample and returns `factor` output samples.
     pub fn push(&mut self, x: f64) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.factor);
-        self.push_into(x, &mut out);
+        self.delay[self.pos] = x;
+        // Newest sample first, wrapping round the circular delay line:
+        // `delay[pos], …, delay[0], delay[n−1], …, delay[pos+1]`.
+        let (newer, older) = self.delay.split_at(self.pos + 1);
+        let newest_first = newer.iter().rev().chain(older.iter().rev()).copied();
+        let mut out = vec![0.0; self.factor];
+        accumulate_branches(&self.rows, self.stride, newest_first, &mut out);
+        self.pos = (self.pos + 1) % self.delay.len();
         out
     }
 
-    /// Pushes one input sample and appends its `factor` output samples
-    /// to `out`. Each branch sums newest sample first, wrapping round the
-    /// circular delay line: `delay[pos], …, delay[0], delay[n−1], …,
-    /// delay[pos+1]`.
-    fn push_into(&mut self, x: f64, out: &mut Vec<f64>) {
-        self.delay[self.pos] = x;
-        let (newer, older) = self.delay.split_at(self.pos + 1);
-        for branch in &self.branches {
-            let (head, tail) = branch.split_at(newer.len());
-            let mut acc = 0.0;
-            for (&t, &d) in head.iter().zip(newer.iter().rev()) {
-                acc += t * d;
-            }
-            for (&t, &d) in tail.iter().zip(older.iter().rev()) {
-                acc += t * d;
-            }
-            out.push(acc);
-        }
-        self.pos = (self.pos + 1) % self.delay.len();
-    }
-
     /// Upsamples an entire buffer, returning `input.len() · factor`
-    /// samples. Resets state first.
+    /// samples, bit-identical to pushing them one at a time into a reset
+    /// upsampler. Reads the input in place: samples before its start are
+    /// the reset delay line's zeros. Afterwards the delay line holds the
+    /// input's tail, as if every sample had been pushed.
     pub fn process(&mut self, input: &[f64]) -> Vec<f64> {
-        self.reset();
-        let mut out = Vec::with_capacity(input.len() * self.factor);
-        for &x in input {
-            self.push_into(x, &mut out);
+        let n = self.delay.len();
+        let mut out = vec![0.0; input.len() * self.factor];
+        for (i, branches) in out.chunks_exact_mut(self.factor).enumerate() {
+            if i + 1 >= n {
+                let newest_first = input[i + 1 - n..=i].iter().rev().copied();
+                accumulate_branches(&self.rows, self.stride, newest_first, branches);
+            } else {
+                let newest_first = input[..=i]
+                    .iter()
+                    .rev()
+                    .copied()
+                    .chain(std::iter::repeat(0.0));
+                accumulate_branches(&self.rows, self.stride, newest_first, branches);
+            }
         }
+        self.reset();
+        let tail = input.len().saturating_sub(n);
+        for (i, &x) in input.iter().enumerate().skip(tail) {
+            self.delay[i % n] = x;
+        }
+        self.pos = input.len() % n;
         out
     }
 
@@ -126,6 +150,31 @@ impl Upsampler {
     pub fn reset(&mut self) {
         self.delay.iter_mut().for_each(|v| *v = 0.0);
         self.pos = 0;
+    }
+}
+
+/// Sums every branch's taps times the delay line's samples, given newest
+/// first, into `out` — one accumulator per branch, all advancing one row
+/// of the transposed table at a time.
+#[inline]
+fn accumulate_branches(
+    rows: &[f64],
+    stride: usize,
+    newest_first: impl Iterator<Item = f64> + Clone,
+    out: &mut [f64],
+) {
+    for (lanes, out) in out.chunks_mut(BRANCH_LANES).enumerate() {
+        let first = lanes * BRANCH_LANES;
+        let mut acc = [0.0; BRANCH_LANES];
+        for (row, x) in rows.chunks_exact(stride).zip(newest_first.clone()) {
+            let taps: &[f64; BRANCH_LANES] = row[first..]
+                .first_chunk()
+                .expect("rows are padded to whole lanes");
+            for (a, &t) in acc.iter_mut().zip(taps) {
+                *a += t * x;
+            }
+        }
+        out.copy_from_slice(&acc[..out.len()]);
     }
 }
 
@@ -181,7 +230,9 @@ impl Decimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{bits, edge_value};
     use crate::TAU;
+    use proptest::prelude::*;
 
     fn tone(fs: f64, f: f64, n: usize) -> Vec<f64> {
         (0..n).map(|i| (TAU * f * i as f64 / fs).sin()).collect()
@@ -236,16 +287,16 @@ mod tests {
         assert!((steady_rms(&out) - std::f64::consts::FRAC_1_SQRT_2).abs() < 0.05);
     }
 
-    /// The original per-sample loop: one index walking the delay line
-    /// backwards with a wrap branch, a fresh `Vec` per input sample.
+    /// The original per-sample loop: one branch at a time, one index
+    /// walking the delay line backwards with a wrap branch.
     fn reference_push(up: &mut Upsampler, x: f64) -> Vec<f64> {
         let n = up.delay.len();
         up.delay[up.pos] = x;
         let mut out = Vec::new();
-        for branch in &up.branches {
+        for phase in 0..up.factor {
             let mut acc = 0.0;
             let mut idx = up.pos;
-            for &t in branch {
+            for t in up.rows.iter().skip(phase).step_by(up.stride) {
                 acc += t * up.delay[idx];
                 idx = if idx == 0 { n - 1 } else { idx - 1 };
             }
@@ -313,5 +364,31 @@ mod tests {
         assert!(resample_linear(&[], 1.0, 2.0).is_empty());
         let mut up = Upsampler::new(4, 8);
         assert!(up.process(&[]).is_empty());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// `process` equals the per-branch, per-sample loop bit for bit —
+        /// factors 1–12, inputs shorter than a branch, signed zeros,
+        /// subnormals, NaN and infinities included — and leaves a delay
+        /// line that streams on exactly like it.
+        #[test]
+        fn lockstep_branches_are_bit_identical(
+            raw in prop::collection::vec(any::<u64>(), 0..40),
+            factor in 1usize..=12,
+            taps_per_branch in 1usize..10,
+            mode in 0u8..3,
+        ) {
+            let input: Vec<f64> = raw.iter().map(|&b| edge_value(b, mode)).collect();
+            let mut reference = Upsampler::new(factor, taps_per_branch);
+            let want = bits(input.iter().flat_map(|&x| reference_push(&mut reference, x)));
+            let mut lockstep = Upsampler::new(factor, taps_per_branch);
+            prop_assert_eq!(bits(lockstep.process(&input)), want);
+            prop_assert_eq!(lockstep.pos, reference.pos);
+            let more: Vec<f64> = raw.iter().rev().map(|&b| edge_value(b, 0)).collect();
+            let next_want = bits(more.iter().flat_map(|&x| reference_push(&mut reference, x)));
+            prop_assert_eq!(bits(more.iter().flat_map(|&x| lockstep.push(x))), next_want);
+        }
     }
 }

@@ -122,8 +122,25 @@ impl MpxComposer {
     /// tabulated ([`MpxComposer::carriers`]), then combined with the
     /// audio. Equal, bit for bit, to calling [`MpxComposer::compose`]
     /// per sample.
+    ///
+    /// A mono-only mix (pilot, stereo and RDS levels all zero) multiplies
+    /// every carrier by zero, so it is mixed without them: the oscillator
+    /// only steps its phase, and a later call continues exactly where a
+    /// per-sample composer would.
     pub fn compose_buffer(&mut self, left: &[f64], right: &[f64], rds: &[f64]) -> Vec<f64> {
         let n = left.len().min(right.len());
+        let levels = self.levels;
+        if levels.pilot == 0.0 && levels.stereo == 0.0 && levels.rds == 0.0 {
+            return (0..n)
+                .map(|i| {
+                    let r = rds.get(i).copied().unwrap_or(0.0);
+                    let phase = self.pilot_nco.phase();
+                    self.pilot_nco.advance();
+                    mix_mono_only(levels, left[i], right[i], r)
+                        .unwrap_or_else(|| mix(levels, left[i], right[i], r, carriers_at(phase)))
+                })
+                .collect();
+        }
         self.carriers(n).compose(left, right, rds)
     }
 
@@ -152,15 +169,36 @@ impl MpxComposer {
     /// `[pilot, sub38, sub57]` at the current phase; advances one sample.
     #[inline]
     fn next_carriers(&mut self) -> [f64; 3] {
-        let pilot_phase = self.pilot_nco.phase();
-        let pilot = self.pilot_nco.next_sin();
-        [pilot, (2.0 * pilot_phase).sin(), (3.0 * pilot_phase).cos()]
+        let carriers = carriers_at(self.pilot_nco.phase());
+        self.pilot_nco.advance();
+        carriers
     }
 
     /// Resets oscillator phases.
     pub fn reset(&mut self) {
         self.pilot_nco.set_phase(0.0);
     }
+}
+
+/// `[pilot, sub38, sub57]` at pilot phase `phase`: the 38 and 57 kHz
+/// subcarriers are locked to the pilot's second and third harmonics.
+#[inline]
+fn carriers_at(phase: f64) -> [f64; 3] {
+    [phase.sin(), (2.0 * phase).sin(), (3.0 * phase).cos()]
+}
+
+/// [`mix`] for zero pilot, stereo and RDS levels, without the carriers.
+/// `None` where a zero-level term could still change the result's bits —
+/// a zero or non-finite mono term, or a non-finite stereo or RDS input —
+/// so the caller mixes that sample with its carriers.
+#[inline]
+fn mix_mono_only(levels: MpxLevels, left: f64, right: f64, rds: f64) -> Option<f64> {
+    let mono = levels.mono * ((left + right) / 2.0);
+    let zero_terms_vanish = mono != 0.0
+        && mono.is_finite()
+        && (levels.stereo * ((left - right) / 2.0)).is_finite()
+        && (levels.rds * rds).is_finite();
+    zero_terms_vanish.then_some(mono)
 }
 
 /// The MPX expression for one sample, given its `[pilot, sub38, sub57]`
@@ -342,30 +380,56 @@ mod tests {
         assert!(mpx.iter().all(|x| x.abs() <= bound));
     }
 
+    /// A value's bits, any NaN read as one canonical NaN (Rust leaves a
+    /// NaN result's sign and payload unspecified).
+    fn nan_canonical_bits(x: f64) -> u64 {
+        if x.is_nan() { f64::NAN } else { x }.to_bits()
+    }
+
     #[test]
     fn carrier_table_composes_like_per_sample_compose() {
         let n = 30_001;
-        let l = tone(800.0, n);
-        let r = tone(1_300.0, n);
+        let mut l = tone(800.0, n);
+        let mut r = tone(1_300.0, n);
+        // Degenerate samples, where a zero-level carrier term can still
+        // decide the bits: signed zeros, a sum rounding to −0, NaN,
+        // infinities and a difference that overflows.
+        let odd = [
+            (-0.0, -0.0),
+            (0.0, -0.0),
+            (5e-324, -1e-323),
+            (f64::NAN, 0.5),
+            (f64::INFINITY, 0.1),
+            (f64::MAX, -f64::MAX),
+            (1e308, -9e307),
+        ];
+        for (k, &(a, b)) in odd.iter().enumerate() {
+            (l[3 + 5 * k], r[3 + 5 * k]) = (a, b);
+        }
         let rds: Vec<f64> = (0..n / 2)
             .map(|i| if i % 7 < 3 { 1.0 } else { -1.0 })
             .collect();
-        let mut reference = MpxComposer::new(FS, MpxLevels::default());
-        let mut table = reference.clone();
-        // Twice over, so the second buffer starts at a nonzero phase.
-        for _ in 0..2 {
-            let want: Vec<u64> = (0..n)
-                .map(|i| {
-                    let x = reference.compose(l[i], r[i], rds.get(i).copied().unwrap_or(0.0));
-                    x.to_bits()
-                })
-                .collect();
-            let got: Vec<u64> = table
-                .compose_buffer(&l, &r, &rds)
-                .iter()
-                .map(|x| x.to_bits())
-                .collect();
-            assert_eq!(got, want);
+        // The mono-only mix skips the table; both must match `compose`.
+        for levels in [MpxLevels::default(), MpxLevels::mono_only()] {
+            let mut reference = MpxComposer::new(FS, levels);
+            let mut table = reference.clone();
+            // Twice over, so the second buffer starts at a nonzero phase.
+            for _ in 0..2 {
+                let want: Vec<u64> = (0..n)
+                    .map(|i| {
+                        let x = reference.compose(l[i], r[i], rds.get(i).copied().unwrap_or(0.0));
+                        nan_canonical_bits(x)
+                    })
+                    .collect();
+                let got: Vec<u64> = table
+                    .compose_buffer(&l, &r, &rds)
+                    .into_iter()
+                    .map(nan_canonical_bits)
+                    .collect();
+                assert_eq!(got, want);
+                let phase = |c: &MpxComposer| c.pilot_nco.phase().to_bits();
+                assert_eq!(phase(&table), phase(&reference));
+            }
         }
     }
 

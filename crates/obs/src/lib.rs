@@ -97,6 +97,12 @@ pub mod stages {
     /// The physical tier's RF front end (host modulator + backscatter
     /// product).
     pub const RF_FRONT_END: &str = "rf_front_end";
+    /// The physical tier's per-point RF back end: power scaling, motion
+    /// fading and thermal noise (the receivers are [`FM_RECEIVE`]).
+    pub const RF_BACK_END: &str = "rf_back_end";
+    /// One FM receiver decoding IQ to audio (`FmReceiver::receive`):
+    /// tune, channel filter, discriminator, stereo decoder.
+    pub const FM_RECEIVE: &str = "fm_receive";
     /// FFT-based convolution (overlap–save) in the DSP layer.
     pub const FFT_CONV: &str = "fft_conv";
     /// Cross-correlation for time alignment (`fmbs_dsp::corr`): the

@@ -14,6 +14,11 @@ use fmbs_core::sim::fast::{phone_capture_filter, FastSim, FAST_AUDIO_RATE};
 use fmbs_core::sim::physical::{PhysicalSim, PhysicalSimConfig};
 use fmbs_core::sim::scenario::{Scenario, Workload};
 use fmbs_core::sim::Simulator;
+use fmbs_dsp::complex::Complex;
+use fmbs_dsp::fir::{ComplexFir, FirDesign};
+use fmbs_dsp::goertzel::GoertzelBank;
+use fmbs_dsp::resample::Upsampler;
+use fmbs_dsp::windows::Window;
 use std::time::Instant;
 
 fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
@@ -57,4 +62,34 @@ fn main() {
         Scenario::bench(-30.0, 4.0, ProgramKind::News).with_workload(Workload::tone(1_000.0, 0.3));
     let ms = time_ms(3, || psim.run(&ps));
     println!("  physical run    {ms:>8.3} ms   (0.3 s tone scenario, full RF chain)");
+
+    println!("receive-side kernels:");
+    // The physical tier's channel filter: 0.75 s of IQ at 2.56 MHz,
+    // 127 taps, decimated by 10 to the MPX rate.
+    let iq: Vec<Complex> = (0..1_920_000)
+        .map(|i| Complex::from_angle(i as f64 * 0.37).scale(0.8))
+        .collect();
+    let chan = FirDesign {
+        taps: 127,
+        window: Window::Blackman,
+    }
+    .lowpass(2_560_000.0, 130_000.0);
+    let mut cfir = ComplexFir::from_fir(&chan);
+    let ms = time_ms(5, || cfir.process_decimated(&iq, 10));
+    println!("  channel filter  {ms:>8.3} ms   (127 taps, 1.92 M IQ samples, /10)");
+    // The cooperative decoder's x10 upsampler over 2 s of 48 kHz audio.
+    let audio: Vec<f64> = (0..96_000).map(|i| (i as f64 * 0.21).sin()).collect();
+    let mut up = Upsampler::new(10, 8);
+    let ms = time_ms(40, || up.process(&audio));
+    println!("  x10 upsampler   {ms:>8.3} ms   (96 k samples)");
+    // The FDM receiver's 16-tone bank over 1 s of 200 sym/s windows.
+    let tones: Vec<f64> = (1..=16).map(|k| 800.0 * k as f64).collect();
+    let bank = GoertzelBank::new(FAST_AUDIO_RATE, &tones);
+    let ms = time_ms(20, || {
+        audio[..48_000]
+            .chunks_exact(240)
+            .map(|w| bank.powers(w))
+            .collect::<Vec<_>>()
+    });
+    println!("  goertzel bank   {ms:>8.3} ms   (16 tones, 200 x 240-sample windows)");
 }

@@ -462,7 +462,7 @@ proptest! {
         prop_assert_eq!(uncached.cache, Default::default());
         // Observability on the physical tier is equally invisible: a
         // profiled serial run is bit-identical, and the collector saw
-        // the RF front end run.
+        // the RF front end, the back end and the receiver run.
         let obs = fmbs_obs::Collector::new();
         let profiled = {
             let _g = fmbs_obs::install(Some(obs.clone()));
@@ -476,7 +476,13 @@ proptest! {
             repeats
         );
         let stages: Vec<&str> = obs.stage_stats().iter().map(|(n, _)| *n).collect();
-        prop_assert!(stages.contains(&fmbs_obs::stages::RF_FRONT_END));
+        for stage in [
+            fmbs_obs::stages::RF_FRONT_END,
+            fmbs_obs::stages::RF_BACK_END,
+            fmbs_obs::stages::FM_RECEIVE,
+        ] {
+            prop_assert!(stages.contains(&stage), "no {} stage", stage);
+        }
     }
 }
 
