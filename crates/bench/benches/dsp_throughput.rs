@@ -6,7 +6,7 @@ use fmbs_core::tag::{Tag, TagConfig};
 use fmbs_dsp::complex::Complex;
 use fmbs_dsp::corr::find_lag;
 use fmbs_dsp::fft::Fft;
-use fmbs_dsp::fir::{ComplexFir, FirDesign};
+use fmbs_dsp::fir::{DecimatingFir, FirDesign};
 use fmbs_dsp::goertzel::{goertzel_power, GoertzelBank};
 use fmbs_dsp::resample::Upsampler;
 use fmbs_dsp::windows::Window;
@@ -78,7 +78,8 @@ fn bench(c: &mut Criterion) {
         b.iter(|| std::hint::black_box(up.process(&audio)))
     });
     // The physical tier's channel filter: 127 taps over 0.75 s of IQ at
-    // 2.56 MHz, decimated by 10 to the MPX rate.
+    // 2.56 MHz, decimated by 10 to the MPX rate, fed as the back end
+    // feeds it — 10 ms blocks of 25,600 samples.
     let n_iq = 1_920_000;
     g.throughput(Throughput::Elements(n_iq as u64));
     g.bench_function("channel_fir_127tap_decim10_1m92", |b| {
@@ -90,8 +91,15 @@ fn bench(c: &mut Criterion) {
             window: Window::Blackman,
         }
         .lowpass(2_560_000.0, 130_000.0);
-        let mut fir = ComplexFir::from_fir(&design);
-        b.iter(|| std::hint::black_box(fir.process_decimated(&iq, 10)))
+        let mut out = Vec::with_capacity(n_iq / 10);
+        b.iter(|| {
+            let mut fir = DecimatingFir::new(design.taps().to_vec(), 10);
+            out.clear();
+            for block in iq.chunks(25_600) {
+                fir.push(block, &mut out);
+            }
+            std::hint::black_box(out.len())
+        })
     });
     // Planning the coop transform size once the shared twiddle table has
     // grown to it: the bit-reversal table only.

@@ -1012,6 +1012,7 @@ fn main() {
     let mut figures: Vec<FigureEntry> = Vec::with_capacity(specs.len());
     for spec in &specs {
         let fig_collector = run_collector.as_ref().map(|parent| parent.child(0));
+        let peak_before = fmbs_obs::peak_rss_mb();
         let started = Instant::now();
         let e = {
             let _obs = fmbs_obs::install(fig_collector.clone());
@@ -1021,6 +1022,12 @@ fn main() {
         if let (Some(parent), Some(child)) = (&run_collector, &fig_collector) {
             if cli.profile {
                 print_profile(spec.id, child, wall_s);
+                if let (Some(before), Some(after)) = (peak_before, fmbs_obs::peak_rss_mb()) {
+                    println!(
+                        "  peak RSS (VmHWM) {after:.1} MB, raised {:.1} MB by this figure",
+                        after - before
+                    );
+                }
             }
             parent.absorb(child);
         }

@@ -679,6 +679,7 @@ pub fn ablation(_ctx: &BuildCtx) -> Experiment {
     .evaluate(&sim, &scenario);
 
     // (b) Sideband structure per switch architecture (tone carrier).
+    fmbs_obs::span!(fmbs_obs::stages::SWITCH_SIDEBANDS);
     let fs = 2_560_000.0;
     let n = 1 << 16;
     let incident = vec![Complex::ONE; n];

@@ -1,8 +1,9 @@
-//! Helpers that apply channel effects to IQ sample streams.
-//!
-//! The physical simulator in `fmbs-core` composes these: scale a unit-power
-//! transmitter stream to an absolute power, sum several emitters, then add
-//! receiver noise at the configured floor.
+//! Helpers that apply channel effects to whole IQ sample streams: scale a
+//! unit-power transmitter stream to an absolute power, sum several
+//! emitters, delay, measure. The physical simulator in `fmbs-core`
+//! applies the same per-sample operations (`Dbm::amplitude_vs_0dbm`
+//! scaling, sums, [`crate::noise::AwgnSource`] noise) one 10 ms block at
+//! a time, so it never holds a whole scaled capture.
 
 use crate::units::Dbm;
 use fmbs_dsp::complex::Complex;

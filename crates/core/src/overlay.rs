@@ -49,6 +49,7 @@ impl OverlayAudio {
             .workload
             .synthesise(FAST_AUDIO_RATE)
             .reference
+            .clone()
     }
 
     /// Runs the experiment, returning the PESQ-like score of the received

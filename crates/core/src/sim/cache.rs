@@ -11,19 +11,30 @@
 //!   (mono, L−R), the [`Scenario::host_audio`] derivation;
 //! * the [`Workload`]'s own fields + rate → synthesised tag baseband,
 //!   the [`Workload::synthesise`] derivation;
-//! * for the physical tier, the full RF **front end** — host modulator
-//!   IQ and the tag's un-scaled backscatter product — keyed by the host
-//!   and payload derivation inputs plus both sample rates and `f_back`.
-//!   Power scaling, fading and noise are per-point (geometry, seed) and
-//!   applied downstream, so a power×distance grid modulates its host
-//!   station once per programme realisation instead of once per point —
-//!   what makes physical-tier sweeps tractable.
+//! * for the physical tier, the RF **front end** — host modulator IQ
+//!   plus the tag's switch state, one bit per sample
+//!   ([`RfFrontEnd`]) — keyed by the host and payload derivation inputs
+//!   plus both sample rates and `f_back`. Power scaling, fading and
+//!   noise are per-point (geometry, seed) and applied downstream, so a
+//!   power×distance grid modulates its host station once per programme
+//!   realisation instead of once per point — what makes physical-tier
+//!   sweeps tractable.
 //!
 //! The cache is **semantically invisible**: keys capture every input of
 //! the derivation, values are exactly what the uncached path computes,
 //! and both simulation tiers read through the same lookup — so a cached
 //! sweep run is bit-identical to a cache-disabled run (property-tested
-//! in [`super::sweep`]).
+//! in [`super::sweep`]). A hit hands out the shared `Arc`; nothing is
+//! copied out of an entry.
+//!
+//! Front-end entries are tens of megabytes each and only ever shared
+//! within one sweep's grid, so they live for one sweep: the engine
+//! opens a [`FrontEndScope`] while it runs, the cache retains front
+//! ends only while a scope is open, and the last scope to close drops
+//! them. A campaign's shared cache therefore keeps its host and payload
+//! entries across figures but no front end past the sweep that made it,
+//! and a physical run outside any sweep (the ablation figure's single
+//! point) computes its front end without caching or counting it.
 //!
 //! One `Arc<SweepCache>` is shared by all of a sweep's worker threads
 //! (the maps are mutex-guarded; hit/miss counters are atomics reported
@@ -33,10 +44,10 @@
 //! the [`ActiveCacheGuard`] restores the previous handle on drop, which
 //! keeps nested sweeps (a metric running its own sweep) correct.
 
-use super::scenario::{Scenario, SynthesisedPayload, Workload};
+use super::physical::RfFrontEnd;
+use super::scenario::{HostAudio, Scenario, SynthesisedPayload, Workload};
 use crate::modem::Bitrate;
 use fmbs_audio::program::ProgramKind;
-use fmbs_dsp::complex::Complex;
 use serde::{Deserialize, Serialize, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -124,7 +135,7 @@ impl PayloadKey {
 
 /// Physical front-end cache key: every input of the
 /// [`super::physical::PhysicalSim`] RF front end (host modulator output
-/// and the tag's un-scaled backscatter product). Geometry, link budget,
+/// and the tag's switch states). Geometry, link budget,
 /// fading and noise are applied *after* the front end, so they stay out
 /// of the key. The host-station configuration is fixed by the physical
 /// tier's scenario path (mono, no pre-emphasis); if that ever becomes
@@ -144,20 +155,16 @@ struct FrontEndKey {
     stereo_band: bool,
 }
 
-/// A cached RF front end: `(host_iq, backscatter_iq)` before power
-/// scaling, fading and noise.
-pub type RfFrontEnd = Arc<(Vec<Complex>, Vec<Complex>)>;
-
-/// Upper bound on the total IQ samples the front-end cache retains
-/// across all entries (both vectors counted). Front-end buffers are
-/// huge — a 0.5 s tone at 2.56 MHz is ~2.6M samples (~41 MB) per
-/// entry, an 8 s `--full` speech realisation ~41M (~656 MB) — and a
-/// sweep's repetitions each key their own entry, so an unbounded map
-/// could grow to multiple GB on dense physical grids. Past the budget
-/// new entries are simply not retained: every lookup stays
-/// semantically invisible (the computed value is returned either way),
-/// oversized sweeps just recompute per point.
-const FRONT_END_MAX_SAMPLES: usize = 64_000_000; // ~1 GB at 16 B/sample
+/// Upper bound on the heap bytes the front-end cache retains across all
+/// entries. An entry is the host IQ at 16 B per sample plus one switch
+/// bit per sample: a 0.75 s point at 2.56 MHz is ~31 MB, an 8 s
+/// `--full` speech realisation ~330 MB. A sweep's repetitions each key
+/// their own entry, so an unbounded map could grow to multiple GB on
+/// dense physical grids. Past the budget new entries are simply not
+/// retained: every lookup stays semantically invisible (the computed
+/// value is returned either way), oversized sweeps just recompute per
+/// point.
+const FRONT_END_MAX_BYTES: usize = 1 << 30;
 
 /// Schema version written by [`CacheStats::to_value`]. Version 1 (the
 /// implicit pre-versioned schema) lacked the `version` and
@@ -266,20 +273,24 @@ impl Deserialize for CacheStats {
     }
 }
 
-/// A cached `(mono, L−R)` host-audio derivation.
-type HostAudio = Arc<(Vec<f64>, Vec<f64>)>;
+/// The front-end map and the heap bytes its entries hold.
+#[derive(Debug, Default)]
+struct FrontEnds {
+    map: HashMap<FrontEndKey, Arc<RfFrontEnd>>,
+    bytes: usize,
+}
 
 /// A sweep-scoped content-addressed cache (see the module docs).
 #[derive(Debug, Default)]
 pub struct SweepCache {
-    host: Mutex<HashMap<HostKey, HostAudio>>,
+    host: Mutex<HashMap<HostKey, Arc<HostAudio>>>,
     // Keyed by (workload derivation inputs, sample-rate bits).
     payload: Mutex<HashMap<(PayloadKey, u64), Arc<SynthesisedPayload>>>,
-    // The physical tier's scenario-invariant RF front end.
-    front_end: Mutex<HashMap<FrontEndKey, RfFrontEnd>>,
-    // IQ samples currently retained by `front_end` (mutated only under
-    // its lock; atomic so `stats` can read without locking).
-    front_end_samples: AtomicUsize,
+    // The physical tier's scenario-invariant RF front end, with the
+    // heap bytes its entries retain.
+    front_end: Mutex<FrontEnds>,
+    // Open [`FrontEndScope`]s: front ends are cached only while one is.
+    front_end_scopes: AtomicUsize,
     host_hits: AtomicUsize,
     host_misses: AtomicUsize,
     payload_hits: AtomicUsize,
@@ -309,7 +320,7 @@ impl SweepCache {
     }
 
     /// The [`Scenario::host_audio`] derivation, memoised.
-    pub fn host_audio(&self, s: &Scenario, rate: f64, n: usize) -> (Vec<f64>, Vec<f64>) {
+    pub fn host_audio(&self, s: &Scenario, rate: f64, n: usize) -> Arc<HostAudio> {
         let key = HostKey {
             program_seed: s.program_seed,
             program: s.program,
@@ -325,33 +336,57 @@ impl SweepCache {
         {
             self.host_hits.fetch_add(1, Ordering::Relaxed);
             fmbs_obs::counter!("cache.host_hits");
-            return (*hit).clone();
+            return hit;
         }
         // Compute outside the lock; a racing duplicate insert stores the
         // identical (deterministic) value, so last-write-wins is fine.
         self.host_misses.fetch_add(1, Ordering::Relaxed);
         fmbs_obs::counter!("cache.host_misses");
-        let computed = s.host_audio_uncached(rate, n);
+        let computed = Arc::new(s.host_audio_uncached(rate, n));
         self.host
             .lock()
             .expect("sweep cache lock poisoned")
-            .insert(key, Arc::new(computed.clone()));
+            .insert(key, computed.clone());
         computed
     }
 
-    /// The physical tier's RF front end (host modulator output + un-scaled
-    /// tag backscatter product), memoised behind every derivation input:
-    /// the host-audio key, the payload key, both sample rates and
-    /// `f_back`. `compute` runs outside the lock; a racing duplicate
-    /// insert stores the identical (deterministic) value.
+    /// Opens a scope in which [`Self::physical_front_end`] caches; the
+    /// sweep engine holds one for the length of each sweep. When the
+    /// last open scope closes, every front-end entry is dropped.
+    #[must_use = "front ends are cached only while the scope is held"]
+    pub fn front_end_scope(self: &Arc<Self>) -> FrontEndScope {
+        self.front_end_scopes.fetch_add(1, Ordering::SeqCst);
+        FrontEndScope {
+            cache: Arc::clone(self),
+        }
+    }
+
+    /// Heap bytes the front-end entries currently retain.
+    pub fn front_end_bytes(&self) -> usize {
+        self.front_end
+            .lock()
+            .expect("sweep cache lock poisoned")
+            .bytes
+    }
+
+    /// The physical tier's RF front end (host modulator output + the
+    /// tag's switch states), memoised behind every derivation input: the
+    /// host-audio key, the payload key, both sample rates and `f_back`.
+    /// `compute` runs outside the lock; a racing duplicate insert stores
+    /// the identical (deterministic) value. With no [`FrontEndScope`]
+    /// open the front end is computed and returned, neither cached nor
+    /// counted.
     pub fn physical_front_end(
         &self,
         scenario: &Scenario,
         n: usize,
         tag_rate: f64,
         iq_rate: f64,
-        compute: impl FnOnce() -> (Vec<Complex>, Vec<Complex>),
-    ) -> RfFrontEnd {
+        compute: impl FnOnce() -> RfFrontEnd,
+    ) -> Arc<RfFrontEnd> {
+        if self.front_end_scopes.load(Ordering::SeqCst) == 0 {
+            return Arc::new(compute());
+        }
         let key = FrontEndKey {
             program_seed: scenario.program_seed,
             program: scenario.program,
@@ -366,6 +401,7 @@ impl SweepCache {
             .front_end
             .lock()
             .expect("sweep cache lock poisoned")
+            .map
             .get(&key)
             .cloned()
         {
@@ -376,21 +412,22 @@ impl SweepCache {
         self.front_end_misses.fetch_add(1, Ordering::Relaxed);
         fmbs_obs::counter!("cache.front_end_misses");
         let computed = Arc::new(compute());
-        // Retain the entry only while the sample budget holds
-        // ([`FRONT_END_MAX_SAMPLES`]); the computed value is returned
-        // either way, so the cap never changes results.
-        let samples = computed.0.len() + computed.1.len();
-        let mut map = self.front_end.lock().expect("sweep cache lock poisoned");
-        if self.front_end_samples.load(Ordering::Relaxed) + samples <= FRONT_END_MAX_SAMPLES
-            && map.insert(key, computed.clone()).is_none()
+        // Retain the entry only while a scope is open and the byte
+        // budget holds ([`FRONT_END_MAX_BYTES`]); the computed value is
+        // returned either way, so neither changes results.
+        let bytes = computed.heap_bytes();
+        let mut fe = self.front_end.lock().expect("sweep cache lock poisoned");
+        if self.front_end_scopes.load(Ordering::SeqCst) > 0
+            && fe.bytes + bytes <= FRONT_END_MAX_BYTES
+            && fe.map.insert(key, computed.clone()).is_none()
         {
-            self.front_end_samples.fetch_add(samples, Ordering::Relaxed);
+            fe.bytes += bytes;
         }
         computed
     }
 
     /// The [`Workload::synthesise`] derivation, memoised.
-    pub fn payload(&self, w: &Workload, rate: f64) -> SynthesisedPayload {
+    pub fn payload(&self, w: &Workload, rate: f64) -> Arc<SynthesisedPayload> {
         let key = (PayloadKey::new(w), rate.to_bits());
         if let Some(hit) = self
             .payload
@@ -401,18 +438,38 @@ impl SweepCache {
         {
             self.payload_hits.fetch_add(1, Ordering::Relaxed);
             fmbs_obs::counter!("cache.payload_hits");
-            return (*hit).clone();
+            return hit;
         }
         // Compute outside the lock; a racing duplicate insert stores the
         // identical (deterministic) value, so last-write-wins is fine.
         self.payload_misses.fetch_add(1, Ordering::Relaxed);
         fmbs_obs::counter!("cache.payload_misses");
-        let computed = w.synthesise_uncached(rate);
+        let computed = Arc::new(w.synthesise_uncached(rate));
         self.payload
             .lock()
             .expect("sweep cache lock poisoned")
-            .insert(key, Arc::new(computed.clone()));
+            .insert(key, computed.clone());
         computed
+    }
+}
+
+/// An open front-end scope (see [`SweepCache::front_end_scope`]); the
+/// last one to drop empties the front-end map.
+pub struct FrontEndScope {
+    cache: Arc<SweepCache>,
+}
+
+impl Drop for FrontEndScope {
+    fn drop(&mut self) {
+        // Close under the map's lock, so an insert that saw this scope
+        // open lands before the clear, not after it. A poisoned lock
+        // keeps its entries: drop must not panic.
+        let Ok(mut fe) = self.cache.front_end.lock() else {
+            return;
+        };
+        if self.cache.front_end_scopes.fetch_sub(1, Ordering::SeqCst) == 1 {
+            *fe = FrontEnds::default();
+        }
     }
 }
 

@@ -93,9 +93,9 @@ impl FastSim {
     /// instead of the mono band. Only that channel is synthesised: the
     /// other of [`SimOutput::mono`] and [`SimOutput::difference`] is
     /// all-zero (length `payload.len()`), as is `difference` when the
-    /// pilot is not detected; `pilot_detected` and `host_mono` are always
-    /// filled. The returned [`SimOutput`] has empty `payload_ref`/`tx_bits`
-    /// — those describe *synthesised* workloads and are filled by the
+    /// pilot is not detected; `pilot_detected` and `host` are always
+    /// filled. The returned [`SimOutput`] has an empty `payload` — it
+    /// describes *synthesised* workloads and is filled by the
     /// [`Simulator`] entry point.
     pub fn run_payload(
         &self,
@@ -110,7 +110,7 @@ impl FastSim {
         // broadcast RMS (shared scenario derivation — the physical tier
         // hears the same programme). Silence genre ⇒ zero interference,
         // the §5.1 bench case.
-        let (host_mono, host_diff) = s.host_audio(FAST_AUDIO_RATE, n);
+        let host = s.host_audio(FAST_AUDIO_RATE, n);
 
         // Motion fading: per-block CNR scaling, from the scenario's
         // shared fading process.
@@ -181,12 +181,12 @@ impl FastSim {
                 let (rng, host, gain, rms) = if payload_in_stereo_band {
                     (
                         &mut rng_stereo,
-                        &host_diff,
+                        &host.difference,
                         STEREO_PAYLOAD_GAIN,
                         stereo_noise_rms,
                     )
                 } else {
-                    (&mut rng_mono, &host_mono, 1.0, noise_rms)
+                    (&mut rng_mono, &host.mono, 1.0, noise_rms)
                 };
                 for g in gauss[..len].iter_mut() {
                     *g = gaussian(rng);
@@ -228,9 +228,8 @@ impl FastSim {
             pilot_detected,
             budget,
             sample_rate: FAST_AUDIO_RATE,
-            host_mono,
-            payload_ref: Vec::new(),
-            tx_bits: Vec::new(),
+            host,
+            payload: Default::default(),
         }
     }
 
@@ -269,8 +268,7 @@ impl Simulator for FastSim {
     fn run(&self, scenario: &Scenario) -> SimOutput {
         let synth = scenario.workload.synthesise(FAST_AUDIO_RATE);
         let mut out = self.run_payload(scenario, &synth.wave, scenario.workload.stereo_band());
-        out.payload_ref = synth.reference;
-        out.tx_bits = synth.bits;
+        out.payload = synth;
         out
     }
 }
@@ -406,8 +404,8 @@ mod tests {
         let s = Scenario::bench(-30.0, 4.0, ProgramKind::News)
             .with_workload(Workload::data(Bitrate::Bps100, 50));
         let out = Simulator::run(&FastSim, &s);
-        assert_eq!(out.tx_bits.len(), 50);
-        assert_eq!(out.mono.len(), out.payload_ref.len());
+        assert_eq!(out.payload.bits.len(), 50);
+        assert_eq!(out.mono.len(), out.payload.reference.len());
         assert_eq!(FastSim.name(), "fast");
     }
 
@@ -430,7 +428,7 @@ mod tests {
             assert!(stereo.pilot_detected);
             assert_eq!(stereo.mono, vec![0.0; n]);
             assert!(fmbs_dsp::stats::rms(&stereo.difference) > 0.01);
-            assert_eq!(stereo.host_mono, mono.host_mono);
+            assert_eq!(stereo.host.mono, mono.host.mono);
         }
     }
 

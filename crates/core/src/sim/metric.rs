@@ -9,7 +9,7 @@
 //! same implementations, so figure code and unit tests exercise one code
 //! path.
 
-use super::scenario::{Scenario, Workload};
+use super::scenario::{Scenario, SynthesisedPayload, Workload};
 use super::{SimOutput, Simulator};
 use crate::modem::decoder::DataDecoder;
 use crate::modem::{bit_error_rate, mrc};
@@ -17,6 +17,7 @@ use fmbs_audio::pesq::pesq_like;
 use fmbs_channel::pathloss::gaussian;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
 
 /// Gain applied to tag payloads riding the stereo (L−R) band (the fast
 /// tier injects them at 0.9; receivers undo it before scoring).
@@ -82,8 +83,8 @@ impl Ber {
             return self.pilot_lost_ber;
         }
         let dec = DataDecoder::new(out.sample_rate, bitrate);
-        let rx = dec.decode(payload_channel(out, stereo), 0, out.tx_bits.len());
-        bit_error_rate(&out.tx_bits, &rx)
+        let rx = dec.decode(payload_channel(out, stereo), 0, out.payload.bits.len());
+        bit_error_rate(&out.payload.bits, &rx)
     }
 }
 
@@ -145,7 +146,7 @@ impl Metric for BerMrc {
         let (bitrate, stereo) = expect_data(scenario, "ber_mrc");
         let depth = self.depth(scenario);
         let mut recordings = Vec::with_capacity(depth);
-        let mut tx_bits = Vec::new();
+        let mut payload = Arc::<SynthesisedPayload>::default();
         let mut sample_rate = 0.0;
         for i in 0..depth {
             // Shift seed *and* programme seed per repetition (the tag
@@ -162,7 +163,7 @@ impl Metric for BerMrc {
                 return self.pilot_lost_ber;
             }
             if i == 0 {
-                tx_bits = out.tx_bits.clone();
+                payload = out.payload.clone();
                 sample_rate = out.sample_rate;
             }
             recordings.push(match stereo {
@@ -172,8 +173,8 @@ impl Metric for BerMrc {
         }
         let combined = mrc::combine(&recordings);
         let dec = DataDecoder::new(sample_rate, bitrate);
-        let rx = dec.decode(&combined, 0, tx_bits.len());
-        bit_error_rate(&tx_bits, &rx)
+        let rx = dec.decode(&combined, 0, payload.bits.len());
+        bit_error_rate(&payload.bits, &rx)
     }
 }
 
@@ -199,9 +200,9 @@ impl Pesq {
                 .iter()
                 .map(|x| x / STEREO_PAYLOAD_GAIN)
                 .collect();
-            pesq_like(&out.payload_ref, &recovered, out.sample_rate)
+            pesq_like(&out.payload.reference, &recovered, out.sample_rate)
         } else {
-            pesq_like(&out.payload_ref, &out.mono, out.sample_rate)
+            pesq_like(&out.payload.reference, &out.mono, out.sample_rate)
         }
     }
 }
@@ -255,9 +256,9 @@ impl Metric for CoopPesq {
         // delayed and AGC-scaled, with a small independent noise floor.
         let delay = (self.phone2_delay_s * rate) as usize;
         let mut rng = StdRng::seed_from_u64(scenario.seed ^ 0x2222);
-        let mut phone2 = vec![0.0; out.host_mono.len()];
+        let mut phone2 = vec![0.0; out.host.mono.len()];
         for (i, p2) in phone2.iter_mut().enumerate().skip(delay) {
-            *p2 = self.phone2_gain * out.host_mono[i - delay] + 0.003 * gaussian(&mut rng);
+            *p2 = self.phone2_gain * out.host.mono[i - delay] + 0.003 * gaussian(&mut rng);
         }
 
         let dec = crate::coop::CooperativeDecoder::new(rate);
@@ -271,7 +272,7 @@ impl Metric for CoopPesq {
         // notches it out of the played-back audio.
         let mut notch = fmbs_dsp::iir::Biquad::notch(rate, crate::COOP_PILOT_HZ, 4.0);
         let cleaned = notch.process(&result.payload[skip..]);
-        pesq_like(&out.payload_ref, &cleaned, rate)
+        pesq_like(&out.payload.reference, &cleaned, rate)
     }
 }
 
@@ -362,11 +363,11 @@ impl Metric for AudioSnr {
             return 0.0;
         }
         let audio = payload_channel(&out, stereo);
-        let n = audio.len().min(out.payload_ref.len());
+        let n = audio.len().min(out.payload.reference.len());
         if n == 0 {
             return 0.0;
         }
-        let (a, r) = (&audio[..n], &out.payload_ref[..n]);
+        let (a, r) = (&audio[..n], &out.payload.reference[..n]);
         // Project the received audio onto the reference; the residual is
         // noise + interference.
         let dot_ar: f64 = a.iter().zip(r.iter()).map(|(x, y)| x * y).sum();

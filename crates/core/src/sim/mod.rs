@@ -27,8 +27,8 @@
 //!
 //! # Throughput design
 //!
-//! Five layers keep the sweep hot path fast without giving up
-//! determinism:
+//! Six layers keep the sweep hot path fast and bounded without giving
+//! up determinism:
 //!
 //! 1. **Block processing** — [`fast::FastSim::run_payload`] generates
 //!    noise, FM clicks and fading gains into contiguous per-block
@@ -36,10 +36,12 @@
 //!    process), so the combining loops are branch-free slice walks and
 //!    the per-point draw sequences depend only on the scenario seed —
 //!    parallel and serial sweeps stay bit-identical.
-//! 2. **FFT convolution** — long FIRs (the 301-tap capture filter, the
-//!    physical tier's channel selector) route through streaming
-//!    overlap-save convolution when `fmbs_dsp::fftconv`'s tap-count ×
-//!    length heuristic says the transform is cheaper.
+//! 2. **FFT convolution** — long real FIRs (the 301-tap capture
+//!    filter) route through streaming overlap-save convolution when
+//!    `fmbs_dsp::fftconv`'s tap-count × length heuristic says the
+//!    transform is cheaper. The physical tier's channel selector never
+//!    does: decimating by 10 leaves its 127 taps 13 effective taps per
+//!    input sample, far below the crossover, so it is always direct.
 //! 3. **Content-addressed caching** — [`sweep::SweepBuilder`] shares one
 //!    [`cache::SweepCache`] across its workers; identical host
 //!    programmes and payload waveforms are derived once per sweep. The
@@ -63,6 +65,18 @@
 //!    tier's click decay flushes a level below `f64::MIN_POSITIVE` to
 //!    zero; such a level adds nothing to a channel sample, and left
 //!    alone it sticks on a subnormal that every later sample multiplies.
+//! 6. **Bounded memory** — the physical back end
+//!    ([`physical::PhysicalSim`]) walks the front end in place, one
+//!    10 ms fading block at a time: it scales, fades, sums and adds
+//!    noise into one reused block buffer and pushes that block through
+//!    each receiver's streaming channel stage (tuner plus decimating
+//!    filter carrying a `taps − 1` history), so only the 256 kHz
+//!    baseband spans the capture. A front end is the host IQ plus one
+//!    switch bit per sample — the ±1 switch rebuilds the backscatter
+//!    product exactly — and a cached one lives for one sweep: the cache
+//!    drops front ends when the sweep that shares them returns. Each
+//!    sample sees the operations of a whole-capture pass in the same
+//!    order, so results are bit-identical to one.
 
 pub mod cache;
 pub mod fast;
@@ -72,8 +86,8 @@ pub mod scenario;
 pub mod sweep;
 
 use fmbs_channel::backscatter_link::LinkBudget;
-use scenario::Scenario;
-use std::sync::LazyLock;
+use scenario::{HostAudio, Scenario, SynthesisedPayload};
+use std::sync::{Arc, LazyLock};
 
 /// What any simulation tier produces for one scenario.
 #[derive(Debug, Clone)]
@@ -93,16 +107,16 @@ pub struct SimOutput {
     pub budget: LinkBudget,
     /// Audio sample rate of all audio fields.
     pub sample_rate: f64,
-    /// The host programme's mono audio as generated (pre-noise, pre-
-    /// filter) — what a second receiver tuned to the *host* channel would
-    /// hear nearly cleanly. Cooperative backscatter builds its second
-    /// phone from this.
-    pub host_mono: Vec<f64>,
-    /// The clean payload reference at [`Self::sample_rate`] (for
-    /// PESQ-like scoring). Empty for silence workloads.
-    pub payload_ref: Vec<f64>,
-    /// The transmitted bits (data workloads only).
-    pub tx_bits: Vec<bool>,
+    /// The host programme as generated (pre-noise, pre-filter), shared
+    /// with the sweep cache — its mono channel is what a second receiver
+    /// tuned to the *host* channel would hear nearly cleanly.
+    /// Cooperative backscatter builds its second phone from this.
+    pub host: Arc<HostAudio>,
+    /// The synthesised workload, shared with the sweep cache: its clean
+    /// `reference` at [`Self::sample_rate`] (for PESQ-like scoring;
+    /// empty for silence) and its transmitted `bits` (data workloads
+    /// only).
+    pub payload: Arc<SynthesisedPayload>,
 }
 
 /// A *named* simulation tier, selectable at run time (`repro --tier`).

@@ -12,17 +12,17 @@
 use super::fast::FAST_AUDIO_RATE;
 use super::scenario::Scenario;
 use super::{SimOutput, Simulator};
-use crate::tag::{Tag, TagConfig};
+use crate::tag::{SwitchSigns, Tag, TagConfig};
 use fmbs_channel::backscatter_link::{BackscatterLink, CONVERSION_LOSS_DB};
 use fmbs_channel::car::CabinChain;
 use fmbs_channel::fading::JakesFader;
 use fmbs_channel::noise::{thermal_noise_floor, AwgnSource};
-use fmbs_channel::rf::scale_to_power;
 use fmbs_channel::units::Db;
 use fmbs_dsp::complex::Complex;
 use fmbs_dsp::resample::resample_linear;
-use fmbs_fm::receiver::{FmReceiver, ReceiverConfig, StereoAudio};
+use fmbs_fm::receiver::{ChannelStage, FmReceiver, ReceiverConfig, StereoAudio};
 use fmbs_fm::transmitter::{FmTransmitter, StationConfig};
+use std::sync::Arc;
 
 /// Physical simulation configuration.
 #[derive(Debug, Clone)]
@@ -124,8 +124,8 @@ impl PhysicalSim {
     }
 
     /// The scenario-invariant RF **front end**: the host station's
-    /// unit-amplitude IQ multiplex and the tag's un-scaled backscatter
-    /// product. Everything downstream (power scaling, fading, noise, the
+    /// unit-amplitude IQ multiplex and the tag's switch states.
+    /// Everything downstream (power scaling, fading, noise, the
     /// receivers) depends on the point's geometry and seed; the front
     /// end depends only on the host audio, the tag baseband and the
     /// `iq_rate`/`f_back` configuration — which is what lets the sweep
@@ -138,27 +138,26 @@ impl PhysicalSim {
         host_right: &[f64],
         audio_rate: f64,
         tag_baseband: &[f64],
-    ) -> (Vec<Complex>, Vec<Complex>) {
+    ) -> RfFrontEnd {
         fmbs_obs::span!(fmbs_obs::stages::RF_FRONT_END);
         let iq_rate = self.cfg.iq_rate;
         // 1. Host station: unit-amplitude IQ at offset 0.
         let tx = FmTransmitter::new(station, iq_rate, 0.0);
-        let host_iq = tx.modulate(host_left, host_right, audio_rate);
-        let n = host_iq.len();
+        let host = tx.modulate(host_left, host_right, audio_rate);
 
-        // 2. Tag: switch waveform from its baseband, multiplied into the
+        // 2. Tag: switch waveform from its baseband, which multiplies the
         //    incident signal. (The incident amplitude at the tag is
         //    irrelevant to the *shape*; absolute powers are applied at the
-        //    receiver below, on a 0 dBm ↔ unit-power scale.)
+        //    receiver, on a 0 dBm ↔ unit-power scale.)
         let mut tag_bb = fmbs_dsp::resample::resample_linear(tag_baseband, audio_rate, iq_rate);
-        tag_bb.resize(n, 0.0);
+        tag_bb.resize(host.len(), 0.0);
         let mut tag = Tag::new(TagConfig {
             f_back_hz: self.cfg.f_back_hz,
             deviation_hz: 75_000.0,
             sample_rate: iq_rate,
         });
-        let bs_iq = tag.backscatter(&host_iq, &tag_bb);
-        (host_iq, bs_iq)
+        let switch = tag.switch_signs(&tag_bb);
+        RfFrontEnd { host, switch }
     }
 
     /// The full chain with channel/receiver options: `car_receiver`
@@ -177,21 +176,22 @@ impl PhysicalSim {
         car_receiver: bool,
         fader: Option<JakesFader>,
     ) -> PhysicalOutput {
-        let (host_iq, bs_iq) =
-            self.front_end(station, host_left, host_right, audio_rate, tag_baseband);
-        self.run_back_end(host_iq, bs_iq, decode_host_channel, car_receiver, fader)
+        let fe = self.front_end(station, host_left, host_right, audio_rate, tag_baseband);
+        self.run_back_end(&fe, decode_host_channel, car_receiver, fader)
     }
 
     /// The per-point **back end**: scales the front end to the link
     /// budget, applies motion fading and thermal noise, and runs the
-    /// receiver(s). Takes the buffers by value so a freshly computed
-    /// (uncached) front end is consumed in place — only a cache hit
-    /// pays a copy out of the shared entry. Results are bit-identical
-    /// either way.
+    /// receiver(s). It walks the front end in place, one 10 ms block
+    /// (the fading block) at a time, and feeds each receiver's
+    /// [`ChannelStage`] from one reused block buffer, so its memory does
+    /// not grow with the capture: only the receivers' baseband, at a
+    /// tenth of the IQ rate, spans the whole run. Every sample sees the
+    /// operations of a whole-capture pass in the same order, so results
+    /// are bit-identical to one.
     fn run_back_end(
         &self,
-        host_iq: Vec<Complex>,
-        mut bs_iq: Vec<Complex>,
+        fe: &RfFrontEnd,
         decode_host_channel: bool,
         car_receiver: bool,
         mut fader: Option<JakesFader>,
@@ -200,61 +200,93 @@ impl PhysicalSim {
         let iq_rate = self.cfg.iq_rate;
 
         // 3. Powers. The budget's backscatter_at_rx already includes the
-        //    square-wave conversion loss; the switch multiplication in the
-        //    front end applies that loss physically, so the stream is
-        //    scaled to the *pre-conversion* level.
+        //    square-wave conversion loss; the switch multiplication
+        //    applies that loss physically, so the backscatter is scaled
+        //    to the *pre-conversion* level.
         let budget = self.cfg.link.budget_at_feet(self.cfg.distance_ft);
-        scale_to_power(
-            &mut bs_iq,
-            budget.backscatter_at_rx + Db(CONVERSION_LOSS_DB),
-        );
-        let mut direct_iq = host_iq;
-        scale_to_power(&mut direct_iq, self.cfg.link.host_at_rx);
+        let a_bs = (budget.backscatter_at_rx + Db(CONVERSION_LOSS_DB)).amplitude_vs_0dbm();
+        let a_host = self.cfg.link.host_at_rx.amplitude_vs_0dbm();
 
-        // 3b. Motion fading on the backscatter path: one complex gain per
-        //     10 ms block, drawn from the same Jakes process (and seed
-        //     rule) as the fast tier.
-        if let Some(f) = fader.as_mut() {
-            let block = (iq_rate * 0.01) as usize;
-            let mut i = 0usize;
-            while i < bs_iq.len() {
-                let h = f.next_gain();
-                let end = (i + block).min(bs_iq.len());
-                for s in bs_iq[i..end].iter_mut() {
-                    *s *= h;
-                }
-                i = end;
-            }
-        }
-
-        // 4. Receiver input: backscatter + direct host + thermal noise over
-        //    the whole simulated bandwidth (the channel filter narrows it).
+        // 4. Thermal noise over the whole simulated bandwidth (the
+        //    channel filter narrows it).
         let floor = thermal_noise_floor(iq_rate, 290.0, self.cfg.link.noise_figure);
-        let mut rx_input: Vec<Complex> = bs_iq
-            .iter()
-            .zip(direct_iq.iter())
-            .map(|(a, b)| *a + *b)
-            .collect();
         let mut awgn = AwgnSource::new(floor.to_milliwatts(), self.cfg.seed);
-        awgn.corrupt(&mut rx_input);
 
-        // 5. Receivers.
+        // 5. Receivers: each gets every block through its own tuner and
+        //    channel filter, then demodulates the whole baseband.
         let rx_cfg = if car_receiver {
             ReceiverConfig::car(iq_rate, self.cfg.f_back_hz)
         } else {
             ReceiverConfig::smartphone(iq_rate, self.cfg.f_back_hz)
         };
-        let receive = |cfg: ReceiverConfig| {
+        let mut receivers: Vec<(FmReceiver, ChannelStage)> = std::iter::once(rx_cfg)
+            .chain(decode_host_channel.then(|| ReceiverConfig::smartphone(iq_rate, 0.0)))
+            .map(|cfg| {
+                let rx = FmReceiver::new(cfg);
+                let stage = rx.channel_stage();
+                (rx, stage)
+            })
+            .collect();
+
+        // One motion-fading gain per 10 ms block, drawn from the same
+        // Jakes process (and seed rule) as the fast tier.
+        let block = (iq_rate * 0.01) as usize;
+        let mut rx_input: Vec<Complex> = Vec::with_capacity(block);
+        for start in (0..fe.host.len()).step_by(block) {
+            let end = (start + block).min(fe.host.len());
+            let h = fader.as_mut().map(|f| f.next_gain());
+            rx_input.clear();
+            rx_input.extend((start..end).map(|i| {
+                let host = fe.host[i];
+                let mut bs = fe.backscatter(i).scale(a_bs);
+                if let Some(h) = h {
+                    bs *= h;
+                }
+                let mut z = bs + host.scale(a_host);
+                z += awgn.next_complex();
+                z
+            }));
+            for (_, stage) in receivers.iter_mut() {
+                fmbs_obs::span!(fmbs_obs::stages::FM_RECEIVE);
+                stage.push(&rx_input);
+            }
+        }
+
+        let mut decoded = receivers.into_iter().map(|(rx, stage)| {
             fmbs_obs::span!(fmbs_obs::stages::FM_RECEIVE);
-            FmReceiver::new(cfg).receive(&rx_input)
-        };
-        let backscatter_rx = receive(rx_cfg);
-        let host_rx =
-            decode_host_channel.then(|| receive(ReceiverConfig::smartphone(iq_rate, 0.0)));
+            rx.demodulate(stage.baseband())
+        });
+        let backscatter_rx = decoded.next().expect("the backscatter receiver runs");
         PhysicalOutput {
             backscatter_rx,
-            host_rx,
+            host_rx: decoded.next(),
         }
+    }
+}
+
+/// The scenario-invariant RF front end of a physical run (see
+/// [`PhysicalSim`]): the host station's unit-amplitude IQ and the tag's
+/// switch state per sample. The switch is exactly ±1, so the tag's
+/// backscatter product `host[i]·(±1)` is rebuilt bit for bit on the fly
+/// — the front end holds one IQ vector plus one bit per sample, not two
+/// IQ vectors.
+#[derive(Debug)]
+pub struct RfFrontEnd {
+    host: Vec<Complex>,
+    switch: SwitchSigns,
+}
+
+impl RfFrontEnd {
+    /// The tag's backscatter product at sample `i`, before power
+    /// scaling: [`Tag::backscatter`]'s output, bit for bit.
+    #[inline]
+    pub(crate) fn backscatter(&self, i: usize) -> Complex {
+        self.host[i].scale(self.switch.sign(i))
+    }
+
+    /// Heap bytes the front end holds.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val(self.host.as_slice()) + self.switch.heap_bytes()
     }
 }
 
@@ -283,21 +315,7 @@ impl Simulator for PhysicalSim {
 
         // Host programme: the same scenario-derived audio the fast tier
         // hears (mono path only — the host station is modelled mono).
-        let (host_mono, _) = scenario.host_audio(FAST_AUDIO_RATE, synth.wave.len());
-
-        // Tag baseband: mono-band workloads backscatter the payload
-        // directly; stereo-band workloads ride the standard FM multiplex
-        // (19 kHz pilot + pilot-locked 38 kHz DSB-SC) via the tag's own
-        // baseband builder, so the receiver's coherent stereo demod sees
-        // an in-phase subcarrier.
-        let (tag_bb, tag_rate) =
-            if scenario.workload.stereo_band() {
-                let bb = crate::tag::baseband::BasebandBuilder::new(STEREO_MUX_RATE)
-                    .stereo_payload(&synth.wave, FAST_AUDIO_RATE, true);
-                (bb, STEREO_MUX_RATE)
-            } else {
-                (synth.wave.clone(), FAST_AUDIO_RATE)
-            };
+        let host = scenario.host_audio(FAST_AUDIO_RATE, synth.wave.len());
 
         let rf = PhysicalSim::new(PhysicalSimConfig {
             link: scenario.link(),
@@ -314,35 +332,54 @@ impl Simulator for PhysicalSim {
         // identical gain sequence to the fast tier's.
         let fader = scenario.fader(FAST_AUDIO_RATE);
         let car = scenario.receiver == super::scenario::ReceiverKind::Car;
-        // The chain takes host audio and tag baseband at one shared rate:
-        // the stereo multiplex needs its 192 kHz rate (38 kHz subcarrier),
-        // so lift the host audio to match in that case.
-        let host = if (tag_rate - FAST_AUDIO_RATE).abs() < f64::EPSILON {
-            host_mono.clone()
+
+        // Tag baseband: mono-band workloads backscatter the payload
+        // directly; stereo-band workloads ride the standard FM multiplex
+        // (19 kHz pilot + pilot-locked 38 kHz DSB-SC) via the tag's own
+        // baseband builder, so the receiver's coherent stereo demod sees
+        // an in-phase subcarrier. The chain takes host audio and tag
+        // baseband at one shared rate, so the stereo case lifts the host
+        // audio to the multiplex's 192 kHz (38 kHz subcarrier).
+        let stereo_band = scenario.workload.stereo_band();
+        let tag_rate = if stereo_band {
+            STEREO_MUX_RATE
         } else {
-            resample_linear(&host_mono, FAST_AUDIO_RATE, tag_rate)
+            FAST_AUDIO_RATE
+        };
+        let compute = || {
+            if stereo_band {
+                let bb = crate::tag::baseband::BasebandBuilder::new(STEREO_MUX_RATE)
+                    .stereo_payload(&synth.wave, FAST_AUDIO_RATE, true);
+                let lifted = resample_linear(&host.mono, FAST_AUDIO_RATE, STEREO_MUX_RATE);
+                rf.front_end(station, &lifted, &lifted, STEREO_MUX_RATE, &bb)
+            } else {
+                rf.front_end(
+                    station,
+                    &host.mono,
+                    &host.mono,
+                    FAST_AUDIO_RATE,
+                    &synth.wave,
+                )
+            }
         };
         // The expensive scenario-invariant front end (host modulator IQ,
-        // tag switch product) reads through the sweep cache when one is
+        // tag switch states) reads through the sweep cache when one is
         // installed; fresh computation otherwise. Either way the back end
-        // applies this point's powers, fading and noise — bit-identical
-        // results (property-tested in `tests/tests/properties.rs`).
-        let (host_iq, bs_iq) = match super::cache::active() {
-            Some(cache) => {
-                let fe = cache.physical_front_end(
-                    scenario,
-                    synth.wave.len(),
-                    tag_rate,
-                    rf.cfg.iq_rate,
-                    || rf.front_end(station, &host, &host, tag_rate, &tag_bb),
-                );
-                // Copy out of the shared entry: the back end scales and
-                // fades in place, per point.
-                (fe.0.clone(), fe.1.clone())
-            }
-            None => rf.front_end(station, &host, &host, tag_rate, &tag_bb),
+        // reads it in place and applies this point's powers, fading and
+        // noise — bit-identical results (property-tested in
+        // `tests/tests/properties.rs`).
+        let fe = match super::cache::active() {
+            Some(cache) => cache.physical_front_end(
+                scenario,
+                synth.wave.len(),
+                tag_rate,
+                rf.cfg.iq_rate,
+                compute,
+            ),
+            None => Arc::new(compute()),
         };
-        let out = rf.run_back_end(host_iq, bs_iq, false, car, Some(fader));
+        let out = rf.run_back_end(&fe, false, car, Some(fader));
+        drop(fe);
         let rx = out.backscatter_rx;
 
         // Resample receiver audio to the tier-agnostic rate and trim to
@@ -364,9 +401,8 @@ impl Simulator for PhysicalSim {
             pilot_detected: rx.stereo_detected,
             budget: scenario.link().budget_at_feet(scenario.distance_ft),
             sample_rate: FAST_AUDIO_RATE,
-            host_mono,
-            payload_ref: synth.reference,
-            tx_bits: synth.bits,
+            host,
+            payload: synth,
         }
     }
 }
@@ -479,7 +515,7 @@ mod tests {
         let scenario = Scenario::bench(-20.0, 4.0, ProgramKind::Silence)
             .with_workload(Workload::tone(1_000.0, 0.3));
         let out = sim.run(&scenario);
-        assert_eq!(out.mono.len(), out.payload_ref.len());
+        assert_eq!(out.mono.len(), out.payload.reference.len());
         assert_eq!(out.sample_rate, crate::sim::fast::FAST_AUDIO_RATE);
         let skip = out.mono.len() / 3;
         let snr = tone_snr_db(&out.mono[skip..], out.sample_rate, 1_000.0);

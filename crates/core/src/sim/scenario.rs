@@ -16,6 +16,7 @@ use fmbs_channel::backscatter_link::BackscatterLink;
 use fmbs_channel::fading::{JakesFader, MotionProfile};
 use fmbs_channel::units::Dbm;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Which receiver the experiment uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -123,6 +124,16 @@ pub enum Workload {
         /// Seed generating the speech.
         payload_seed: u64,
     },
+}
+
+/// A scenario's host programme as both tiers hear it (see
+/// [`Scenario::host_audio`]).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct HostAudio {
+    /// The mono (L+R) programme, loudness-processed to the broadcast RMS.
+    pub mono: Vec<f64>,
+    /// The L−R difference, scaled with the mono loudness gain.
+    pub difference: Vec<f64>,
 }
 
 /// A synthesised workload: the waveform the tag backscatters plus the
@@ -244,11 +255,12 @@ impl Workload {
     /// When a sweep's content-addressed cache is active on this thread
     /// (see [`super::cache`]), the waveform is looked up by the
     /// workload's own derivation inputs — e.g. `(bitrate, payload_seed,
-    /// n_bits)` for data — before being synthesised.
-    pub fn synthesise(&self, sample_rate: f64) -> SynthesisedPayload {
+    /// n_bits)` for data — before being synthesised; a hit shares the
+    /// cached value.
+    pub fn synthesise(&self, sample_rate: f64) -> Arc<SynthesisedPayload> {
         match super::cache::active() {
             Some(cache) => cache.payload(self, sample_rate),
-            None => self.synthesise_uncached(sample_rate),
+            None => Arc::new(self.synthesise_uncached(sample_rate)),
         }
     }
 
@@ -447,23 +459,23 @@ impl Scenario {
 
     /// The host programme audio both simulation tiers derive from this
     /// scenario: generated from the programme seed, loudness-processed to
-    /// the broadcast level, `n` samples long. Returns `(mono, L−R)`.
-    /// Centralised here so the tiers cannot drift apart.
+    /// the broadcast level, `n` samples long. Centralised here so the
+    /// tiers cannot drift apart.
     ///
     /// When a sweep's content-addressed cache is active on this thread
     /// (see [`super::cache`]), the derivation is looked up by
-    /// `(program_seed, programme, duration)` first — semantically
-    /// invisible, because the cached value is exactly what
+    /// `(program_seed, programme, duration)` first and a hit shares the
+    /// cached value — semantically invisible, because it is exactly what
     /// [`Self::host_audio_uncached`] would compute.
-    pub fn host_audio(&self, rate: f64, n: usize) -> (Vec<f64>, Vec<f64>) {
+    pub fn host_audio(&self, rate: f64, n: usize) -> Arc<HostAudio> {
         match super::cache::active() {
             Some(cache) => cache.host_audio(self, rate, n),
-            None => self.host_audio_uncached(rate, n),
+            None => Arc::new(self.host_audio_uncached(rate, n)),
         }
     }
 
     /// The cache-bypassing derivation behind [`Self::host_audio`].
-    pub fn host_audio_uncached(&self, rate: f64, n: usize) -> (Vec<f64>, Vec<f64>) {
+    pub fn host_audio_uncached(&self, rate: f64, n: usize) -> HostAudio {
         fmbs_obs::span!(fmbs_obs::stages::HOST_AUDIO);
         let host = fmbs_audio::program::ProgramGenerator::new(rate, self.program_seed ^ 0xA5)
             .generate(self.program, n.max(1) as f64 / rate);
@@ -482,7 +494,10 @@ impl Scenario {
         }
         mono.resize(n, 0.0);
         diff.resize(n, 0.0);
-        (mono, diff)
+        HostAudio {
+            mono,
+            difference: diff,
+        }
     }
 
     /// The motion-fading process both tiers apply to the backscatter

@@ -556,6 +556,8 @@ impl SweepBuilder {
         // run shares one across figures); otherwise make a fresh one.
         let shared = self.cache.then(|| cache::active().unwrap_or_default());
         let _guard = cache::install(shared.clone());
+        // Physical front ends are shared within this grid only.
+        let _front_ends = shared.as_ref().map(|c| c.front_end_scope());
         let points = points
             .iter()
             .map(|p| SweepValue {
@@ -607,6 +609,7 @@ impl SweepBuilder {
         // cache if there is one, so campaign figures share hits.
         let shared: Option<Arc<SweepCache>> =
             self.cache.then(|| cache::active().unwrap_or_default());
+        let _front_ends = shared.as_ref().map(|c| c.front_end_scope());
         // Each worker profiles into its own child collector (timings and
         // counters only — no RNG is touched), merged back in worker
         // order after the scope so the aggregate is schedule-independent.
@@ -791,6 +794,35 @@ mod tests {
                 p.value
             );
         }
+    }
+
+    /// A sweep that adopts a shared cache (as every campaign figure
+    /// does) shares front ends inside its grid and leaves none behind,
+    /// serial or parallel; a physical run outside any sweep neither
+    /// caches nor counts one.
+    #[test]
+    fn shared_cache_keeps_no_front_end_past_its_sweep() {
+        let physical = crate::sim::Tier::Physical.simulator();
+        let shared = SweepCache::new();
+        let _guard = cache::install(Some(shared.clone()));
+        let base = Scenario::bench(-30.0, 4.0, ProgramKind::News)
+            .with_workload(Workload::tone(2_000.0, 0.05));
+        let sweep = SweepBuilder::new(base).powers_dbm([-30.0, -50.0]);
+        let metric = ToneSnr::default();
+        let serial = sweep.run_serial(physical, &metric);
+        assert_eq!(serial.cache.front_end_hits, 1);
+        assert_eq!(shared.front_end_bytes(), 0);
+        // Two workers may both miss the one front end, so count lookups.
+        let parallel = sweep.clone().threads(2).run(physical, &metric);
+        let fe = parallel.cache;
+        assert_eq!(fe.front_end_hits + fe.front_end_misses, 4);
+        assert_eq!(shared.front_end_bytes(), 0);
+        let outside = metric.evaluate(physical, &serial.points[0].scenario);
+        assert_eq!(outside.to_bits(), serial.points[0].value.to_bits());
+        let after = shared.stats();
+        assert_eq!(after.front_end_hits, fe.front_end_hits);
+        assert_eq!(after.front_end_misses, fe.front_end_misses);
+        assert_eq!(shared.front_end_bytes(), 0);
     }
 
     #[test]

@@ -82,6 +82,24 @@ impl Tag {
             .collect()
     }
 
+    /// The switch states a [`Self::backscatter`] over `fm_back` applies,
+    /// one bit per sample. Since every state is exactly ±1.0, the
+    /// product is rebuilt bit for bit as
+    /// `incident[i].scale(signs.sign(i))` — an eighth of a byte per
+    /// sample instead of a second IQ vector.
+    pub fn switch_signs(&mut self, fm_back: &[f64]) -> SwitchSigns {
+        let mut words = vec![0u64; fm_back.len().div_ceil(64)];
+        for (i, &m) in fm_back.iter().enumerate() {
+            if self.osc.next_switch(m) < 0.0 {
+                words[i / 64] |= 1 << (i % 64);
+            }
+        }
+        SwitchSigns {
+            words,
+            len: fm_back.len(),
+        }
+    }
+
     /// Backscatters with an idealised cosine (not square) subcarrier —
     /// the ablation reference quantifying the square-wave approximation.
     pub fn backscatter_cosine(&mut self, incident: &[Complex], fm_back: &[f64]) -> Vec<Complex> {
@@ -134,10 +152,50 @@ impl Tag {
     }
 }
 
+/// A ±1 switch waveform packed one bit per sample, set for −1 (see
+/// [`Tag::switch_signs`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SwitchSigns {
+    words: Vec<u64>,
+    len: usize,
+}
+
+impl SwitchSigns {
+    /// Samples in the waveform.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether the waveform has no samples.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The switch state at sample `i`: exactly 1.0 or −1.0.
+    ///
+    /// # Panics
+    /// Panics when `i` is out of range.
+    #[inline]
+    pub fn sign(&self, i: usize) -> f64 {
+        assert!(i < self.len, "switch sample {i} out of range {}", self.len);
+        if self.words[i / 64] >> (i % 64) & 1 == 1 {
+            -1.0
+        } else {
+            1.0
+        }
+    }
+
+    /// Heap bytes the packed waveform holds.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.words.len() * std::mem::size_of::<u64>()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use fmbs_dsp::fft::Fft;
+    use proptest::prelude::*;
 
     const FS: f64 = 2_400_000.0;
 
@@ -287,5 +345,68 @@ mod tests {
     fn mismatched_lengths_panic() {
         let mut tag = Tag::new(TagConfig::paper_default(FS));
         let _ = tag.backscatter(&[Complex::ONE; 10], &[0.0; 5]);
+    }
+
+    /// Ordinary values in (−2, 2), with signed zeros, subnormals, NaN and
+    /// infinities mixed in.
+    fn edge_value(bits: u64) -> f64 {
+        match bits % 12 {
+            0 => 0.0,
+            1 => -0.0,
+            2 => f64::from_bits((bits >> 8) & 0x000F_FFFF_FFFF_FFFF),
+            3 => f64::NAN,
+            4 => f64::INFINITY,
+            5 => f64::NEG_INFINITY,
+            _ => (bits >> 11) as f64 / (1u64 << 53) as f64 * 4.0 - 2.0,
+        }
+    }
+
+    /// Bit patterns, every NaN read as one canonical NaN (Rust leaves a
+    /// NaN result's sign and payload unspecified).
+    fn iq_bits(v: impl IntoIterator<Item = Complex>) -> Vec<u64> {
+        v.into_iter()
+            .flat_map(|z| [z.re, z.im])
+            .map(|x| if x.is_nan() { f64::NAN } else { x }.to_bits())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The packed switch states rebuild the backscatter product bit
+        /// for bit — signed zeros and non-finite IQ and baseband
+        /// included — and leave the oscillator where backscatter does.
+        #[test]
+        fn switch_signs_rebuild_backscatter(
+            raw_iq in prop::collection::vec(any::<u64>(), 0..600),
+            raw_bb in prop::collection::vec(any::<u64>(), 300..301),
+        ) {
+            let incident: Vec<Complex> = raw_iq
+                .chunks_exact(2)
+                .map(|p| Complex::new(edge_value(p[0]), edge_value(p[1])))
+                .collect();
+            let fm_back: Vec<f64> = raw_bb[..incident.len()]
+                .iter()
+                .map(|&b| {
+                    if b % 7 == 0 {
+                        edge_value(b)
+                    } else {
+                        (b >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+                    }
+                })
+                .collect();
+            let mut product_tag = Tag::new(TagConfig::paper_default(FS));
+            let want = product_tag.backscatter(&incident, &fm_back);
+            let mut signs_tag = Tag::new(TagConfig::paper_default(FS));
+            let signs = signs_tag.switch_signs(&fm_back);
+            prop_assert_eq!(signs.len(), incident.len());
+            let got = incident.iter().enumerate().map(|(i, z)| z.scale(signs.sign(i)));
+            prop_assert_eq!(iq_bits(got), iq_bits(want));
+            let next = [0.25; 70];
+            prop_assert_eq!(
+                signs_tag.switch_waveform(&next),
+                product_tag.switch_waveform(&next)
+            );
+        }
     }
 }

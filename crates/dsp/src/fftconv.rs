@@ -115,8 +115,16 @@ impl OverlapSave {
     /// output continues the previous call's convolution exactly like
     /// [`crate::fir::Fir::process`].
     pub fn process(&mut self, input: &[f64]) -> Vec<f64> {
-        fmbs_obs::span!(fmbs_obs::stages::FFT_CONV);
         let mut out = Vec::with_capacity(input.len());
+        self.process_into(input, 0, &mut out);
+        out
+    }
+
+    /// [`Self::process`], appending to `out` every output after this
+    /// call's first `skip` — how an aligned filter drops its group delay
+    /// without moving the rest.
+    pub fn process_into(&mut self, input: &[f64], skip: usize, out: &mut Vec<f64>) {
+        fmbs_obs::span!(fmbs_obs::stages::FFT_CONV);
         let mut pos = 0usize;
         while pos < input.len() {
             let take = self.l.min(input.len() - pos);
@@ -140,11 +148,11 @@ impl OverlapSave {
                 *s *= *w;
             }
             self.fft.inverse(&mut self.scratch);
-            out.extend(self.scratch[h..h + take].iter().map(|z| z.re));
+            let kept = h + skip.saturating_sub(pos).min(take);
+            out.extend(self.scratch[kept..h + take].iter().map(|z| z.re));
             update_history(&mut self.history, chunk);
             pos += take;
         }
-        out
     }
 
     /// Clears the streaming state.
@@ -240,7 +248,7 @@ impl OverlapSaveComplex {
 
 /// Rolls the streaming history forward: after this, `history` holds the
 /// last `history.len()` samples of the concatenation `history ++ chunk`.
-fn update_history<T: Copy>(history: &mut [T], chunk: &[T]) {
+pub(crate) fn update_history<T: Copy>(history: &mut [T], chunk: &[T]) {
     let h = history.len();
     if h == 0 {
         return;

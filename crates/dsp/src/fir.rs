@@ -8,14 +8,16 @@
 //! preferring simplicity over cleverness.
 //!
 //! Invariant: the direct forms — per sample ([`ComplexFir::push`]) and
-//! the lockstep decimator ([`ComplexFir::process_decimated`]) — sum each
+//! the streaming lockstep decimator ([`DecimatingFir`], of which
+//! [`ComplexFir::process_decimated`] is the one-block case) — sum each
 //! output's terms in one order (taps in order, newest sample first,
-//! zeros before the first sample), so they agree bit for bit. The FFT
-//! form, where [`fft_convolution_wins`] routes a filter, agrees to
+//! zeros before the first sample), so they agree bit for bit however a
+//! stream is split into blocks. The FFT form, where
+//! [`fft_convolution_wins`] routes [`Fir::filter_aligned`], agrees to
 //! rounding.
 
 use crate::complex::Complex;
-use crate::fftconv::{fft_convolution_wins, OverlapSave, OverlapSaveComplex};
+use crate::fftconv::{fft_convolution_wins, update_history, OverlapSave};
 use crate::windows::Window;
 
 /// Specification for a windowed-sinc FIR design.
@@ -196,12 +198,12 @@ impl Fir {
             .fft_engine
             .get_or_insert_with(|| OverlapSave::new(taps));
         eng.reset();
-        // Streaming conv output y[k] for k in 0..len, then flush the
-        // group delay with zeros; dropping the first d outputs aligns
-        // the result with the input exactly like the direct path.
-        let mut y = eng.process(input);
-        y.extend(eng.process(&vec![0.0; d]));
-        y.drain(..d);
+        // The streaming convolution of the input, then `d` zeros that
+        // flush the group delay; leaving out its first `d` outputs
+        // aligns the result with the input exactly like the direct path.
+        let mut y = Vec::with_capacity(input.len());
+        eng.process_into(input, d, &mut y);
+        eng.process_into(&vec![0.0; d], d.saturating_sub(input.len()), &mut y);
         y
     }
 
@@ -274,33 +276,17 @@ impl ComplexFir {
 
     /// Filters a buffer keeping only every `decim`-th output (the first
     /// sample's output included) — the channel-select-and-decimate step
-    /// of the FM receiver. Equal, bit for bit, to filtering everything
-    /// with [`ComplexFir::push`] and taking `output[k·decim]`, but skips
-    /// the discarded multiply-accumulates; long filters are computed by
-    /// overlap-save FFT convolution instead when [`fft_convolution_wins`]
-    /// says so — judged on the *effective* per-input-sample cost
-    /// `taps / decim`, since the direct form only pays taps MACs at kept
-    /// outputs while the FFT form always computes every output.
-    ///
-    /// The direct form reads the input slice in place and advances four
-    /// kept outputs per sweep over the taps, one accumulator each, so
-    /// the adds of different outputs overlap instead of waiting on one
-    /// another. Every output still sums the same terms in the same order
-    /// (taps in order, newest sample first, `Complex::ZERO` before the
-    /// first sample), so the result is bit-identical to the per-sample
-    /// filter.
+    /// of the FM receiver, as one block of a [`DecimatingFir`] stream.
+    /// Equal, bit for bit, to filtering everything with
+    /// [`ComplexFir::push`] and taking `output[k·decim]`, but skips the
+    /// discarded multiply-accumulates.
     ///
     /// Resets state first: whole-signal operation. Afterwards the delay
     /// line holds the input's tail, as if every sample had been pushed.
     pub fn process_decimated(&mut self, input: &[Complex], decim: usize) -> Vec<Complex> {
-        assert!(decim >= 1, "decimation factor must be at least 1");
-        let out = if fft_convolution_wins(self.taps.len().div_ceil(decim), input.len()) {
-            let mut eng = OverlapSaveComplex::new(&self.taps);
-            let full = eng.process(input);
-            full.into_iter().step_by(decim).collect()
-        } else {
-            decimate_direct(&self.taps, input, decim)
-        };
+        let mut stream = DecimatingFir::new(self.taps.clone(), decim);
+        let mut out = Vec::with_capacity(input.len().div_ceil(decim));
+        stream.push(input, &mut out);
         self.load_history(input);
         out
     }
@@ -324,26 +310,110 @@ impl ComplexFir {
     }
 }
 
-/// Kept outputs the direct decimating filter computes per tap sweep.
+/// A decimating FIR over an IQ stream that arrives in blocks: output `k`
+/// is the filter output at stream index `k·decim`, whatever the block
+/// split — the FM receiver's channel selector, fed 10 ms at a time so no
+/// whole capture is ever held.
+///
+/// Between blocks it carries the stream's last `taps − 1` samples
+/// (`Complex::ZERO` before the start, what a reset delay line holds).
+/// Outputs whose window lies inside a block read the block in place;
+/// the few whose window reaches back into the history read a short seam
+/// of `[history | block head]`. Both run one kernel that advances four
+/// kept outputs per sweep over the taps, one accumulator each, so the
+/// adds of different outputs overlap instead of waiting on one another.
+/// Every output still sums the same terms in the same order (taps in
+/// order, newest sample first), so the result is bit-identical to
+/// [`ComplexFir::push`].
+#[derive(Debug, Clone)]
+pub struct DecimatingFir {
+    taps: Vec<f64>,
+    decim: usize,
+    history: Vec<Complex>,
+    // Scratch for the outputs whose window straddles the block start.
+    seam: Vec<Complex>,
+    // Stream samples still to come before the next kept output.
+    skip: usize,
+}
+
+impl DecimatingFir {
+    /// A filter keeping every `decim`-th output of `taps`, from the
+    /// stream's first sample on.
+    ///
+    /// # Panics
+    /// Panics when `taps` is empty or `decim` is zero.
+    pub fn new(taps: Vec<f64>, decim: usize) -> Self {
+        assert!(!taps.is_empty(), "FIR needs at least one tap");
+        assert!(decim >= 1, "decimation factor must be at least 1");
+        let h = taps.len() - 1;
+        DecimatingFir {
+            taps,
+            decim,
+            history: vec![Complex::ZERO; h],
+            seam: Vec::with_capacity(2 * h),
+            skip: 0,
+        }
+    }
+
+    /// Filters the stream's next block, appending its kept outputs to
+    /// `out`.
+    pub fn push(&mut self, block: &[Complex], out: &mut Vec<Complex>) {
+        let n = self.taps.len();
+        let h = n - 1;
+        let d = self.decim;
+        let len = block.len();
+        if self.skip < len {
+            // Kept outputs at block indices skip, skip + d, … < len.
+            // Those before index h reach back into the history.
+            let head = len.min(h);
+            if self.skip < head {
+                self.seam.clear();
+                self.seam.extend_from_slice(&self.history);
+                self.seam.extend_from_slice(&block[..head]);
+                let count = (head - self.skip).div_ceil(d);
+                decimate_lockstep(&self.taps, &self.seam, self.skip + n, d, count, out);
+            }
+            let first = if self.skip >= h {
+                self.skip
+            } else {
+                self.skip + (h - self.skip).div_ceil(d) * d
+            };
+            if first < len {
+                let count = (len - first).div_ceil(d);
+                decimate_lockstep(&self.taps, block, first + 1, d, count, out);
+            }
+        }
+        update_history(&mut self.history, block);
+        self.skip = if self.skip >= len {
+            self.skip - len
+        } else {
+            (d - (len - self.skip) % d) % d
+        };
+    }
+}
+
+/// Kept outputs the decimating filter computes per tap sweep.
 const DECIM_LANES: usize = 4;
 
-/// The direct form of [`ComplexFir::process_decimated`]: output `k` is
-/// the filter output at input index `k·decim`.
-fn decimate_direct(taps: &[f64], input: &[Complex], decim: usize) -> Vec<Complex> {
+/// Appends `count` filter outputs over `x`: output `m` is the window
+/// ending (exclusively) at `first_end + m·step`, summed taps in order,
+/// newest sample first.
+fn decimate_lockstep(
+    taps: &[f64],
+    x: &[Complex],
+    first_end: usize,
+    step: usize,
+    count: usize,
+    out: &mut Vec<Complex>,
+) {
     let n = taps.len();
-    let n_out = input.len().div_ceil(decim);
-    let mut out = Vec::with_capacity(n_out);
-    // Warm-up: outputs whose window reaches before the first sample.
-    let warm = n_out.min((n - 1).div_ceil(decim));
-    out.extend((0..warm).map(|k| output_at(taps, input, k * decim)));
-    // Steady state: DECIM_LANES outputs per sweep, each over its own
-    // window of the input, summed newest sample first.
-    let mut k = warm;
-    while k + DECIM_LANES <= n_out {
-        let windows: [&[Complex]; DECIM_LANES] = std::array::from_fn(|l| {
-            let end = (k + l) * decim + 1;
-            &input[end - n..end]
-        });
+    let window = |m: usize| {
+        let end = first_end + m * step;
+        &x[end - n..end]
+    };
+    let mut m = 0;
+    while m + DECIM_LANES <= count {
+        let windows: [&[Complex]; DECIM_LANES] = std::array::from_fn(|l| window(m + l));
         let mut acc = [Complex::ZERO; DECIM_LANES];
         for (j, &t) in taps.iter().enumerate() {
             let r = n - 1 - j;
@@ -352,22 +422,16 @@ fn decimate_direct(taps: &[f64], input: &[Complex], decim: usize) -> Vec<Complex
             }
         }
         out.extend(acc);
-        k += DECIM_LANES;
+        m += DECIM_LANES;
     }
-    out.extend((k..n_out).map(|k| output_at(taps, input, k * decim)));
-    out
-}
-
-/// One filter output at input index `i`: taps in order, newest sample
-/// first, `Complex::ZERO` for samples before the start of `input` — what
-/// a reset delay line holds there.
-fn output_at(taps: &[f64], input: &[Complex], i: usize) -> Complex {
-    let mut acc = Complex::ZERO;
-    for (j, &t) in taps.iter().enumerate() {
-        let x = if j <= i { input[i - j] } else { Complex::ZERO };
-        acc += x.scale(t);
+    for m in m..count {
+        let w = window(m);
+        let mut acc = Complex::ZERO;
+        for (j, &t) in taps.iter().enumerate() {
+            acc += w[n - 1 - j].scale(t);
+        }
+        out.push(acc);
     }
-    acc
 }
 
 #[cfg(test)]
@@ -539,6 +603,34 @@ mod tests {
         }
     }
 
+    /// The aligned FFT path writes the bits the streaming convolution
+    /// plus a zero flush gives once its first `group_delay()` outputs
+    /// are dropped — inputs shorter than the delay included.
+    #[test]
+    fn aligned_fft_drops_the_group_delay_in_place() {
+        for (taps, len) in [
+            (301, 6_000),
+            (301, 100),
+            (301, 150),
+            (301, 151),
+            (63, 40_000),
+        ] {
+            let mut fir = FirDesign {
+                taps,
+                window: Window::Blackman,
+            }
+            .lowpass(48_000.0, 13_500.0);
+            let sig = tone(48_000.0, 3_000.0, len);
+            let d = fir.group_delay();
+            let mut eng = OverlapSave::new(fir.taps());
+            let mut want = eng.process(&sig);
+            want.extend(eng.process(&vec![0.0; d]));
+            want.drain(..d);
+            let got = fir.filter_aligned_fft(&sig);
+            assert_eq!(bits(got), bits(want), "{taps} taps, {len} samples");
+        }
+    }
+
     #[test]
     fn streaming_equals_batch() {
         let mut f1 = FirDesign::default().lowpass(48_000.0, 8_000.0);
@@ -621,6 +713,35 @@ mod tests {
             let next_want: Vec<Complex> = more.iter().map(|&z| reference.push(z)).collect();
             let next_got: Vec<Complex> = more.iter().map(|&z| lockstep.push(z)).collect();
             prop_assert_eq!(iq_bits(&next_got), iq_bits(&next_want));
+        }
+
+        /// A stream split into blocks at random points — empty blocks,
+        /// one-sample blocks, blocks shorter than the filter, splits off
+        /// the decimation phase — filters to the same bits as one block.
+        #[test]
+        fn streamed_blocks_equal_one_block(
+            raw_taps in prop::collection::vec(any::<u64>(), 1..40),
+            raw_input in prop::collection::vec(any::<u64>(), 0..400),
+            cuts in prop::collection::vec(0usize..24, 0..40),
+            decim in 1usize..=12,
+            mode in 0u8..3,
+        ) {
+            let taps: Vec<f64> = raw_taps.iter().map(|&b| edge_value(b, mode.min(1))).collect();
+            let input: Vec<Complex> = raw_input
+                .chunks_exact(2)
+                .map(|p| Complex::new(edge_value(p[0], mode), edge_value(p[1], mode)))
+                .collect();
+            let want = ComplexFir::new(taps.clone()).process_decimated(&input, decim);
+            let mut stream = DecimatingFir::new(taps, decim);
+            let mut got = Vec::new();
+            let mut rest = &input[..];
+            for &c in &cuts {
+                let (block, tail) = rest.split_at(c.min(rest.len()));
+                stream.push(block, &mut got);
+                rest = tail;
+            }
+            stream.push(rest, &mut got);
+            prop_assert_eq!(iq_bits(&got), iq_bits(&want));
         }
     }
 }

@@ -13,7 +13,7 @@ use crate::demodulator::Discriminator;
 use crate::stereo::{StereoDecoder, StereoDecoderConfig};
 use crate::{BROADCAST_DEVIATION_HZ, DEEMPHASIS_TAU_US};
 use fmbs_dsp::complex::Complex;
-use fmbs_dsp::fir::{ComplexFir, Fir, FirDesign};
+use fmbs_dsp::fir::{DecimatingFir, Fir, FirDesign};
 use fmbs_dsp::iir::FirstOrder;
 use fmbs_dsp::osc::Nco;
 use fmbs_dsp::windows::Window;
@@ -141,27 +141,38 @@ impl FmReceiver {
         self.mpx_rate
     }
 
-    /// Receives a block of IQ and decodes it to audio.
+    /// Receives a block of IQ and decodes it to audio: the whole block
+    /// through one [`ChannelStage`], then [`Self::demodulate`].
     pub fn receive(&self, iq: &[Complex]) -> StereoAudio {
-        // 1. Tune: mix the wanted channel down to 0 Hz.
-        let mut lo = Nco::new(self.cfg.iq_rate, -self.cfg.tune_offset_hz);
-        let mixed: Vec<Complex> = iq.iter().map(|&z| z * lo.next_iq()).collect();
+        let mut channel = self.channel_stage();
+        channel.push(iq);
+        self.demodulate(channel.baseband())
+    }
 
-        // 2. Channel selection: low-pass to ±130 kHz (Carson bandwidth of
-        //    a full multiplex is 266 kHz) and decimate to the MPX rate.
-        //    `process_decimated` skips the discarded outputs and switches
-        //    to overlap-save FFT convolution on long captures.
+    /// A fresh streaming channel stage for this receiver: tuner plus
+    /// decimating channel filter, fed IQ one block at a time.
+    pub fn channel_stage(&self) -> ChannelStage {
+        // Channel selection: low-pass to ±130 kHz (Carson bandwidth of a
+        // full multiplex is 266 kHz) and decimate to the MPX rate.
         let chan_fir = FirDesign {
             taps: 127,
             window: Window::Blackman,
         }
         .lowpass(self.cfg.iq_rate, 130_000.0);
-        let mut chan = ComplexFir::from_fir(&chan_fir);
-        let baseband_iq = chan.process_decimated(&mixed, self.mpx_decim);
+        ChannelStage {
+            lo: Nco::new(self.cfg.iq_rate, -self.cfg.tune_offset_hz),
+            filter: DecimatingFir::new(chan_fir.taps().to_vec(), self.mpx_decim),
+            mixed: Vec::new(),
+            baseband: Vec::new(),
+        }
+    }
 
+    /// Decodes channel-selected baseband IQ at [`Self::mpx_rate`] (what
+    /// a [`ChannelStage`] produces) to audio: discriminator onward.
+    pub fn demodulate(&self, baseband_iq: &[Complex]) -> StereoAudio {
         // 3. Limiter + discriminator → MPX.
         let mut disc = Discriminator::new(self.mpx_rate, self.cfg.deviation_hz);
-        let mpx = disc.process(&baseband_iq);
+        let mpx = disc.process(baseband_iq);
 
         // 4. MPX → mono/stereo audio at the MPX rate.
         let mut sd_cfg = StereoDecoderConfig::new(self.mpx_rate);
@@ -209,6 +220,35 @@ impl FmReceiver {
     }
 }
 
+/// The streaming front half of an [`FmReceiver`]: mixes the tuned
+/// channel down to 0 Hz and low-pass-decimates it to the MPX rate, one
+/// IQ block at a time. The tuner's phase and the filter's `taps − 1`
+/// history carry across blocks, so any split of a capture yields the
+/// same baseband bits as one [`FmReceiver::receive`] call.
+#[derive(Debug, Clone)]
+pub struct ChannelStage {
+    lo: Nco,
+    filter: DecimatingFir,
+    // The tuned block, reused across pushes.
+    mixed: Vec<Complex>,
+    baseband: Vec<Complex>,
+}
+
+impl ChannelStage {
+    /// Tunes and channel-selects the capture's next block.
+    pub fn push(&mut self, iq: &[Complex]) {
+        let lo = &mut self.lo;
+        self.mixed.clear();
+        self.mixed.extend(iq.iter().map(|&z| z * lo.next_iq()));
+        self.filter.push(&self.mixed, &mut self.baseband);
+    }
+
+    /// The baseband IQ at the MPX rate so far.
+    pub fn baseband(&self) -> &[Complex] {
+        &self.baseband
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -216,6 +256,7 @@ mod tests {
     use fmbs_dsp::goertzel::goertzel_power;
     use fmbs_dsp::stats::rms;
     use fmbs_dsp::TAU;
+    use proptest::prelude::*;
 
     const IQ_RATE: f64 = 1_000_000.0;
     const AUDIO_RATE: f64 = 48_000.0;
@@ -350,6 +391,63 @@ mod tests {
         let out = FmReceiver::new(cfg).receive(&iq);
         assert!(!out.stereo_detected);
         assert!(rms(&out.difference) == 0.0);
+    }
+
+    fn audio_bits(a: &StereoAudio) -> Vec<u64> {
+        [&a.left, &a.right, &a.mono, &a.difference]
+            .into_iter()
+            .flatten()
+            .chain([&a.sample_rate, &a.pilot_level])
+            .map(|&x| if x.is_nan() { f64::NAN } else { x }.to_bits())
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Pushing a capture through the channel stage in blocks — empty,
+        /// one-sample, shorter than the filter, off the decimation phase —
+        /// and then demodulating decodes the bits one `receive` call does.
+        #[test]
+        fn blockwise_channel_stage_then_demodulate_equals_receive(
+            cuts in prop::collection::vec(0usize..700, 0..12),
+            offset_khz in -300i32..300,
+            stereo in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let station = if stereo { StationConfig::stereo() } else { StationConfig::mono() };
+            let tx = FmTransmitter::new(station, IQ_RATE, 0.0);
+            let mut state = seed;
+            let mut noise = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            };
+            let l = tone(1_000.0, 0.03, 0.5);
+            let r = tone(3_000.0, 0.03, 0.4);
+            let iq: Vec<Complex> = tx
+                .modulate(&l, &r, AUDIO_RATE)
+                .into_iter()
+                .map(|z| z + Complex::new(0.1 * noise(), 0.1 * noise()))
+                .collect();
+            let rx = FmReceiver::new(ReceiverConfig::smartphone(
+                IQ_RATE,
+                f64::from(offset_khz) * 1e3,
+            ));
+            let want = rx.receive(&iq);
+            let mut channel = rx.channel_stage();
+            let mut rest = &iq[..];
+            for &c in &cuts {
+                let (block, tail) = rest.split_at(c.min(rest.len()));
+                channel.push(block);
+                rest = tail;
+            }
+            channel.push(rest);
+            let got = rx.demodulate(channel.baseband());
+            prop_assert_eq!(got.stereo_detected, want.stereo_detected);
+            prop_assert_eq!(audio_bits(&got), audio_bits(&want));
+        }
     }
 
     #[test]

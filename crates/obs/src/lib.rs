@@ -94,15 +94,19 @@ pub mod stages {
     pub const BAND_POWERS: &str = "band_powers";
     /// Tag payload waveform synthesis (`Workload::synthesise`).
     pub const PAYLOAD_SYNTH: &str = "payload_synth";
-    /// The physical tier's RF front end (host modulator + backscatter
-    /// product).
+    /// The physical tier's RF front end (host modulator + the tag's
+    /// switch states).
     pub const RF_FRONT_END: &str = "rf_front_end";
     /// The physical tier's per-point RF back end: power scaling, motion
     /// fading and thermal noise (the receivers are [`FM_RECEIVE`]).
     pub const RF_BACK_END: &str = "rf_back_end";
-    /// One FM receiver decoding IQ to audio (`FmReceiver::receive`):
-    /// tune, channel filter, discriminator, stereo decoder.
+    /// FM receiver work: one 10 ms IQ block through a receiver's
+    /// channel stage (tuner + channel filter), or one receiver's
+    /// demodulation of its baseband (discriminator, stereo decoder).
     pub const FM_RECEIVE: &str = "fm_receive";
+    /// The ablation figure's switch-architecture sideband measurement:
+    /// square, cosine and SSB switch products and their spectra.
+    pub const SWITCH_SIDEBANDS: &str = "switch_sidebands";
     /// FFT-based convolution (overlap–save) in the DSP layer.
     pub const FFT_CONV: &str = "fft_conv";
     /// Cross-correlation for time alignment (`fmbs_dsp::corr`): the
@@ -409,6 +413,23 @@ impl Drop for WaitGuard {
             }
         });
     }
+}
+
+/// Peak resident set size of this process so far (`VmHWM` in
+/// `/proc/self/status`), in MB; `None` where the kernel does not report
+/// it. The peak only rises, so the growth across a piece of work is what
+/// that work raised it by.
+pub fn peak_rss_mb() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .trim()
+        .trim_end_matches("kB")
+        .trim()
+        .parse()
+        .ok()?;
+    Some(kb / 1024.0)
 }
 
 /// Opens a stage for the rest of the enclosing block:

@@ -60,8 +60,15 @@ fn main() {
     let psim = PhysicalSim::new(PhysicalSimConfig::bench(-30.0, 4.0));
     let ps =
         Scenario::bench(-30.0, 4.0, ProgramKind::News).with_workload(Workload::tone(1_000.0, 0.3));
+    let peak_before = fmbs_obs::peak_rss_mb();
     let ms = time_ms(3, || psim.run(&ps));
     println!("  physical run    {ms:>8.3} ms   (0.3 s tone scenario, full RF chain)");
+    if let (Some(before), Some(after)) = (peak_before, fmbs_obs::peak_rss_mb()) {
+        println!(
+            "  physical peak   {:>8.1} MB   (VmHWM growth over the physical runs)",
+            after - before
+        );
+    }
 
     println!("receive-side kernels:");
     // The physical tier's channel filter: 0.75 s of IQ at 2.56 MHz,
