@@ -20,10 +20,11 @@ pub fn tone_snr_db(audio: &[f64], sample_rate: f64, f_tone: f64) -> f64 {
     }
     let n = audio.len() as f64;
     let w = std::f64::consts::TAU * f_tone / sample_rate;
+    // The basis is evaluated once and read by both passes.
+    let basis: Vec<(f64, f64)> = (0..audio.len()).map(|i| (w * i as f64).sin_cos()).collect();
     let mut ss = 0.0;
     let mut sc = 0.0;
-    for (i, &x) in audio.iter().enumerate() {
-        let (s, c) = (w * i as f64).sin_cos();
+    for (&x, &(s, c)) in audio.iter().zip(&basis) {
         ss += x * s;
         sc += x * c;
     }
@@ -31,8 +32,7 @@ pub fn tone_snr_db(audio: &[f64], sample_rate: f64, f_tone: f64) -> f64 {
     let a = 2.0 * ss / n;
     let b = 2.0 * sc / n;
     let mut p_resid = 0.0;
-    for (i, &x) in audio.iter().enumerate() {
-        let (s, c) = (w * i as f64).sin_cos();
+    for (&x, &(s, c)) in audio.iter().zip(&basis) {
         let r = x - a * s - b * c;
         p_resid += r * r;
     }

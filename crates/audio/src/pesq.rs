@@ -110,12 +110,13 @@ pub fn disturbance(reference: &[f64], degraded: &[f64], sample_rate: f64) -> f64
     // power spectrum of `fmbs_dsp::fft::power_spectrum`, binned into bands.
     let fft = Fft::new(frame);
     let spec_scale = 1.0 / (frame as f64 * frame as f64);
+    let mut windowed = vec![0.0; frame];
     let mut buf = vec![Complex::ZERO; frame];
     let mut band_powers = |seg: &[f64], scale: f64| -> [f64; N_BANDS] {
-        for ((b, &x), &w) in buf.iter_mut().zip(seg).zip(&window) {
-            *b = Complex::new(x * scale * w, 0.0);
+        for ((v, &x), &w) in windowed.iter_mut().zip(seg).zip(&window) {
+            *v = x * scale * w;
         }
-        fft.forward(&mut buf);
+        fft.forward_real(&windowed, &mut buf);
         let mut bands = [0.0; N_BANDS];
         for (z, &band) in buf.iter().zip(&band_of) {
             bands[band] += z.norm_sqr() * spec_scale;

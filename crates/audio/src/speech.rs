@@ -48,6 +48,15 @@ pub fn generate_speech(cfg: SpeechConfig, n: usize, seed: u64) -> Vec<f64> {
     let mut out = Vec::with_capacity(n);
     let syllable_len = (fs / cfg.syllable_rate_hz) as usize;
     let mut glottal_phase = 0.0f64;
+    // Syllabic envelope: a raised cosine over the syllable, tabulated
+    // once for the full syllable length (only a last, cut-short
+    // syllable builds its own).
+    let envelope = |len: usize| -> Vec<f64> {
+        (0..len)
+            .map(|k| 0.5 - 0.5 * (std::f64::consts::TAU * k as f64 / len as f64).cos())
+            .collect()
+    };
+    let full_envelope = envelope(syllable_len.min(n));
 
     let mut i = 0;
     while i < n {
@@ -62,7 +71,14 @@ pub fn generate_speech(cfg: SpeechConfig, n: usize, seed: u64) -> Vec<f64> {
         let mut r3 = Biquad::resonator(fs, f3, 180.0);
         let pitch = cfg.pitch_hz * (0.9 + 0.2 * rng.gen::<f64>());
         let this_len = syllable_len.min(n - i);
-        for k in 0..this_len {
+        let cut_short;
+        let syllable_envelope = if this_len == full_envelope.len() {
+            &full_envelope
+        } else {
+            cut_short = envelope(this_len);
+            &cut_short
+        };
+        for &env in syllable_envelope {
             if paused {
                 out.push(0.0);
                 continue;
@@ -81,8 +97,6 @@ pub fn generate_speech(cfg: SpeechConfig, n: usize, seed: u64) -> Vec<f64> {
             } else {
                 rng.gen::<f64>() * 2.0 - 1.0
             };
-            // Syllabic envelope: raised cosine over the syllable.
-            let env = 0.5 - 0.5 * (std::f64::consts::TAU * k as f64 / this_len as f64).cos();
             let v = r1.push(excitation) + 0.6 * r2.push(excitation) + 0.3 * r3.push(excitation);
             out.push(v * env);
         }

@@ -2,9 +2,9 @@
 //! on, plus the square-wave-vs-cosine subcarrier ablation (DESIGN.md).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use fmbs_core::coop::{upsample, CooperativeDecoder, RESAMPLE_FACTOR};
 use fmbs_core::tag::{Tag, TagConfig};
 use fmbs_dsp::complex::Complex;
-use fmbs_dsp::corr::find_lag;
 use fmbs_dsp::fft::Fft;
 use fmbs_dsp::fir::{DecimatingFir, FirDesign};
 use fmbs_dsp::goertzel::{goertzel_power, GoertzelBank};
@@ -13,18 +13,29 @@ use fmbs_dsp::windows::Window;
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("dsp_throughput");
+    // A forward and an inverse transform per iteration: the PESQ frame
+    // (2k), the Welch segment (4k), the kernel row of record (16k) and
+    // a buffer past the cache (128k).
+    for (name, n) in [
+        ("fft_2k", 1 << 11),
+        ("fft_4k", 1 << 12),
+        ("fft_16k", 1 << 14),
+        ("fft_128k", 1 << 17),
+    ] {
+        g.throughput(Throughput::Elements(n as u64));
+        g.bench_function(name, |b| {
+            let fft = Fft::new(n);
+            let mut buf: Vec<Complex> = (0..n)
+                .map(|i| Complex::from_angle(i as f64 * 0.1))
+                .collect();
+            b.iter(|| {
+                fft.forward(&mut buf);
+                fft.inverse(&mut buf);
+            })
+        });
+    }
     let n = 1 << 14;
     g.throughput(Throughput::Elements(n as u64));
-    g.bench_function("fft_16k", |b| {
-        let fft = Fft::new(n);
-        let mut buf: Vec<Complex> = (0..n)
-            .map(|i| Complex::from_angle(i as f64 * 0.1))
-            .collect();
-        b.iter(|| {
-            fft.forward(&mut buf);
-            fft.inverse(&mut buf);
-        })
-    });
     g.bench_function("fir_127tap_16k", |b| {
         let mut fir = FirDesign::default().lowpass(48_000.0, 4_000.0);
         let sig: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).sin()).collect();
@@ -58,16 +69,19 @@ fn bench(c: &mut Criterion) {
         let sig: Vec<f64> = (0..window).map(|i| (i as f64 * 0.7).sin()).collect();
         b.iter(|| std::hint::black_box(bank.powers(&sig)))
     });
-    // The cooperative decoder's alignment search: 1 s of ×10-upsampled
-    // audio at 48 kHz on each phone, lags within ±50 ms.
-    let (len, max_lag) = (480_000, 24_000);
-    g.throughput(Throughput::Elements(len as u64));
+    // The cooperative decoder's alignment search, coarse to fine: 1 s
+    // of audio at 48 kHz on each phone (×10 upsampled), lags within
+    // ±50 ms.
+    let len = 48_000;
+    g.throughput(Throughput::Elements(len as u64 * RESAMPLE_FACTOR as u64));
     g.bench_function("xcorr_coop", |b| {
-        let a: Vec<f64> = (0..len)
-            .map(|i| (i as f64 * 0.013).sin() * (i as f64 * 0.000_71).cos())
+        let phone1: Vec<f64> = (0..len)
+            .map(|i| (i as f64 * 0.13).sin() * (i as f64 * 0.0071).cos())
             .collect();
-        let delayed: Vec<f64> = (0..len).map(|i| a[(i + len - 311) % len]).collect();
-        b.iter(|| std::hint::black_box(find_lag(&a, &delayed, max_lag)))
+        let phone2: Vec<f64> = (0..len).map(|i| phone1[(i + len - 31) % len]).collect();
+        let (s1, s2) = (upsample(&phone1), upsample(&phone2));
+        let dec = CooperativeDecoder::new(48_000.0);
+        b.iter(|| std::hint::black_box(dec.align([&phone1, &phone2], [&s1, &s2])))
     });
     // The cooperative decoder's x10 upsampler over 2 s of 48 kHz audio.
     let n_up = 96_000;
@@ -101,8 +115,9 @@ fn bench(c: &mut Criterion) {
             std::hint::black_box(out.len())
         })
     });
-    // Planning the coop transform size once the shared twiddle table has
-    // grown to it: the bit-reversal table only.
+    // Planning a size seen before: the twiddles and the bit-reversal
+    // permutation both come from process-wide tables, so this is two
+    // table lookups.
     let n_plan = 1 << 19;
     g.throughput(Throughput::Elements(n_plan as u64));
     g.bench_function("fft_plan_512k", |b| {

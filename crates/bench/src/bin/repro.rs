@@ -764,14 +764,17 @@ fn require_writable_parent(flag: &str, path: &str) {
 /// and each stage's share of the figure's thread capacity. Stage times
 /// are summed over every worker thread that ran the stage, so a parallel
 /// sweep's self CPU-seconds exceed its wall time; shares are therefore
-/// taken of `wall × worker threads` ([`profile_coverage`]). Self-times are
+/// taken of `wall × worker threads`, counting the threads the figure
+/// kept busy ([`Collector::busy_workers`]), not the ones the host
+/// offers, so a serial figure is measured against one thread
+/// ([`profile_coverage`]). Self-times are
 /// disjoint (nested stages subtract, and a thread waiting on sweep workers
 /// counts no self-time), so the shares add up to the trailing coverage
 /// line — "how much of the run's capacity the instrumentation explains"
 /// — which cannot exceed 100%.
 fn print_profile(id: &str, c: &Collector, wall_s: f64) {
     let stats = c.stage_stats();
-    let threads = worker_threads();
+    let threads = c.busy_workers().max(1);
     println!("profile {id} (wall {wall_s:.3} s, {threads} worker thread(s)):");
     if stats.is_empty() {
         println!("  no instrumented stages ran (survey/arithmetic figure)");
@@ -807,16 +810,11 @@ fn print_profile(id: &str, c: &Collector, wall_s: f64) {
     }
 }
 
-/// The worker threads a figure can keep busy: the sweep engine and the
-/// Fig. 5 windows both size their pools from `available_parallelism()`.
-fn worker_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
 /// The share of a figure's thread capacity, `wall_s × threads`, that
 /// `self_cpu_s` seconds of stage self-time account for. Each busy
 /// thread's self-times are disjoint and fit inside the wall time, and no
-/// pool has more than `threads` workers, so the share is at most 1.
+/// parallel region kept more than `threads` workers busy, so the share
+/// is at most 1.
 fn profile_coverage(self_cpu_s: f64, wall_s: f64, threads: usize) -> f64 {
     self_cpu_s / (wall_s * threads.max(1) as f64).max(1e-12)
 }
@@ -1083,25 +1081,32 @@ mod tests {
         assert!(profile_coverage(1.0, 0.0, 1).is_finite());
     }
 
+    /// Profiles one figure as `--profile` does: under a figure-level
+    /// child collector. Returns (covered CPU-s, wall s, busy threads).
+    fn profile_figure(build: fn(&BuildCtx) -> Experiment) -> (f64, f64, usize) {
+        let collector = Collector::new().child(0);
+        let started = Instant::now();
+        {
+            let _obs = fmbs_obs::install(Some(collector.clone()));
+            build(&BuildCtx::new(Grid::Quick));
+        }
+        let wall_s = started.elapsed().as_secs_f64();
+        (collector.self_time_secs(), wall_s, collector.busy_workers())
+    }
+
     #[test]
     fn parallel_sweep_figure_coverage_stays_within_capacity() {
         // fig7 is a parallel sweep: its sweep_point self-times are summed
         // over every worker, so they exceed the figure's wall time on a
-        // multi-core host, but never its wall × worker-thread capacity.
-        let collector = Collector::new();
-        let started = Instant::now();
-        {
-            let _obs = fmbs_obs::install(Some(collector.clone()));
-            experiments::fig7(&BuildCtx::new(Grid::Quick));
-        }
-        let wall_s = started.elapsed().as_secs_f64();
-        let covered = collector.self_time_secs();
-        let share = profile_coverage(covered, wall_s, worker_threads());
+        // multi-core host, but never its wall × busy-thread capacity.
+        let (covered, wall_s, threads) = profile_figure(experiments::fig7);
+        let share = profile_coverage(covered, wall_s, threads);
         assert!(covered > 0.0, "the sweep recorded its stages");
+        let pool = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!((1..=pool).contains(&threads), "{threads} busy of {pool}");
         assert!(
             share <= 1.0,
-            "coverage {share} of wall {wall_s} s × {} threads",
-            worker_threads()
+            "coverage {share} of wall {wall_s} s × {threads} threads"
         );
     }
 }

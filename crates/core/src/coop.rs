@@ -15,7 +15,10 @@
 //!
 //! 1. the receivers are not time-synchronised → "we resample the signals
 //!    on the two phones, in software, by a factor of ten" and
-//!    cross-correlate;
+//!    cross-correlate. The search runs coarse to fine: the base-rate
+//!    audio is correlated over the whole lag window first (a tenth of
+//!    the samples and lags), and the ×10 audio only at the ±10
+//!    upsampled lags around that peak, by exact direct sums;
 //! 2. hardware gain control scales the audio differently → a 13 kHz
 //!    preamble pilot (and a least-squares projection) calibrates the
 //!    amplitude before subtraction.
@@ -24,7 +27,7 @@ use crate::sim::fast::FastSim;
 use crate::sim::metric::{CoopPesq, Metric};
 use crate::sim::scenario::{Scenario, Workload};
 use crate::COOP_PILOT_HZ;
-use fmbs_dsp::corr::find_lag;
+use fmbs_dsp::corr::{find_lag, find_lag_in};
 use fmbs_dsp::goertzel::goertzel_power;
 use fmbs_dsp::resample::Upsampler;
 
@@ -64,19 +67,10 @@ impl CooperativeDecoder {
     /// Decodes the backscatter payload from the two phones' audio.
     pub fn decode(&self, phone1: &[f64], phone2: &[f64]) -> CoopResult {
         // 1. Resample both by 10 (§3.3).
-        let mut up1 = Upsampler::new(RESAMPLE_FACTOR, 8);
-        let mut up2 = Upsampler::new(RESAMPLE_FACTOR, 8);
-        let s1 = up1.process(phone1);
-        let s2 = up2.process(phone2);
+        let (s1, s2) = (upsample(phone1), upsample(phone2));
 
-        // 2. Time-align via cross-correlation on a bounded window. Use a
-        //    prefix segment for the search to bound cost.
-        let max_lag = ((self.max_lag_s * self.sample_rate) as usize * RESAMPLE_FACTOR)
-            .min(s1.len().saturating_sub(1) / 2);
-        let search_len = (s1.len().min(s2.len())).min(
-            (self.sample_rate as usize) * RESAMPLE_FACTOR, // 1 s of upsampled audio
-        );
-        let lag = find_lag(&s1[..search_len], &s2[..search_len], max_lag);
+        // 2. Time-align via cross-correlation on a bounded window.
+        let lag = self.align([phone1, phone2], [&s1, &s2]);
 
         // 3. Overlap the aligned region: s2 delayed by `lag` relative to s1
         //    means s2[i + lag] lines up with s1[i].
@@ -85,9 +79,12 @@ impl CooperativeDecoder {
         } else {
             ((-lag) as usize, 0usize)
         };
-        let n = (s1.len() - start1).min(s2.len() - start2);
-        let a = &s1[start1..start1 + n];
-        let b = &s2[start2..start2 + n];
+        let n = s1
+            .len()
+            .saturating_sub(start1)
+            .min(s2.len().saturating_sub(start2));
+        let a = &s1[start1.min(s1.len())..][..n];
+        let b = &s2[start2.min(s2.len())..][..n];
 
         // 4. Amplitude calibration: least-squares projection of the host
         //    copy onto phone 1's composite (the 13 kHz pilot refines the
@@ -110,12 +107,52 @@ impl CooperativeDecoder {
         }
     }
 
+    /// The search window over the upsampled audio `s1`, `s2`: the
+    /// largest lag (at most `max_lag_s`, and at most half of `s1`) and
+    /// the prefix length searched (at most 1 s of upsampled audio, to
+    /// bound cost).
+    fn search_window(&self, s1: &[f64], s2: &[f64]) -> (usize, usize) {
+        let max_lag = ((self.max_lag_s * self.sample_rate) as usize * RESAMPLE_FACTOR)
+            .min(s1.len().saturating_sub(1) / 2);
+        let search_len = (s1.len().min(s2.len())).min(
+            (self.sample_rate as usize) * RESAMPLE_FACTOR, // 1 s of upsampled audio
+        );
+        (max_lag, search_len)
+    }
+
+    /// The lag of `s2` behind `s1`, in upsampled samples, where `s1`
+    /// and `s2` are the phones' audio passed through [`upsample`]; found
+    /// coarse to fine.
+    ///
+    /// Upsampling is linear and time-invariant, so a delay of `L`
+    /// base-rate samples is a delay of exactly `10·L` upsampled ones.
+    /// The coarse pass runs [`find_lag`] on the base-rate audio over a
+    /// tenth of the window, `±max_lag/10` lags; the fine pass scores
+    /// the upsampled lags `10·L ± 10` (clamped to `±max_lag`) by exact
+    /// direct sums over the full window. Both pick as the full search
+    /// over every upsampled lag would: NaN skipped, the last maximum
+    /// on a tie, lag 0 when no value is a number.
+    pub fn align(&self, [phone1, phone2]: [&[f64]; 2], [s1, s2]: [&[f64]; 2]) -> isize {
+        let (max_lag, search_len) = self.search_window(s1, s2);
+        let f = RESAMPLE_FACTOR;
+        let coarse_len = (search_len / f).min(phone1.len()).min(phone2.len());
+        let coarse = find_lag(&phone1[..coarse_len], &phone2[..coarse_len], max_lag / f);
+        let (max_lag, center) = (max_lag as isize, coarse * f as isize);
+        let fine = (center - f as isize).max(-max_lag)..=(center + f as isize).min(max_lag);
+        find_lag_in(&s1[..search_len], &s2[..search_len], fine).unwrap_or(0)
+    }
+
     /// Measures the 13 kHz pilot amplitude over a segment — the paper's
     /// AGC reference. Comparing the preamble pilot with the in-payload
     /// pilot gives the scale factor to undo receiver gain changes.
     pub fn pilot_amplitude(&self, audio: &[f64]) -> f64 {
         (goertzel_power(audio, self.sample_rate, COOP_PILOT_HZ) * 4.0).sqrt()
     }
+}
+
+/// The §3.3 software resampling of one phone's audio, ×10.
+pub fn upsample(audio: &[f64]) -> Vec<f64> {
+    Upsampler::new(RESAMPLE_FACTOR, 8).process(audio)
 }
 
 /// Full cooperative experiment harness (Fig. 12).
@@ -204,6 +241,113 @@ mod tests {
             "payload {p_payload} vs residual host {p_host} (lag {})",
             res.lag_tenths
         );
+    }
+
+    /// The lag the full search over every upsampled lag finds: what
+    /// the coarse-to-fine search must reproduce.
+    fn full_search_lag(dec: &CooperativeDecoder, phone1: &[f64], phone2: &[f64]) -> isize {
+        let (s1, s2) = (upsample(phone1), upsample(phone2));
+        let (max_lag, search_len) = dec.search_window(&s1, &s2);
+        find_lag(&s1[..search_len], &s2[..search_len], max_lag)
+    }
+
+    fn coarse_to_fine_lag(dec: &CooperativeDecoder, phone1: &[f64], phone2: &[f64]) -> isize {
+        let (s1, s2) = (upsample(phone1), upsample(phone2));
+        dec.align([phone1, phone2], [&s1, &s2])
+    }
+
+    /// Uniform pseudo-noise in (−1, 1).
+    fn noise(n: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Coarse to fine finds the full search's lag on host-like audio
+        /// (low-passed noise under a syllabic envelope) at any delay
+        /// within the window, either sign, with AGC gain and hiss.
+        #[test]
+        fn coarse_to_fine_lag_equals_the_full_search(
+            seed in 0u64..1_000_000,
+            len in 400usize..1_600,
+            delay_frac in -1.0f64..1.0,
+            gain in 0.2f64..1.5,
+            hiss in 0.0f64..0.3,
+        ) {
+            let fs = 8_000.0;
+            let dec = CooperativeDecoder { sample_rate: fs, max_lag_s: 0.02 };
+            let max_delay = (0.02 * fs) as usize;
+            let delay = (delay_frac * max_delay as f64).round() as isize;
+            let raw = noise(len + 2 * max_delay + 4, seed);
+            let host: Vec<f64> = raw
+                .windows(4)
+                .enumerate()
+                .map(|(i, w)| {
+                    let env = 0.4 + 0.6 * (TAU * 3.0 * i as f64 / fs).sin().abs();
+                    env * w.iter().sum::<f64>() / 4.0
+                })
+                .collect();
+            let at = |i: usize, d: isize| host[(max_delay as isize + i as isize - d) as usize];
+            let extra = noise(2 * len, seed ^ 0xA5);
+            let phone1: Vec<f64> = (0..len).map(|i| at(i, 0) + hiss * extra[i]).collect();
+            let phone2: Vec<f64> = (0..len)
+                .map(|i| gain * at(i, delay) + hiss * extra[len + i])
+                .collect();
+            proptest::prop_assert_eq!(
+                coarse_to_fine_lag(&dec, &phone1, &phone2),
+                full_search_lag(&dec, &phone1, &phone2)
+            );
+        }
+    }
+
+    #[test]
+    fn coarse_to_fine_lag_equals_the_full_search_on_degenerate_input() {
+        let dec = CooperativeDecoder::new(FAST_AUDIO_RATE);
+        let check = |phone1: &[f64], phone2: &[f64]| {
+            assert_eq!(
+                coarse_to_fine_lag(&dec, phone1, phone2),
+                full_search_lag(&dec, phone1, phone2),
+                "lengths {} and {}",
+                phone1.len(),
+                phone2.len()
+            );
+        };
+        // All zero: every lag ties, so both take the last, `+max_lag`.
+        check(&[0.0; 4_000], &[0.0; 4_000]);
+        // Shorter than one coarse lag: the fine window is the whole search.
+        for len in 0..=2 {
+            check(&noise(len, 1), &noise(len, 2));
+        }
+        // One phone empty.
+        check(&noise(300, 3), &[]);
+        // A NaN poisons every lag of both searches: lag 0.
+        let mut poisoned = noise(4_000, 4);
+        poisoned[2_000] = f64::NAN;
+        check(&poisoned, &noise(4_000, 5));
+        assert_eq!(coarse_to_fine_lag(&dec, &poisoned, &noise(4_000, 5)), 0);
+    }
+
+    #[test]
+    fn decode_of_degenerate_input_returns_instead_of_panicking() {
+        let dec = CooperativeDecoder::new(FAST_AUDIO_RATE);
+        for (phone1, phone2) in [
+            (vec![], vec![]),
+            (noise(300, 6), vec![]),
+            (vec![], noise(300, 7)),
+            (vec![0.0; 500], vec![0.0; 500]),
+        ] {
+            let res = dec.decode(&phone1, &phone2);
+            assert!(res.payload.len() <= phone1.len().min(phone2.len()));
+        }
     }
 
     #[test]

@@ -51,9 +51,46 @@ use fmbs_audio::program::ProgramKind;
 use serde::{Deserialize, Serialize, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
+
+/// One cache entry: derived by the first lookup of its key, which the
+/// key's other lookups wait on instead of deriving it again.
+type Entry<V> = Arc<OnceLock<Arc<V>>>;
+
+/// Looks `key` up in the `map` behind `shared`, deriving its value
+/// with `compute` if no lookup has yet. The lock is held only to find
+/// or add the key's entry; `compute` runs outside it, and concurrent lookups of
+/// the same key wait for that one derivation. Returns the value, the
+/// entry, and whether this lookup derived it (a miss).
+fn memoise<M, K: Eq + Hash, V>(
+    shared: &Mutex<M>,
+    map: impl FnOnce(&mut M) -> &mut HashMap<K, Entry<V>>,
+    key: K,
+    compute: impl FnOnce() -> V,
+) -> (Arc<V>, Entry<V>, bool) {
+    let entry = {
+        let mut guard = shared.lock().expect("sweep cache lock poisoned");
+        Arc::clone(map(&mut guard).entry(key).or_default())
+    };
+    let mut derived = false;
+    let value = entry
+        .get_or_init(|| {
+            derived = true;
+            Arc::new(compute())
+        })
+        .clone();
+    (value, entry, derived)
+}
+
+/// Counts one lookup as a hit or a miss (`derived`), in the cache's
+/// own counter and in the named obs counter.
+fn count(derived: bool, hit: (&AtomicUsize, &'static str), miss: (&AtomicUsize, &'static str)) {
+    let (counter, name) = if derived { miss } else { hit };
+    counter.fetch_add(1, Ordering::Relaxed);
+    fmbs_obs::counter!(name);
+}
 
 /// Host-audio cache key: every input of the
 /// [`Scenario::host_audio_uncached`] derivation.
@@ -276,16 +313,17 @@ impl Deserialize for CacheStats {
 /// The front-end map and the heap bytes its entries hold.
 #[derive(Debug, Default)]
 struct FrontEnds {
-    map: HashMap<FrontEndKey, Arc<RfFrontEnd>>,
+    map: HashMap<FrontEndKey, Entry<RfFrontEnd>>,
+    // Bytes of the entries counted in: derived, and retained.
     bytes: usize,
 }
 
 /// A sweep-scoped content-addressed cache (see the module docs).
 #[derive(Debug, Default)]
 pub struct SweepCache {
-    host: Mutex<HashMap<HostKey, Arc<HostAudio>>>,
+    host: Mutex<HashMap<HostKey, Entry<HostAudio>>>,
     // Keyed by (workload derivation inputs, sample-rate bits).
-    payload: Mutex<HashMap<(PayloadKey, u64), Arc<SynthesisedPayload>>>,
+    payload: Mutex<HashMap<(PayloadKey, u64), Entry<SynthesisedPayload>>>,
     // The physical tier's scenario-invariant RF front end, with the
     // heap bytes its entries retain.
     front_end: Mutex<FrontEnds>,
@@ -327,27 +365,14 @@ impl SweepCache {
             n,
             rate_bits: rate.to_bits(),
         };
-        if let Some(hit) = self
-            .host
-            .lock()
-            .expect("sweep cache lock poisoned")
-            .get(&key)
-            .cloned()
-        {
-            self.host_hits.fetch_add(1, Ordering::Relaxed);
-            fmbs_obs::counter!("cache.host_hits");
-            return hit;
-        }
-        // Compute outside the lock; a racing duplicate insert stores the
-        // identical (deterministic) value, so last-write-wins is fine.
-        self.host_misses.fetch_add(1, Ordering::Relaxed);
-        fmbs_obs::counter!("cache.host_misses");
-        let computed = Arc::new(s.host_audio_uncached(rate, n));
-        self.host
-            .lock()
-            .expect("sweep cache lock poisoned")
-            .insert(key, computed.clone());
-        computed
+        let (value, _, derived) =
+            memoise(&self.host, |m| m, key, || s.host_audio_uncached(rate, n));
+        count(
+            derived,
+            (&self.host_hits, "cache.host_hits"),
+            (&self.host_misses, "cache.host_misses"),
+        );
+        value
     }
 
     /// Opens a scope in which [`Self::physical_front_end`] caches; the
@@ -372,8 +397,8 @@ impl SweepCache {
     /// The physical tier's RF front end (host modulator output + the
     /// tag's switch states), memoised behind every derivation input: the
     /// host-audio key, the payload key, both sample rates and `f_back`.
-    /// `compute` runs outside the lock; a racing duplicate insert stores
-    /// the identical (deterministic) value. With no [`FrontEndScope`]
+    /// `compute` runs outside the lock, once per key: a racing lookup of
+    /// the same key waits for it. With no [`FrontEndScope`]
     /// open the front end is computed and returned, neither cached nor
     /// counted.
     pub fn physical_front_end(
@@ -397,59 +422,43 @@ impl SweepCache {
             f_back_bits: scenario.f_back_hz.to_bits(),
             stereo_band: scenario.workload.stereo_band(),
         };
-        if let Some(hit) = self
-            .front_end
-            .lock()
-            .expect("sweep cache lock poisoned")
-            .map
-            .get(&key)
-            .cloned()
-        {
-            self.front_end_hits.fetch_add(1, Ordering::Relaxed);
-            fmbs_obs::counter!("cache.front_end_hits");
-            return hit;
+        let (value, entry, derived) = memoise(&self.front_end, |fe| &mut fe.map, key, compute);
+        count(
+            derived,
+            (&self.front_end_hits, "cache.front_end_hits"),
+            (&self.front_end_misses, "cache.front_end_misses"),
+        );
+        if derived {
+            // Retain the entry only while a scope is open and the byte
+            // budget holds ([`FRONT_END_MAX_BYTES`]), else drop it (and
+            // a closed scope has dropped it already); the value is
+            // returned either way, so neither changes results.
+            let bytes = value.heap_bytes();
+            let mut fe = self.front_end.lock().expect("sweep cache lock poisoned");
+            if fe.map.get(&key).is_some_and(|e| Arc::ptr_eq(e, &entry)) {
+                if self.front_end_scopes.load(Ordering::SeqCst) > 0
+                    && fe.bytes + bytes <= FRONT_END_MAX_BYTES
+                {
+                    fe.bytes += bytes;
+                } else {
+                    fe.map.remove(&key);
+                }
+            }
         }
-        self.front_end_misses.fetch_add(1, Ordering::Relaxed);
-        fmbs_obs::counter!("cache.front_end_misses");
-        let computed = Arc::new(compute());
-        // Retain the entry only while a scope is open and the byte
-        // budget holds ([`FRONT_END_MAX_BYTES`]); the computed value is
-        // returned either way, so neither changes results.
-        let bytes = computed.heap_bytes();
-        let mut fe = self.front_end.lock().expect("sweep cache lock poisoned");
-        if self.front_end_scopes.load(Ordering::SeqCst) > 0
-            && fe.bytes + bytes <= FRONT_END_MAX_BYTES
-            && fe.map.insert(key, computed.clone()).is_none()
-        {
-            fe.bytes += bytes;
-        }
-        computed
+        value
     }
 
     /// The [`Workload::synthesise`] derivation, memoised.
     pub fn payload(&self, w: &Workload, rate: f64) -> Arc<SynthesisedPayload> {
         let key = (PayloadKey::new(w), rate.to_bits());
-        if let Some(hit) = self
-            .payload
-            .lock()
-            .expect("sweep cache lock poisoned")
-            .get(&key)
-            .cloned()
-        {
-            self.payload_hits.fetch_add(1, Ordering::Relaxed);
-            fmbs_obs::counter!("cache.payload_hits");
-            return hit;
-        }
-        // Compute outside the lock; a racing duplicate insert stores the
-        // identical (deterministic) value, so last-write-wins is fine.
-        self.payload_misses.fetch_add(1, Ordering::Relaxed);
-        fmbs_obs::counter!("cache.payload_misses");
-        let computed = Arc::new(w.synthesise_uncached(rate));
-        self.payload
-            .lock()
-            .expect("sweep cache lock poisoned")
-            .insert(key, computed.clone());
-        computed
+        let (value, _, derived) =
+            memoise(&self.payload, |m| m, key, || w.synthesise_uncached(rate));
+        count(
+            derived,
+            (&self.payload_hits, "cache.payload_hits"),
+            (&self.payload_misses, "cache.payload_misses"),
+        );
+        value
     }
 }
 
@@ -499,5 +508,67 @@ impl Drop for ActiveCacheGuard {
     fn drop(&mut self) {
         let prev = self.prev.take();
         ACTIVE.with(|a| *a.borrow_mut() = prev);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::{mpsc, Barrier};
+
+    #[test]
+    fn racing_lookups_of_one_key_derive_it_once() {
+        // The second lookup starts only once the first is deriving, and
+        // the first derivation finishes only once the second lookup is
+        // under way: the second must take the first's value, whether it
+        // finds the entry being derived or derived.
+        let shared: Mutex<HashMap<u32, Entry<u64>>> = Mutex::default();
+        let (deriving_tx, deriving_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel();
+        let shared = &shared;
+        let (first, second) = std::thread::scope(|scope| {
+            let first = scope.spawn(move || {
+                memoise(
+                    shared,
+                    |m| m,
+                    7,
+                    || {
+                        deriving_tx.send(()).expect("second lookup waits");
+                        release_rx.recv().expect("second lookup releases");
+                        42
+                    },
+                )
+            });
+            let second = scope.spawn(move || {
+                deriving_rx.recv().expect("first lookup derives");
+                release_tx.send(()).expect("first lookup waits");
+                memoise(shared, |m| m, 7, || -> u64 { panic!("derived twice") })
+            });
+            (first.join().unwrap(), second.join().unwrap())
+        });
+        assert_eq!((*first.0, first.2), (42, true));
+        assert_eq!((*second.0, second.2), (42, false));
+        assert!(Arc::ptr_eq(&first.0, &second.0));
+    }
+
+    #[test]
+    fn two_threads_racing_on_one_host_key_record_one_miss() {
+        let cache = SweepCache::new();
+        let scenario = Scenario::bench(-30.0, 4.0, ProgramKind::News);
+        let start = Barrier::new(2);
+        let hosts: Vec<Arc<HostAudio>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        cache.host_audio(&scenario, 48_000.0, 4_800)
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert!(Arc::ptr_eq(&hosts[0], &hosts[1]));
+        let stats = cache.stats();
+        assert_eq!((stats.host_hits, stats.host_misses), (1, 1));
     }
 }

@@ -2,11 +2,20 @@
 //!
 //! Cooperative backscatter (§3.3) time-synchronises two unsynchronised FM
 //! receivers by cross-correlating their (10×-resampled) audio outputs. The
-//! functions here implement that: an FFT-accelerated cross-correlation over
-//! a bounded lag window and a peak-picking lag estimator.
+//! functions here implement that in two tools:
+//!
+//! - [`find_lag`] searches a whole lag window, through the FFT when that
+//!   is cheaper than the direct sums;
+//! - [`find_lag_in`] scores a short run of lags with exact direct sums,
+//!   several lags per pass over the signals.
+//!
+//! The cooperative decoder uses them coarse to fine: [`find_lag`] on the
+//! phones' base-rate audio, then [`find_lag_in`] on the ×10 audio over
+//! the few lags the coarse peak leaves open (see `fmbs_core::coop`).
 
 use crate::complex::Complex;
 use crate::fft::Fft;
+use std::ops::{Range, RangeInclusive};
 
 /// Cross-correlates `a` against `b` for lags in `[-max_lag, +max_lag]`.
 ///
@@ -107,6 +116,95 @@ pub fn find_lag(a: &[f64], b: &[f64], max_lag: usize) -> isize {
     peak_index(&corr).map_or(0, |idx| idx as isize - max_lag as isize)
 }
 
+/// Finds the lag in `lags` that best aligns `b` to `a`, scoring each by
+/// its exact direct sum (`cross_correlate_lags`) and picking as
+/// [`find_lag`] does: NaN values are skipped and the last maximum wins a
+/// tie. `None` when every value is NaN or `lags` is empty.
+pub fn find_lag_in(a: &[f64], b: &[f64], lags: RangeInclusive<isize>) -> Option<isize> {
+    let first = *lags.start();
+    let corr = cross_correlate_lags(a, b, lags);
+    peak_index(&corr).map(|idx| first + idx as isize)
+}
+
+/// Lags scored per pass over the signals by [`cross_correlate_lags`].
+const LAG_LANES: usize = 8;
+
+/// Direct-sum cross-correlation at each lag of `lags`, bit-for-bit what
+/// [`cross_correlate_direct`] computes there: every lag's products are
+/// summed in ascending index order from `0.0`.
+///
+/// The sums run `LAG_LANES` consecutive lags in lockstep, one
+/// accumulator each, so a pass over `a` keeps eight independent add
+/// chains in flight instead of one.
+fn cross_correlate_lags(a: &[f64], b: &[f64], lags: RangeInclusive<isize>) -> Vec<f64> {
+    fmbs_obs::span!(fmbs_obs::stages::XCORR);
+    let (first, last) = (*lags.start(), *lags.end());
+    let mut out = Vec::with_capacity(lags.size_hint().0);
+    let mut lag = first;
+    while lag <= last {
+        let acc = correlate_lanes(a, b, lag);
+        let wanted = ((last - lag) as usize + 1).min(LAG_LANES);
+        out.extend_from_slice(&acc[..wanted]);
+        lag += LAG_LANES as isize;
+    }
+    out
+}
+
+/// The indices `i` where both `a[i]` and `b[i + lag]` exist.
+fn overlap(a_len: usize, b_len: usize, lag: isize) -> Range<usize> {
+    let start = (-lag).max(0) as usize;
+    let end = (b_len as isize)
+        .saturating_sub(lag)
+        .clamp(0, a_len as isize) as usize;
+    start..end.max(start)
+}
+
+/// Direct sums at lags `first..first + LAG_LANES`. Each lane sums its
+/// own leading indices, then every lane steps through the indices all
+/// of them share, then each sums its own trailing ones: ascending index
+/// order per lane, as the one-lag loop adds them.
+fn correlate_lanes(a: &[f64], b: &[f64], first: isize) -> [f64; LAG_LANES] {
+    let lane_lag = |l: usize| first + l as isize;
+    let mut acc = [0.0; LAG_LANES];
+    let sum = |acc: &mut f64, lag: isize, range: Range<usize>| {
+        for i in range {
+            *acc += a[i] * b[(i as isize + lag) as usize];
+        }
+    };
+    // The start of the overlap falls and its end falls as the lag grows:
+    // the first lane starts last and the last lane ends first.
+    let shared = overlap(a.len(), b.len(), first).start
+        ..overlap(a.len(), b.len(), lane_lag(LAG_LANES - 1)).end;
+    if shared.is_empty() {
+        for (l, acc) in acc.iter_mut().enumerate() {
+            sum(acc, lane_lag(l), overlap(a.len(), b.len(), lane_lag(l)));
+        }
+        return acc;
+    }
+    for (l, acc) in acc.iter_mut().enumerate() {
+        sum(
+            acc,
+            lane_lag(l),
+            overlap(a.len(), b.len(), lane_lag(l)).start..shared.start,
+        );
+    }
+    let b_shared = &b[(shared.start as isize + first) as usize..];
+    for (&x, window) in a[shared.clone()].iter().zip(b_shared.windows(LAG_LANES)) {
+        let window: &[f64; LAG_LANES] = window.try_into().expect("windows of LAG_LANES");
+        for (acc, &y) in acc.iter_mut().zip(window) {
+            *acc += x * y;
+        }
+    }
+    for (l, acc) in acc.iter_mut().enumerate() {
+        sum(
+            acc,
+            lane_lag(l),
+            shared.end..overlap(a.len(), b.len(), lane_lag(l)).end,
+        );
+    }
+    acc
+}
+
 /// Index of the largest non-NaN value, the last one on a tie; `None`
 /// when there is none.
 fn peak_index(values: &[f64]) -> Option<usize> {
@@ -147,7 +245,9 @@ pub fn correlation_coefficient(a: &[f64], b: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testing::{bits, edge_value};
     use crate::TAU;
+    use proptest::prelude::*;
 
     fn noise_like(n: usize, seed: u64) -> Vec<f64> {
         // Deterministic pseudo-noise via a simple LCG — enough decorrelation
@@ -359,6 +459,35 @@ mod tests {
         delayed.extend_from_slice(&base);
         delayed.push(f64::NAN);
         assert_eq!(find_lag(&base, &delayed, 4), 3);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// The lockstep sums equal the one-lag direct sums bit for bit
+        /// at any run of lags — past either end, longer than a lane
+        /// group or not, over empty and unequal signals — with signed
+        /// zeros, subnormals, NaN and infinities in the input.
+        #[test]
+        fn lockstep_lags_equal_direct_sums(
+            raw_a in prop::collection::vec(any::<u64>(), 0..90),
+            raw_b in prop::collection::vec(any::<u64>(), 0..90),
+            first in -100isize..100,
+            count in 0usize..30,
+            mode in 0u8..3,
+        ) {
+            let a: Vec<f64> = raw_a.iter().map(|&x| edge_value(x, mode)).collect();
+            let b: Vec<f64> = raw_b.iter().map(|&x| edge_value(x, mode)).collect();
+            let max_lag = 130;
+            let direct = cross_correlate_direct(&a, &b, max_lag);
+            let last = first + count as isize - 1;
+            let at = |lag: isize| direct[(lag + max_lag as isize) as usize];
+            let want: Vec<f64> = (first..=last).map(at).collect();
+            let got = cross_correlate_lags(&a, &b, first..=last);
+            prop_assert_eq!(bits(got), bits(want.iter().copied()));
+            let best = peak_index(&want).map(|i| first + i as isize);
+            prop_assert_eq!(find_lag_in(&a, &b, first..=last), best);
+        }
     }
 
     #[test]

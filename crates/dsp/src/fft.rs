@@ -1,10 +1,16 @@
 //! Iterative radix-2 FFT with pre-computed twiddle factors.
 //!
 //! The simulator uses the FFT for spectrum measurements (audio SNR, survey
-//! occupancy, the Bark-band analysis in the PESQ-like metric) and for
-//! FFT-based cross-correlation in the cooperative decoder. Sizes are always
-//! powers of two; [`Fft::new`] panics otherwise so misuse fails loudly at
+//! occupancy, the Bark-band analysis in the PESQ-like metric), overlap-save
+//! filtering and FFT-based cross-correlation. Sizes are always powers of
+//! two; [`Fft::new`] panics otherwise so misuse fails loudly at
 //! construction rather than silently corrupting spectra.
+//!
+//! The kernel is the textbook decimation-in-time radix-2 transform, run
+//! two stages per pass over memory (radix-2²) with a table-driven bit
+//! reversal; see [`Fft`]. It computes every butterfly exactly as the
+//! stage-by-stage loop does, so each output bit is the same — tests pin
+//! it against that loop with `to_bits`.
 
 use crate::complex::Complex;
 use crate::TAU;
@@ -41,14 +47,94 @@ fn shared_twiddles(n: usize) -> Arc<[Complex]> {
     table
 }
 
+/// The process-wide bit-reversal permutations, one per `log2 n`, built
+/// on first use of a size and shared by every plan of that size.
+static BIT_REVERSALS: Mutex<Vec<Option<Arc<BitReversal>>>> = Mutex::new(Vec::new());
+
+/// Sizes up to this many points load [`Fft::forward_real`]'s input in
+/// bit-reversed order (a gather from the input while both fit in
+/// cache); larger ones copy in order and swap in place, because the
+/// gather's scattered reads cost more than the swap pass past that.
+const GATHER_MAX: usize = 1 << 16;
+
+/// The swap list visits indices in tiles of `2^TILE_BITS × 2^TILE_BITS`:
+/// a tile's indices share their middle bits, so its partners share
+/// theirs too, and both sides of every swap in a tile fall in the same
+/// few cache lines (8 points are 128 bytes).
+const TILE_BITS: u32 = 3;
+
+/// The bit-reversal permutation of one transform size.
+#[derive(Debug)]
+struct BitReversal {
+    /// `rev[i]` is `i` with its `log2 n` low bits reversed.
+    rev: Box<[u32]>,
+    /// Every pair `(i, rev[i])` with `i < rev[i]`, in cache tiles: the
+    /// swaps that permute a buffer in place, with no compare per index.
+    swaps: Box<[(u32, u32)]>,
+}
+
+impl BitReversal {
+    fn new(bits: u32) -> Self {
+        let n = 1u32 << bits;
+        let rev: Box<[u32]> = (0..n)
+            .map(|i| i.reverse_bits().checked_shr(32 - bits).unwrap_or(0))
+            .collect();
+        // Index `i = (hi, mid, lo)` with `TILE_BITS`-bit `hi` and `lo`
+        // swaps with `(rev lo, rev mid, rev hi)`; walking `hi` and `lo`
+        // inside one `mid` keeps both ends in tile-sized runs. Too few
+        // bits for a tile: one tile of everything.
+        let tile = if bits >= 2 * TILE_BITS { TILE_BITS } else { 0 };
+        let side = 1u32 << tile;
+        let mut swaps = Vec::with_capacity(n as usize / 2);
+        for mid in 0..n >> (2 * tile) {
+            for hi in 0..side {
+                for lo in 0..side {
+                    let i = (hi << (bits - tile)) | (mid << tile) | lo;
+                    let j = rev[i as usize];
+                    if i < j {
+                        swaps.push((i, j));
+                    }
+                }
+            }
+        }
+        BitReversal {
+            rev,
+            swaps: swaps.into(),
+        }
+    }
+}
+
+/// Returns the shared bit-reversal permutation of size `n = 2^bits`.
+fn shared_bit_reversal(bits: u32) -> Arc<BitReversal> {
+    // Entries are inserted whole and never mutated, so a poisoned lock
+    // still guards consistent values.
+    let mut shared = BIT_REVERSALS.lock().unwrap_or_else(|e| e.into_inner());
+    let slot = bits as usize;
+    if shared.len() <= slot {
+        shared.resize(slot + 1, None);
+    }
+    shared[slot]
+        .get_or_insert_with(|| Arc::new(BitReversal::new(bits)))
+        .clone()
+}
+
 /// A planned FFT of a fixed power-of-two size.
 ///
-/// Construction builds the bit-reversal permutation and takes a handle
-/// on the process-wide twiddle table (grown on first use of a larger
-/// size, so planning runs no `sin_cos` for a size already seen). The
-/// twiddles are stored stage by stage so each butterfly stage reads one
-/// contiguous run of them; [`Fft::forward`] and [`Fft::inverse`] then
-/// run without allocating or bounds-checking per butterfly.
+/// Construction takes handles on two process-wide tables, each built
+/// once per process: the forward twiddles (grown on first use of a
+/// larger size) and this size's bit-reversal permutation. The twiddles
+/// are stored stage by stage so each butterfly stage reads one
+/// contiguous run of them.
+///
+/// The kernel runs the radix-2 stages two per pass over the buffer
+/// (radix-2²), with one plain stage last when the stage count is odd.
+/// Each pass loads four points, runs on them the four butterflies the
+/// two stages would, and stores four points. Every butterfly is the
+/// radix-2 one, `x ± b·w` with the same complex multiply and operand
+/// order, so the output is bit-for-bit that of running the stages one
+/// at a time; only the memory traffic halves. The bit reversal is a
+/// precomputed, cache-tiled list of swaps, or, through
+/// [`Fft::forward_real`] at sizes that fit in cache, a gather on load.
 ///
 /// # Example
 /// ```
@@ -67,7 +153,7 @@ pub struct Fft {
     // The shared forward twiddles (see `TWIDDLES`); this plan reads its
     // first `n − 1` entries.
     twiddles: Arc<[Complex]>,
-    bitrev: Vec<u32>,
+    bit_reversal: Arc<BitReversal>,
 }
 
 impl Fft {
@@ -80,14 +166,10 @@ impl Fft {
             n.is_power_of_two() && n > 0,
             "FFT size must be a power of two, got {n}"
         );
-        let bits = n.trailing_zeros();
-        let bitrev = (0..n as u32)
-            .map(|i| i.reverse_bits() >> (32 - bits.max(1)))
-            .collect::<Vec<_>>();
         Fft {
             n,
             twiddles: shared_twiddles(n),
-            bitrev,
+            bit_reversal: shared_bit_reversal(n.trailing_zeros()),
         }
     }
 
@@ -101,50 +183,140 @@ impl Fft {
         self.n == 0
     }
 
-    fn permute(&self, buf: &mut [Complex]) {
-        for i in 0..self.n {
-            let j = self.bitrev[i] as usize;
-            if j > i {
-                buf.swap(i, j);
-            }
-        }
-    }
-
-    /// Bit-reverses `buf`, then runs the radix-2 butterfly stages with
-    /// each twiddle mapped through `twiddle` (identity forward, conjugate
-    /// inverse — one monomorphised loop each).
-    fn butterflies(&self, buf: &mut [Complex], twiddle: impl Fn(Complex) -> Complex) {
-        assert_eq!(buf.len(), self.n, "buffer length must match planned size");
-        self.permute(buf);
-        let mut half = 1;
-        while half < self.n {
-            let tw = &self.twiddles[half - 1..2 * half - 1];
-            for block in buf.chunks_exact_mut(2 * half) {
-                let (lo, hi) = block.split_at_mut(half);
-                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(tw) {
-                    let x = *a;
-                    let y = *b * twiddle(w);
-                    *a = x + y;
-                    *b = x - y;
-                }
-            }
-            half *= 2;
-        }
-    }
-
     /// In-place forward DFT: `X[k] = Σ x[n]·e^{-2πikn/N}`.
     pub fn forward(&self, buf: &mut [Complex]) {
+        self.permute(buf);
+        self.butterflies(buf, |w| w);
+    }
+
+    /// Forward DFT of the real sequence `input`, zero-padded to the
+    /// planned size, into `buf`: bit-for-bit [`Fft::forward`] of
+    /// `Complex::new(input[i], 0.0)`. Sizes up to `GATHER_MAX` read the
+    /// input in bit-reversed order instead of permuting afterwards.
+    ///
+    /// # Panics
+    /// Panics if `buf` is not the planned size or `input` is longer.
+    pub fn forward_real(&self, input: &[f64], buf: &mut [Complex]) {
+        assert_eq!(buf.len(), self.n, "buffer length must match planned size");
+        assert!(input.len() <= self.n, "input longer than the planned size");
+        if self.n <= GATHER_MAX {
+            for (b, &r) in buf.iter_mut().zip(self.bit_reversal.rev.iter()) {
+                *b = Complex::new(input.get(r as usize).copied().unwrap_or(0.0), 0.0);
+            }
+        } else {
+            let (head, tail) = buf.split_at_mut(input.len());
+            for (b, &x) in head.iter_mut().zip(input) {
+                *b = Complex::new(x, 0.0);
+            }
+            tail.fill(Complex::ZERO);
+            self.permute(buf);
+        }
         self.butterflies(buf, |w| w);
     }
 
     /// In-place inverse DFT, normalised by `1/N` so that
     /// `inverse(forward(x)) == x`.
     pub fn inverse(&self, buf: &mut [Complex]) {
+        self.permute(buf);
         self.butterflies(buf, Complex::conj);
         let scale = 1.0 / self.n as f64;
         for v in buf.iter_mut() {
             *v = v.scale(scale);
         }
+    }
+
+    fn permute(&self, buf: &mut [Complex]) {
+        assert_eq!(buf.len(), self.n, "buffer length must match planned size");
+        for &(i, j) in self.bit_reversal.swaps.iter() {
+            buf.swap(i as usize, j as usize);
+        }
+    }
+
+    /// Runs the butterfly stages over a bit-reversed `buf`, each twiddle
+    /// mapped through `twiddle` (identity forward, conjugate inverse —
+    /// one monomorphised kernel each).
+    fn butterflies(&self, buf: &mut [Complex], twiddle: impl Fn(Complex) -> Complex + Copy) {
+        let n = self.n;
+        let tw = &self.twiddles;
+        let mut half = 1;
+        if n >= 4 {
+            // Stages 1 and 2: every quad reads the same three twiddles.
+            let (w1, w2, w3) = (twiddle(tw[0]), twiddle(tw[1]), twiddle(tw[2]));
+            for quad in buf.chunks_exact_mut(4) {
+                let [x0, x1, x2, x3] = quad else {
+                    unreachable!("chunks of four")
+                };
+                radix4(x0, x1, x2, x3, w1, w2, w3);
+            }
+            half = 4;
+        }
+        while 4 * half <= n {
+            let tw1 = &tw[half - 1..2 * half - 1];
+            let (tw2_lo, tw2_hi) = tw[2 * half - 1..4 * half - 1].split_at(half);
+            for block in buf.chunks_exact_mut(4 * half) {
+                let (q01, q23) = block.split_at_mut(2 * half);
+                let (q0, q1) = q01.split_at_mut(half);
+                let (q2, q3) = q23.split_at_mut(half);
+                radix4_pass([q0, q1, q2, q3], [tw1, tw2_lo, tw2_hi], twiddle);
+            }
+            half *= 4;
+        }
+        if half < n {
+            // An odd stage count: the last stage runs alone.
+            let (lo, hi) = buf.split_at_mut(half);
+            for ((a, b), &w) in lo.iter_mut().zip(hi).zip(&tw[half - 1..2 * half - 1]) {
+                let x = *a;
+                let y = *b * twiddle(w);
+                *a = x + y;
+                *b = x - y;
+            }
+        }
+    }
+}
+
+/// Two radix-2 stages on the quad `x0..x3` (points `half` apart): the
+/// stage spanning `2·half` pairs `(x0, x1)` and `(x2, x3)` under `w1`,
+/// then the stage spanning `4·half` pairs `(x0, x2)` under `w2` and
+/// `(x1, x3)` under `w3`. Each butterfly is `x ± b·w` exactly as a
+/// one-stage loop computes it.
+#[inline(always)]
+fn radix4(
+    x0: &mut Complex,
+    x1: &mut Complex,
+    x2: &mut Complex,
+    x3: &mut Complex,
+    w1: Complex,
+    w2: Complex,
+    w3: Complex,
+) {
+    let y1 = *x1 * w1;
+    let (a0, a1) = (*x0 + y1, *x0 - y1);
+    let y3 = *x3 * w1;
+    let (a2, a3) = (*x2 + y3, *x2 - y3);
+    let y2 = a2 * w2;
+    *x0 = a0 + y2;
+    *x2 = a0 - y2;
+    let y3 = a3 * w3;
+    *x1 = a1 + y3;
+    *x3 = a1 - y3;
+}
+
+/// One block of a fused pass: quad `k` is the `k`-th point of each
+/// quarter, under the `k`-th twiddle of each table. Kept out of line
+/// so the four quarters arrive as distinct `&mut` arguments, which
+/// lets the compiler vectorise across `k` without run-time alias
+/// checks; each lane still performs the scalar butterfly's operations
+/// in its order.
+#[inline(never)]
+fn radix4_pass(
+    [q0, q1, q2, q3]: [&mut [Complex]; 4],
+    [tw1, tw2_lo, tw2_hi]: [&[Complex]; 3],
+    twiddle: impl Fn(Complex) -> Complex,
+) {
+    let quads = q0.iter_mut().zip(q1).zip(q2.iter_mut().zip(q3));
+    let twiddles = tw1.iter().zip(tw2_lo.iter().zip(tw2_hi));
+    for (((x0, x1), (x2, x3)), (&w1, (&w2, &w3))) in quads.zip(twiddles) {
+        radix4(x0, x1, x2, x3, twiddle(w1), twiddle(w2), twiddle(w3));
     }
 }
 
@@ -163,12 +335,11 @@ pub fn power_spectrum(signal: &[f64], window: &[f64], n: usize) -> Vec<f64> {
         "window shorter than n is allowed"
     );
     let fft = Fft::new(n);
+    let windowed: Vec<f64> = (0..n.min(signal.len()))
+        .map(|i| signal[i] * window.get(i).copied().unwrap_or(0.0))
+        .collect();
     let mut buf = vec![Complex::ZERO; n];
-    for i in 0..n.min(signal.len()) {
-        let w = if i < window.len() { window[i] } else { 0.0 };
-        buf[i] = Complex::new(signal[i] * w, 0.0);
-    }
-    fft.forward(&mut buf);
+    fft.forward_real(&windowed, &mut buf);
     let scale = 1.0 / (n as f64 * n as f64);
     (0..=n / 2).map(|k| buf[k].norm_sqr() * scale).collect()
 }
@@ -189,14 +360,15 @@ pub fn welch_psd(signal: &[f64], n: usize) -> Vec<f64> {
     // scaled and accumulated exactly as `power_spectrum` computes them.
     let fft = Fft::new(n);
     let scale = 1.0 / (n as f64 * n as f64);
+    let mut windowed = vec![0.0; n];
     let mut buf = vec![Complex::ZERO; n];
     let mut acc = vec![0.0; n / 2 + 1];
     let mut count = 0usize;
     for seg in signal.windows(n).step_by((n / 2).max(1)) {
-        for ((b, &x), &w) in buf.iter_mut().zip(seg).zip(&window) {
-            *b = Complex::new(x * w, 0.0);
+        for ((v, &x), &w) in windowed.iter_mut().zip(seg).zip(&window) {
+            *v = x * w;
         }
-        fft.forward(&mut buf);
+        fft.forward_real(&windowed, &mut buf);
         for (a, z) in acc.iter_mut().zip(&buf) {
             *a += z.norm_sqr() * scale;
         }
@@ -227,6 +399,7 @@ pub fn band_power(psd: &[f64], sample_rate: f64, f_lo: f64, f_hi: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::windows::Window;
+    use proptest::prelude::*;
 
     /// The original strided radix-2 loop: one half-size twiddle table
     /// walked with stride `n / len`, a per-butterfly `inverse` branch.
@@ -301,6 +474,107 @@ mod tests {
                 assert_eq!(bits(&got), bits(&want), "n = {n}, inverse = {inverse}");
             }
         }
+    }
+
+    /// Bit patterns of IQ values, NaN canonical (see `testing::bits`).
+    fn iq_bits(buf: &[Complex]) -> Vec<u64> {
+        crate::testing::bits(buf.iter().flat_map(|z| [z.re, z.im]))
+    }
+
+    /// `n` kernel inputs drawn from `seed` by `testing::edge_value`.
+    fn edge_values(n: usize, seed: u64, mode: u8) -> Vec<f64> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                crate::testing::edge_value(state, mode)
+            })
+            .collect()
+    }
+
+    /// `forward_real` against the reference transform of the same real
+    /// input zero-padded to `n`.
+    fn check_forward_real(fft: &Fft, input: &[f64]) -> Result<(), String> {
+        let mut want = vec![Complex::ZERO; fft.len()];
+        for (w, &x) in want.iter_mut().zip(input) {
+            *w = Complex::new(x, 0.0);
+        }
+        reference_transform(&mut want, false);
+        // Stale contents must not leak into the result.
+        let mut got = vec![Complex::new(f64::NAN, 7.0); fft.len()];
+        fft.forward_real(input, &mut got);
+        if iq_bits(&got) == iq_bits(&want) {
+            Ok(())
+        } else {
+            Err(format!("n = {}, input length {}", fft.len(), input.len()))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The fused kernel, forward and inverse, and the gathering
+        /// `forward_real` at every zero-padded length, equal the
+        /// reference loop bit for bit at sizes 2^0..2^16, with signed
+        /// zeros, subnormals, NaN and infinities in the input.
+        #[test]
+        fn fused_kernel_matches_reference_bit_for_bit(
+            log_n in 0u32..=16,
+            seed in any::<u64>(),
+            pad in any::<u64>(),
+            mode in 0u8..3,
+        ) {
+            let n = 1usize << log_n;
+            let fft = Fft::new(n);
+            let values = edge_values(2 * n, seed, mode);
+            let input: Vec<Complex> =
+                values.chunks_exact(2).map(|p| Complex::new(p[0], p[1])).collect();
+            for inverse in [false, true] {
+                let mut want = input.clone();
+                reference_transform(&mut want, inverse);
+                let mut got = input.clone();
+                if inverse {
+                    fft.inverse(&mut got);
+                } else {
+                    fft.forward(&mut got);
+                }
+                prop_assert!(iq_bits(&got) == iq_bits(&want), "n = {}, inverse = {}", n, inverse);
+            }
+            let len = (pad % (n as u64 + 1)) as usize;
+            prop_assert_eq!(check_forward_real(&fft, &values[..len]), Ok(()));
+        }
+    }
+
+    #[test]
+    fn forward_real_past_the_gather_size_matches_reference() {
+        // Above `GATHER_MAX` the input is copied in order and swapped.
+        let n = 2 * GATHER_MAX;
+        let fft = Fft::new(n);
+        let values = edge_values(n, 0x5EED, 2);
+        for len in [0, 1, n / 2 + 3, n] {
+            assert_eq!(check_forward_real(&fft, &values[..len]), Ok(()));
+        }
+    }
+
+    #[test]
+    fn bit_reversal_swaps_cover_every_pair_once() {
+        for bits in 0..=12 {
+            let table = BitReversal::new(bits);
+            let mut want: Vec<(u32, u32)> = (0..1u32 << bits)
+                .filter_map(|i| (i < table.rev[i as usize]).then_some((i, table.rev[i as usize])))
+                .collect();
+            let mut got = table.swaps.to_vec();
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "bits = {bits}");
+        }
+        // Plans of one size share one table.
+        assert!(Arc::ptr_eq(
+            &Fft::new(64).bit_reversal,
+            &Fft::new(64).bit_reversal
+        ));
     }
 
     #[test]

@@ -27,12 +27,12 @@ use crate::fft::Fft;
 /// FFT form costs ≈ `2·(N/L)·log₂N` butterfly operations per sample with
 /// `N ≈ 4·taps` and `L = N − taps + 1`, i.e. roughly `10·log₂(taps)`.
 /// The crossover therefore sits near a few dozen taps; below it, and for
-/// signals too short to amortise planning the transform (an `N`-entry
-/// bit-reversal table; the twiddles come from the shared table in
-/// [`crate::fft`], so planning runs no `sin_cos` for a size seen
-/// before), the direct form stays faster. The thresholds predate the
-/// shared table and stay as they are: moving them would switch filters
-/// between the two forms and change output bytes.
+/// signals too short to amortise the transforms, the direct form stays
+/// faster. (Planning itself is cheap: the twiddles and the bit-reversal
+/// permutation come from process-wide tables in [`crate::fft`], built
+/// once per size.) The thresholds predate those tables and stay as they
+/// are: moving them would switch filters between the two forms and
+/// change output bytes.
 pub fn fft_convolution_wins(taps: usize, len: usize) -> bool {
     taps >= 48 && len >= 256 && len >= 2 * taps
 }
@@ -68,6 +68,7 @@ pub struct OverlapSave {
     fft: Fft,
     spectrum: Vec<Complex>, // FFT of the zero-padded taps
     history: Vec<f64>,      // last m-1 input samples (zeros initially)
+    block: Vec<f64>,        // one block's real input, before zero padding
     scratch: Vec<Complex>,
 }
 
@@ -92,16 +93,14 @@ impl OverlapSave {
         );
         let fft = Fft::new(fft_size);
         let mut spectrum = vec![Complex::ZERO; fft_size];
-        for (s, &t) in spectrum.iter_mut().zip(taps.iter()) {
-            *s = Complex::new(t, 0.0);
-        }
-        fft.forward(&mut spectrum);
+        fft.forward_real(taps, &mut spectrum);
         OverlapSave {
             m: taps.len(),
             l: fft_size - taps.len() + 1,
             fft,
             spectrum,
             history: vec![0.0; taps.len() - 1],
+            block: Vec::with_capacity(fft_size),
             scratch: vec![Complex::ZERO; fft_size],
         }
     }
@@ -134,16 +133,10 @@ impl OverlapSave {
             // wrap-around at indices m-1 .. m-1+take, where it equals the
             // linear (streaming FIR) output.
             let h = self.m - 1;
-            for (s, &x) in self.scratch.iter_mut().zip(self.history.iter()) {
-                *s = Complex::new(x, 0.0);
-            }
-            for (s, &x) in self.scratch[h..].iter_mut().zip(chunk.iter()) {
-                *s = Complex::new(x, 0.0);
-            }
-            for s in self.scratch[h + take..].iter_mut() {
-                *s = Complex::ZERO;
-            }
-            self.fft.forward(&mut self.scratch);
+            self.block.clear();
+            self.block.extend_from_slice(&self.history);
+            self.block.extend_from_slice(chunk);
+            self.fft.forward_real(&self.block, &mut self.scratch);
             for (s, w) in self.scratch.iter_mut().zip(self.spectrum.iter()) {
                 *s *= *w;
             }
@@ -320,6 +313,49 @@ mod tests {
         for (a, b) in first.iter().zip(&second) {
             assert!((a - b).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn gathered_blocks_equal_in_order_blocks_bit_for_bit() {
+        // The block loop with its input written in order and permuted by
+        // `Fft::forward`: `forward_real` must not move a bit of it.
+        let taps = FirDesign {
+            taps: 61,
+            window: Window::Hamming,
+        }
+        .lowpass(48_000.0, 3_000.0)
+        .taps()
+        .to_vec();
+        let input: Vec<f64> = (0..3_000)
+            .map(|i| (i as f64 * 0.37).sin() + 0.5 * (i as f64 * 1.9).cos())
+            .collect();
+        let n = default_fft_size(taps.len());
+        let fft = Fft::new(n);
+        let pad = |x: &[f64]| {
+            let mut buf = vec![Complex::ZERO; n];
+            for (b, &v) in buf.iter_mut().zip(x) {
+                *b = Complex::new(v, 0.0);
+            }
+            buf
+        };
+        let mut spectrum = pad(&taps);
+        fft.forward(&mut spectrum);
+        let (h, l) = (taps.len() - 1, n - taps.len() + 1);
+        let mut history = vec![0.0; h];
+        let mut want = Vec::new();
+        for chunk in input.chunks(l) {
+            let mut block = pad(&[&history[..], chunk].concat());
+            fft.forward(&mut block);
+            for (b, w) in block.iter_mut().zip(&spectrum) {
+                *b *= *w;
+            }
+            fft.inverse(&mut block);
+            want.extend(block[h..h + chunk.len()].iter().map(|z| z.re));
+            update_history(&mut history, chunk);
+        }
+        let got = OverlapSave::new(&taps).process(&input);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -74,7 +74,7 @@
 //! ```
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -168,6 +168,8 @@ struct Inner {
     counters: BTreeMap<&'static str, u64>,
     spans: Vec<SpanRecord>,
     spans_dropped: u64,
+    // Worker indices that recorded a stage, here or in absorbed children.
+    workers: BTreeSet<u32>,
 }
 
 /// A profiling sink: aggregate stage stats, counters and (optionally)
@@ -236,6 +238,7 @@ impl Collector {
             *inner.counters.entry(name).or_default() += v;
         }
         inner.spans_dropped += c.spans_dropped;
+        inner.workers.extend(&c.workers);
         for span in &c.spans {
             if inner.spans.len() < self.span_cap {
                 inner.spans.push(*span);
@@ -247,6 +250,7 @@ impl Collector {
 
     fn record_stage(&self, name: &'static str, total: u64, self_nanos: u64, start: u64) {
         let mut inner = self.inner.lock().expect("collector lock");
+        inner.workers.insert(self.worker);
         let e = inner.stages.entry(name).or_default();
         e.calls += 1;
         e.total_nanos += total;
@@ -294,6 +298,16 @@ impl Collector {
     pub fn spans(&self) -> (Vec<SpanRecord>, u64) {
         let inner = self.inner.lock().expect("collector lock");
         (inner.spans.clone(), inner.spans_dropped)
+    }
+
+    /// How many distinct worker indices recorded a stage, here or in
+    /// absorbed children: the most threads the run kept busy at once.
+    /// Each parallel region numbers its workers from 0, and the thread
+    /// that starts one records nothing while it waits, so sequential
+    /// regions share indices and the count is the widest region's, or
+    /// 1 for a run that recorded on one thread only.
+    pub fn busy_workers(&self) -> usize {
+        self.inner.lock().expect("collector lock").workers.len()
     }
 
     /// Sum of all stage self-times in seconds — a lower bound on the
@@ -575,6 +589,33 @@ mod tests {
         assert_eq!(counters_a, vec![("n", 5)]);
         assert_eq!(stages_a, stages_b);
         assert_eq!(counters_a, counters_b);
+    }
+
+    #[test]
+    fn busy_workers_counts_the_widest_region() {
+        let figure = Collector::new().child(0);
+        let _g = install(Some(figure.clone()));
+        assert_eq!(figure.busy_workers(), 0);
+        {
+            span!("serial");
+        }
+        assert_eq!(figure.busy_workers(), 1, "the figure's own thread");
+        // Two parallel regions in turn, each numbering its workers from
+        // 0: three threads ran, at most two at once.
+        for width in [2, 1] {
+            let children: Vec<_> = (0..width).map(|w| figure.child(w)).collect();
+            for c in &children {
+                let _w = install(Some(c.clone()));
+                span!("point");
+            }
+            for c in &children {
+                figure.absorb(c);
+            }
+        }
+        assert_eq!(figure.busy_workers(), 2);
+        // A worker that recorded nothing adds no capacity.
+        figure.absorb(&figure.child(5));
+        assert_eq!(figure.busy_workers(), 2);
     }
 
     #[test]
