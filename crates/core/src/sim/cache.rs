@@ -37,8 +37,9 @@
 //! point) computes its front end without caching or counting it.
 //!
 //! One `Arc<SweepCache>` is shared by all of a sweep's worker threads
-//! (the maps are mutex-guarded; hit/miss counters are atomics reported
-//! in the sweep results). Workers *install* the cache into a
+//! (the maps are mutex-guarded, and each key is derived once, by its
+//! first lookup, while later lookups wait for it; hit/miss counters
+//! are atomics reported in the sweep results, and repeat run to run). Workers *install* the cache into a
 //! thread-local so the scenario derivations deep inside the simulators
 //! can consult it without threading a handle through every signature;
 //! the [`ActiveCacheGuard`] restores the previous handle on drop, which
@@ -61,9 +62,9 @@ type Entry<V> = Arc<OnceLock<Arc<V>>>;
 
 /// Looks `key` up in the `map` behind `shared`, deriving its value
 /// with `compute` if no lookup has yet. The lock is held only to find
-/// or add the key's entry; `compute` runs outside it, and concurrent lookups of
-/// the same key wait for that one derivation. Returns the value, the
-/// entry, and whether this lookup derived it (a miss).
+/// or add the key's entry; `compute` runs outside it, and concurrent
+/// lookups of the same key wait for that one derivation. Returns the
+/// value, the entry, and whether this lookup derived it (a miss).
 fn memoise<M, K: Eq + Hash, V>(
     shared: &Mutex<M>,
     map: impl FnOnce(&mut M) -> &mut HashMap<K, Entry<V>>,
@@ -314,7 +315,6 @@ impl Deserialize for CacheStats {
 #[derive(Debug, Default)]
 struct FrontEnds {
     map: HashMap<FrontEndKey, Entry<RfFrontEnd>>,
-    // Bytes of the entries counted in: derived, and retained.
     bytes: usize,
 }
 
