@@ -6,8 +6,10 @@
 //!
 //! - [`find_lag`] searches a whole lag window, through the FFT when that
 //!   is cheaper than the direct sums;
-//! - [`find_lag_in`] scores a short run of lags with exact direct sums,
-//!   several lags per pass over the signals.
+//! - [`find_lag_in`] scores a short run of lags with exact direct sums.
+//!
+//! Every direct sum runs through one kernel, which scores several lags
+//! per pass over the signals.
 //!
 //! The cooperative decoder uses them coarse to fine: [`find_lag`] on the
 //! phones' base-rate audio, then [`find_lag_in`] on the ×10 audio over
@@ -22,7 +24,7 @@ use std::ops::{Range, RangeInclusive};
 /// Returns a vector of `2·max_lag + 1` values where index `i` corresponds
 /// to lag `i as isize - max_lag` (a positive lag means `b` is delayed
 /// relative to `a`). Uses the FFT when the signals are long enough for it
-/// to win, otherwise the direct sum.
+/// to win, otherwise the direct sums.
 pub fn cross_correlate(a: &[f64], b: &[f64], max_lag: usize) -> Vec<f64> {
     fmbs_obs::span!(fmbs_obs::stages::XCORR);
     if a.is_empty() || b.is_empty() {
@@ -36,7 +38,8 @@ pub fn cross_correlate(a: &[f64], b: &[f64], max_lag: usize) -> Vec<f64> {
     let n_fft = fft_size(a.len(), b.len(), max_lag);
     let fft_cost = 2.0 * n_fft as f64 * (n_fft as f64).log2();
     if direct_cost <= fft_cost {
-        cross_correlate_direct(a, b, max_lag)
+        let max_lag = max_lag as isize;
+        cross_correlate_lags(a, b, -max_lag..=max_lag)
     } else {
         cross_correlate_fft(a, b, max_lag)
     }
@@ -49,26 +52,8 @@ fn fft_size(a_len: usize, b_len: usize, max_lag: usize) -> usize {
     (a_len.max(b_len) + max_lag).next_power_of_two()
 }
 
-/// Direct-sum cross-correlation (exact reference implementation).
-pub fn cross_correlate_direct(a: &[f64], b: &[f64], max_lag: usize) -> Vec<f64> {
-    let mut out = Vec::with_capacity(2 * max_lag + 1);
-    for lag in -(max_lag as isize)..=(max_lag as isize) {
-        // corr(lag) = Σ_i a[i] · b[i + lag]: peaks at +d when b is a copy of
-        // a delayed by d samples.
-        let mut acc = 0.0;
-        for (i, &ai) in a.iter().enumerate() {
-            let j = i as isize + lag;
-            if j >= 0 && (j as usize) < b.len() {
-                acc += ai * b[j as usize];
-            }
-        }
-        out.push(acc);
-    }
-    out
-}
-
 /// FFT-accelerated cross-correlation, mathematically identical to the
-/// direct method up to floating-point rounding.
+/// direct sums up to floating-point rounding.
 ///
 /// Both real inputs share one complex transform (`a` in the real part,
 /// `b` in the imaginary part), so the whole correlation is one forward
@@ -121,6 +106,7 @@ pub fn find_lag(a: &[f64], b: &[f64], max_lag: usize) -> isize {
 /// [`find_lag`] does: NaN values are skipped and the last maximum wins a
 /// tie. `None` when every value is NaN or `lags` is empty.
 pub fn find_lag_in(a: &[f64], b: &[f64], lags: RangeInclusive<isize>) -> Option<isize> {
+    fmbs_obs::span!(fmbs_obs::stages::XCORR);
     let first = *lags.start();
     let corr = cross_correlate_lags(a, b, lags);
     peak_index(&corr).map(|idx| first + idx as isize)
@@ -129,15 +115,16 @@ pub fn find_lag_in(a: &[f64], b: &[f64], lags: RangeInclusive<isize>) -> Option<
 /// Lags scored per pass over the signals by [`cross_correlate_lags`].
 const LAG_LANES: usize = 8;
 
-/// Direct-sum cross-correlation at each lag of `lags`, bit-for-bit what
-/// [`cross_correlate_direct`] computes there: every lag's products are
-/// summed in ascending index order from `0.0`.
+/// Direct-sum cross-correlation at each lag of `lags`:
+/// `corr(lag) = Σ_i a[i]·b[i + lag]`, which peaks at `+d` when `b` is a
+/// copy of `a` delayed by `d` samples. Every lag's products are summed
+/// in ascending index order from `0.0`, as the one-lag loop in the tests
+/// (`cross_correlate_direct`) does, bit for bit.
 ///
 /// The sums run `LAG_LANES` consecutive lags in lockstep, one
 /// accumulator each, so a pass over `a` keeps eight independent add
 /// chains in flight instead of one.
 fn cross_correlate_lags(a: &[f64], b: &[f64], lags: RangeInclusive<isize>) -> Vec<f64> {
-    fmbs_obs::span!(fmbs_obs::stages::XCORR);
     let (first, last) = (*lags.start(), *lags.end());
     let mut out = Vec::with_capacity(lags.size_hint().0);
     let mut lag = first;
@@ -248,6 +235,23 @@ mod tests {
     use crate::testing::{bits, edge_value};
     use crate::TAU;
     use proptest::prelude::*;
+
+    /// The one-lag direct sums: the exact reference the lockstep kernel
+    /// and the FFT path are pinned against.
+    fn cross_correlate_direct(a: &[f64], b: &[f64], max_lag: usize) -> Vec<f64> {
+        let mut out = Vec::with_capacity(2 * max_lag + 1);
+        for lag in -(max_lag as isize)..=(max_lag as isize) {
+            let mut acc = 0.0;
+            for (i, &ai) in a.iter().enumerate() {
+                let j = i as isize + lag;
+                if j >= 0 && (j as usize) < b.len() {
+                    acc += ai * b[j as usize];
+                }
+            }
+            out.push(acc);
+        }
+        out
+    }
 
     fn noise_like(n: usize, seed: u64) -> Vec<f64> {
         // Deterministic pseudo-noise via a simple LCG — enough decorrelation

@@ -51,12 +51,6 @@ fn shared_twiddles(n: usize) -> Arc<[Complex]> {
 /// on first use of a size and shared by every plan of that size.
 static BIT_REVERSALS: Mutex<Vec<Option<Arc<BitReversal>>>> = Mutex::new(Vec::new());
 
-/// Sizes up to this many points load [`Fft::forward_real`]'s input in
-/// bit-reversed order (a gather from the input while both fit in
-/// cache); larger ones copy in order and swap in place, because the
-/// gather's scattered reads cost more than the swap pass past that.
-const GATHER_MAX: usize = 1 << 16;
-
 /// The swap list visits indices in tiles of `2^TILE_BITS × 2^TILE_BITS`:
 /// a tile's indices share their middle bits, so its partners share
 /// theirs too, and both sides of every swap in a tile fall in the same
@@ -134,7 +128,7 @@ fn shared_bit_reversal(bits: u32) -> Arc<BitReversal> {
 /// order, so the output is bit-for-bit that of running the stages one
 /// at a time; only the memory traffic halves. The bit reversal is a
 /// precomputed, cache-tiled list of swaps, or, through
-/// [`Fft::forward_real`] at sizes that fit in cache, a gather on load.
+/// [`Fft::forward_real`], a gather on load.
 ///
 /// # Example
 /// ```
@@ -191,25 +185,16 @@ impl Fft {
 
     /// Forward DFT of the real sequence `input`, zero-padded to the
     /// planned size, into `buf`: bit-for-bit [`Fft::forward`] of
-    /// `Complex::new(input[i], 0.0)`. Sizes up to `GATHER_MAX` read the
-    /// input in bit-reversed order instead of permuting afterwards.
+    /// `Complex::new(input[i], 0.0)`. The input is read in bit-reversed
+    /// order instead of permuted afterwards.
     ///
     /// # Panics
     /// Panics if `buf` is not the planned size or `input` is longer.
     pub fn forward_real(&self, input: &[f64], buf: &mut [Complex]) {
         assert_eq!(buf.len(), self.n, "buffer length must match planned size");
         assert!(input.len() <= self.n, "input longer than the planned size");
-        if self.n <= GATHER_MAX {
-            for (b, &r) in buf.iter_mut().zip(self.bit_reversal.rev.iter()) {
-                *b = Complex::new(input.get(r as usize).copied().unwrap_or(0.0), 0.0);
-            }
-        } else {
-            let (head, tail) = buf.split_at_mut(input.len());
-            for (b, &x) in head.iter_mut().zip(input) {
-                *b = Complex::new(x, 0.0);
-            }
-            tail.fill(Complex::ZERO);
-            self.permute(buf);
+        for (b, &r) in buf.iter_mut().zip(self.bit_reversal.rev.iter()) {
+            *b = Complex::new(input.get(r as usize).copied().unwrap_or(0.0), 0.0);
         }
         self.butterflies(buf, |w| w);
     }
@@ -517,11 +502,11 @@ mod tests {
 
         /// The fused kernel, forward and inverse, and the gathering
         /// `forward_real` at every zero-padded length, equal the
-        /// reference loop bit for bit at sizes 2^0..2^16, with signed
+        /// reference loop bit for bit at sizes 2^0..2^17, with signed
         /// zeros, subnormals, NaN and infinities in the input.
         #[test]
         fn fused_kernel_matches_reference_bit_for_bit(
-            log_n in 0u32..=16,
+            log_n in 0u32..=17,
             seed in any::<u64>(),
             pad in any::<u64>(),
             mode in 0u8..3,
@@ -544,17 +529,6 @@ mod tests {
             }
             let len = (pad % (n as u64 + 1)) as usize;
             prop_assert_eq!(check_forward_real(&fft, &values[..len]), Ok(()));
-        }
-    }
-
-    #[test]
-    fn forward_real_past_the_gather_size_matches_reference() {
-        // Above `GATHER_MAX` the input is copied in order and swapped.
-        let n = 2 * GATHER_MAX;
-        let fft = Fft::new(n);
-        let values = edge_values(n, 0x5EED, 2);
-        for len in [0, 1, n / 2 + 3, n] {
-            assert_eq!(check_forward_real(&fft, &values[..len]), Ok(()));
         }
     }
 
