@@ -353,10 +353,12 @@ fn combined_faults(n_tags: usize, n_slots: u64) -> Deployment {
 
 /// The metro acceptance-bar geometry: tags sharded across a 4×4
 /// receiver grid with capture on — the `+metro` row at 10⁶ tags, also
-/// used by the CI identity test.
+/// used by the CI identity test. Its 10⁶ × 10⁴ tag-slots are past the
+/// default work budget, so it opts in to them.
 pub fn metro_acceptance_deployment(n_tags: usize, n_slots: u64) -> Deployment {
     Deployment::city(n_tags)
         .slots(n_slots)
+        .work_budget(10_000_000_000)
         .stations([Station::at(10_000.0, 0.0)])
         .receivers(Receiver::grid(4, 4, 40.0))
         .capture(6.0)

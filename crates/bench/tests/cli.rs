@@ -178,3 +178,33 @@ fn repro_repeated_id_runs_once() {
         "repeated id ran twice: {stderr}"
     );
 }
+
+/// A corpus city past the deployment work budget — a 2^64-slot horizon,
+/// or four billion tags — exits 2 with the budget hint within a second,
+/// instead of hanging the campaign.
+#[test]
+fn repro_campaign_rejects_an_oversized_city_with_exit_2() {
+    let corpus = concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus");
+    for (file, from, to) in [
+        (
+            "spokane.json",
+            "\"slots\": 240",
+            "\"slots\": 18446744073709551615",
+        ),
+        ("boulder.json", "\"n_tags\": 48", "\"n_tags\": 4000000000"),
+    ] {
+        let dir = std::env::temp_dir().join(format!("fmbs_cli_budget_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let text = std::fs::read_to_string(format!("{corpus}/{file}")).unwrap();
+        assert!(text.contains(from), "{file} no longer holds {from}");
+        std::fs::write(dir.join(file), text.replace(from, to)).unwrap();
+        let start = std::time::Instant::now();
+        let (code, stderr) = run_repro(&["--campaign", "--corpus", dir.to_str().unwrap()]);
+        let elapsed = start.elapsed();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(code, Some(2), "{file}: {stderr}");
+        assert!(stderr.contains("work budget"), "{file}: {stderr}");
+        assert!(stderr.contains(".work_budget("), "{file}: {stderr}");
+        assert!(elapsed.as_secs_f64() < 1.0, "{file}: took {elapsed:?}");
+    }
+}

@@ -33,21 +33,12 @@ pub fn assign_f_back(occupancy: &BandOccupancy, host: Channel, n_tags: usize) ->
     if free.is_empty() {
         return vec![None; n_tags];
     }
-    let mut load = vec![0usize; free.len()];
+    // Least-loaded free channel, ties to the smallest index (nearest to
+    // the host). Every load starts at zero, so that is round robin over
+    // the nearest-first order: while tags are fewer than free channels
+    // it is the distinct nearest-first assignment.
     (0..n_tags)
-        .map(|_| {
-            // Least-loaded free channel; ties resolve to the smallest
-            // index, i.e. nearest to the host. While tags are fewer than
-            // free channels this degenerates to the distinct
-            // nearest-first assignment.
-            let (i, _) = load
-                .iter()
-                .enumerate()
-                .min_by_key(|&(i, &l)| (l, i))
-                .expect("free is non-empty");
-            load[i] += 1;
-            Some(host.shift_to_hz(free[i]))
-        })
+        .map(|k| Some(host.shift_to_hz(free[k % free.len()])))
         .collect()
 }
 
@@ -157,6 +148,28 @@ mod tests {
             .filter(|s| s.unwrap() == 400_000.0) // Channel(43)
             .count();
         assert_eq!((nearest, farther), (3, 2));
+    }
+
+    #[test]
+    fn each_tag_joins_the_least_loaded_channel() {
+        let occ = BandOccupancy::from_channels(&[Channel(17), Channel(20), Channel(60)]);
+        let mut nearest_first: Vec<f64> = occ
+            .free_channels()
+            .iter()
+            .map(|&c| Channel(17).shift_to_hz(c))
+            .collect();
+        nearest_first.sort_by(|a, b| a.abs().total_cmp(&b.abs()));
+        let shifts = assign_f_back(&occ, Channel(17), 3 * nearest_first.len() + 5);
+        let mut load = vec![0usize; nearest_first.len()];
+        for s in shifts {
+            let (i, _) = load
+                .iter()
+                .enumerate()
+                .min_by_key(|&(i, &l)| (l, i))
+                .unwrap();
+            load[i] += 1;
+            assert_eq!(s.unwrap(), nearest_first[i]);
+        }
     }
 
     #[test]

@@ -612,53 +612,26 @@ impl SweepBuilder {
         let _front_ends = shared.as_ref().map(|c| c.front_end_scope());
         // Each worker profiles into its own child collector (timings and
         // counters only — no RNG is touched), merged back in worker
-        // order after the scope so the aggregate is schedule-independent.
-        let obs_parent = fmbs_obs::active();
-        let obs_children: Vec<Option<Arc<fmbs_obs::Collector>>> = (0..workers)
-            .map(|w| obs_parent.as_ref().map(|p| p.child(w as u32)))
-            .collect();
+        // order so the aggregate is schedule-independent.
         let cursor = AtomicUsize::new(0);
-        let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, f64)>(points.len());
         let mut values: Vec<Option<f64>> = vec![None; points.len()];
-        // The workers profile the points; this thread only waits, so the
-        // wait must not count again as self-time of a stage open here.
-        let obs_wait = fmbs_obs::waiting();
-        std::thread::scope(|scope| {
-            for obs in obs_children.iter().take(workers) {
-                let tx = tx.clone();
-                let cursor = &cursor;
-                let points = &points;
-                let shared = shared.clone();
-                let obs = obs.clone();
-                scope.spawn(move || {
-                    // Every worker reads through the one shared cache;
-                    // the guard keeps the install scoped to this worker.
-                    let _guard = cache::install(shared);
-                    let _obs_guard = fmbs_obs::install(obs);
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(p) = points.get(i) else { break };
-                        let value = {
-                            fmbs_obs::span!(fmbs_obs::stages::SWEEP_POINT);
-                            metric.evaluate(sim, &p.scenario)
-                        };
-                        if tx.send((i, value)).is_err() {
-                            break; // collector gone
-                        }
-                    }
-                });
-            }
-            drop(tx);
-            // Collect on this thread while workers run.
-            for (i, v) in rx.iter() {
-                values[i] = Some(v);
+        let done = fmbs_obs::scoped_workers(workers, |_| {
+            // Every worker reads through the one shared cache; the guard
+            // keeps the install scoped to this worker.
+            let _guard = cache::install(shared.clone());
+            let mut done = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(p) = points.get(i) else { break done };
+                let value = {
+                    fmbs_obs::span!(fmbs_obs::stages::SWEEP_POINT);
+                    metric.evaluate(sim, &p.scenario)
+                };
+                done.push((i, value));
             }
         });
-        drop(obs_wait);
-        if let Some(parent) = obs_parent {
-            for child in obs_children.into_iter().flatten() {
-                parent.absorb(&child);
-            }
+        for (i, v) in done.into_iter().flatten() {
+            values[i] = Some(v);
         }
 
         SweepResults {

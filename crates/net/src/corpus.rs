@@ -136,7 +136,11 @@ impl std::fmt::Display for CorpusError {
                  (channels are 0..{FM_CHANNEL_COUNT})"
             ),
             CorpusError::Deployment { id, cause } => {
-                write!(f, "{id}: deployment rejected: {cause:?}")
+                write!(
+                    f,
+                    "{id}: deployment rejected: {cause} (hint: {})",
+                    cause.hint()
+                )
             }
             CorpusError::Empty { dir } => {
                 write!(f, "{dir} holds no *.json city scenarios")
@@ -355,6 +359,39 @@ mod tests {
                 ..
             })
         ));
+        // Oversized runs end in a budget error at once instead of
+        // synthesising 4·10^9 tags or stepping 2^64 slots.
+        for (file, from, to) in [
+            (
+                "spokane.json",
+                "\"slots\": 240",
+                "\"slots\": 18446744073709551615",
+            ),
+            ("boulder.json", "\"n_tags\": 48", "\"n_tags\": 4000000000"),
+        ] {
+            let text = std::fs::read_to_string(corpus_dir().join(file)).unwrap();
+            assert!(text.contains(from), "{file} no longer holds {from}");
+            let huge = dir.join(file);
+            std::fs::write(&huge, text.replace(from, to)).unwrap();
+            let start = std::time::Instant::now();
+            let err = CityScenario::from_path(&huge).unwrap_err();
+            assert!(
+                start.elapsed() < std::time::Duration::from_secs(1),
+                "{file}: {:?}",
+                start.elapsed()
+            );
+            assert!(
+                matches!(
+                    err,
+                    CorpusError::Deployment {
+                        cause: DeploymentError::WorkBudget { .. },
+                        ..
+                    }
+                ),
+                "{err:?}"
+            );
+            assert!(err.to_string().contains(".work_budget("), "{err}");
+        }
         // Empty corpus directory.
         let empty_dir = dir.join("empty");
         std::fs::create_dir_all(&empty_dir).unwrap();

@@ -17,6 +17,20 @@
 //!   arrival queue (idle when empty) and the engine tracks sojourn
 //!   times, deadline hits and queue conservation.
 //!
+//! # State layout
+//!
+//! A run holds, per tag, one hot state of [`TAG_STATE_BYTES`] bytes:
+//! the RNG stream, energy store, head-of-queue index and link success
+//! probability. What never changes during a run (harvest rate, transmit
+//! cost, storage) is read from the domain's borrowed
+//! [`crate::deploy::TagSite`]s, and ARQ and rate-fallback state lives
+//! in a side table that only ARQ runs allocate. A single-cell run reads
+//! its arrival queues from the shared [`ArrivalTrace`] in place; a
+//! metro domain copies its tags' queues once into one flat
+//! `Vec<Arrival>` with per-tag offsets, in local tag order, so its slot
+//! loop reads one contiguous block and the trace is never cloned per
+//! tag.
+//!
 //! # Determinism
 //!
 //! Three properties make same-seed runs trace-identical:
@@ -28,7 +42,7 @@
 //! run seed and the tag id), so a draw's value depends only on how many
 //! draws that tag has made, never on global interleaving.
 
-use crate::deploy::{city_occupancy, HarvestProfile, SiteMap};
+use crate::deploy::{city_occupancy, HarvestProfile, SiteMap, TagSite};
 use crate::faults::{FaultSchedule, FaultSpec};
 use crate::link::{BerTable, PacketModel};
 use fmbs_core::modem::Bitrate;
@@ -305,7 +319,7 @@ pub enum Traffic {
 }
 
 /// Cap on the binary-exponential backoff exponent.
-const MAX_BACKOFF_EXP: u32 = 8;
+const MAX_BACKOFF_EXP: u8 = 8;
 
 /// Everything that parameterises one network run.
 #[derive(Debug, Clone)]
@@ -527,42 +541,119 @@ pub struct NetRun {
     pub trace: EventTrace,
 }
 
+/// One domain's arrival queues.
+///
+/// A domain that holds every tag of the run in global order (a
+/// single-cell run) reads the shared [`ArrivalTrace`] in place. A metro
+/// domain holds one flat copy of its tags' queues, built once per run
+/// in local tag order, so its slot loop reads one contiguous block
+/// instead of scattered per-tag allocations. Saturated runs hold none.
+#[derive(Debug, Default)]
+pub(crate) enum ArrivalQueues {
+    /// Saturated traffic: no queues.
+    #[default]
+    None,
+    /// The shared trace; local tag `i` is global tag `i`.
+    Shared(Arc<ArrivalTrace>),
+    /// Local tag `i`'s FIFO is `arrivals[start[i]..start[i + 1]]`.
+    Flat {
+        start: Vec<usize>,
+        arrivals: Vec<Arrival>,
+    },
+}
+
+impl ArrivalQueues {
+    /// The queues of every tag under `traffic`, read in place.
+    pub(crate) fn shared(traffic: &Traffic) -> Self {
+        match traffic {
+            Traffic::Saturated => ArrivalQueues::None,
+            Traffic::Trace(trace) => ArrivalQueues::Shared(trace.clone()),
+        }
+    }
+
+    /// A flat copy of the queues of `tags` (global tag ids, in local
+    /// order) under `traffic`. Tags past the trace's end get an empty
+    /// queue.
+    pub(crate) fn flat<I>(traffic: &Traffic, tags: I) -> Self
+    where
+        I: ExactSizeIterator<Item = usize> + Clone,
+    {
+        let Traffic::Trace(trace) = traffic else {
+            return ArrivalQueues::None;
+        };
+        let of = |g: usize| trace.per_tag.get(g).map_or(&[][..], Vec::as_slice);
+        let mut start = Vec::with_capacity(tags.len() + 1);
+        let mut arrivals = Vec::with_capacity(tags.clone().map(|g| of(g).len()).sum());
+        start.push(0);
+        for g in tags {
+            arrivals.extend_from_slice(of(g));
+            start.push(arrivals.len());
+        }
+        ArrivalQueues::Flat { start, arrivals }
+    }
+
+    /// Local tag `tag`'s FIFO queue, ascending by slot.
+    fn of(&self, tag: u32) -> &[Arrival] {
+        let i = tag as usize;
+        match self {
+            ArrivalQueues::None => &[],
+            ArrivalQueues::Shared(trace) => trace.per_tag.get(i).map_or(&[], Vec::as_slice),
+            ArrivalQueues::Flat { start, arrivals } => match (start.get(i), start.get(i + 1)) {
+                (Some(&a), Some(&b)) => &arrivals[a..b],
+                _ => &[],
+            },
+        }
+    }
+}
+
+/// The per-tag state every slot reads and writes, the largest block a
+/// 10^6-tag run holds. Site constants (harvest rate, transmit cost,
+/// storage) are read from the domain's [`TagSite`]s and ARQ state lives
+/// in [`ArqState`], so it stays within 96 bytes (the
+/// `metro_memory_guard` test asserts this of [`TAG_STATE_BYTES`]).
 struct TagState {
-    channel: u16,
-    storage_uj: f64,
-    success_p: f64,
-    /// Raw link BER at the nominal rate (the `BerTable` lookup made at
-    /// deployment time); interference bursts elevate this before the
-    /// packet-survival curve is applied.
-    raw_ber: f64,
-    /// Packet-success probability at the fallback rate (0 when ARQ is
-    /// off or no lower rate exists).
-    fb_success_p: f64,
-    /// Raw link BER at the fallback rate.
-    fb_raw_ber: f64,
     rng: StdRng,
-    backoff_exp: u32,
     energy_uj: f64,
     last_update: u64,
-    harvest_uw: f64,
-    tx_cost_uj: f64,
     /// Slot of the current packet's first actual transmission
     /// (`u64::MAX` = not transmitted yet); latency is measured from
     /// here, so recharge sleeps and the initial desync offset are not
     /// mistaken for contention.
     first_attempt: u64,
-    delivered: u32,
+    success_p: f64,
+    /// Raw link BER at the nominal rate (the `BerTable` lookup made at
+    /// deployment time); interference bursts elevate this before the
+    /// packet-survival curve is applied.
+    raw_ber: f64,
     /// Index of the head of this tag's FIFO arrival queue (trace mode):
     /// everything before it was delivered, abandoned or shed as
     /// expired.
     next_unserved: usize,
-    /// ARQ: transmissions already made for the current packet.
+    delivered: u32,
+    channel: u16,
+    backoff_exp: u8,
+}
+
+/// Size of the per-tag state the engine keeps for every tag of a run
+/// (ARQ runs keep their retransmission and fallback state on the side).
+pub const TAG_STATE_BYTES: usize = std::mem::size_of::<TagState>();
+
+/// A tag's ARQ and rate-fallback state, in a side table only ARQ runs
+/// allocate.
+#[derive(Debug, Default)]
+struct ArqState {
+    /// Packet-success probability at the fallback rate (0 when no lower
+    /// rate exists).
+    fb_success_p: f64,
+    /// Raw link BER at the fallback rate.
+    fb_raw_ber: f64,
+    /// Transmissions already made for the current packet.
     pkt_attempts: u32,
-    /// ARQ: consecutive losses (drives rate fallback).
+    /// Consecutive losses (drives rate fallback).
     consec_losses: u32,
-    /// ARQ: consecutive successes (drives rate recovery).
+    /// Consecutive successes (drives rate recovery).
     consec_successes: u32,
-    /// ARQ: whether the tag is transmitting at the fallback rate.
+    /// Whether the tag is transmitting at the fallback rate.
     fallback: bool,
 }
 
@@ -588,12 +679,14 @@ pub(crate) fn run_cell(cfg: &NetworkConfig, table: &BerTable, packets: Arc<Packe
         cfg.storage_uj,
         cfg.seed,
     );
+    let queues = ArrivalQueues::shared(&cfg.traffic);
     let mut d = DomainSim::new(
         cfg.clone(),
         table,
         packets,
         &deployment.sites,
         deployment.n_channels,
+        queues,
     );
     while let Some(slot) = d.peek_slot() {
         d.gather(slot);
@@ -656,19 +749,23 @@ pub fn capture_winner(attempts: &[u32], rx_dbm: &[f64], margin_db: f64) -> Optio
 /// One collision domain's complete engine state, stepped slot by slot.
 ///
 /// The single-receiver [`run_cell`] drives exactly one of these, and
-/// the metro engine
-/// in [`crate::topology`] drives one per receiver cell in lockstep,
-/// exchanging co-channel transmit counts at slot barriers. Tag indices
-/// are *local* to the domain; the metro layer owns the local→global
-/// mapping.
-pub(crate) struct DomainSim {
+/// the metro engine in [`crate::topology`] drives one per receiver cell
+/// in lockstep, exchanging co-channel transmit counts at slot barriers.
+/// Tag indices are *local* to the domain; the metro layer owns the
+/// local→global mapping. The domain borrows its tags' sites for their
+/// energy constants and owns its tags' [`ArrivalQueues`].
+pub(crate) struct DomainSim<'a> {
     cfg: NetworkConfig,
     packets: Arc<PacketModel>,
     sched: FaultSchedule,
     rf: bool,
     fb_plan: Option<(Bitrate, u64)>,
     slot_secs: f64,
+    sites: &'a [TagSite],
     tags: Vec<TagState>,
+    /// One entry per tag when ARQ is on, else empty.
+    arq_tags: Vec<ArqState>,
+    queues: ArrivalQueues,
     q: EventQueue,
     pending: Vec<Vec<u32>>,
     touched: Vec<u16>,
@@ -677,16 +774,18 @@ pub(crate) struct DomainSim {
     next_reset: usize,
 }
 
-impl DomainSim {
-    /// Builds the domain over `sites` (one per local tag) and performs
-    /// the initial scheduling — the same operation order the pre-metro
-    /// engine used, so a single-domain run is bit-identical to it.
+impl<'a> DomainSim<'a> {
+    /// Builds the domain over `sites` (one per local tag) and `queues`
+    /// (their arrivals, in the same order) and performs the initial
+    /// scheduling — the same operation order the pre-metro engine used,
+    /// so a single-domain run is bit-identical to it.
     pub(crate) fn new(
         cfg: NetworkConfig,
         table: &BerTable,
         packets: Arc<PacketModel>,
-        sites: &[crate::deploy::TagSite],
+        sites: &'a [TagSite],
         n_channels: usize,
+        queues: ArrivalQueues,
     ) -> Self {
         let slot_secs = cfg.slot_secs();
         // The fault plan is generated from the spec's own RNG stream, so
@@ -705,11 +804,14 @@ impl DomainSim {
             Some((fb, stretch))
         });
 
-        let tags: Vec<TagState> = sites
-            .iter()
-            .enumerate()
-            .map(|(i, site)| {
-                let raw_ber = table.lookup(cfg.bitrate, site.power_dbm, site.distance_ft);
+        let mut arq_tags = Vec::new();
+        if cfg.arq.is_some() {
+            arq_tags.reserve_exact(sites.len());
+        }
+        let mut tags = Vec::with_capacity(sites.len());
+        for (i, site) in sites.iter().enumerate() {
+            let raw_ber = table.lookup(cfg.bitrate, site.power_dbm, site.distance_ft);
+            if cfg.arq.is_some() {
                 // The fallback link: looked up directly when the table
                 // calibrates the lower rate, otherwise the slower rate's
                 // processing gain (10·log10 of the rate ratio) is folded
@@ -725,35 +827,31 @@ impl DomainSim {
                     ),
                     None => 0.0,
                 };
-                TagState {
-                    channel: site.channel,
-                    storage_uj: site.storage_uj,
-                    success_p: packets.success_probability(raw_ber),
-                    raw_ber,
+                arq_tags.push(ArqState {
                     fb_success_p: if fb_plan.is_some() {
                         packets.success_probability(fb_raw_ber)
                     } else {
                         0.0
                     },
                     fb_raw_ber,
-                    // A private stream per tag: draw values depend only on
-                    // the tag's own draw count.
-                    rng: StdRng::seed_from_u64(cfg.seed ^ (0xA11CE << 32) ^ i as u64),
-                    backoff_exp: 0,
-                    energy_uj: site.storage_uj,
-                    last_update: 0,
-                    harvest_uw: site.harvest_uw,
-                    tx_cost_uj: site.tx_cost_uj,
-                    first_attempt: u64::MAX,
-                    delivered: 0,
-                    next_unserved: 0,
-                    pkt_attempts: 0,
-                    consec_losses: 0,
-                    consec_successes: 0,
-                    fallback: false,
-                }
-            })
-            .collect();
+                    ..ArqState::default()
+                });
+            }
+            tags.push(TagState {
+                // A private stream per tag: draw values depend only on
+                // the tag's own draw count.
+                rng: StdRng::seed_from_u64(cfg.seed ^ (0xA11CE << 32) ^ i as u64),
+                energy_uj: site.storage_uj,
+                last_update: 0,
+                first_attempt: u64::MAX,
+                success_p: packets.success_probability(raw_ber),
+                raw_ber,
+                next_unserved: 0,
+                delivered: 0,
+                channel: site.channel,
+                backoff_exp: 0,
+            });
+        }
 
         let stats = NetStats {
             n_tags: cfg.n_tags,
@@ -773,7 +871,10 @@ impl DomainSim {
             rf,
             fb_plan,
             slot_secs,
+            sites,
             tags,
+            arq_tags,
+            queues,
             stats,
             trace,
         };
@@ -784,10 +885,11 @@ impl DomainSim {
                 // Everybody desynchronises over an initial window so
                 // slot 0 is not a guaranteed pile-up.
                 let initial_window = 16u64.min(d.cfg.n_slots.max(1));
-                for (i, t) in d.tags.iter_mut().enumerate() {
+                for (i, (t, site)) in d.tags.iter_mut().zip(d.sites).enumerate() {
                     let start = t.rng.gen_range(0..initial_window);
                     Self::schedule(
                         t,
+                        site,
                         i as u32,
                         start,
                         d.slot_secs,
@@ -799,17 +901,18 @@ impl DomainSim {
                     );
                 }
             }
-            Traffic::Trace(arrivals) => {
+            Traffic::Trace(_) => {
                 // Trace mode needs no desync draw: arrival times are the
                 // desynchroniser. Each tag wakes at its first arrival;
                 // out-of-horizon arrivals are never offered.
-                for (i, t) in d.tags.iter_mut().enumerate() {
-                    let queue = arrivals.per_tag.get(i).map_or(&[][..], Vec::as_slice);
+                for (i, (t, site)) in d.tags.iter_mut().zip(d.sites).enumerate() {
+                    let queue = d.queues.of(i as u32);
                     d.stats.offered +=
                         queue.iter().take_while(|a| a.slot < d.cfg.n_slots).count() as u64;
                     if let Some(first) = queue.first() {
                         Self::schedule(
                             t,
+                            site,
                             i as u32,
                             first.slot,
                             d.slot_secs,
@@ -837,6 +940,7 @@ impl DomainSim {
     /// counts across domains before any resolution draw happens.
     pub(crate) fn gather(&mut self, slot: u64) {
         let fx: Option<&FaultSchedule> = (!self.sched.is_empty()).then_some(&self.sched);
+        let trace_mode = matches!(self.cfg.traffic, Traffic::Trace(_));
         // Apply due tag resets lazily, before any event of the slot
         // batch acts: volatile state (backoff, ARQ counters, the
         // packet in flight) is wiped and arrived-but-undelivered
@@ -852,11 +956,13 @@ impl DomainSim {
             self.next_reset += 1;
             let t = &mut self.tags[tag as usize];
             t.backoff_exp = 0;
-            t.pkt_attempts = 0;
-            t.consec_losses = 0;
-            t.consec_successes = 0;
-            t.fallback = false;
             t.first_attempt = u64::MAX;
+            if let Some(a) = self.arq_tags.get_mut(tag as usize) {
+                a.pkt_attempts = 0;
+                a.consec_losses = 0;
+                a.consec_successes = 0;
+                a.fallback = false;
+            }
             if self.cfg.record_trace {
                 self.trace.push(TraceEvent {
                     slot: at,
@@ -864,11 +970,8 @@ impl DomainSim {
                     kind: TraceKind::Reset,
                 });
             }
-            if let Traffic::Trace(arrivals) = &self.cfg.traffic {
-                let queue = arrivals
-                    .per_tag
-                    .get(tag as usize)
-                    .map_or(&[][..], Vec::as_slice);
+            if trace_mode {
+                let queue = self.queues.of(tag);
                 while queue.get(t.next_unserved).is_some_and(|h| h.slot <= at) {
                     t.next_unserved += 1;
                     self.stats.abandoned += 1;
@@ -884,12 +987,10 @@ impl DomainSim {
         }
         while self.q.peek().is_some_and(|e| e.at == slot) {
             let ev = self.q.pop().expect("peeked event present");
-            if let Traffic::Trace(arrivals) = &self.cfg.traffic {
-                let t = &mut self.tags[ev.tag as usize];
-                let queue = arrivals
-                    .per_tag
-                    .get(ev.tag as usize)
-                    .map_or(&[][..], Vec::as_slice);
+            let t = &mut self.tags[ev.tag as usize];
+            let site = &self.sites[ev.tag as usize];
+            if trace_mode {
+                let queue = self.queues.of(ev.tag);
                 if self.cfg.drop_expired {
                     // Shed head-of-line packets whose deadline has
                     // already passed: a packet transmitted in its
@@ -902,7 +1003,9 @@ impl DomainSim {
                         t.next_unserved += 1;
                         self.stats.expired_dropped += 1;
                         t.first_attempt = u64::MAX;
-                        t.pkt_attempts = 0;
+                        if let Some(a) = self.arq_tags.get_mut(ev.tag as usize) {
+                            a.pkt_attempts = 0;
+                        }
                         if self.cfg.record_trace {
                             self.trace.push(TraceEvent {
                                 slot,
@@ -921,6 +1024,7 @@ impl DomainSim {
                     Some(h) if h.slot > slot => {
                         Self::schedule(
                             t,
+                            site,
                             ev.tag,
                             h.slot,
                             self.slot_secs,
@@ -941,11 +1045,11 @@ impl DomainSim {
                 // from the nominal harvest rate can undershoot
                 // (outage or brownout windows harvest less): re-check
                 // the store at attempt time and re-wait if short.
-                let t = &mut self.tags[ev.tag as usize];
-                Self::accrue(t, slot, self.slot_secs, fx, self.rf);
-                if t.energy_uj < t.tx_cost_uj {
+                Self::accrue(t, site, slot, self.slot_secs, fx, self.rf);
+                if t.energy_uj < site.tx_cost_uj {
                     Self::schedule(
                         t,
+                        site,
                         ev.tag,
                         slot + 1,
                         self.slot_secs,
@@ -958,7 +1062,7 @@ impl DomainSim {
                     continue;
                 }
             }
-            let ch = self.tags[ev.tag as usize].channel as usize;
+            let ch = t.channel as usize;
             if self.pending[ch].is_empty() {
                 self.touched.push(ch as u16);
             }
@@ -978,7 +1082,7 @@ impl DomainSim {
     /// link trials, backoff/ARQ — and schedule the follow-up events.
     pub(crate) fn resolve(&mut self, slot: u64, extras: Option<&SlotExtras>) {
         let fx: Option<&FaultSchedule> = (!self.sched.is_empty()).then_some(&self.sched);
-        let arq = self.cfg.arq.as_ref();
+        let trace_mode = matches!(self.cfg.traffic, Traffic::Trace(_));
         let fb_available = self.fb_plan.is_some();
         let fb_stretch = self.fb_plan.map_or(1, |(_, s)| s);
         let in_outage = fx.is_some_and(|f| f.outage_at(slot));
@@ -1006,19 +1110,28 @@ impl DomainSim {
             };
             for &tag in &attempts {
                 let t = &mut self.tags[tag as usize];
+                let site = &self.sites[tag as usize];
+                // The ARQ config paired with this tag's ARQ state.
+                let mut arq = self
+                    .cfg
+                    .arq
+                    .as_ref()
+                    .zip(self.arq_tags.get_mut(tag as usize));
+                let queue = self.queues.of(tag);
                 // Transmitting spends one packet of energy, delivered or
                 // not — the radio does not know it collided.
-                Self::accrue(t, slot, self.slot_secs, fx, self.rf);
-                t.energy_uj = (t.energy_uj - t.tx_cost_uj).max(0.0);
+                Self::accrue(t, site, slot, self.slot_secs, fx, self.rf);
+                t.energy_uj = (t.energy_uj - site.tx_cost_uj).max(0.0);
                 self.stats.attempts += 1;
+                let fallback = arq.as_ref().is_some_and(|(_, s)| s.fallback);
                 // A fallback frame carries the same bits at the lower
                 // rate, so it occupies `fb_stretch` slots of airtime.
-                let airtime = if t.fallback { fb_stretch } else { 1 };
-                if arq.is_some() {
-                    if t.pkt_attempts > 0 {
+                let airtime = if fallback { fb_stretch } else { 1 };
+                if let Some((_, s)) = &arq {
+                    if s.pkt_attempts > 0 {
                         self.stats.retransmissions += 1;
                     }
-                    if t.fallback {
+                    if fallback {
                         self.stats.rate_fallback_slots += airtime;
                     }
                 }
@@ -1035,17 +1148,17 @@ impl DomainSim {
                     // interference burst or by co-channel neighbour
                     // domains, and hopeless during a station outage (no
                     // carrier to backscatter).
+                    let (raw_ber, success_p) = match &arq {
+                        Some((_, s)) if s.fallback => (s.fb_raw_ber, s.fb_success_p),
+                        _ => (t.raw_ber, t.success_p),
+                    };
                     let p = if in_outage {
                         0.0
                     } else if burst.is_some() || extra_ber > 0.0 {
-                        let ber = if t.fallback { t.fb_raw_ber } else { t.raw_ber }
-                            + burst_ber
-                            + extra_ber;
-                        self.packets.success_probability(ber)
-                    } else if t.fallback {
-                        t.fb_success_p
+                        self.packets
+                            .success_probability(raw_ber + burst_ber + extra_ber)
                     } else {
-                        t.success_p
+                        success_p
                     };
                     if t.rng.gen::<f64>() < p {
                         t.delivered += 1;
@@ -1057,51 +1170,45 @@ impl DomainSim {
                         t.backoff_exp = 0;
                         t.first_attempt = u64::MAX;
                         let mut done = slot + 1;
-                        if let Some(a) = arq {
+                        if let Some((a, s)) = &mut arq {
                             self.stats.acked += 1;
-                            t.pkt_attempts = 0;
-                            t.consec_losses = 0;
-                            t.consec_successes = t.consec_successes.saturating_add(1);
-                            if t.fallback && t.consec_successes >= a.recover_after {
+                            s.pkt_attempts = 0;
+                            s.consec_losses = 0;
+                            s.consec_successes = s.consec_successes.saturating_add(1);
+                            if s.fallback && s.consec_successes >= a.recover_after {
                                 // Probe back up to the nominal rate.
-                                t.fallback = false;
-                                t.consec_successes = 0;
+                                s.fallback = false;
+                                s.consec_successes = 0;
                             }
                             done = slot + airtime + a.ack_slots as u64;
                         }
-                        let next = match &self.cfg.traffic {
-                            Traffic::Saturated => Some(done),
-                            Traffic::Trace(arrivals) => {
-                                // The delivered packet is the queue
-                                // head; record its sojourn (queueing
-                                // delay included) and advance. Wake for
-                                // the next head, or idle if drained.
-                                let queue = arrivals
-                                    .per_tag
-                                    .get(tag as usize)
-                                    .map_or(&[][..], Vec::as_slice);
-                                let head = queue[t.next_unserved];
-                                let sojourn = (slot + 1).saturating_sub(head.slot) as u32;
-                                self.stats.sojourn_slots.push(sojourn);
-                                // On-time iff the delivery slot is no
-                                // later than the packet's absolute
-                                // deadline (deadline == delivery slot
-                                // still counts).
-                                if slot <= head.slot.saturating_add(head.deadline_slots as u64) {
-                                    self.stats.on_time += 1;
-                                }
-                                t.next_unserved += 1;
-                                queue.get(t.next_unserved).map(|h| h.slot.max(done))
+                        let next = if trace_mode {
+                            // The delivered packet is the queue head;
+                            // record its sojourn (queueing delay
+                            // included) and advance. Wake for the next
+                            // head, or idle if drained.
+                            let head = queue[t.next_unserved];
+                            let sojourn = (slot + 1).saturating_sub(head.slot) as u32;
+                            self.stats.sojourn_slots.push(sojourn);
+                            // On-time iff the delivery slot is no later
+                            // than the packet's absolute deadline
+                            // (deadline == delivery slot still counts).
+                            if slot <= head.slot.saturating_add(head.deadline_slots as u64) {
+                                self.stats.on_time += 1;
                             }
+                            t.next_unserved += 1;
+                            queue.get(t.next_unserved).map(|h| h.slot.max(done))
+                        } else {
+                            Some(done)
                         };
                         (Outcome::Delivered, next)
-                    } else if let Some(a) = arq {
+                    } else if let Some((a, s)) = arq {
                         self.stats.corrupt += 1;
                         let next = Self::arq_on_loss(
-                            &self.cfg,
                             a,
                             t,
-                            tag,
+                            s,
+                            trace_mode.then_some(queue),
                             slot,
                             airtime,
                             fb_available,
@@ -1116,13 +1223,13 @@ impl DomainSim {
                         let jitter = t.rng.gen_range(0..2u64);
                         (Outcome::Corrupt, Some(slot + 1 + jitter))
                     }
-                } else if let Some(a) = arq {
+                } else if let Some((a, s)) = arq {
                     self.stats.collided += 1;
                     let next = Self::arq_on_loss(
-                        &self.cfg,
                         a,
                         t,
-                        tag,
+                        s,
+                        trace_mode.then_some(queue),
                         slot,
                         airtime,
                         fb_available,
@@ -1155,7 +1262,8 @@ impl DomainSim {
                 }
                 if let Some(next_earliest) = next_earliest {
                     Self::schedule(
-                        &mut self.tags[tag as usize],
+                        t,
+                        site,
                         tag,
                         next_earliest,
                         self.slot_secs,
@@ -1178,17 +1286,18 @@ impl DomainSim {
         let DomainSim {
             cfg,
             tags,
+            queues,
             mut stats,
             trace,
             ..
         } = self;
         stats.per_tag_delivered = tags.iter().map(|t| t.delivered).collect();
         stats.latencies_slots.sort_unstable();
-        if let Traffic::Trace(arrivals) = &cfg.traffic {
+        if let Traffic::Trace(_) = &cfg.traffic {
             // Conservation: whatever was offered but neither delivered
             // nor shed is still sitting in a queue at the horizon.
             for (i, t) in tags.iter().enumerate() {
-                let queue = arrivals.per_tag.get(i).map_or(&[][..], Vec::as_slice);
+                let queue = queues.of(i as u32);
                 let servable = queue.iter().take_while(|a| a.slot < cfg.n_slots).count();
                 stats.still_queued += servable.saturating_sub(t.next_unserved) as u64;
             }
@@ -1212,6 +1321,7 @@ impl DomainSim {
     #[allow(clippy::too_many_arguments)]
     fn schedule(
         t: &mut TagState,
+        site: &TagSite,
         tag: u32,
         earliest: u64,
         slot_secs: f64,
@@ -1221,12 +1331,12 @@ impl DomainSim {
         fx: Option<&FaultSchedule>,
         rf: bool,
     ) {
-        Self::accrue(t, earliest, slot_secs, fx, rf);
-        let wait = if t.energy_uj >= t.tx_cost_uj {
+        Self::accrue(t, site, earliest, slot_secs, fx, rf);
+        let wait = if t.energy_uj >= site.tx_cost_uj {
             0
         } else {
-            let deficit = t.tx_cost_uj - t.energy_uj;
-            let per_slot = t.harvest_uw * slot_secs;
+            let deficit = site.tx_cost_uj - t.energy_uj;
+            let per_slot = site.harvest_uw * slot_secs;
             if per_slot <= 0.0 {
                 return; // dead tag: nothing will ever recharge it
             }
@@ -1245,13 +1355,20 @@ impl DomainSim {
     /// Brings a tag's energy store up to date at `now`. Under a fault
     /// schedule the elapsed slots are harvest-weighted: zero inside a
     /// station outage for RF-harvesting tags, scaled inside a brownout.
-    fn accrue(t: &mut TagState, now: u64, slot_secs: f64, fx: Option<&FaultSchedule>, rf: bool) {
+    fn accrue(
+        t: &mut TagState,
+        site: &TagSite,
+        now: u64,
+        slot_secs: f64,
+        fx: Option<&FaultSchedule>,
+        rf: bool,
+    ) {
         if now > t.last_update {
             let dt = match fx {
                 None => (now - t.last_update) as f64 * slot_secs,
                 Some(f) => f.effective_slots(t.last_update, now, rf) * slot_secs,
             };
-            t.energy_uj = (t.energy_uj + t.harvest_uw * dt).min(t.storage_uj);
+            t.energy_uj = (t.energy_uj + site.harvest_uw * dt).min(site.storage_uj);
             t.last_update = now;
         }
     }
@@ -1261,44 +1378,41 @@ impl DomainSim {
     /// streak (possibly falling back to the lower rate), then either
     /// retransmit under binary-exponential backoff or, with the
     /// retransmission budget exhausted, abandon the packet. Returns the
-    /// earliest slot of the tag's next attempt.
+    /// earliest slot of the tag's next attempt; `queue` is the tag's
+    /// FIFO arrival queue in trace mode.
     #[allow(clippy::too_many_arguments)]
     fn arq_on_loss(
-        cfg: &NetworkConfig,
         arq: &ArqConfig,
         t: &mut TagState,
-        tag: u32,
+        s: &mut ArqState,
+        queue: Option<&[Arrival]>,
         slot: u64,
         airtime: u64,
         fb_available: bool,
         stats: &mut NetStats,
     ) -> Option<u64> {
         fmbs_obs::span!(fmbs_obs::stages::ARQ_RETX);
-        t.consec_successes = 0;
-        t.consec_losses = t.consec_losses.saturating_add(1);
-        if fb_available && !t.fallback && t.consec_losses >= arq.fallback_after {
-            t.fallback = true;
-            t.consec_losses = 0;
+        s.consec_successes = 0;
+        s.consec_losses = s.consec_losses.saturating_add(1);
+        if fb_available && !s.fallback && s.consec_losses >= arq.fallback_after {
+            s.fallback = true;
+            s.consec_losses = 0;
         }
         // The lost frame's airtime plus the fruitless ACK wait.
         let resume = slot + airtime + arq.ack_slots as u64;
-        if t.pkt_attempts >= arq.max_retx {
+        if s.pkt_attempts >= arq.max_retx {
             stats.abandoned += 1;
-            t.pkt_attempts = 0;
+            s.pkt_attempts = 0;
             t.first_attempt = u64::MAX;
-            match &cfg.traffic {
-                Traffic::Saturated => Some(resume),
-                Traffic::Trace(arrivals) => {
-                    let queue = arrivals
-                        .per_tag
-                        .get(tag as usize)
-                        .map_or(&[][..], Vec::as_slice);
+            match queue {
+                None => Some(resume),
+                Some(queue) => {
                     t.next_unserved += 1;
                     queue.get(t.next_unserved).map(|h| h.slot.max(resume))
                 }
             }
         } else {
-            t.pkt_attempts += 1;
+            s.pkt_attempts += 1;
             t.backoff_exp = (t.backoff_exp + 1).min(MAX_BACKOFF_EXP);
             let window = 1u64 << t.backoff_exp;
             let delay = t.rng.gen_range(0..window);

@@ -22,9 +22,16 @@
 //!   property-tested decision rule).
 //! * **Sharded engine** — one event queue per domain
 //!   ([`crate::engine`]'s `DomainSim`), stepped in lockstep with
-//!   cross-domain transmit counts exchanged at slot barriers, so
-//!   domains simulate on a worker pool with parallel == serial
-//!   bit-identity (same discipline the sweep engine proves).
+//!   cross-domain transmit counts exchanged at one barrier per slot
+//!   (the counts are double-buffered by slot parity), so domains
+//!   simulate on a worker pool with parallel == serial bit-identity
+//!   (same discipline the sweep engine proves). Each worker builds its
+//!   own domains, each with a flat copy of its tags' arrival queues,
+//!   and profiles into its own child collector.
+//! * **Work budget** — [`Deployment::build`] rejects more than
+//!   [`DEFAULT_MAX_TAGS`] tags or [`DEFAULT_MAX_TAG_SLOTS`] tag-slots
+//!   before any per-tag work; [`Deployment::work_budget`] raises the
+//!   tag-slot budget.
 //!
 //! A single-receiver plan is the one-domain case: one collision domain
 //! stepped with no cross-domain extras. Sweep metrics place such a cell
@@ -32,7 +39,7 @@
 
 use crate::deploy::{city_occupancy, unit, HarvestProfile, TagSite};
 use crate::engine::{
-    run_cell, ArqConfig, ArrivalTrace, DomainSim, EventTrace, NetRun, NetStats, NetworkConfig,
+    run_cell, ArqConfig, ArrivalQueues, DomainSim, EventTrace, NetRun, NetStats, NetworkConfig,
     SlotExtras, TraceEvent, Traffic,
 };
 use crate::faults::{FaultKind, FaultSpec};
@@ -146,6 +153,19 @@ pub enum Placement {
     },
 }
 
+/// The most tags a [`Deployment`] builds: 2^21, twice the 10^6-tag
+/// metro acceptance run.
+pub const DEFAULT_MAX_TAGS: usize = 1 << 21;
+
+/// The most tag-slots (`n_tags × n_slots`) a [`Deployment`] builds
+/// without [`Deployment::work_budget`]: 2^28, about 2.7·10^8. Saturated
+/// traffic costs up to one attempt per tag-slot. On a 2-vCPU x86-64
+/// host (release build) one saturated tag over 2^24 slots ran in 1.4 s,
+/// which scales to 22 s at the budget, and 2^20 saturated tags in one
+/// cell over 256 slots (the full budget) ran in 13 s. Every committed
+/// figure, test and corpus city fits.
+pub const DEFAULT_MAX_TAG_SLOTS: u64 = 1 << 28;
+
 /// Everything that can make a [`Deployment`] unbuildable, unified from
 /// what used to be three scattered failure modes: the channel plan's
 /// band-full `None` (silently mapped to a 0 Hz shift before), ARQ
@@ -202,6 +222,17 @@ pub enum DeploymentError {
         /// What was wrong.
         reason: String,
     },
+    /// The run exceeds the deployment's work budget: more tags than
+    /// [`DEFAULT_MAX_TAGS`], or more tag-slots (`n_tags × n_slots`,
+    /// saturating) than `max_tag_slots`.
+    WorkBudget {
+        /// Deployed tags.
+        n_tags: usize,
+        /// Slot horizon.
+        n_slots: u64,
+        /// The tag-slot budget.
+        max_tag_slots: u64,
+    },
     /// A tag landed farther from its nearest receiver than that cell's
     /// radius — the receiver layout does not cover the placement.
     UncoveredTag {
@@ -243,6 +274,10 @@ impl DeploymentError {
                 "give each receiver its own finite centre and a finite radius > 0 \
                  (Receiver::grid needs pitch_ft > 0), and a finite .power(..)"
             }
+            DeploymentError::WorkBudget { .. } => {
+                "shrink the tag count or .slots(..), or raise the tag-slot budget with \
+                 .work_budget(max_tag_slots)"
+            }
             DeploymentError::UncoveredTag { .. } => {
                 "grow the receiver radii or tighten the placement (Receiver::grid covers by construction)"
             }
@@ -280,6 +315,15 @@ impl std::fmt::Display for DeploymentError {
                 write!(f, "co-channel BER step {ber} is outside [0, 1]")
             }
             DeploymentError::Geometry { reason } => write!(f, "invalid geometry: {reason}"),
+            DeploymentError::WorkBudget {
+                n_tags,
+                n_slots,
+                max_tag_slots,
+            } => write!(
+                f,
+                "{n_tags} tags x {n_slots} slots exceeds the work budget of {DEFAULT_MAX_TAGS} \
+                 tags and {max_tag_slots} tag-slots"
+            ),
             DeploymentError::UncoveredTag {
                 tag,
                 distance_ft,
@@ -424,6 +468,9 @@ pub struct Deployment {
     capture_margin_db: Option<f64>,
     co_channel_ber: f64,
     link: Option<Arc<BerTable>>,
+    /// The most tag-slots [`Deployment::build`] accepts; see
+    /// [`Deployment::work_budget`].
+    max_tag_slots: u64,
 }
 
 impl Deployment {
@@ -445,6 +492,7 @@ impl Deployment {
             capture_margin_db: None,
             co_channel_ber: 0.01,
             link: None,
+            max_tag_slots: DEFAULT_MAX_TAG_SLOTS,
         }
     }
 
@@ -454,7 +502,8 @@ impl Deployment {
     /// data workload's bitrate (1.6 kbps otherwise), `distance_ft` as
     /// the cell radius (at least 1 ft), the ambient power, `f_back_hz`
     /// as the guard ring around channel 17, and the seed. From `self`:
-    /// harvest, packet bits, storage, faults, ARQ and the link table.
+    /// harvest, packet bits, storage, faults, ARQ, the work budget and
+    /// the link table.
     /// Everything else keeps its [`Deployment::city`] default; this
     /// deployment's host, occupancy, stations, receivers, placement and
     /// capture do not carry over. This is what lets the sweep engine
@@ -481,6 +530,7 @@ impl Deployment {
         };
         Deployment {
             link: self.link.clone(),
+            max_tag_slots: self.max_tag_slots,
             ..Deployment::one_cell(cfg)
         }
     }
@@ -644,6 +694,15 @@ impl Deployment {
         self
     }
 
+    /// Sets the tag-slot budget [`Deployment::build`] checks: at most
+    /// `max_tag_slots` tag-slots (`n_tags × n_slots`), default
+    /// [`DEFAULT_MAX_TAG_SLOTS`]; a longer run opts in here. The tag
+    /// count stays capped at [`DEFAULT_MAX_TAGS`].
+    pub fn work_budget(mut self, max_tag_slots: u64) -> Self {
+        self.max_tag_slots = max_tag_slots;
+        self
+    }
+
     /// The engine configuration at the deployment's core.
     pub fn network_config(&self) -> &NetworkConfig {
         &self.cfg
@@ -651,7 +710,9 @@ impl Deployment {
 
     /// Validates every invariant and compiles the deployment into a
     /// runnable [`CityPlan`] — the single place the band-full, geometry,
-    /// ARQ and fault-window failure modes surface, as one typed error.
+    /// ARQ, fault-window and work-budget failure modes surface, as one
+    /// typed error. The budget is checked before any per-tag work, so
+    /// an oversized deployment is rejected at once.
     pub fn build(&self) -> Result<CityPlan, DeploymentError> {
         let cfg = &self.cfg;
         if cfg.n_tags == 0 {
@@ -659,6 +720,16 @@ impl Deployment {
         }
         if cfg.n_slots == 0 {
             return Err(DeploymentError::NoSlots);
+        }
+        let max_tag_slots = self.max_tag_slots;
+        if cfg.n_tags > DEFAULT_MAX_TAGS
+            || (cfg.n_tags as u64).saturating_mul(cfg.n_slots) > max_tag_slots
+        {
+            return Err(DeploymentError::WorkBudget {
+                n_tags: cfg.n_tags,
+                n_slots: cfg.n_slots,
+                max_tag_slots,
+            });
         }
         if self.receivers.is_empty() {
             return Err(DeploymentError::NoReceivers);
@@ -1003,119 +1074,135 @@ impl CitySim {
         fmbs_obs::span!(fmbs_obs::stages::NET_ENGINE);
         let Some(topo) = &self.plan.topology else {
             let run = run_cell(&self.plan.cfg, &self.table, self.packets.clone());
+            publish_work(&run.stats);
             return MetroRun {
                 per_domain: vec![run.stats.clone()],
                 stats: run.stats,
                 trace: run.trace,
             };
         };
-        let nd = topo.domains.len();
-        let workers = threads.clamp(1, nd.max(1));
-
-        // Domains are dealt round-robin onto workers; every per-domain
-        // draw comes from that domain's private streams, so the deal
-        // only affects wall-clock, never results.
-        let mut buckets: Vec<Vec<(usize, DomainSim)>> = (0..workers).map(|_| Vec::new()).collect();
-        for (d, dom) in topo.domains.iter().enumerate() {
-            let sim = DomainSim::new(
-                self.domain_cfg(d, dom),
-                &self.table,
-                self.packets.clone(),
-                &dom.sites,
-                dom.n_channels,
-            );
-            buckets[d % workers].push((d, sim));
-        }
-
-        // The slot-barrier exchange: every domain publishes its
-        // per-channel transmit counts (phase A, no randomness), then
-        // resolves with its overlapping co-channel neighbours' counts
-        // folded into the BER (phase B). Two barriers bound each slot.
-        let counts: Vec<Vec<AtomicU32>> = topo
-            .domains
-            .iter()
-            .map(|dom| (0..dom.n_channels).map(|_| AtomicU32::new(0)).collect())
-            .collect();
-        let barrier = Barrier::new(workers);
-        let n_slots = self.plan.cfg.n_slots;
-        let capture = self.plan.capture_margin_db;
-        let co_ber = self.plan.co_channel_ber;
-
-        let mut runs: Vec<(usize, NetRun)> = std::thread::scope(|s| {
-            let handles: Vec<_> = buckets
-                .into_iter()
-                .map(|mut bucket| {
-                    let counts = &counts;
-                    let barrier = &barrier;
-                    s.spawn(move || {
-                        let mut live: Vec<Vec<u16>> = bucket.iter().map(|_| Vec::new()).collect();
-                        let mut extra: Vec<Vec<f64>> = bucket
-                            .iter()
-                            .map(|(d, _)| vec![0.0; topo.domains[*d].n_channels])
-                            .collect();
-                        for slot in 0..n_slots {
-                            // Phase A: clear last slot's counts, gather
-                            // this slot's events, publish the counts.
-                            for (bi, (d, sim)) in bucket.iter_mut().enumerate() {
-                                for &ch in &live[bi] {
-                                    counts[*d][ch as usize].store(0, Ordering::Relaxed);
-                                }
-                                live[bi].clear();
-                                if sim.peek_slot() == Some(slot) {
-                                    sim.gather(slot);
-                                    for (ch, n) in sim.touched_counts() {
-                                        counts[*d][ch as usize].store(n, Ordering::Relaxed);
-                                        live[bi].push(ch);
-                                    }
-                                }
-                            }
-                            barrier.wait();
-                            // Phase B: fold neighbour counts into the
-                            // channel BER, resolve, reset the scratch.
-                            for (bi, (d, sim)) in bucket.iter_mut().enumerate() {
-                                if live[bi].is_empty() {
-                                    continue;
-                                }
-                                for &ch in &live[bi] {
-                                    let mut others = 0u32;
-                                    for &(pd, pch) in &topo.peers[*d][ch as usize] {
-                                        others += counts[pd][pch as usize].load(Ordering::Relaxed);
-                                    }
-                                    extra[bi][ch as usize] = others as f64 * co_ber;
-                                }
-                                let dom = &topo.domains[*d];
-                                let se = SlotExtras {
-                                    capture: capture.map(|m| (dom.rx_dbm.as_slice(), m)),
-                                    interference: Some(extra[bi].as_slice()),
-                                };
-                                sim.resolve(slot, Some(&se));
-                                for &ch in &live[bi] {
-                                    extra[bi][ch as usize] = 0.0;
-                                }
-                            }
-                            barrier.wait();
-                        }
-                        bucket
-                            .into_iter()
-                            .map(|(d, sim)| (d, sim.finish()))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("metro worker panicked"))
+        let workers = threads.clamp(1, topo.domains.len().max(1));
+        // Per-channel transmit counts, double-buffered by slot parity:
+        // slot `s` publishes into `counts[s % 2]`, so a worker may clear
+        // its entries from slot `s - 2` while slower peers still read
+        // slot `s - 1`'s, and one barrier per slot is enough. Relaxed
+        // suffices: the barrier orders every store before the loads
+        // that follow it.
+        let counts: [Vec<Vec<AtomicU32>>; 2] = std::array::from_fn(|_| {
+            topo.domains
+                .iter()
+                .map(|dom| (0..dom.n_channels).map(|_| AtomicU32::new(0)).collect())
                 .collect()
         });
+        let barrier = Barrier::new(workers);
+        // Each worker profiles into its own child collector, absorbed in
+        // worker order; this thread only waits.
+        let mut runs: Vec<(usize, NetRun)> = fmbs_obs::scoped_workers(workers, |w| {
+            self.run_worker(topo, w, workers, &counts, &barrier)
+        })
+        .into_iter()
+        .flatten()
+        .collect();
         // Deterministic merge: domain id order, global tag ids.
         runs.sort_by_key(|&(d, _)| d);
-        self.merge(topo, runs)
+        let run = self.merge(topo, runs);
+        publish_work(&run.stats);
+        run
     }
 
-    /// The per-domain engine config: local tag count, a domain-mixed
-    /// seed (so tag streams never collide across domains), the local
-    /// slice of the arrival trace, and a domain-mixed fault stream.
-    fn domain_cfg(&self, d: usize, dom: &CollisionDomain) -> NetworkConfig {
+    /// One worker of [`CitySim::run_with_threads`]: builds the domains
+    /// dealt to it (every `workers`-th, from `w`), then steps them
+    /// through every slot in lockstep with the other workers.
+    ///
+    /// Each slot publishes this worker's per-channel transmit counts
+    /// (phase A, no randomness), waits at the one slot barrier, then
+    /// resolves with the overlapping co-channel neighbours' counts
+    /// folded into the BER (phase B). Every per-domain draw comes from
+    /// that domain's private streams, so the deal only affects
+    /// wall-clock, never results.
+    fn run_worker(
+        &self,
+        topo: &MetroTopology,
+        w: usize,
+        workers: usize,
+        counts: &[Vec<Vec<AtomicU32>>; 2],
+        barrier: &Barrier,
+    ) -> Vec<(usize, NetRun)> {
+        let mut bucket: Vec<(usize, DomainSim)> = {
+            fmbs_obs::span!(fmbs_obs::stages::NET_DOMAIN_SETUP);
+            (w..topo.domains.len())
+                .step_by(workers)
+                .map(|d| (d, self.domain_sim(d, &topo.domains[d])))
+                .collect()
+        };
+        // Channels each domain published into each parity's buffer.
+        let mut live: [Vec<Vec<u16>>; 2] =
+            std::array::from_fn(|_| bucket.iter().map(|_| Vec::new()).collect());
+        let mut extra: Vec<Vec<f64>> = bucket
+            .iter()
+            .map(|(d, _)| vec![0.0; topo.domains[*d].n_channels])
+            .collect();
+        let capture = self.plan.capture_margin_db;
+        let co_ber = self.plan.co_channel_ber;
+        for slot in 0..self.plan.cfg.n_slots {
+            let p = (slot % 2) as usize;
+            let (counts, live) = (&counts[p], &mut live[p]);
+            {
+                fmbs_obs::span!(fmbs_obs::stages::NET_GATHER);
+                for (bi, (d, sim)) in bucket.iter_mut().enumerate() {
+                    // Every peer has passed the previous slot's barrier,
+                    // so none still reads what slot - 2 left here.
+                    for &ch in &live[bi] {
+                        counts[*d][ch as usize].store(0, Ordering::Relaxed);
+                    }
+                    live[bi].clear();
+                    if sim.peek_slot() == Some(slot) {
+                        sim.gather(slot);
+                        for (ch, n) in sim.touched_counts() {
+                            counts[*d][ch as usize].store(n, Ordering::Relaxed);
+                            live[bi].push(ch);
+                        }
+                    }
+                }
+            }
+            {
+                fmbs_obs::span!(fmbs_obs::stages::NET_BARRIER);
+                barrier.wait();
+            }
+            fmbs_obs::span!(fmbs_obs::stages::NET_RESOLVE);
+            for (bi, (d, sim)) in bucket.iter_mut().enumerate() {
+                if live[bi].is_empty() {
+                    continue;
+                }
+                for &ch in &live[bi] {
+                    let mut others = 0u32;
+                    for &(pd, pch) in &topo.peers[*d][ch as usize] {
+                        others += counts[pd][pch as usize].load(Ordering::Relaxed);
+                    }
+                    extra[bi][ch as usize] = others as f64 * co_ber;
+                }
+                let dom = &topo.domains[*d];
+                let se = SlotExtras {
+                    capture: capture.map(|m| (dom.rx_dbm.as_slice(), m)),
+                    interference: Some(extra[bi].as_slice()),
+                };
+                sim.resolve(slot, Some(&se));
+                for &ch in &live[bi] {
+                    extra[bi][ch as usize] = 0.0;
+                }
+            }
+        }
+        bucket
+            .into_iter()
+            .map(|(d, sim)| (d, sim.finish()))
+            .collect()
+    }
+
+    /// Domain `d`'s engine: a local tag count, a domain-mixed seed (so
+    /// tag streams never collide across domains), a domain-mixed fault
+    /// stream, the domain's sites, and a flat copy of its tags' arrival
+    /// queues.
+    fn domain_sim<'s>(&'s self, d: usize, dom: &'s CollisionDomain) -> DomainSim<'s> {
         let base = &self.plan.cfg;
         let mut cfg = base.clone();
         cfg.n_tags = dom.tags.len();
@@ -1123,17 +1210,15 @@ impl CitySim {
         if !cfg.faults.is_none() {
             cfg.faults.seed = splitmix64(base.faults.seed ^ 0x00FA_17C4 ^ d as u64);
         }
-        cfg.traffic = match &base.traffic {
-            Traffic::Saturated => Traffic::Saturated,
-            Traffic::Trace(arr) => Traffic::Trace(Arc::new(ArrivalTrace {
-                per_tag: dom
-                    .tags
-                    .iter()
-                    .map(|&g| arr.per_tag.get(g as usize).cloned().unwrap_or_default())
-                    .collect(),
-            })),
-        };
-        cfg
+        let queues = ArrivalQueues::flat(&cfg.traffic, dom.tags.iter().map(|&g| g as usize));
+        DomainSim::new(
+            cfg,
+            &self.table,
+            self.packets.clone(),
+            &dom.sites,
+            dom.n_channels,
+            queues,
+        )
     }
 
     fn merge(&self, topo: &MetroTopology, runs: Vec<(usize, NetRun)>) -> MetroRun {
@@ -1200,6 +1285,16 @@ impl CitySim {
             trace,
         }
     }
+}
+
+/// Publishes one run's engine work as obs counters, so a profile shows
+/// what the run's time bought (no-op without a collector).
+fn publish_work(stats: &NetStats) {
+    fmbs_obs::counter!("net.attempts", stats.attempts);
+    fmbs_obs::counter!("net.delivered", stats.delivered);
+    fmbs_obs::counter!("net.collided", stats.collided);
+    fmbs_obs::counter!("net.corrupt", stats.corrupt);
+    fmbs_obs::counter!("net.retransmissions", stats.retransmissions);
 }
 
 #[cfg(test)]

@@ -23,12 +23,13 @@
 //!
 //! # Parallel merges
 //!
-//! The sweep engine gives each worker thread its own child collector
+//! [`scoped_workers`] gives each worker thread its own child collector
 //! ([`Collector::child`], sharing the parent's epoch so span
 //! timestamps stay on one axis) and absorbs them **in worker order**
 //! after the scope joins ([`Collector::absorb`]). Stage and counter
 //! maps are `BTreeMap`s, so report ordering is deterministic however
-//! the workers interleaved.
+//! the workers interleaved. The sweep engine, the stereo-utilisation
+//! survey and the metro network engine all run their workers this way.
 //!
 //! # Spans
 //!
@@ -122,6 +123,19 @@ pub mod stages {
     pub const PACKET_MODEL: &str = "packet_model";
     /// The network engine's event loop (one full run).
     pub const NET_ENGINE: &str = "net_engine";
+    /// One metro engine worker building its collision domains: per-tag
+    /// link lookups, arrival queues and the initial schedule.
+    pub const NET_DOMAIN_SETUP: &str = "net_domain_setup";
+    /// One metro engine worker's phase A of a slot: its domains' due
+    /// events drained into per-channel attempts, and the counts
+    /// published.
+    pub const NET_GATHER: &str = "net_gather";
+    /// One metro engine worker's phase B of a slot: its domains'
+    /// attempts resolved against the neighbours' published counts.
+    pub const NET_RESOLVE: &str = "net_resolve";
+    /// One metro engine worker waiting at the slot barrier for the
+    /// others to publish their counts.
+    pub const NET_BARRIER: &str = "net_barrier_wait";
     /// ARQ loss handling (retransmit/abandon bookkeeping).
     pub const ARQ_RETX: &str = "arq_retx";
     /// Fault schedule generation from a `FaultSpec`.
@@ -429,6 +443,46 @@ impl Drop for WaitGuard {
     }
 }
 
+/// Runs `f(w)` for every `w` in `0..workers` on its own scoped thread
+/// and returns the results in worker order.
+///
+/// Worker `w` profiles into child `w` of the collector installed on
+/// the calling thread (none if none is), the calling thread is marked
+/// [`waiting`] until every worker has joined, and the children are then
+/// absorbed in worker order, so the merged profile does not depend on
+/// how the workers interleaved. A worker's panic is re-raised here.
+pub fn scoped_workers<T: Send>(workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    let parent = active();
+    let children: Vec<_> = (0..workers)
+        .map(|w| parent.as_ref().map(|p| p.child(w as u32)))
+        .collect();
+    let wait = waiting();
+    let out = std::thread::scope(|s| {
+        let handles: Vec<_> = children
+            .iter()
+            .enumerate()
+            .map(|(w, obs)| {
+                let f = &f;
+                s.spawn(move || {
+                    let _obs = install(obs.clone());
+                    f(w)
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+            .collect()
+    });
+    drop(wait);
+    if let Some(parent) = parent {
+        for child in children.into_iter().flatten() {
+            parent.absorb(&child);
+        }
+    }
+    out
+}
+
 /// Peak resident set size of this process so far (`VmHWM` in
 /// `/proc/self/status`), in MB; `None` where the kernel does not report
 /// it. The peak only rises, so the growth across a piece of work is what
@@ -589,6 +643,29 @@ mod tests {
         assert_eq!(counters_a, vec![("n", 5)]);
         assert_eq!(stages_a, stages_b);
         assert_eq!(counters_a, counters_b);
+    }
+
+    #[test]
+    fn scoped_workers_return_in_order_and_merge_their_profiles() {
+        assert_eq!(
+            scoped_workers(3, |w| w * 10),
+            vec![0, 10, 20],
+            "no collector"
+        );
+        let c = Collector::with_spans(16);
+        let _g = install(Some(c.clone()));
+        let out = scoped_workers(3, |w| {
+            for _ in 0..=w {
+                span!("work");
+            }
+            counter!("n", w as u64);
+            active().is_some()
+        });
+        assert_eq!(out, vec![true; 3], "every worker profiles into a child");
+        assert_eq!(c.stage_stats()[0].1.calls, 6);
+        assert_eq!(c.counter_value("n"), 3);
+        let workers: BTreeSet<u32> = c.spans().0.iter().map(|s| s.worker).collect();
+        assert_eq!(workers, BTreeSet::from([0, 1, 2]));
     }
 
     #[test]

@@ -132,43 +132,20 @@ fn workers(tasks: usize) -> usize {
 /// indices from a shared cursor; result `t` is `f(t)` whatever the
 /// schedule.
 fn parallel_map<T: Send>(tasks: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let obs_parent = fmbs_obs::active();
-    let obs_children: Vec<_> = (0..workers(tasks))
-        .map(|w| obs_parent.as_ref().map(|p| p.child(w as u32)))
-        .collect();
     let cursor = AtomicUsize::new(0);
     let mut out: Vec<Option<T>> = (0..tasks).map(|_| None).collect();
-    // The workers profile the tasks; this thread only waits.
-    let obs_wait = fmbs_obs::waiting();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = obs_children
-            .iter()
-            .map(|obs| {
-                let (cursor, f) = (&cursor, &f);
-                scope.spawn(move || {
-                    let _obs_guard = fmbs_obs::install(obs.clone());
-                    let mut done = Vec::new();
-                    loop {
-                        let t = cursor.fetch_add(1, Ordering::Relaxed);
-                        if t >= tasks {
-                            break done;
-                        }
-                        done.push((t, f(t)));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (t, v) in handle.join().expect("stereo-utilisation worker panicked") {
-                out[t] = Some(v);
+    let done = fmbs_obs::scoped_workers(workers(tasks), |_| {
+        let mut done = Vec::new();
+        loop {
+            let t = cursor.fetch_add(1, Ordering::Relaxed);
+            if t >= tasks {
+                break done;
             }
+            done.push((t, f(t)));
         }
     });
-    drop(obs_wait);
-    if let Some(parent) = obs_parent {
-        for child in obs_children.into_iter().flatten() {
-            parent.absorb(&child);
-        }
+    for (t, v) in done.into_iter().flatten() {
+        out[t] = Some(v);
     }
     out.into_iter()
         .map(|v| v.expect("every task evaluated"))

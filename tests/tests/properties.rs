@@ -885,6 +885,107 @@ proptest! {
     }
 }
 
+// Trace-driven metro runs on the sharded engine: every feature that
+// reads the flat arrival queues or the ARQ side table, on 1-4 workers.
+// The default case count and tag scale keep `cargo test` quick; any
+// `PROPTEST_CASES` value raises both, as for the identity test below.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Trace traffic with ARQ and rate fallback, deadline shedding,
+    /// co-channel BER, capture and faults: the parallel run equals the
+    /// serial one in statistics, per-domain statistics and the event
+    /// trace, and a profiled run equals both while its collector sees
+    /// the engine's stages and work counters.
+    #[test]
+    fn metro_trace_parallel_equals_serial(
+        nx in 2usize..4,
+        ny in 1usize..3,
+        threads in 1usize..5,
+        load in 0.002f64..0.05,
+        profile_idx in 0usize..3,
+        kind_idx in 0usize..4,
+        seed in any::<u64>(),
+        fault_seed in any::<u64>(),
+    ) {
+        use fmbs_core::sim::scenario::{AppProfile, ArrivalModel};
+        use fmbs_net::prelude::{ArqConfig, Deployment, NetworkConfig, Receiver, Station, Traffic};
+        use fmbs_workload::arrivals::TraceSpec;
+        let n_tags = if std::env::var_os("PROPTEST_CASES").is_some() {
+            20_000
+        } else {
+            2_000
+        };
+        let n_slots = 300;
+        let trace = TraceSpec {
+            n_tags,
+            n_slots,
+            slot_secs: NetworkConfig::new(n_tags, n_slots).slot_secs(),
+            model: ArrivalModel::Poisson,
+            offered_load: load,
+            profile: [
+                AppProfile::SensorBeacon,
+                AppProfile::TalkingPoster,
+                AppProfile::FabricTelemetry,
+            ][profile_idx],
+            seed,
+        }
+        .generate();
+        let sim = Deployment::city(n_tags)
+            .slots(n_slots)
+            .seed(seed)
+            .stations([Station::at(10_000.0, 0.0)])
+            .receivers(Receiver::grid(nx, ny, 40.0))
+            .capture(6.0)
+            .co_channel_ber(0.05)
+            .traffic(Traffic::Trace(std::sync::Arc::new(trace)))
+            .drop_expired(true)
+            .arq(ArqConfig {
+                fallback_after: 2,
+                recover_after: 2,
+                ..ArqConfig::default()
+            })
+            .faults(chaos_fault_spec(kind_idx, fault_seed, 2, 60, 0.3))
+            .record_trace(true)
+            .link(shared_ber_table())
+            .build();
+        prop_assert!(sim.is_ok(), "{:?}", sim.err());
+        let sim = sim.unwrap().sim();
+        let serial = sim.run_serial();
+        let parallel = sim.run_with_threads(threads);
+        let obs = fmbs_obs::Collector::with_spans(1 << 12);
+        let profiled = {
+            let _g = fmbs_obs::install(Some(obs.clone()));
+            sim.run_with_threads(threads)
+        };
+        prop_assert!(serial.stats.queue_conserved(), "{:?}", serial.stats);
+        prop_assert!(serial.stats.offered > 0);
+        for other in [&parallel, &profiled] {
+            prop_assert_eq!(format!("{:?}", serial.stats), format!("{:?}", other.stats));
+            prop_assert_eq!(
+                format!("{:?}", serial.per_domain),
+                format!("{:?}", other.per_domain)
+            );
+            prop_assert_eq!(&serial.trace.events, &other.trace.events);
+            prop_assert_eq!(serial.trace.dropped(), other.trace.dropped());
+        }
+        let stages: Vec<&str> = obs.stage_stats().iter().map(|(n, _)| *n).collect();
+        for stage in [
+            fmbs_obs::stages::NET_DOMAIN_SETUP,
+            fmbs_obs::stages::NET_GATHER,
+            fmbs_obs::stages::NET_RESOLVE,
+            fmbs_obs::stages::NET_BARRIER,
+        ] {
+            prop_assert!(stages.contains(&stage), "no {} stage", stage);
+        }
+        prop_assert_eq!(obs.counter_value("net.attempts"), serial.stats.attempts);
+        prop_assert_eq!(
+            obs.counter_value("net.retransmissions"),
+            serial.stats.retransmissions
+        );
+    }
+}
+
 /// Acceptance §PR-9: the metro engine is deterministic at the ISSUE's
 /// tag scale — same seed twice is trace-identical and the parallel path
 /// matches serial bit-for-bit. The in-repo default runs 100k tags so
