@@ -6,6 +6,7 @@
 //! a shared RNG — so the deployment is identical no matter what order
 //! the engine touches tags in.
 
+use crate::engine::NetworkConfig;
 use fmbs_channel::units::Dbm;
 use fmbs_core::harvest::{rf_harvest_uw, Illumination, SolarCell};
 use fmbs_core::mac::assign_f_back;
@@ -101,30 +102,35 @@ pub fn city_occupancy(host: Channel, min_shift_hz: f64) -> BandOccupancy {
 }
 
 impl SiteMap {
-    /// Synthesises `n_tags` sites on a disc of `cell_radius_ft` around
-    /// the receiver: uniform-in-area placement, ±4 dB log-normal-ish
-    /// shadowing around `mean_power_dbm`, channels from
-    /// [`assign_f_back`] over `occupancy`, and energy parameters from
-    /// the harvest profile and the per-tag DCO frequency.
-    #[allow(clippy::too_many_arguments)] // one scalar per physical knob
-    pub fn generate(
-        n_tags: usize,
-        cell_radius_ft: f64,
-        mean_power_dbm: f64,
-        occupancy: &BandOccupancy,
-        host: Channel,
-        harvest: HarvestProfile,
-        slot_secs: f64,
-        storage_uj: f64,
-        seed: u64,
+    /// Synthesises the tags of `cfg` on a disc of `cell_radius_ft`:
+    /// uniform-in-area placement, ±4 dB log-normal-ish shadowing around
+    /// `mean_power_dbm`, then [`SiteMap::place`].
+    pub fn generate(cfg: &NetworkConfig) -> Self {
+        let shifts = assign_f_back(&cfg.occupancy, cfg.host, cfg.n_tags);
+        let geometry = (0..cfg.n_tags).map(|i| {
+            let distance_ft = (cfg.cell_radius_ft * unit(cfg.seed, i as u64, 1).sqrt()).max(1.0);
+            let power_dbm = cfg.mean_power_dbm + 8.0 * (unit(cfg.seed, i as u64, 2) - 0.5);
+            (distance_ft, power_dbm)
+        });
+        Self::place(geometry, &shifts, cfg)
+    }
+
+    /// Sites for tags at the given `(distance_ft, power_dbm)`, tag `i` on
+    /// `shifts[i]` (an [`assign_f_back`] plan at least as long), energy
+    /// parameters from `cfg`'s harvest profile and the DCO frequency.
+    pub(crate) fn place(
+        geometry: impl Iterator<Item = (f64, f64)>,
+        shifts: &[Option<f64>],
+        cfg: &NetworkConfig,
     ) -> Self {
-        let shifts = assign_f_back(occupancy, host, n_tags);
+        let slot_secs = cfg.slot_secs();
         // Dense channel ids in order of first appearance, so ids are
         // stable for a given occupancy regardless of tag count.
         let mut domains: Vec<i64> = Vec::new();
-        let sites = (0..n_tags)
-            .map(|i| {
-                let f_back_hz = shifts[i].unwrap_or(0.0);
+        let sites = geometry
+            .zip(shifts)
+            .map(|((distance_ft, power_dbm), shift)| {
+                let f_back_hz = shift.unwrap_or(0.0);
                 let key = f_back_hz as i64;
                 let channel = match domains.iter().position(|&d| d == key) {
                     Some(c) => c,
@@ -133,8 +139,6 @@ impl SiteMap {
                         domains.len() - 1
                     }
                 } as u16;
-                let distance_ft = (cell_radius_ft * unit(seed, i as u64, 1).sqrt()).max(1.0);
-                let power_dbm = mean_power_dbm + 8.0 * (unit(seed, i as u64, 2) - 0.5);
                 let draw_uw = IcPowerModel {
                     f_back_hz: f_back_hz.abs().max(FM_CHANNEL_SPACING_HZ),
                     ..PAPER_OPERATING_POINT
@@ -146,9 +150,9 @@ impl SiteMap {
                     power_dbm,
                     f_back_hz,
                     channel,
-                    harvest_uw: harvest.harvest_uw(Dbm(power_dbm)),
+                    harvest_uw: cfg.harvest.harvest_uw(Dbm(power_dbm)),
                     tx_cost_uj,
-                    storage_uj: storage_uj.max(2.0 * tx_cost_uj),
+                    storage_uj: cfg.storage_uj.max(2.0 * tx_cost_uj),
                 }
             })
             .collect();
@@ -165,29 +169,13 @@ mod tests {
 
     #[test]
     fn deployment_is_seed_deterministic() {
-        let occ = city_occupancy(Channel(17), 600_000.0);
-        let a = SiteMap::generate(
-            50,
-            20.0,
-            -40.0,
-            &occ,
-            Channel(17),
-            HarvestProfile::Mains,
-            0.16,
-            40.0,
-            7,
-        );
-        let b = SiteMap::generate(
-            50,
-            20.0,
-            -40.0,
-            &occ,
-            Channel(17),
-            HarvestProfile::Mains,
-            0.16,
-            40.0,
-            7,
-        );
+        let cfg = NetworkConfig {
+            cell_radius_ft: 20.0,
+            seed: 7,
+            ..NetworkConfig::new(50, 1)
+        };
+        let a = SiteMap::generate(&cfg);
+        let b = SiteMap::generate(&cfg);
         for (x, y) in a.sites.iter().zip(&b.sites) {
             assert_eq!(x.distance_ft.to_bits(), y.distance_ft.to_bits());
             assert_eq!(x.power_dbm.to_bits(), y.power_dbm.to_bits());
@@ -197,18 +185,12 @@ mod tests {
 
     #[test]
     fn sites_stay_on_the_disc_and_in_band() {
-        let occ = city_occupancy(Channel(17), 600_000.0);
-        let d = SiteMap::generate(
-            200,
-            25.0,
-            -40.0,
-            &occ,
-            Channel(17),
-            HarvestProfile::Solar(Illumination::Shade),
-            0.16,
-            40.0,
-            3,
-        );
+        let d = SiteMap::generate(&NetworkConfig {
+            cell_radius_ft: 25.0,
+            harvest: HarvestProfile::Solar(Illumination::Shade),
+            seed: 3,
+            ..NetworkConfig::new(200, 1)
+        });
         for s in &d.sites {
             assert!(s.distance_ft >= 1.0 && s.distance_ft <= 25.0);
             assert!(s.power_dbm > -45.0 && s.power_dbm < -35.0);

@@ -1,4 +1,4 @@
-//! The deterministic discrete-event engine.
+//! The deterministic discrete-event engine of one collision domain.
 //!
 //! Time advances in MAC slots (one slot = one packet airtime). A
 //! [`BinaryHeap`] of [`Event`]s drives per-tag state machines:
@@ -17,6 +17,11 @@
 //!   arrival queue (idle when empty) and the engine tracks sojourn
 //!   times, deadline hits and queue conservation.
 //!
+//! A slot is stepped in two phases: `gather` drains its events into
+//! per-channel attempt buckets (no randomness), `resolve` decides them.
+//! [`crate::topology::CitySim`]'s one loop drives every domain through
+//! them.
+//!
 //! # State layout
 //!
 //! A run holds, per tag, one hot state of [`TAG_STATE_BYTES`] bytes:
@@ -24,12 +29,12 @@
 //! probability. What never changes during a run (harvest rate, transmit
 //! cost, storage) is read from the domain's borrowed
 //! [`crate::deploy::TagSite`]s, and ARQ and rate-fallback state lives
-//! in a side table that only ARQ runs allocate. A single-cell run reads
-//! its arrival queues from the shared [`ArrivalTrace`] in place; a
-//! metro domain copies its tags' queues once into one flat
-//! `Vec<Arrival>` with per-tag offsets, in local tag order, so its slot
-//! loop reads one contiguous block and the trace is never cloned per
-//! tag.
+//! in a side table that only ARQ runs allocate. A single-receiver
+//! plan's one domain reads its arrival queues from the shared
+//! [`ArrivalTrace`] in place; a metro domain copies its tags' queues
+//! once into one flat `Vec<Arrival>` with per-tag offsets, in local tag
+//! order, so its slot loop reads one contiguous block and the trace is
+//! never cloned per tag.
 //!
 //! # Determinism
 //!
@@ -42,7 +47,7 @@
 //! run seed and the tag id), so a draw's value depends only on how many
 //! draws that tag has made, never on global interleaving.
 
-use crate::deploy::{city_occupancy, HarvestProfile, SiteMap, TagSite};
+use crate::deploy::{city_occupancy, HarvestProfile, TagSite};
 use crate::faults::{FaultSchedule, FaultSpec};
 use crate::link::{BerTable, PacketModel};
 use fmbs_core::modem::Bitrate;
@@ -97,16 +102,6 @@ impl EventQueue {
     /// The earliest event without removing it.
     pub fn peek(&self) -> Option<Event> {
         self.heap.peek().map(|&Reverse(e)| e)
-    }
-
-    /// Events still queued.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
     }
 }
 
@@ -212,11 +207,6 @@ impl EventTrace {
     /// Iterates the recorded events in emission order.
     pub fn iter(&self) -> std::slice::Iter<'_, TraceEvent> {
         self.events.iter()
-    }
-
-    /// The configured retention cap.
-    pub fn cap(&self) -> usize {
-        self.cap
     }
 
     /// Events the cap cut (0 means the trace is complete).
@@ -544,7 +534,7 @@ pub struct NetRun {
 /// One domain's arrival queues.
 ///
 /// A domain that holds every tag of the run in global order (a
-/// single-cell run) reads the shared [`ArrivalTrace`] in place. A metro
+/// single-receiver plan) reads the shared [`ArrivalTrace`] in place. A metro
 /// domain holds one flat copy of its tags' queues, built once per run
 /// in local tag order, so its slot loop reads one contiguous block
 /// instead of scattered per-tag allocations. Saturated runs hold none.
@@ -663,41 +653,9 @@ fn step_down(b: Bitrate) -> Option<Bitrate> {
     (i > 0).then(|| Bitrate::ALL[i - 1])
 }
 
-/// Runs a one-cell deployment to the slot horizon: the tags of `cfg`
-/// on one disc, one [`DomainSim`] stepped slot by slot with no
-/// cross-domain extras. [`crate::topology::CitySim`] runs every
-/// single-receiver plan through here.
-pub(crate) fn run_cell(cfg: &NetworkConfig, table: &BerTable, packets: Arc<PacketModel>) -> NetRun {
-    let deployment = SiteMap::generate(
-        cfg.n_tags,
-        cfg.cell_radius_ft,
-        cfg.mean_power_dbm,
-        &cfg.occupancy,
-        cfg.host,
-        cfg.harvest,
-        cfg.slot_secs(),
-        cfg.storage_uj,
-        cfg.seed,
-    );
-    let queues = ArrivalQueues::shared(&cfg.traffic);
-    let mut d = DomainSim::new(
-        cfg.clone(),
-        table,
-        packets,
-        &deployment.sites,
-        deployment.n_channels,
-        queues,
-    );
-    while let Some(slot) = d.peek_slot() {
-        d.gather(slot);
-        d.resolve(slot, None);
-    }
-    d.finish()
-}
-
-/// Cross-domain inputs injected into one slot's resolution by the metro
-/// engine ([`crate::topology`]). The single-receiver path passes `None`
-/// and keeps the exact pre-metro draw order.
+/// Cross-domain inputs to one slot's resolution. They draw no
+/// randomness: [`SlotExtras::default`] resolves a slot as a lone cell
+/// would, and so does an all-zero interference row.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct SlotExtras<'a> {
     /// Capture effect: received backscatter power at the receiver per
@@ -707,7 +665,7 @@ pub(crate) struct SlotExtras<'a> {
     pub capture: Option<(&'a [f64], f64)>,
     /// Extra raw BER per local channel from co-channel attempts in
     /// overlapping neighbour domains this slot (empty slice = none).
-    pub interference: Option<&'a [f64]>,
+    pub interference: &'a [f64],
 }
 
 /// The capture-effect decision for one contended slot, as a pure
@@ -748,10 +706,10 @@ pub fn capture_winner(attempts: &[u32], rx_dbm: &[f64], margin_db: f64) -> Optio
 
 /// One collision domain's complete engine state, stepped slot by slot.
 ///
-/// The single-receiver [`run_cell`] drives exactly one of these, and
-/// the metro engine in [`crate::topology`] drives one per receiver cell
-/// in lockstep, exchanging co-channel transmit counts at slot barriers.
-/// Tag indices are *local* to the domain; the metro layer owns the
+/// [`crate::topology::CitySim`] drives one of these per receiver cell
+/// (a single-receiver plan is one domain) in lockstep, exchanging
+/// co-channel transmit counts at one barrier per visited slot. Tag
+/// indices are *local* to the domain; the topology layer owns the
 /// local→global mapping. The domain borrows its tags' sites for their
 /// energy constants and owns its tags' [`ArrivalQueues`].
 pub(crate) struct DomainSim<'a> {
@@ -772,6 +730,8 @@ pub(crate) struct DomainSim<'a> {
     stats: NetStats,
     trace: EventTrace,
     next_reset: usize,
+    /// Backoff windows drawn (an obs counter, not a [`NetStats`] field).
+    pub(crate) backoffs: u64,
 }
 
 impl<'a> DomainSim<'a> {
@@ -865,6 +825,7 @@ impl<'a> DomainSim<'a> {
             touched: Vec::new(),
             q: EventQueue::new(),
             next_reset: 0,
+            backoffs: 0,
             cfg,
             packets,
             sched,
@@ -1080,7 +1041,7 @@ impl<'a> DomainSim<'a> {
 
     /// Phase B of a slot: resolve every gathered attempt — capture,
     /// link trials, backoff/ARQ — and schedule the follow-up events.
-    pub(crate) fn resolve(&mut self, slot: u64, extras: Option<&SlotExtras>) {
+    pub(crate) fn resolve(&mut self, slot: u64, extras: &SlotExtras) {
         let fx: Option<&FaultSchedule> = (!self.sched.is_empty()).then_some(&self.sched);
         let trace_mode = matches!(self.cfg.traffic, Traffic::Trace(_));
         let fb_available = self.fb_plan.is_some();
@@ -1094,9 +1055,7 @@ impl<'a> DomainSim<'a> {
             // Co-channel interference from overlapping neighbour domains
             // elevates this channel's raw BER through the same
             // packet-survival curve interference bursts use.
-            let extra_ber = extras
-                .and_then(|e| e.interference)
-                .map_or(0.0, |v| v.get(ch as usize).copied().unwrap_or(0.0));
+            let extra_ber = extras.interference.get(ch as usize).copied().unwrap_or(0.0);
             let solo = attempts.len() == 1;
             // Capture effect: in a contended slot the strongest received
             // signal wins outright when its advantage over the runner-up
@@ -1105,7 +1064,7 @@ impl<'a> DomainSim<'a> {
                 None
             } else {
                 extras
-                    .and_then(|e| e.capture)
+                    .capture
                     .and_then(|(rx_dbm, margin_db)| capture_winner(&attempts, rx_dbm, margin_db))
             };
             for &tag in &attempts {
@@ -1213,6 +1172,7 @@ impl<'a> DomainSim<'a> {
                             airtime,
                             fb_available,
                             &mut self.stats,
+                            &mut self.backoffs,
                         );
                         (Outcome::Corrupt, next)
                     } else {
@@ -1234,10 +1194,12 @@ impl<'a> DomainSim<'a> {
                         airtime,
                         fb_available,
                         &mut self.stats,
+                        &mut self.backoffs,
                     );
                     (Outcome::Collided, next)
                 } else {
                     self.stats.collided += 1;
+                    self.backoffs += 1;
                     t.backoff_exp = (t.backoff_exp + 1).min(MAX_BACKOFF_EXP);
                     let window = 1u64 << t.backoff_exp;
                     let delay = t.rng.gen_range(0..window);
@@ -1390,6 +1352,7 @@ impl<'a> DomainSim<'a> {
         airtime: u64,
         fb_available: bool,
         stats: &mut NetStats,
+        backoffs: &mut u64,
     ) -> Option<u64> {
         fmbs_obs::span!(fmbs_obs::stages::ARQ_RETX);
         s.consec_successes = 0;
@@ -1413,6 +1376,7 @@ impl<'a> DomainSim<'a> {
             }
         } else {
             s.pkt_attempts += 1;
+            *backoffs += 1;
             t.backoff_exp = (t.backoff_exp + 1).min(MAX_BACKOFF_EXP);
             let window = 1u64 << t.backoff_exp;
             let delay = t.rng.gen_range(0..window);
@@ -1428,10 +1392,9 @@ mod tests {
     use fmbs_core::harvest::Illumination;
     use fmbs_core::sim::fast::FastSim;
 
-    /// Runs `cfg` through the one-cell runner over `table`.
+    /// Runs `cfg` through the one-cell reference runner over `table`.
     fn simulate(cfg: NetworkConfig, table: Arc<BerTable>) -> NetRun {
-        let packets = PacketModel::for_frame(cfg.packet_bits);
-        run_cell(&cfg, &table, packets)
+        crate::oracle::run_cell(&cfg, &table)
     }
 
     fn table() -> Arc<BerTable> {

@@ -69,6 +69,8 @@ pub mod engine;
 pub mod faults;
 pub mod link;
 pub mod metrics;
+#[cfg(test)]
+mod oracle;
 pub mod topology;
 
 /// Convenience re-exports covering the main API surface.
@@ -84,6 +86,6 @@ pub mod prelude {
     pub use crate::metrics::{NetCollisionRate, NetFairness, NetGoodput, NetLatency};
     pub use crate::topology::{
         capture_winner, CityPlan, CitySim, CollisionDomain, Deployment, DeploymentError, MetroRun,
-        MetroTopology, Placement, Receiver, Station,
+        Placement, Receiver, Station, MAX_RECEIVERS,
     };
 }

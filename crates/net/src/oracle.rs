@@ -1,0 +1,31 @@
+//! The one-cell reference runner the engine is tested against.
+//!
+//! A single-receiver plan once had a stepping loop of its own: one
+//! [`DomainSim`] over the [`SiteMap`] disc, popped from event slot to
+//! event slot with no cross-domain extras. Every plan now runs through
+//! [`crate::topology::CitySim`]'s lockstep loop; this loop stays, for
+//! tests only, as the reference that one must match bit for bit.
+
+use crate::deploy::SiteMap;
+use crate::engine::{ArrivalQueues, DomainSim, NetRun, NetworkConfig, SlotExtras};
+use crate::link::{BerTable, PacketModel};
+
+/// Runs `cfg` as one cell over `table`: the tags of `cfg` on one disc,
+/// one domain stepped `peek → gather → resolve` through every slot that
+/// holds an event.
+pub(crate) fn run_cell(cfg: &NetworkConfig, table: &BerTable) -> NetRun {
+    let map = SiteMap::generate(cfg);
+    let mut d = DomainSim::new(
+        cfg.clone(),
+        table,
+        PacketModel::for_frame(cfg.packet_bits),
+        &map.sites,
+        map.n_channels,
+        ArrivalQueues::shared(&cfg.traffic),
+    );
+    while let Some(slot) = d.peek_slot() {
+        d.gather(slot);
+        d.resolve(slot, &SlotExtras::default());
+    }
+    d.finish()
+}

@@ -1,4 +1,4 @@
-//! Metro-scale deployment geometry and the sharded parallel engine.
+//! Deployment geometry and the one network engine loop.
 //!
 //! This module is the network tier's front door: a typed [`Deployment`]
 //! builder is the one configuration a caller writes, validates every
@@ -20,38 +20,34 @@
 //!   slot outright when its advantage over the runner-up meets the
 //!   configured capture margin ([`capture_winner`] is the pure,
 //!   property-tested decision rule).
-//! * **Sharded engine** — one event queue per domain
-//!   ([`crate::engine`]'s `DomainSim`), stepped in lockstep with
-//!   cross-domain transmit counts exchanged at one barrier per slot
-//!   (the counts are double-buffered by slot parity), so domains
-//!   simulate on a worker pool with parallel == serial bit-identity
-//!   (same discipline the sweep engine proves). Each worker builds its
-//!   own domains, each with a flat copy of its tags' arrival queues,
-//!   and profiles into its own child collector.
+//! * **One engine loop** — one event queue per domain
+//!   ([`crate::engine`]'s `DomainSim`), stepped in lockstep on a worker
+//!   pool with cross-domain transmit counts exchanged at one barrier
+//!   per visited slot, parallel == serial bit-identical (the sweep
+//!   engine's discipline); see [`CitySim`].
 //! * **Work budget** — [`Deployment::build`] rejects more than
-//!   [`DEFAULT_MAX_TAGS`] tags or [`DEFAULT_MAX_TAG_SLOTS`] tag-slots
-//!   before any per-tag work; [`Deployment::work_budget`] raises the
-//!   tag-slot budget.
+//!   [`DEFAULT_MAX_TAGS`] tags, [`DEFAULT_MAX_TAG_SLOTS`] tag-slots or
+//!   [`MAX_RECEIVERS`] receivers before any per-tag work;
+//!   [`Deployment::work_budget`] raises the tag-slot budget.
 //!
-//! A single-receiver plan is the one-domain case: one collision domain
-//! stepped with no cross-domain extras. Sweep metrics place such a cell
-//! at each grid point with [`Deployment::at`].
+//! A single-receiver plan is the one-domain case: tags `0..n` on a
+//! [`SiteMap`] disc, no peers, no capture. Sweep metrics place such a
+//! cell at each grid point with [`Deployment::at`].
 
-use crate::deploy::{city_occupancy, unit, HarvestProfile, TagSite};
+use crate::deploy::{city_occupancy, unit, HarvestProfile, SiteMap, TagSite};
 use crate::engine::{
-    run_cell, ArqConfig, ArrivalQueues, DomainSim, EventTrace, NetRun, NetStats, NetworkConfig,
-    SlotExtras, TraceEvent, Traffic,
+    ArqConfig, ArrivalQueues, DomainSim, EventTrace, NetRun, NetStats, NetworkConfig, SlotExtras,
+    TraceEvent, Traffic,
 };
 use crate::faults::{FaultKind, FaultSpec};
 use crate::link::{BerTable, PacketModel};
 use fmbs_channel::pathloss::free_space_path_loss_db;
 use fmbs_core::modem::Bitrate;
-use fmbs_core::power::{IcPowerModel, PAPER_OPERATING_POINT};
 use fmbs_core::sim::scenario::{Scenario, Workload};
 use fmbs_core::sim::sweep::splitmix64;
-use fmbs_fm::band::{BandOccupancy, Channel, FM_CHANNEL_SPACING_HZ};
+use fmbs_fm::band::{BandOccupancy, Channel};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier};
 
 pub use crate::engine::capture_winner;
@@ -119,13 +115,15 @@ impl Receiver {
     /// A square grid of `nx × ny` receiver cells with centre-to-centre
     /// pitch `pitch_ft`. The radius is `pitch_ft / √2`, the smallest
     /// that still covers the whole grid square, so uniform placement
-    /// never produces uncovered tags.
+    /// never produces uncovered tags. A grid past [`MAX_RECEIVERS`] is
+    /// cut at one cell more (for [`Deployment::build`] to reject).
     pub fn grid(nx: usize, ny: usize, pitch_ft: f64) -> Vec<Receiver> {
         let radius = pitch_ft / std::f64::consts::SQRT_2;
         (0..ny)
             .flat_map(|j| {
                 (0..nx).map(move |i| Receiver::at(i as f64 * pitch_ft, j as f64 * pitch_ft, radius))
             })
+            .take(MAX_RECEIVERS + 1)
             .collect()
     }
 
@@ -165,6 +163,10 @@ pub const DEFAULT_MAX_TAGS: usize = 1 << 21;
 /// cell over 256 slots (the full budget) ran in 13 s. Every committed
 /// figure, test and corpus city fits.
 pub const DEFAULT_MAX_TAG_SLOTS: u64 = 1 << 28;
+
+/// The most receiver cells a [`Deployment`] builds: 1024, a 32 × 32
+/// grid (synthesis costs a distance per tag and receiver).
+pub const MAX_RECEIVERS: usize = 1 << 10;
 
 /// Everything that can make a [`Deployment`] unbuildable, unified from
 /// what used to be three scattered failure modes: the channel plan's
@@ -223,13 +225,15 @@ pub enum DeploymentError {
         reason: String,
     },
     /// The run exceeds the deployment's work budget: more tags than
-    /// [`DEFAULT_MAX_TAGS`], or more tag-slots (`n_tags × n_slots`,
-    /// saturating) than `max_tag_slots`.
+    /// [`DEFAULT_MAX_TAGS`], more tag-slots (`n_tags × n_slots`,
+    /// saturating) than `max_tag_slots`, or over [`MAX_RECEIVERS`].
     WorkBudget {
         /// Deployed tags.
         n_tags: usize,
         /// Slot horizon.
         n_slots: u64,
+        /// Receiver cells (an oversized [`Receiver::grid`] counts 1025).
+        receivers: usize,
         /// The tag-slot budget.
         max_tag_slots: u64,
     },
@@ -275,8 +279,8 @@ impl DeploymentError {
                  (Receiver::grid needs pitch_ft > 0), and a finite .power(..)"
             }
             DeploymentError::WorkBudget { .. } => {
-                "shrink the tag count or .slots(..), or raise the tag-slot budget with \
-                 .work_budget(max_tag_slots)"
+                "shrink the tag count, .slots(..) or the receiver grid, or raise the tag-slot \
+                 budget with .work_budget(max_tag_slots)"
             }
             DeploymentError::UncoveredTag { .. } => {
                 "grow the receiver radii or tighten the placement (Receiver::grid covers by construction)"
@@ -318,11 +322,13 @@ impl std::fmt::Display for DeploymentError {
             DeploymentError::WorkBudget {
                 n_tags,
                 n_slots,
+                receivers,
                 max_tag_slots,
             } => write!(
                 f,
-                "{n_tags} tags x {n_slots} slots exceeds the work budget of {DEFAULT_MAX_TAGS} \
-                 tags and {max_tag_slots} tag-slots"
+                "{n_tags} tags x {n_slots} slots in {receivers} receiver cells exceeds the work \
+                 budget of {DEFAULT_MAX_TAGS} tags, {max_tag_slots} tag-slots and \
+                 {MAX_RECEIVERS} receiver cells"
             ),
             DeploymentError::UncoveredTag {
                 tag,
@@ -339,9 +345,9 @@ impl std::fmt::Display for DeploymentError {
 
 impl std::error::Error for DeploymentError {}
 
-/// One collision domain of a compiled metro plan: the tags served by
-/// one receiver, their synthesised sites (local order), and the
-/// received backscatter power the capture effect compares.
+/// One collision domain of a compiled plan: the tags served by one
+/// receiver, their synthesised sites (local order), and the received
+/// backscatter power the capture effect compares.
 #[derive(Debug, Clone)]
 pub struct CollisionDomain {
     /// The receiver cell this domain belongs to.
@@ -352,72 +358,53 @@ pub struct CollisionDomain {
     pub sites: Vec<TagSite>,
     /// Received backscatter power at the receiver per local tag (dBm):
     /// ambient power at the tag minus the tag→receiver free-space path
-    /// loss — what the capture margin is measured against.
+    /// loss — what the capture margin is measured against. Empty for a
+    /// single-receiver plan's domain, which resolves without capture.
     pub rx_dbm: Vec<f64>,
     /// Size of this domain's frequency plan (dense local channel ids).
     pub n_channels: usize,
-    /// Local channel id → `f_back` key (Hz, truncated): the value that
-    /// matches co-channel domains across cells.
-    chan_keys: Vec<i64>,
 }
 
-/// The compiled multi-receiver geometry: collision domains plus, per
-/// (domain, local channel), the co-channel channels of *overlapping*
-/// neighbour domains — the spatial-reuse rule made into a lookup table.
+/// The compiled geometry: collision domains plus, per (domain, local
+/// channel), the co-channel channels of *overlapping* neighbour domains
+/// — the spatial-reuse rule made into a lookup table.
 #[derive(Debug, Clone)]
-pub struct MetroTopology {
+struct MetroTopology {
     /// One domain per receiver (possibly empty of tags).
-    pub domains: Vec<CollisionDomain>,
+    domains: Vec<CollisionDomain>,
     /// `peers[d][c]` lists the `(domain, channel)` pairs that contend
     /// with domain `d`'s local channel `c`: same `f_back`, overlapping
     /// cells. Non-overlapping same-`f_back` domains reuse the spectrum
     /// silently.
-    pub peers: Vec<Vec<Vec<(usize, u16)>>>,
+    peers: Vec<Vec<Vec<(usize, u16)>>>,
 }
 
-impl MetroTopology {
-    /// Total co-channel contention edges (for diagnostics and tests).
-    pub fn peer_edges(&self) -> usize {
-        self.peers.iter().flat_map(|d| d.iter()).map(Vec::len).sum()
-    }
-}
-
-/// A validated, compiled deployment: the single-receiver core config
-/// plus (for multi-receiver plans) the sharded metro topology.
+/// A validated, compiled deployment: the core engine config plus the
+/// topology [`CitySim`] runs, one collision domain per receiver.
 #[derive(Debug, Clone)]
 pub struct CityPlan {
     cfg: NetworkConfig,
-    topology: Option<MetroTopology>,
+    topology: MetroTopology,
     capture_margin_db: Option<f64>,
     co_channel_ber: f64,
     link: Option<Arc<BerTable>>,
 }
 
 impl CityPlan {
-    /// The engine configuration at the plan's core. Single-receiver
-    /// plans run exactly this as one collision domain.
+    /// The engine configuration at the plan's core. A single-receiver
+    /// plan runs exactly this as its one collision domain.
     pub fn network_config(&self) -> &NetworkConfig {
         &self.cfg
     }
 
     /// Whether this plan shards across multiple receiver cells.
     pub fn is_metro(&self) -> bool {
-        self.topology.is_some()
+        self.topology.domains.len() > 1
     }
 
-    /// The compiled collision domains (empty for single-receiver plans).
+    /// The compiled collision domains, one per receiver.
     pub fn domains(&self) -> &[CollisionDomain] {
-        self.topology.as_ref().map_or(&[], |t| &t.domains)
-    }
-
-    /// The compiled topology, when the plan is metro-scale.
-    pub fn topology(&self) -> Option<&MetroTopology> {
-        self.topology.as_ref()
-    }
-
-    /// The configured capture margin in dB (`None` = capture off).
-    pub fn capture_margin_db(&self) -> Option<f64> {
-        self.capture_margin_db
+        &self.topology.domains
     }
 
     /// Builds the simulator over `table` (overrides any `.link(..)`).
@@ -566,7 +553,7 @@ impl Deployment {
     }
 
     /// Sets the mean ambient FM power (dBm) tags hear when no explicit
-    /// [`Station`]s are configured.
+    /// [`Station`]s are configured (always, in a single-receiver plan).
     pub fn power(mut self, mean_power_dbm: f64) -> Self {
         self.cfg.mean_power_dbm = mean_power_dbm;
         self
@@ -640,7 +627,8 @@ impl Deployment {
         self
     }
 
-    /// Places the FM broadcast stations that set ambient power.
+    /// Places the FM broadcast stations that set ambient power
+    /// (multi-receiver plans only, see [`Deployment::receivers`]).
     pub fn stations(mut self, stations: impl IntoIterator<Item = Station>) -> Self {
         self.stations = stations.into_iter().collect();
         self
@@ -648,7 +636,8 @@ impl Deployment {
 
     /// Places the receiver cells. One receiver is a single collision
     /// domain; two or more shard the run into parallel collision
-    /// domains.
+    /// domains. One receiver keeps only its radius: its tags lie on a
+    /// [`SiteMap`] disc, ignoring centre, stations, placement, capture.
     pub fn receivers(mut self, receivers: impl IntoIterator<Item = Receiver>) -> Self {
         self.receivers = receivers.into_iter().collect();
         if let [only] = self.receivers.as_slice() {
@@ -657,7 +646,8 @@ impl Deployment {
         self
     }
 
-    /// Sets the tag placement model (multi-receiver plans).
+    /// Sets the tag placement model (multi-receiver plans only, see
+    /// [`Deployment::receivers`]).
     pub fn placement(mut self, placement: Placement) -> Self {
         self.placement = placement;
         self
@@ -667,9 +657,8 @@ impl Deployment {
     /// contended slot the strongest received signal wins outright when
     /// its advantage over the runner-up is at least this.
     ///
-    /// Multi-receiver plans only: a single-receiver plan runs as one
-    /// cell with no slot extras, so there the margin is ignored and
-    /// every collision stays a collision.
+    /// Multi-receiver plans only: a single-receiver plan ignores the
+    /// margin, and every collision there stays a collision.
     pub fn capture(mut self, margin_db: f64) -> Self {
         self.capture_margin_db = Some(margin_db);
         self
@@ -679,8 +668,7 @@ impl Deployment {
     /// overlapping neighbour domain adds (default 0.01).
     ///
     /// Multi-receiver plans only: a single-receiver plan has no
-    /// neighbour domains and runs with no slot extras, so it ignores
-    /// this.
+    /// neighbour domains, so it ignores this.
     pub fn co_channel_ber(mut self, ber: f64) -> Self {
         self.co_channel_ber = ber;
         self
@@ -724,10 +712,12 @@ impl Deployment {
         let max_tag_slots = self.max_tag_slots;
         if cfg.n_tags > DEFAULT_MAX_TAGS
             || (cfg.n_tags as u64).saturating_mul(cfg.n_slots) > max_tag_slots
+            || self.receivers.len() > MAX_RECEIVERS
         {
             return Err(DeploymentError::WorkBudget {
                 n_tags: cfg.n_tags,
                 n_slots: cfg.n_slots,
+                receivers: self.receivers.len(),
                 max_tag_slots,
             });
         }
@@ -754,9 +744,9 @@ impl Deployment {
         }
 
         let topology = if self.receivers.len() >= 2 {
-            Some(self.synthesize()?)
+            self.synthesize()?
         } else {
-            None
+            self.one_cell_topology()
         };
         Ok(CityPlan {
             cfg: cfg.clone(),
@@ -859,6 +849,23 @@ impl Deployment {
         Ok(())
     }
 
+    /// Compiles a single-receiver plan: one domain holding tags `0..n`
+    /// on the [`SiteMap`] disc, with no peers and no received powers.
+    fn one_cell_topology(&self) -> MetroTopology {
+        let cfg = &self.cfg;
+        let map = SiteMap::generate(cfg);
+        MetroTopology {
+            domains: vec![CollisionDomain {
+                receiver: 0,
+                tags: (0..cfg.n_tags as u32).collect(),
+                sites: map.sites,
+                rx_dbm: Vec::new(),
+                n_channels: map.n_channels,
+            }],
+            peers: vec![vec![Vec::new(); map.n_channels]],
+        }
+    }
+
     /// Compiles the multi-receiver geometry: deterministic tag
     /// placement, nearest-receiver domain assignment, per-domain
     /// frequency plans and the co-channel overlap table.
@@ -866,15 +873,14 @@ impl Deployment {
         let cfg = &self.cfg;
         let rx = &self.receivers;
         let seed = cfg.seed;
-        let slot_secs = cfg.slot_secs();
         let urban = fmbs_channel::pathloss::LogDistanceModel::urban_fm();
         // Area-weighted cell choice for uniform placement.
         let weights: Vec<f64> = rx.iter().map(|r| r.radius_ft * r.radius_ft).collect();
         let total_w: f64 = weights.iter().sum();
 
         let mut tags_of: Vec<Vec<u32>> = vec![Vec::new(); rx.len()];
-        let mut dist_of: Vec<Vec<f64>> = vec![Vec::new(); rx.len()];
-        let mut power_of: Vec<Vec<f64>> = vec![Vec::new(); rx.len()];
+        // (distance to the receiver, ambient power) per tag, per cell.
+        let mut geometry_of: Vec<Vec<(f64, f64)>> = vec![Vec::new(); rx.len()];
         for i in 0..cfg.n_tags {
             let pick = unit(seed, i as u64, 10);
             let cell = match self.placement {
@@ -937,60 +943,50 @@ impl Deployment {
                     + shadow
             };
             tags_of[nearest].push(i as u32);
-            dist_of[nearest].push(dist_ft.max(1.0));
-            power_of[nearest].push(power_dbm);
+            geometry_of[nearest].push((dist_ft.max(1.0), power_dbm));
         }
 
-        // Per-domain frequency plans and site synthesis.
-        let mut domains = Vec::with_capacity(rx.len());
-        for (cell, tags) in tags_of.iter().enumerate() {
-            let shifts = fmbs_core::mac::assign_f_back(&cfg.occupancy, cfg.host, tags.len());
-            let mut chan_keys: Vec<i64> = Vec::new();
-            let mut sites = Vec::with_capacity(tags.len());
-            let mut rx_dbm = Vec::with_capacity(tags.len());
-            for (li, shift) in shifts.iter().enumerate() {
-                // Build already verified the band has free channels.
-                let f_back_hz = shift.expect("band checked non-full at build");
-                let key = f_back_hz as i64;
-                let channel = match chan_keys.iter().position(|&k| k == key) {
-                    Some(c) => c,
-                    None => {
-                        chan_keys.push(key);
-                        chan_keys.len() - 1
-                    }
-                } as u16;
-                let distance_ft = dist_of[cell][li];
-                let power_dbm = power_of[cell][li];
-                let draw_uw = IcPowerModel {
-                    f_back_hz: f_back_hz.abs().max(FM_CHANNEL_SPACING_HZ),
-                    ..PAPER_OPERATING_POINT
+        // Per-domain frequency plans and site synthesis: a round-robin
+        // plan for `n` tags is a prefix of a longer one, so one serves all.
+        let longest = tags_of.iter().map(Vec::len).max().unwrap_or(0);
+        let shifts = fmbs_core::mac::assign_f_back(&cfg.occupancy, cfg.host, longest);
+        let domains: Vec<CollisionDomain> = tags_of
+            .into_iter()
+            .zip(geometry_of)
+            .enumerate()
+            .map(|(cell, (tags, geometry))| {
+                let map = SiteMap::place(geometry.into_iter(), &shifts, cfg);
+                let rx_dbm = map
+                    .sites
+                    .iter()
+                    .map(|s| {
+                        s.power_dbm - free_space_path_loss_db(s.distance_ft * FT_TO_M, urban.f_hz).0
+                    })
+                    .collect();
+                CollisionDomain {
+                    receiver: cell,
+                    tags,
+                    sites: map.sites,
+                    rx_dbm,
+                    n_channels: map.n_channels,
                 }
-                .total_uw();
-                let tx_cost_uj = draw_uw * slot_secs;
-                sites.push(TagSite {
-                    distance_ft,
-                    power_dbm,
-                    f_back_hz,
-                    channel,
-                    harvest_uw: cfg.harvest.harvest_uw(fmbs_channel::units::Dbm(power_dbm)),
-                    tx_cost_uj,
-                    storage_uj: cfg.storage_uj.max(2.0 * tx_cost_uj),
-                });
-                rx_dbm
-                    .push(power_dbm - free_space_path_loss_db(distance_ft * FT_TO_M, urban.f_hz).0);
-            }
-            domains.push(CollisionDomain {
-                receiver: cell,
-                tags: tags.clone(),
-                sites,
-                rx_dbm,
-                n_channels: chan_keys.len().max(1),
-                chan_keys,
-            });
-        }
+            })
+            .collect();
 
         // Spatial reuse: same f_back only contends across *overlapping*
-        // cells.
+        // cells. Channel `c` is keyed by its first site's f_back.
+        let keys: Vec<Vec<i64>> = domains
+            .iter()
+            .map(|d| {
+                let mut keys = Vec::new();
+                for site in &d.sites {
+                    if site.channel as usize == keys.len() {
+                        keys.push(site.f_back_hz as i64);
+                    }
+                }
+                keys
+            })
+            .collect();
         let mut peers: Vec<Vec<Vec<(usize, u16)>>> = domains
             .iter()
             .map(|d| vec![Vec::new(); d.n_channels])
@@ -1000,8 +996,8 @@ impl Deployment {
                 if a == b || !rx[domains[a].receiver].overlaps(&rx[domains[b].receiver]) {
                     continue;
                 }
-                for (ca, key) in domains[a].chan_keys.iter().enumerate() {
-                    if let Some(cb) = domains[b].chan_keys.iter().position(|k| k == key) {
+                for (ca, key) in keys[a].iter().enumerate() {
+                    if let Some(cb) = keys[b].iter().position(|k| k == key) {
                         peers[a][ca].push((b, cb as u16));
                     }
                 }
@@ -1026,15 +1022,33 @@ pub struct MetroRun {
 }
 
 /// The network engine: a compiled [`CityPlan`] plus the link table.
-/// A single-receiver plan runs as one collision domain on the calling
-/// thread; multi-receiver plans step one [`CollisionDomain`] per event
-/// queue in lockstep, on a worker pool, with parallel == serial
-/// bit-identity.
+/// Every plan runs through its one loop, one event queue per
+/// [`CollisionDomain`] on a worker pool; it visits only the slots where
+/// some domain may have an event, and one worker stays on the calling
+/// thread.
 #[derive(Debug, Clone)]
 pub struct CitySim {
     plan: CityPlan,
     table: Arc<BerTable>,
     packets: Arc<PacketModel>,
+}
+
+/// Transmit counts (`[domain][channel]`) and per-worker next-event
+/// bounds, double-buffered by visit parity: visit `v` writes `[v % 2]`
+/// while slower peers may still read visit `v - 1`'s, so one barrier per
+/// visit is enough. Relaxed suffices: the barrier orders the accesses.
+struct Lockstep {
+    counts: [Vec<Vec<AtomicU32>>; 2],
+    bounds: [Vec<AtomicU64>; 2],
+    barrier: Barrier,
+}
+
+/// One worker's domain runs (by domain id), the backoff windows they
+/// drew, and the slots it visited (the same for every worker).
+struct WorkerRun {
+    runs: Vec<(usize, NetRun)>,
+    backoffs: u64,
+    slots_visited: u64,
 }
 
 impl CitySim {
@@ -1048,11 +1062,6 @@ impl CitySim {
             table,
             packets,
         }
-    }
-
-    /// The compiled plan this simulator runs.
-    pub fn plan(&self) -> &CityPlan {
-        &self.plan
     }
 
     /// Runs on every available core. The result is bit-identical for
@@ -1069,65 +1078,48 @@ impl CitySim {
         self.run_with_threads(1)
     }
 
-    /// Runs with an explicit worker count.
+    /// Runs with an explicit worker count (at most one per domain).
     pub fn run_with_threads(&self, threads: usize) -> MetroRun {
         fmbs_obs::span!(fmbs_obs::stages::NET_ENGINE);
-        let Some(topo) = &self.plan.topology else {
-            let run = run_cell(&self.plan.cfg, &self.table, self.packets.clone());
-            publish_work(&run.stats);
-            return MetroRun {
-                per_domain: vec![run.stats.clone()],
-                stats: run.stats,
-                trace: run.trace,
-            };
+        let topo = &self.plan.topology;
+        let workers = threads.clamp(1, topo.domains.len());
+        let lockstep = Lockstep {
+            counts: std::array::from_fn(|_| {
+                topo.domains
+                    .iter()
+                    .map(|dom| (0..dom.n_channels).map(|_| AtomicU32::new(0)).collect())
+                    .collect()
+            }),
+            bounds: std::array::from_fn(|_| (0..workers).map(|_| AtomicU64::new(0)).collect()),
+            barrier: Barrier::new(workers),
         };
-        let workers = threads.clamp(1, topo.domains.len().max(1));
-        // Per-channel transmit counts, double-buffered by slot parity:
-        // slot `s` publishes into `counts[s % 2]`, so a worker may clear
-        // its entries from slot `s - 2` while slower peers still read
-        // slot `s - 1`'s, and one barrier per slot is enough. Relaxed
-        // suffices: the barrier orders every store before the loads
-        // that follow it.
-        let counts: [Vec<Vec<AtomicU32>>; 2] = std::array::from_fn(|_| {
-            topo.domains
-                .iter()
-                .map(|dom| (0..dom.n_channels).map(|_| AtomicU32::new(0)).collect())
-                .collect()
-        });
-        let barrier = Barrier::new(workers);
-        // Each worker profiles into its own child collector, absorbed in
-        // worker order; this thread only waits.
-        let mut runs: Vec<(usize, NetRun)> = fmbs_obs::scoped_workers(workers, |w| {
-            self.run_worker(topo, w, workers, &counts, &barrier)
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        // Two or more workers profile into child collectors absorbed in
+        // worker order while this thread waits; one runs on this thread.
+        let done = fmbs_obs::scoped_workers(workers, |w| self.run_worker(w, workers, &lockstep));
+        let backoffs = done.iter().map(|r| r.backoffs).sum();
+        let slots_visited = done[0].slots_visited;
+        let mut runs: Vec<(usize, NetRun)> = done.into_iter().flat_map(|r| r.runs).collect();
         // Deterministic merge: domain id order, global tag ids.
         runs.sort_by_key(|&(d, _)| d);
-        let run = self.merge(topo, runs);
-        publish_work(&run.stats);
+        let run = self.merge(runs);
+        publish_work(&run.stats, backoffs, slots_visited);
         run
     }
 
     /// One worker of [`CitySim::run_with_threads`]: builds the domains
-    /// dealt to it (every `workers`-th, from `w`), then steps them
-    /// through every slot in lockstep with the other workers.
+    /// dealt to it (every `workers`-th, from `w`), then steps them in
+    /// lockstep with the other workers.
     ///
-    /// Each slot publishes this worker's per-channel transmit counts
-    /// (phase A, no randomness), waits at the one slot barrier, then
-    /// resolves with the overlapping co-channel neighbours' counts
-    /// folded into the BER (phase B). Every per-domain draw comes from
-    /// that domain's private streams, so the deal only affects
-    /// wall-clock, never results.
-    fn run_worker(
-        &self,
-        topo: &MetroTopology,
-        w: usize,
-        workers: usize,
-        counts: &[Vec<Vec<AtomicU32>>; 2],
-        barrier: &Barrier,
-    ) -> Vec<(usize, NetRun)> {
+    /// Each visited slot publishes this worker's per-channel transmit
+    /// counts and a lower bound on its domains' next event (phase A, no
+    /// randomness), waits at the one slot barrier, then resolves with
+    /// the overlapping co-channel neighbours' counts folded into the BER
+    /// (phase B) and jumps to the least bound any worker published.
+    /// Every per-domain draw comes from that domain's private streams,
+    /// so the deal only affects wall-clock, never results; nor does
+    /// skipping a slot in which no domain has an event.
+    fn run_worker(&self, w: usize, workers: usize, lockstep: &Lockstep) -> WorkerRun {
+        let topo = &self.plan.topology;
         let mut bucket: Vec<(usize, DomainSim)> = {
             fmbs_obs::span!(fmbs_obs::stages::NET_DOMAIN_SETUP);
             (w..topo.domains.len())
@@ -1144,14 +1136,16 @@ impl CitySim {
             .collect();
         let capture = self.plan.capture_margin_db;
         let co_ber = self.plan.co_channel_ber;
-        for slot in 0..self.plan.cfg.n_slots {
-            let p = (slot % 2) as usize;
-            let (counts, live) = (&counts[p], &mut live[p]);
+        let (mut slot, mut visits) = (0, 0u64);
+        while slot < self.plan.cfg.n_slots {
+            let p = (visits % 2) as usize;
+            let (counts, bounds, live) = (&lockstep.counts[p], &lockstep.bounds[p], &mut live[p]);
             {
                 fmbs_obs::span!(fmbs_obs::stages::NET_GATHER);
+                let mut bound = u64::MAX;
                 for (bi, (d, sim)) in bucket.iter_mut().enumerate() {
-                    // Every peer has passed the previous slot's barrier,
-                    // so none still reads what slot - 2 left here.
+                    // Every peer has passed the previous visit's barrier,
+                    // so none still reads what visit - 2 left here.
                     for &ch in &live[bi] {
                         counts[*d][ch as usize].store(0, Ordering::Relaxed);
                     }
@@ -1163,11 +1157,21 @@ impl CitySim {
                             live[bi].push(ch);
                         }
                     }
+                    // Resolving an attempt may schedule the next slot;
+                    // otherwise the queue holds the next event.
+                    let next = if live[bi].is_empty() {
+                        sim.peek_slot().unwrap_or(u64::MAX)
+                    } else {
+                        slot + 1
+                    };
+                    bound = bound.min(next);
                 }
+                bounds[w].store(bound, Ordering::Relaxed);
             }
-            {
+            // One worker has no one to wait for.
+            if workers > 1 {
                 fmbs_obs::span!(fmbs_obs::stages::NET_BARRIER);
-                barrier.wait();
+                lockstep.barrier.wait();
             }
             fmbs_obs::span!(fmbs_obs::stages::NET_RESOLVE);
             for (bi, (d, sim)) in bucket.iter_mut().enumerate() {
@@ -1183,34 +1187,51 @@ impl CitySim {
                 }
                 let dom = &topo.domains[*d];
                 let se = SlotExtras {
-                    capture: capture.map(|m| (dom.rx_dbm.as_slice(), m)),
-                    interference: Some(extra[bi].as_slice()),
+                    capture: capture
+                        .filter(|_| !dom.rx_dbm.is_empty())
+                        .map(|m| (dom.rx_dbm.as_slice(), m)),
+                    interference: &extra[bi],
                 };
-                sim.resolve(slot, Some(&se));
+                sim.resolve(slot, &se);
                 for &ch in &live[bi] {
                     extra[bi][ch as usize] = 0.0;
                 }
             }
+            slot = bounds
+                .iter()
+                .map(|b| b.load(Ordering::Relaxed))
+                .min()
+                .unwrap_or(u64::MAX);
+            visits += 1;
         }
-        bucket
-            .into_iter()
-            .map(|(d, sim)| (d, sim.finish()))
-            .collect()
+        WorkerRun {
+            backoffs: bucket.iter().map(|(_, sim)| sim.backoffs).sum(),
+            runs: bucket
+                .into_iter()
+                .map(|(d, sim)| (d, sim.finish()))
+                .collect(),
+            slots_visited: visits,
+        }
     }
 
-    /// Domain `d`'s engine: a local tag count, a domain-mixed seed (so
-    /// tag streams never collide across domains), a domain-mixed fault
-    /// stream, the domain's sites, and a flat copy of its tags' arrival
-    /// queues.
+    /// Domain `d`'s engine. A single-receiver plan's one domain is the
+    /// whole cell: the plan's own seeds, the shared arrival trace read in
+    /// place. A metro domain gets its local tag count, a domain-mixed
+    /// seed (so tag streams never collide across domains), a
+    /// domain-mixed fault stream, and a flat copy of its tags' queues.
     fn domain_sim<'s>(&'s self, d: usize, dom: &'s CollisionDomain) -> DomainSim<'s> {
         let base = &self.plan.cfg;
         let mut cfg = base.clone();
-        cfg.n_tags = dom.tags.len();
-        cfg.seed = splitmix64(base.seed ^ 0x4D45_5452_4F00 ^ ((d as u64) << 24));
-        if !cfg.faults.is_none() {
-            cfg.faults.seed = splitmix64(base.faults.seed ^ 0x00FA_17C4 ^ d as u64);
-        }
-        let queues = ArrivalQueues::flat(&cfg.traffic, dom.tags.iter().map(|&g| g as usize));
+        let queues = if self.plan.is_metro() {
+            cfg.n_tags = dom.tags.len();
+            cfg.seed = splitmix64(base.seed ^ 0x4D45_5452_4F00 ^ ((d as u64) << 24));
+            if !cfg.faults.is_none() {
+                cfg.faults.seed = splitmix64(base.faults.seed ^ 0x00FA_17C4 ^ d as u64);
+            }
+            ArrivalQueues::flat(&cfg.traffic, dom.tags.iter().map(|&g| g as usize))
+        } else {
+            ArrivalQueues::shared(&cfg.traffic)
+        };
         DomainSim::new(
             cfg,
             &self.table,
@@ -1221,8 +1242,8 @@ impl CitySim {
         )
     }
 
-    fn merge(&self, topo: &MetroTopology, runs: Vec<(usize, NetRun)>) -> MetroRun {
-        let cfg = &self.plan.cfg;
+    fn merge(&self, runs: Vec<(usize, NetRun)>) -> MetroRun {
+        let (cfg, topo) = (&self.plan.cfg, &self.plan.topology);
         let mut stats = NetStats {
             n_tags: cfg.n_tags,
             n_slots: cfg.n_slots,
@@ -1288,18 +1309,22 @@ impl CitySim {
 }
 
 /// Publishes one run's engine work as obs counters, so a profile shows
-/// what the run's time bought (no-op without a collector).
-fn publish_work(stats: &NetStats) {
+/// what the run's time bought (no-op without a collector): the outcome
+/// counts, the backoff windows drawn and the slots the loop visited.
+fn publish_work(stats: &NetStats, backoffs: u64, slots_visited: u64) {
     fmbs_obs::counter!("net.attempts", stats.attempts);
     fmbs_obs::counter!("net.delivered", stats.delivered);
     fmbs_obs::counter!("net.collided", stats.collided);
     fmbs_obs::counter!("net.corrupt", stats.corrupt);
     fmbs_obs::counter!("net.retransmissions", stats.retransmissions);
+    fmbs_obs::counter!("net.backoffs", backoffs);
+    fmbs_obs::counter!("net.slots_visited", slots_visited);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn table() -> Arc<BerTable> {
         Arc::new(BerTable::from_grid(
@@ -1310,44 +1335,146 @@ mod tests {
         ))
     }
 
+    /// A lossy link: corruption is common enough that ARQ retransmits
+    /// and falls back to the lower rate.
+    fn lossy_table() -> Arc<BerTable> {
+        Arc::new(BerTable::from_grid(
+            vec![-60.0, -20.0],
+            vec![1.0, 30.0],
+            vec![Bitrate::Kbps1_6],
+            vec![1e-3, 4e-3, 2e-3, 8e-3],
+        ))
+    }
+
+    /// Seeded Bernoulli arrivals at `load` packets per tag per slot,
+    /// some past the horizon, each with a deadline of up to 60 slots.
+    fn sparse_trace(n_tags: usize, n_slots: u64, load: f64, seed: u64) -> Traffic {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let per_tag = (0..n_tags)
+            .map(|_| {
+                (0..n_slots + 20)
+                    .filter_map(|slot| {
+                        let deadline_slots = rng.gen_range(0..60u32);
+                        (rng.gen::<f64>() < load).then_some(crate::engine::Arrival {
+                            slot,
+                            deadline_slots,
+                        })
+                    })
+                    .collect()
+            })
+            .collect();
+        Traffic::Trace(Arc::new(crate::engine::ArrivalTrace { per_tag }))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Every single-receiver plan runs through the lockstep loop
+        /// exactly as the one-cell reference runner steps it: the same
+        /// statistics, per-tag and per-delivery vectors and event trace,
+        /// saturated or trace-driven with deadline shedding, with or
+        /// without ARQ and rate fallback, under every fault class, with
+        /// a capped trace or not, on 1-4 threads.
+        #[test]
+        fn single_receiver_plan_matches_the_one_cell_runner_bit_for_bit(
+            n_tags in 1usize..120,
+            n_slots in 40u64..300,
+            seed in any::<u64>(),
+            traced in any::<bool>(),
+            load in 0.002f64..0.06,
+            arq in any::<bool>(),
+            fault in 0usize..5,
+            capped in any::<bool>(),
+            threads in 1usize..5,
+        ) {
+            let window = (n_slots / 4) as u32;
+            let faults = match fault {
+                0 => FaultSpec::none(),
+                1 => FaultSpec::none().with_outages(1, window),
+                2 => FaultSpec::none().with_brownouts(2, window, 0.2),
+                3 => FaultSpec::none().with_bursts(1, window, 0.05),
+                _ => FaultSpec::none().with_resets(6),
+            };
+            let mut d = Deployment::city(n_tags)
+                .slots(n_slots)
+                .seed(seed)
+                .faults(faults.with_seed(seed ^ 1))
+                .record_trace(true)
+                .trace_cap(if capped { 40 } else { usize::MAX });
+            if traced {
+                d = d
+                    .traffic(sparse_trace(n_tags, n_slots, load, seed))
+                    .drop_expired(true);
+            }
+            if arq {
+                d = d.arq(ArqConfig::default());
+            }
+            let plan = d.build().expect("valid");
+            let oracle = crate::oracle::run_cell(plan.network_config(), &lossy_table());
+            let run = plan.into_sim(lossy_table()).run_with_threads(threads);
+            let want = format!("{:?}", oracle.stats);
+            prop_assert_eq!(&want, &format!("{:?}", run.stats));
+            prop_assert_eq!(&want, &format!("{:?}", run.per_domain[0]));
+            prop_assert_eq!(&oracle.trace, &run.trace);
+        }
+    }
+
+    // Pins a known gap: a single-receiver plan places its tags on a
+    // `SiteMap` disc at the flat mean power, and its domain carries no
+    // received powers, so `.capture(..)`, `.stations(..)`,
+    // `.placement(..)` and the receiver's centre change nothing there,
+    // even under heavy contention.
     #[test]
-    fn single_receiver_plan_matches_the_one_cell_runner_bit_for_bit() {
-        let mut cfg = NetworkConfig::new(150, 300);
-        cfg.record_trace = true;
-        let cell = run_cell(&cfg, &table(), PacketModel::for_frame(cfg.packet_bits));
-        let metro = Deployment::city(150)
-            .slots(300)
-            .record_trace(true)
+    fn single_receiver_plan_ignores_capture() {
+        let base = Deployment::city(400).slots(200).record_trace(true);
+        let off = base
+            .clone()
+            .receivers(Receiver::grid(1, 1, 40.0))
             .build()
             .expect("valid")
             .into_sim(table())
             .run();
-        assert_eq!(cell.trace, metro.trace);
-        assert_eq!(cell.stats.delivered, metro.stats.delivered);
-        assert_eq!(cell.stats.latencies_slots, metro.stats.latencies_slots);
-    }
-
-    // Pins a known gap: one receiver runs through `run_cell`, which
-    // resolves slots without capture, so `.capture(..)` changes nothing
-    // there even under heavy contention.
-    #[test]
-    fn single_receiver_plan_ignores_capture() {
-        let run = |capture: Option<f64>| {
-            let mut d = Deployment::city(400)
-                .slots(200)
-                .receivers(Receiver::grid(1, 1, 40.0))
-                .record_trace(true);
-            if let Some(m) = capture {
-                d = d.capture(m);
-            }
-            d.build().expect("valid").into_sim(table()).run()
-        };
-        let (off, on) = (run(None), run(Some(6.0)));
+        let on = base
+            .receivers([Receiver::at(900.0, -300.0, 40.0 / std::f64::consts::SQRT_2)])
+            .capture(6.0)
+            .stations([Station::at(10_000.0, 0.0)])
+            .placement(Placement::ClusteredHotspots { spread_ft: 5.0 })
+            .build()
+            .expect("valid")
+            .into_sim(table())
+            .run();
         assert!(off.stats.collided > 0, "the cell must be contended");
         assert_eq!(off.trace, on.trace);
         assert_eq!(off.stats.delivered, on.stats.delivered);
         assert_eq!(off.stats.collided, on.stats.collided);
         assert_eq!(off.stats.per_tag_delivered, on.stats.per_tag_delivered);
+    }
+
+    #[test]
+    fn sparse_traffic_visits_few_slots_and_matches_serial() {
+        let n_slots = 4_000;
+        let sim = Deployment::city(400)
+            .slots(n_slots)
+            .receivers(Receiver::grid(2, 2, 100.0))
+            .traffic(sparse_trace(400, n_slots, 1e-4, 7))
+            .record_trace(true)
+            .build()
+            .expect("valid")
+            .into_sim(table());
+        let obs = fmbs_obs::Collector::new();
+        let par = {
+            let _g = fmbs_obs::install(Some(obs.clone()));
+            sim.run_with_threads(2)
+        };
+        let visited = obs.counter_value("net.slots_visited");
+        assert!(par.stats.delivered > 0, "{:?}", par.stats);
+        assert!(visited > 0 && visited < n_slots / 2, "visited {visited}");
+        // Without ARQ every collision draws one backoff window.
+        assert_eq!(obs.counter_value("net.backoffs"), par.stats.collided);
+        let serial = sim.run_serial();
+        assert_eq!(par.trace, serial.trace);
+        assert_eq!(format!("{:?}", par.stats), format!("{:?}", serial.stats));
     }
 
     #[test]
@@ -1406,6 +1533,16 @@ mod tests {
         assert!(matches!(
             Deployment::city(5).occupancy(full).build().unwrap_err(),
             DeploymentError::BandFull { .. }
+        ));
+        assert!(matches!(
+            Deployment::city(5)
+                .receivers(Receiver::grid(33, 32, 10.0))
+                .build()
+                .unwrap_err(),
+            DeploymentError::WorkBudget {
+                receivers: 1025,
+                ..
+            }
         ));
         let bad_window = FaultSpec::none().with_outages(1, 10_000);
         assert!(matches!(

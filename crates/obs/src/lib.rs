@@ -451,7 +451,13 @@ impl Drop for WaitGuard {
 /// [`waiting`] until every worker has joined, and the children are then
 /// absorbed in worker order, so the merged profile does not depend on
 /// how the workers interleaved. A worker's panic is re-raised here.
+///
+/// One worker spawns no thread: `f(0)` runs on the calling thread and
+/// profiles into its collector, nested in the caller's open stage.
 pub fn scoped_workers<T: Send>(workers: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
+    if workers <= 1 {
+        return (0..workers).map(f).collect();
+    }
     let parent = active();
     let children: Vec<_> = (0..workers)
         .map(|w| parent.as_ref().map(|p| p.child(w as u32)))
@@ -666,6 +672,20 @@ mod tests {
         assert_eq!(c.counter_value("n"), 3);
         let workers: BTreeSet<u32> = c.spans().0.iter().map(|s| s.worker).collect();
         assert_eq!(workers, BTreeSet::from([0, 1, 2]));
+    }
+
+    #[test]
+    fn one_scoped_worker_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let c = Collector::new();
+        let _g = install(Some(c.clone()));
+        let out = scoped_workers(1, |w| {
+            span!("work");
+            (w, std::thread::current().id())
+        });
+        assert_eq!(out, vec![(0, caller)]);
+        assert_eq!(c.stage_stats()[0].1.calls, 1);
+        assert!(scoped_workers(0, |w| w).is_empty());
     }
 
     #[test]

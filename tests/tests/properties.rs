@@ -845,10 +845,14 @@ proptest! {
         let plan = d.build();
         prop_assert!(plan.is_ok(), "{:?}", plan.err());
         let plan = plan.unwrap();
+        prop_assert_eq!(plan.domains().len(), nx * ny);
         if nx * ny == 1 {
+            // The one-domain case: every tag, in global order.
             prop_assert!(!plan.is_metro());
+            let dom = &plan.domains()[0];
+            prop_assert!(dom.tags.iter().copied().eq(0..n_tags as u32));
+            prop_assert_eq!(dom.sites.len(), n_tags);
         } else {
-            prop_assert_eq!(plan.domains().len(), nx * ny);
             let mut owners = vec![0u32; n_tags];
             for dom in plan.domains() {
                 prop_assert_eq!(dom.tags.len(), dom.sites.len());
@@ -974,10 +978,17 @@ proptest! {
             fmbs_obs::stages::NET_DOMAIN_SETUP,
             fmbs_obs::stages::NET_GATHER,
             fmbs_obs::stages::NET_RESOLVE,
-            fmbs_obs::stages::NET_BARRIER,
         ] {
             prop_assert!(stages.contains(&stage), "no {} stage", stage);
         }
+        // A lone worker has no one to wait for.
+        prop_assert!(
+            stages.contains(&fmbs_obs::stages::NET_BARRIER) == (threads > 1),
+            "net_barrier_wait on {} thread(s)",
+            threads
+        );
+        let visited = obs.counter_value("net.slots_visited");
+        prop_assert!(visited > 0 && visited <= n_slots, "visited {}", visited);
         prop_assert_eq!(obs.counter_value("net.attempts"), serial.stats.attempts);
         prop_assert_eq!(
             obs.counter_value("net.retransmissions"),
@@ -1031,4 +1042,217 @@ fn metro_scale_same_seed_identity() {
     // At a million tags a 16-cell city is pure collision noise — which
     // is the interesting regime — so sanity-check activity, not goodput.
     assert!(serial.stats.attempts > 0, "the city never transmitted");
+}
+
+// Corpus fuzzing: the committed city files are the seeds, and each
+// mutant changes one field — zero, negative, huge or non-finite, or
+// dropped. Loading one must end in `Ok` or a typed `CorpusError`
+// within `CORPUS_LOAD_BOUND`, never in a panic, a hang or a runaway
+// allocation.
+
+/// The longest a corpus mutant may take to load, debug builds included
+/// (a committed city loads in milliseconds).
+const CORPUS_LOAD_BOUND: std::time::Duration = std::time::Duration::from_secs(2);
+
+/// One step of a path into a JSON document.
+#[derive(Debug, Clone)]
+enum JsonStep {
+    Key(String),
+    Item(usize),
+}
+
+/// Every path into `v`, each with whether it leads to a number.
+fn json_paths(v: &serde::Value, at: &mut Vec<JsonStep>, out: &mut Vec<(Vec<JsonStep>, bool)>) {
+    use serde::Value;
+    let children: Vec<(JsonStep, &Value)> = match v {
+        Value::Map(fields) => fields
+            .iter()
+            .map(|(k, f)| (JsonStep::Key(k.clone()), f))
+            .collect(),
+        Value::Seq(items) => items
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (JsonStep::Item(i), f))
+            .collect(),
+        _ => Vec::new(),
+    };
+    for (step, child) in children {
+        at.push(step);
+        let number = matches!(child, Value::U64(_) | Value::I64(_) | Value::F64(_));
+        out.push((at.clone(), number));
+        json_paths(child, at, out);
+        at.pop();
+    }
+}
+
+/// Replaces the value at `path` with `with`, or drops it when `with` is
+/// `None`.
+fn json_mutate(v: &mut serde::Value, path: &[JsonStep], with: Option<serde::Value>) {
+    use serde::Value;
+    let (last, parents) = path.split_last().expect("non-empty path");
+    let mut node = v;
+    for step in parents {
+        node = match (node, step) {
+            (Value::Map(fields), JsonStep::Key(k)) => {
+                &mut fields.iter_mut().find(|(key, _)| key == k).expect("path").1
+            }
+            (Value::Seq(items), JsonStep::Item(i)) => &mut items[*i],
+            _ => unreachable!("paths come from json_paths"),
+        };
+    }
+    match (node, last, with) {
+        (Value::Map(fields), JsonStep::Key(k), with) => match with {
+            Some(x) => fields.iter_mut().find(|(key, _)| key == k).expect("path").1 = x,
+            None => fields.retain(|(key, _)| key != k),
+        },
+        (Value::Seq(items), JsonStep::Item(i), with) => match with {
+            Some(x) => items[*i] = x,
+            None => {
+                items.remove(*i);
+            }
+        },
+        _ => unreachable!("paths come from json_paths"),
+    }
+}
+
+/// The committed corpus as `(id, parsed document)`, in file order.
+fn corpus_documents() -> Vec<(String, serde::Value)> {
+    let dir = std::path::Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../corpus"));
+    let mut files: Vec<_> = std::fs::read_dir(dir)
+        .expect("corpus directory")
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    files.sort();
+    files
+        .iter()
+        .map(|p| {
+            let id = p.file_stem().unwrap().to_string_lossy().into_owned();
+            let text = std::fs::read_to_string(p).expect("corpus file");
+            (
+                id,
+                serde_json::from_str(&text).expect("committed file parses"),
+            )
+        })
+        .collect()
+}
+
+/// Writes `doc` as `<dir>/<id>.json` and loads it, failing when the
+/// load panics or takes longer than [`CORPUS_LOAD_BOUND`].
+fn load_corpus_mutant(
+    dir: &std::path::Path,
+    id: &str,
+    doc: &serde::Value,
+) -> Result<Result<fmbs_net::prelude::CityScenario, fmbs_net::prelude::CorpusError>, TestCaseError>
+{
+    let path = dir.join(format!("{id}.json"));
+    std::fs::write(
+        &path,
+        serde_json::to_string_pretty(doc).expect("serialises"),
+    )
+    .expect("write mutant");
+    let start = std::time::Instant::now();
+    let loaded = std::panic::catch_unwind(|| fmbs_net::prelude::CityScenario::from_path(&path));
+    let took = start.elapsed();
+    let loaded = loaded.map_err(|_| TestCaseError::fail(format!("{id}: loading panicked")))?;
+    if took > CORPUS_LOAD_BOUND {
+        return Err(TestCaseError::fail(format!("{id}: loading took {took:?}")));
+    }
+    Ok(loaded)
+}
+
+/// A scratch directory for one test's mutants.
+fn corpus_scratch(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("fmbs_{test}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch directory");
+    dir
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every field of one committed city in turn replaced by zero, a
+    /// negative, a huge or a non-finite number (JSON has no NaN: it is
+    /// written as `null`, as serde_json writes a NaN), or dropped: each
+    /// mutant loads as `Ok` or as a typed `CorpusError` within the
+    /// bound.
+    #[test]
+    fn corpus_mutants_load_or_fail_typed(
+        city in any::<prop::sample::Index>(),
+        mutation in 0usize..9,
+    ) {
+        use serde::Value;
+        let dir = corpus_scratch("corpus_mutants");
+        let corpus = corpus_documents();
+        let (id, doc) = &corpus[city.index(corpus.len())];
+        let mut paths = Vec::new();
+        json_paths(doc, &mut Vec::new(), &mut paths);
+        let with = [
+            Some(Value::U64(0)),
+            Some(Value::I64(-1)),
+            Some(Value::F64(-0.5)),
+            Some(Value::F64(-1e308)),
+            Some(Value::F64(1e308)),
+            Some(Value::U64(4_000_000_000)),
+            Some(Value::U64(u64::MAX)),
+            Some(Value::F64(f64::NAN)),
+            None,
+        ][mutation].clone();
+        // Numbers get numbers; any field may be dropped.
+        for (path, number) in &paths {
+            if !number && with.is_some() {
+                continue;
+            }
+            let mut mutant = doc.clone();
+            json_mutate(&mut mutant, path, with.clone());
+            if let Err(e) = load_corpus_mutant(&dir, id, &mutant)? {
+                prop_assert!(!e.to_string().is_empty(), "{:?}", e);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// The corpus inputs that once hung or ran away, pinned as the
+/// fuzzer's first regressions: spokane with `slots: u64::MAX` and
+/// boulder with `n_tags: 4000000000` (each would step or synthesise
+/// for hours), and a receiver grid of 4·10⁹ × 2 cells (laid out before
+/// any budget applied). Each ends in a typed budget error at load.
+#[test]
+fn corpus_regressions_end_at_load() {
+    use fmbs_net::prelude::{CorpusError, DeploymentError};
+    use serde::Value;
+    let dir = corpus_scratch("corpus_regressions");
+    let corpus = corpus_documents();
+    let cases = [
+        ("spokane", vec!["slots"], Value::U64(u64::MAX)),
+        ("boulder", vec!["n_tags"], Value::U64(4_000_000_000)),
+        (
+            "seattle",
+            vec!["receiver_grid", "nx"],
+            Value::U64(4_000_000_000),
+        ),
+    ];
+    for (id, keys, value) in cases {
+        let (_, doc) = corpus
+            .iter()
+            .find(|(c, _)| c == id)
+            .expect("committed city");
+        let path: Vec<JsonStep> = keys.iter().map(|k| JsonStep::Key(k.to_string())).collect();
+        let mut mutant = doc.clone();
+        json_mutate(&mut mutant, &path, Some(value));
+        let loaded = load_corpus_mutant(&dir, id, &mutant).unwrap_or_else(|e| panic!("{e}"));
+        let err = loaded.expect_err(id);
+        assert!(
+            matches!(
+                err,
+                CorpusError::Deployment {
+                    cause: DeploymentError::WorkBudget { .. },
+                    ..
+                }
+            ),
+            "{id}: {err:?}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
