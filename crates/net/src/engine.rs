@@ -1,7 +1,8 @@
 //! The deterministic discrete-event engine of one collision domain.
 //!
-//! Time advances in MAC slots (one slot = one packet airtime). A
-//! [`BinaryHeap`] of [`Event`]s drives per-tag state machines:
+//! Time advances in MAC slots (one slot = one packet airtime). An
+//! [`EventQueue`] of per-slot FIFO buckets of tag ids (a calendar queue)
+//! drives per-tag state machines:
 //!
 //! * **Contention** — tags sharing a collision domain (see
 //!   [`crate::deploy`]) transmit in random slots with binary-exponential
@@ -17,8 +18,9 @@
 //!   arrival queue (idle when empty) and the engine tracks sojourn
 //!   times, deadline hits and queue conservation.
 //!
-//! A slot is stepped in two phases: `gather` drains its events into
-//! per-channel attempt buckets (no randomness), `resolve` decides them.
+//! A slot is stepped in two phases: `gather` takes the slot's whole
+//! bucket and sorts its tags into per-channel attempt buckets (no
+//! randomness), `resolve` decides them.
 //! [`crate::topology::CitySim`]'s one loop drives every domain through
 //! them.
 //!
@@ -39,13 +41,16 @@
 //! # Determinism
 //!
 //! Three properties make same-seed runs trace-identical:
-//! (1) events are ordered by `(slot, seq)` where `seq` is the push
-//! counter — a total order, so heap pops never depend on unordered
-//! ties; (2) the engine is single-threaded and pushes in a fixed order,
-//! so `seq` assignment is itself reproducible; (3) every random draw
-//! comes from the owning tag's *private* RNG stream (seeded from the
-//! run seed and the tag id), so a draw's value depends only on how many
-//! draws that tag has made, never on global interleaving.
+//! (1) events leave slot by slot, and a slot's events in push order:
+//! each slot's bucket is a FIFO, and an event past the ring's window
+//! waits in a heap keyed on `(slot, push counter)` and moves into its
+//! bucket, in that order, before anything can be pushed there — so the
+//! order is a total one that never depends on unordered ties; (2) the
+//! engine is single-threaded and pushes in a fixed order, so push order
+//! is itself reproducible; (3) every random draw comes from the owning
+//! tag's *private* RNG stream (seeded from the run seed and the tag id),
+//! so a draw's value depends only on how many draws that tag has made,
+//! never on global interleaving.
 
 use crate::deploy::{city_occupancy, HarvestProfile, TagSite};
 use crate::faults::{FaultSchedule, FaultSpec};
@@ -59,49 +64,226 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-/// A timestamped event: tag `tag` attempts a transmission in slot `at`.
+/// A far event: tag `tag` attempts a transmission in slot `at`, past
+/// the queue's ring window.
 ///
-/// The derived lexicographic order on `(at, seq, tag)` is the heap's
-/// tie-break: `seq` (the push counter) is unique, so ordering is total
-/// and same-seed runs pop events in exactly the same sequence.
+/// The derived lexicographic order on `(at, seq, tag)` is the far
+/// heap's order: `seq` (the push counter) is unique, so the order is
+/// total and events of one slot leave in push order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub struct Event {
-    /// Slot index the event fires in.
-    pub at: u64,
-    /// Monotone push counter (the stable tie-break).
-    pub seq: u64,
-    /// The tag attempting to transmit.
-    pub tag: u32,
+struct Event {
+    at: u64,
+    seq: u64,
+    tag: u32,
 }
 
-/// A min-ordered event queue with the stable `(at, seq)` tie-break.
-#[derive(Debug, Default)]
+/// The fewest buckets a queue's ring holds, whatever its tag count.
+const MIN_RING: u64 = 64;
+/// The most buckets a queue's ring holds.
+const MAX_RING: u64 = 1 << 16;
+/// No cell, and a cell's unused tag entries.
+const NIL: u32 = u32::MAX;
+/// Tags one [`Cell`] holds.
+const CELL_TAGS: usize = 3;
+
+/// Up to [`CELL_TAGS`] tags of one slot in push order (unused entries
+/// [`NIL`]), and the slot's next cell.
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    tags: [u32; CELL_TAGS],
+    next: u32,
+}
+
+/// One slot's tags: a list of cells from `first` to `last`, all full
+/// but `last`.
+#[derive(Debug, Clone, Copy)]
+struct Bucket {
+    first: u32,
+    last: u32,
+}
+
+impl Bucket {
+    const EMPTY: Bucket = Bucket {
+        first: NIL,
+        last: NIL,
+    };
+}
+
+/// A calendar queue of transmission attempts (R. Brown, "Calendar
+/// queues", CACM 1988): tags leave slot by slot, and within a slot in
+/// push order.
+///
+/// A ring of per-slot FIFO buckets covers the window
+/// `[base, base + window())`: bucket `slot & mask` holds the tags of
+/// `slot` in push order, in a list of cells of [`CELL_TAGS`] tags.
+/// Events past the window wait in a heap ordered by slot, then push
+/// order, and move into their bucket, in that order, as soon as the
+/// window reaches their slot. Nothing is pushed into a bucket before
+/// that move, so a slot's tags leave in push order: the order of a heap
+/// keyed on `(slot, push counter)`.
+///
+/// The ring covers the horizon (`n_slots` rounded up to a power of two)
+/// unless the tag count caps it: at most `max(n_tags, 64)` rounded up,
+/// and never more than 2¹⁶ buckets. A bucket costs 8 bytes and a cell
+/// 16, a far event 24, so memory stays proportional to the tags however
+/// sparse the slots they wait for, and one slot's tags are read a cell,
+/// not a tag, at a time.
+#[derive(Debug)]
 pub struct EventQueue {
-    heap: BinaryHeap<Reverse<Event>>,
+    /// Bucket `slot & mask` holds `slot`'s tags, for every slot of the
+    /// window.
+    ring: Vec<Bucket>,
+    mask: u64,
+    /// The window's first slot: no queued event is earlier.
+    base: u64,
+    /// Events in the ring.
+    in_ring: usize,
+    /// The buckets' cells; unused ones are chained from `free`.
+    cells: Vec<Cell>,
+    free: u32,
+    /// Events past the window.
+    far: BinaryHeap<Reverse<Event>>,
+    /// Push counter of `far` (its stable tie-break).
     seq: u64,
+    /// A `Vec` handed back by [`EventQueue::recycle`], filled by the
+    /// next [`EventQueue::take`].
+    spare: Vec<u32>,
 }
 
 impl EventQueue {
-    /// An empty queue.
-    pub fn new() -> Self {
-        EventQueue::default()
+    /// An empty queue for `n_tags` tags over `n_slots` slots; the two
+    /// size its ring.
+    pub fn new(n_slots: u64, n_tags: usize) -> Self {
+        let tags = (n_tags as u64).clamp(MIN_RING, MAX_RING);
+        let len = n_slots.clamp(1, MAX_RING).min(tags).next_power_of_two();
+        EventQueue {
+            ring: vec![Bucket::EMPTY; len as usize],
+            mask: len - 1,
+            base: 0,
+            in_ring: 0,
+            cells: Vec::new(),
+            free: NIL,
+            far: BinaryHeap::new(),
+            seq: 0,
+            spare: Vec::new(),
+        }
     }
 
-    /// Schedules `tag` to attempt in slot `at`.
+    /// Slots the ring covers.
+    pub fn window(&self) -> u64 {
+        self.mask + 1
+    }
+
+    /// Schedules `tag` (below `u32::MAX`) to attempt in slot `at`, which
+    /// must not precede the last slot [`EventQueue::peek_slot`] returned.
     pub fn push(&mut self, at: u64, tag: u32) {
-        let seq = self.seq;
-        self.seq += 1;
-        self.heap.push(Reverse(Event { at, seq, tag }));
+        assert!(
+            at >= self.base && tag != NIL,
+            "tag {tag} at slot {at}: tags end below {NIL}, slots start at the head slot {}",
+            self.base
+        );
+        if at - self.base <= self.mask {
+            self.link(at, tag);
+        } else {
+            self.far.push(Reverse(Event {
+                at,
+                seq: self.seq,
+                tag,
+            }));
+            self.seq += 1;
+        }
     }
 
-    /// Pops the earliest event.
-    pub fn pop(&mut self) -> Option<Event> {
-        self.heap.pop().map(|Reverse(e)| e)
+    /// The earliest slot holding an event (`None` = empty). Moves the
+    /// window up to it.
+    pub fn peek_slot(&mut self) -> Option<u64> {
+        if self.in_ring == 0 {
+            // Jump an empty ring straight to the first far event.
+            self.base = self.far.peek()?.0.at;
+            self.refill();
+        }
+        while self.ring[(self.base & self.mask) as usize].first == NIL {
+            self.base += 1;
+            self.refill();
+        }
+        Some(self.base)
     }
 
-    /// The earliest event without removing it.
-    pub fn peek(&self) -> Option<Event> {
-        self.heap.peek().map(|&Reverse(e)| e)
+    /// Removes every event of `slot` and returns their tags in push
+    /// order; empty unless `slot` is the earliest slot holding an event.
+    /// Hand the `Vec` back through [`EventQueue::recycle`] once read.
+    pub fn take(&mut self, slot: u64) -> Vec<u32> {
+        let mut tags = std::mem::take(&mut self.spare);
+        if self.peek_slot() != Some(slot) {
+            return tags;
+        }
+        let b = std::mem::replace(&mut self.ring[(slot & self.mask) as usize], Bucket::EMPTY);
+        let mut c = b.first;
+        while c != b.last {
+            let cell = &self.cells[c as usize];
+            tags.extend_from_slice(&cell.tags);
+            c = cell.next;
+        }
+        let last = &self.cells[b.last as usize].tags;
+        tags.extend(last.iter().take_while(|&&t| t != NIL));
+        // The emptied list joins the free chain whole.
+        self.cells[b.last as usize].next = self.free;
+        self.free = b.first;
+        self.in_ring -= tags.len();
+        tags
+    }
+
+    /// Takes back a `Vec` [`EventQueue::take`] returned, to reuse its
+    /// allocation.
+    pub fn recycle(&mut self, mut tags: Vec<u32>) {
+        tags.clear();
+        self.spare = tags;
+    }
+
+    /// Appends `tag` to the bucket of `at`, a slot of the window.
+    fn link(&mut self, at: u64, tag: u32) {
+        self.in_ring += 1;
+        let b = &mut self.ring[(at & self.mask) as usize];
+        if b.last != NIL {
+            let last = &mut self.cells[b.last as usize].tags;
+            if let Some(free) = last.iter_mut().find(|t| **t == NIL) {
+                *free = tag;
+                return;
+            }
+        }
+        // The bucket has no cell, or its last is full: open one.
+        let mut cell = Cell {
+            tags: [NIL; CELL_TAGS],
+            next: NIL,
+        };
+        cell.tags[0] = tag;
+        let c = if self.free == NIL {
+            self.cells.push(cell);
+            u32::try_from(self.cells.len() - 1).expect("fewer than 2^32 cells")
+        } else {
+            let c = self.free;
+            self.free = self.cells[c as usize].next;
+            self.cells[c as usize] = cell;
+            c
+        };
+        if b.last == NIL {
+            b.first = c;
+        } else {
+            self.cells[b.last as usize].next = c;
+        }
+        b.last = c;
+    }
+
+    /// Moves every far event the window now covers into its bucket, in
+    /// heap order.
+    fn refill(&mut self) {
+        while let Some(&Reverse(e)) = self.far.peek() {
+            if e.at - self.base > self.mask {
+                break;
+            }
+            self.far.pop();
+            self.link(e.at, e.tag);
+        }
     }
 }
 
@@ -823,7 +1005,7 @@ impl<'a> DomainSim<'a> {
         let mut d = DomainSim {
             pending: vec![Vec::new(); n_channels],
             touched: Vec::new(),
-            q: EventQueue::new(),
+            q: EventQueue::new(cfg.n_slots, sites.len()),
             next_reset: 0,
             backoffs: 0,
             cfg,
@@ -891,8 +1073,8 @@ impl<'a> DomainSim<'a> {
     }
 
     /// The slot of the earliest queued event (`None` = domain drained).
-    pub(crate) fn peek_slot(&self) -> Option<u64> {
-        self.q.peek().map(|e| e.at)
+    pub(crate) fn peek_slot(&mut self) -> Option<u64> {
+        self.q.peek_slot()
     }
 
     /// Phase A of a slot: apply due tag resets, then drain every event
@@ -946,12 +1128,14 @@ impl<'a> DomainSim<'a> {
                 }
             }
         }
-        while self.q.peek().is_some_and(|e| e.at == slot) {
-            let ev = self.q.pop().expect("peeked event present");
-            let t = &mut self.tags[ev.tag as usize];
-            let site = &self.sites[ev.tag as usize];
+        // The slot's whole bucket at once; every event it schedules is
+        // for a later slot.
+        let events = self.q.take(slot);
+        for &tag in &events {
+            let t = &mut self.tags[tag as usize];
+            let site = &self.sites[tag as usize];
             if trace_mode {
-                let queue = self.queues.of(ev.tag);
+                let queue = self.queues.of(tag);
                 if self.cfg.drop_expired {
                     // Shed head-of-line packets whose deadline has
                     // already passed: a packet transmitted in its
@@ -964,13 +1148,13 @@ impl<'a> DomainSim<'a> {
                         t.next_unserved += 1;
                         self.stats.expired_dropped += 1;
                         t.first_attempt = u64::MAX;
-                        if let Some(a) = self.arq_tags.get_mut(ev.tag as usize) {
+                        if let Some(a) = self.arq_tags.get_mut(tag as usize) {
                             a.pkt_attempts = 0;
                         }
                         if self.cfg.record_trace {
                             self.trace.push(TraceEvent {
                                 slot,
-                                tag: ev.tag,
+                                tag,
                                 kind: TraceKind::Expired,
                             });
                         }
@@ -986,7 +1170,7 @@ impl<'a> DomainSim<'a> {
                         Self::schedule(
                             t,
                             site,
-                            ev.tag,
+                            tag,
                             h.slot,
                             self.slot_secs,
                             &self.cfg,
@@ -1011,7 +1195,7 @@ impl<'a> DomainSim<'a> {
                     Self::schedule(
                         t,
                         site,
-                        ev.tag,
+                        tag,
                         slot + 1,
                         self.slot_secs,
                         &self.cfg,
@@ -1027,8 +1211,9 @@ impl<'a> DomainSim<'a> {
             if self.pending[ch].is_empty() {
                 self.touched.push(ch as u16);
             }
-            self.pending[ch].push(ev.tag);
+            self.pending[ch].push(tag);
         }
+        self.q.recycle(events);
     }
 
     /// Per-channel transmit counts gathered for the slot being resolved
@@ -1408,14 +1593,43 @@ mod tests {
 
     #[test]
     fn event_queue_orders_by_slot_then_push_order() {
-        let mut q = EventQueue::new();
+        // A 64-slot ring over 1000 slots: slot 300 waits in the far heap.
+        let mut q = EventQueue::new(1000, 4);
+        assert_eq!(q.window(), 64);
+        q.push(300, 5);
         q.push(5, 1);
         q.push(2, 2);
+        q.push(300, 6);
         q.push(5, 3);
         q.push(2, 4);
-        let order: Vec<(u64, u32)> =
-            std::iter::from_fn(|| q.pop().map(|e| (e.at, e.tag))).collect();
-        assert_eq!(order, vec![(2, 2), (2, 4), (5, 1), (5, 3)]);
+        let mut order: Vec<(u64, u32)> = Vec::new();
+        while let Some(slot) = q.peek_slot() {
+            let bucket = q.take(slot);
+            order.extend(bucket.iter().map(|&tag| (slot, tag)));
+            q.recycle(bucket);
+            if slot == 5 {
+                // Pushed after the far events of slot 300: leaves after them.
+                q.push(300, 7);
+            }
+        }
+        assert_eq!(
+            order,
+            vec![(2, 2), (2, 4), (5, 1), (5, 3), (300, 5), (300, 6), (300, 7)]
+        );
+        assert!(q.take(300).is_empty());
+    }
+
+    #[test]
+    fn event_queue_ring_covers_the_horizon_capped_by_tags() {
+        // The horizon, rounded up, when the tags allow it.
+        assert_eq!(EventQueue::new(10_000, 62_500).window(), 1 << 14);
+        assert_eq!(EventQueue::new(256, 1 << 20).window(), 256);
+        assert_eq!(EventQueue::new(0, 10).window(), 1);
+        // The tag count caps it: a lone tag over 2^24 slots gets a small
+        // ring, and no domain more than 2^16 buckets.
+        assert_eq!(EventQueue::new(1 << 24, 1).window(), 64);
+        assert_eq!(EventQueue::new(65_536, 4096).window(), 4096);
+        assert_eq!(EventQueue::new(u64::MAX, usize::MAX).window(), 1 << 16);
     }
 
     #[test]

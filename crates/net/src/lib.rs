@@ -15,8 +15,8 @@
 //! * [`deploy`] — deployment synthesis: tag geometry on a disc,
 //!   frequency-division channel plans via
 //!   [`fmbs_core::mac::assign_f_back`], per-tag harvest budgets.
-//! * [`engine`] — the event engine: a binary heap of `(slot, seq)`
-//!   ordered events with stable tie-breaking drives per-tag state
+//! * [`engine`] — the event engine: a calendar queue of per-slot FIFO
+//!   buckets (slot order, then push order) drives per-tag state
 //!   machines (slotted Aloha with binary-exponential backoff, energy
 //!   accrual, link-table packet trials). Same-seed runs are
 //!   trace-identical. Tags either run saturated (full-buffer capacity
@@ -78,8 +78,8 @@ pub mod prelude {
     pub use crate::corpus::{load_corpus, CityScenario, CorpusError, ReceiverGrid};
     pub use crate::deploy::{city_occupancy, HarvestProfile, SiteMap, TagSite};
     pub use crate::engine::{
-        ArqConfig, Arrival, ArrivalTrace, Event, EventQueue, EventTrace, NetRun, NetStats,
-        NetworkConfig, Outcome, TraceEvent, TraceKind, Traffic,
+        ArqConfig, Arrival, ArrivalTrace, EventQueue, EventTrace, NetRun, NetStats, NetworkConfig,
+        Outcome, TraceEvent, TraceKind, Traffic,
     };
     pub use crate::faults::{recovery_time_slots, FaultKind, FaultSchedule, FaultSpec, Window};
     pub use crate::link::{BerTable, BerTableSpec, TableDelta, TableDeltaCell};

@@ -217,9 +217,10 @@ pub enum DeploymentError {
         /// The rejected per-transmitter BER elevation.
         ber: f64,
     },
-    /// A receiver cell or the ambient power is unusable: a radius that is
-    /// not finite and positive, a centre that is not finite or that
-    /// another receiver already occupies, or a non-finite mean power.
+    /// A receiver cell, a station or the ambient power is unusable: a
+    /// radius that is not finite and positive, a centre that is not
+    /// finite or that another receiver already occupies, a station
+    /// position or power that is not finite, or a non-finite mean power.
     Geometry {
         /// What was wrong.
         reason: String,
@@ -276,7 +277,8 @@ impl DeploymentError {
             }
             DeploymentError::Geometry { .. } => {
                 "give each receiver its own finite centre and a finite radius > 0 \
-                 (Receiver::grid needs pitch_ft > 0), and a finite .power(..)"
+                 (Receiver::grid needs pitch_ft > 0), each Station a finite position and \
+                 power, and a finite .power(..)"
             }
             DeploymentError::WorkBudget { .. } => {
                 "shrink the tag count, .slots(..) or the receiver grid, or raise the tag-slot \
@@ -764,6 +766,14 @@ impl Deployment {
                 "mean power {} dBm is not finite",
                 self.cfg.mean_power_dbm
             ));
+        }
+        for (i, st) in self.stations.iter().enumerate() {
+            if !st.x_ft.is_finite() || !st.y_ft.is_finite() || !st.power_dbm.is_finite() {
+                return fail(format!(
+                    "station {i} at ({}, {}) ft with {} dBm is not finite",
+                    st.x_ft, st.y_ft, st.power_dbm
+                ));
+            }
         }
         for (i, r) in self.receivers.iter().enumerate() {
             if !r.x_ft.is_finite() || !r.y_ft.is_finite() {
@@ -1576,6 +1586,27 @@ mod tests {
             Receiver::at(5.0, 5.0, 20.0),
         ])));
         assert!(geometry(Deployment::city(5).power(f64::NAN)));
+        // A station that is not finite, on a 2x2 plan that hears it.
+        let good = Station::at(10_000.0, 0.0);
+        for st in [
+            Station::at(f64::NAN, 0.0),
+            Station::at(0.0, f64::INFINITY),
+            good.power(f64::INFINITY),
+            good.power(f64::NAN),
+            good.power(f64::NEG_INFINITY),
+        ] {
+            let err = Deployment::city(200)
+                .stations([good, st])
+                .receivers(Receiver::grid(2, 2, 40.0))
+                .build()
+                .map(|_| ())
+                .unwrap_err();
+            assert!(
+                matches!(err, DeploymentError::Geometry { .. }),
+                "{st:?}: {err}"
+            );
+            assert!(err.hint().contains("Station"), "{}", err.hint());
+        }
         let err = Deployment::city(5)
             .receivers(Receiver::grid(3, 3, 0.0))
             .build()
@@ -1583,6 +1614,11 @@ mod tests {
         assert!(err.hint().contains("pitch_ft > 0"), "{}", err.hint());
         assert!(Deployment::city(5)
             .receivers(Receiver::grid(3, 3, 40.0))
+            .build()
+            .is_ok());
+        assert!(Deployment::city(200)
+            .stations([good])
+            .receivers(Receiver::grid(2, 2, 40.0))
             .build()
             .is_ok());
     }

@@ -1,6 +1,7 @@
 //! Decomposes the cost of one sweep point — the unit of work behind
 //! every swept figure — so perf PRs can see where the milliseconds live
-//! before and after a change.
+//! before and after a change, and prints the network engine's cost per
+//! transmission attempt beside it.
 //!
 //! ```sh
 //! cargo run --release --example profile_point
@@ -12,13 +13,16 @@ use fmbs_core::modem::encoder::DataEncoder;
 use fmbs_core::modem::Bitrate;
 use fmbs_core::sim::fast::{phone_capture_filter, FastSim, FAST_AUDIO_RATE};
 use fmbs_core::sim::physical::{PhysicalSim, PhysicalSimConfig};
-use fmbs_core::sim::scenario::{Scenario, Workload};
+use fmbs_core::sim::scenario::{AppProfile, ArrivalModel, Scenario, Workload};
 use fmbs_core::sim::Simulator;
 use fmbs_dsp::complex::Complex;
 use fmbs_dsp::fir::{ComplexFir, FirDesign};
 use fmbs_dsp::goertzel::GoertzelBank;
 use fmbs_dsp::resample::Upsampler;
 use fmbs_dsp::windows::Window;
+use fmbs_net::prelude::{BerTable, Deployment, NetworkConfig, Receiver, Station, Traffic};
+use fmbs_workload::arrivals::TraceSpec;
+use std::sync::Arc;
 use std::time::Instant;
 
 fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
@@ -99,4 +103,67 @@ fn main() {
             .collect::<Vec<_>>()
     });
     println!("  goertzel bank   {ms:>8.3} ms   (16 tones, 200 x 240-sample windows)");
+
+    println!("network engine (one thread, plan built untimed):");
+    // A flat link table: these rows time the engine, not calibration.
+    let table = Arc::new(BerTable::from_grid(
+        vec![-90.0, -20.0],
+        vec![1.0, 100.0],
+        vec![Bitrate::Kbps1_6],
+        vec![1e-4; 4],
+    ));
+    let (n_tags, n_slots) = (1 << 16, 256);
+    let cell = Deployment::city(n_tags)
+        .slots(n_slots)
+        .link(table.clone())
+        .build()
+        .expect("a single-cell city is always valid")
+        .sim();
+    net_row(
+        "saturated cell",
+        "2^16 tags x 256 slots, one receiver",
+        || cell.run_serial().stats.attempts,
+    );
+    let (n_tags, n_slots) = (100_000, 10_000);
+    let trace = TraceSpec {
+        n_tags,
+        n_slots,
+        slot_secs: NetworkConfig::new(n_tags, n_slots).slot_secs(),
+        model: ArrivalModel::Poisson,
+        offered_load: 1e-4,
+        profile: AppProfile::SensorBeacon,
+        seed: 7,
+    }
+    .generate();
+    let metro = Deployment::city(n_tags)
+        .slots(n_slots)
+        .work_budget(n_tags as u64 * n_slots)
+        .stations([Station::at(10_000.0, 0.0)])
+        .receivers(Receiver::grid(4, 4, 40.0))
+        .capture(6.0)
+        .traffic(Traffic::Trace(Arc::new(trace)))
+        .link(table)
+        .build()
+        .expect("a 4x4 metro city is valid")
+        .sim();
+    net_row(
+        "metro trace",
+        "10^5 tags x 10^4 slots, 4x4 cells, Poisson 1e-4",
+        || metro.run_serial().stats.attempts,
+    );
+}
+
+/// Prints the time per attempt over three runs of `run`, which returns
+/// the attempts it made.
+fn net_row(name: &str, what: &str, mut run: impl FnMut() -> u64) {
+    let reps = 3;
+    let t = Instant::now();
+    let attempts: u64 = (0..reps).map(|_| run()).sum();
+    let secs = t.elapsed().as_secs_f64();
+    println!(
+        "  {name:<15} {:>8.1} ns/attempt   ({:.1} ms and {} attempts per run; {what})",
+        secs * 1e9 / attempts.max(1) as f64,
+        secs * 1e3 / reps as f64,
+        attempts / reps
+    );
 }

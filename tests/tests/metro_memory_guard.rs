@@ -22,7 +22,7 @@ const WORKERS: usize = 2;
 
 /// Peak-RSS growth per tag across building and running the plan: the
 /// plan's sites, the per-domain engines (hot tag state, flat arrival
-/// queues, event heaps) and the merged statistics. With two workers it
+/// queues, event queues) and the merged statistics. With two workers it
 /// read 234-237 B/tag in release and debug builds on x86-64 Linux; the
 /// bound adds 26 B (11%) to 234. Engines that clone each tag's arrival `Vec`
 /// and keep a 144-byte tag state read 291.

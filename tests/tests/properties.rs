@@ -887,6 +887,81 @@ proptest! {
         // A single attempt is a solo transmission, not a capture.
         prop_assert_eq!(capture_winner(&attempts[..1], &rx, m1), None);
     }
+
+    /// The net engine's calendar queue hands out events in the order of
+    /// a binary heap keyed on (slot, push counter, tag), over random
+    /// interleavings of pushes and slot drains: horizons far longer than
+    /// the ring (events wait in the overflow heap and move into the
+    /// ring), long empty stretches, pushes at either side of the
+    /// window's edge and into the slot just drained, and takes of a
+    /// slot that is not the head.
+    #[test]
+    fn metro_event_queue_matches_heap_order(
+        n_tags in 1usize..5_000,
+        horizon_log2 in 0u32..40,
+        ops in prop::collection::vec(any::<u64>(), 1..4_000),
+    ) {
+        use fmbs_net::prelude::EventQueue;
+        use std::cmp::Reverse;
+        use std::collections::BinaryHeap;
+        let horizon = 1u64 << horizon_log2;
+        let mut q = EventQueue::new(horizon, n_tags);
+        let w = q.window();
+        prop_assert!(w.is_power_of_two() && w <= horizon.max(64) && w <= 1 << 16);
+        let mut heap: BinaryHeap<Reverse<(u64, u64, u32)>> = BinaryHeap::new();
+        let (mut seq, mut head) = (0u64, 0u64);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        let mut drain = |q: &mut EventQueue,
+                         heap: &mut BinaryHeap<Reverse<(u64, u64, u32)>>,
+                         head: &mut u64|
+         -> Result<bool, TestCaseError> {
+            let slot = q.peek_slot();
+            prop_assert_eq!(slot, heap.peek().map(|Reverse(e)| e.0));
+            let Some(slot) = slot else {
+                return Ok(false);
+            };
+            *head = slot;
+            let bucket = q.take(slot);
+            got.extend(bucket.iter().map(|&tag| (slot, tag)));
+            q.recycle(bucket);
+            while heap.peek().is_some_and(|Reverse(e)| e.0 == slot) {
+                let Reverse((at, _, tag)) = heap.pop().unwrap();
+                want.push((at, tag));
+            }
+            Ok(true)
+        };
+        for op in ops {
+            let (kind, arg, tag) = (op % 16, (op >> 8) & 0xffff_ffff, (op >> 40) as u32);
+            let delta = match kind {
+                0..=3 => {
+                    drain(&mut q, &mut heap, &mut head)?;
+                    continue;
+                }
+                4 => {
+                    // A later slot is not the head: nothing leaves.
+                    let later = head + 1 + arg % 3;
+                    if q.peek_slot() != Some(later) {
+                        prop_assert!(q.take(later).is_empty());
+                    }
+                    head = q.peek_slot().unwrap_or(head);
+                    continue;
+                }
+                5 => 0,
+                6..=8 => 1 + arg % 4,
+                9 | 10 => w - 1 + arg % 3,
+                11 | 12 => arg % (4 * w),
+                13 | 14 => arg % horizon,
+                _ => (arg % 64) * horizon.max(w),
+            };
+            q.push(head + delta, tag);
+            heap.push(Reverse((head + delta, seq, tag)));
+            seq += 1;
+        }
+        while drain(&mut q, &mut heap, &mut head)? {}
+        prop_assert!(heap.is_empty());
+        prop_assert_eq!(got.len() as u64, seq);
+        prop_assert_eq!(got, want);
+    }
 }
 
 // Trace-driven metro runs on the sharded engine: every feature that
