@@ -1,11 +1,11 @@
 //! Metro-tier throughput: a 100,000-tag × 1,000-slot deployment
 //! sharded across a 4×4 receiver grid with capture on, serial versus
-//! every-core parallel. The full 10⁶-tag × 10⁴-slot acceptance run is
-//! tracked in `BENCH_net.json` via `repro --perf`; this bench keeps the
-//! sharded hot path honest at a size criterion can iterate.
+//! every-core parallel. perfbench's `metro_trace` workload times the
+//! same geometry at 10⁶ tags × 10⁴ slots; this bench keeps the sharded
+//! hot path honest at a size criterion can iterate.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use fmbs_bench::perf::scenario;
+use fmbs_bench::perf::metro_acceptance_deployment;
 use fmbs_core::sim::fast::FastSim;
 use fmbs_net::prelude::{BerTable, BerTableSpec};
 use std::sync::Arc;
@@ -15,7 +15,7 @@ fn bench(c: &mut Criterion) {
     // the timed work is the sharded discrete-event engine alone.
     let table = Arc::new(BerTable::calibrate(&FastSim, &BerTableSpec::quick()));
     let (n_tags, n_slots) = (100_000usize, 1_000u64);
-    let sim = (scenario("+metro").deployment)(n_tags, n_slots)
+    let sim = metro_acceptance_deployment(n_tags, n_slots)
         .link(table)
         .build()
         .expect("metro bench deployment is valid")

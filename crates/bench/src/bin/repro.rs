@@ -23,15 +23,6 @@
 //!                       # intentional physics change
 //! repro --goldens dir   # golden directory for --check / --bless
 //!                       # (default goldens/)
-//! repro --perf [file]   # measure sweep throughput and every network
-//!                       # row of perf::NET_SCENARIOS, append to the
-//!                       # tracked series (default BENCH_sweep.json /
-//!                       # BENCH_net.json); a row's records carry its
-//!                       # label suffix, so --label must not end in one
-//! repro --perf ... --gate
-//!                       # additionally fail if a series drops >30%
-//!                       # below its last committed BENCH entry or a
-//!                       # row has no committed entry
 //! repro --profile network_capacity
 //!                       # regenerate with an observability collector
 //!                       # installed and print a per-figure stage
@@ -44,8 +35,7 @@
 //! repro network_capacity --manifest manifest.json
 //!                       # write a canonical-JSON run manifest (figure
 //!                       # shapes + wall times, grid, tier, seed model,
-//!                       # observability snapshot, git describe, last
-//!                       # committed BENCH baselines)
+//!                       # observability snapshot, git describe)
 //! repro --validate-manifest manifest.json
 //!                       # parse a manifest and assert it is canonical
 //!                       # (byte-identical under re-canonicalization)
@@ -74,13 +64,10 @@ use fmbs_bench::campaign;
 use fmbs_bench::check::{self, Tolerance};
 use fmbs_bench::experiments::{self, BuildCtx, ExperimentSpec, Grid, Vary, REGISTRY};
 use fmbs_bench::manifest::{self, FigureEntry};
-use fmbs_bench::perf;
 use fmbs_bench::report::Experiment;
-use fmbs_core::sim::fast::FastSim;
 use fmbs_core::sim::Tier;
 use fmbs_net::corpus::CityScenario;
 use fmbs_net::faults::FaultKind;
-use fmbs_net::prelude::{BerTable, BerTableSpec};
 use fmbs_obs::Collector;
 use std::sync::Arc;
 use std::time::Instant;
@@ -95,12 +82,9 @@ struct Cli {
     list: bool,
     check: bool,
     bless: bool,
-    gate: bool,
     profile: bool,
     tier: Tier,
     fault: Option<FaultKind>,
-    perf: Option<String>,
-    label: String,
     json_dir: Option<String>,
     goldens_dir: String,
     trace_out: Option<String>,
@@ -118,12 +102,9 @@ fn parse_cli() -> Cli {
         list: false,
         check: false,
         bless: false,
-        gate: false,
         profile: false,
         tier: Tier::Fast,
         fault: None,
-        perf: None,
-        label: "unlabelled".into(),
         json_dir: None,
         goldens_dir: "goldens".into(),
         trace_out: None,
@@ -134,34 +115,26 @@ fn parse_cli() -> Cli {
         ids: Vec::new(),
     };
     let mut i = 0;
-    // An optional value following a flag: present when the next arg is
-    // not itself a flag.
-    let optional_value = |args: &[String], i: usize| -> Option<String> {
-        args.get(i + 1).filter(|a| !a.starts_with("--")).cloned()
-    };
+    // The value following a flag: the next arg, unless it is itself a
+    // flag.
     let required_value = |args: &[String], i: usize, flag: &str| -> String {
-        optional_value(args, i).unwrap_or_else(|| {
-            eprintln!("{flag} needs a value");
-            std::process::exit(2);
-        })
+        args.get(i + 1)
+            .filter(|a| !a.starts_with("--"))
+            .cloned()
+            .unwrap_or_else(|| {
+                eprintln!("{flag} needs a value");
+                std::process::exit(2);
+            })
     };
     while i < args.len() {
         match args[i].as_str() {
             "--full" => cli.full = true,
             "--list" => cli.list = true,
             "--check" => cli.check = true,
-            "--gate" => cli.gate = true,
             // No optional directory value: `repro --bless fig8a` must
             // mean "bless the fig8a subset", not "bless everything into
             // ./fig8a/". The directory comes from --goldens.
             "--bless" => cli.bless = true,
-            "--perf" => {
-                cli.perf = Some(
-                    optional_value(&args, i)
-                        .inspect(|_| i += 1)
-                        .unwrap_or_else(|| "BENCH_sweep.json".into()),
-                );
-            }
             "--tier" => {
                 let name = required_value(&args, i, "--tier");
                 i += 1;
@@ -189,10 +162,6 @@ fn parse_cli() -> Cli {
                     eprintln!("  known fault kinds: {}", known.join(", "));
                     std::process::exit(2);
                 }));
-            }
-            "--label" => {
-                cli.label = required_value(&args, i, "--label");
-                i += 1;
             }
             "--json" => {
                 cli.json_dir = Some(required_value(&args, i, "--json"));
@@ -321,115 +290,6 @@ fn require_fault_capable(specs: &[&'static ExperimentSpec], fault: Option<FaultK
             );
             std::process::exit(2);
         }
-    }
-}
-
-fn run_perf(path: &str, label: &str, gate: bool) {
-    // Baselines are read from the committed repo-root series *before*
-    // anything is appended: with the default path the fresh record lands
-    // in the same file, and a gate reading it afterwards would compare
-    // the measurement against itself.
-    let (sweep_baseline, net_baselines) = gate
-        .then(|| {
-            (
-                perf::last_sweep_record("BENCH_sweep.json"),
-                perf::net_baselines("BENCH_net.json"),
-            )
-        })
-        .unzip();
-    let mut failed = false;
-    let mut report = |outcome: Result<perf::GateOutcome, String>| match outcome {
-        Ok(o) => {
-            println!("{}", o.render());
-            failed |= !o.passed;
-        }
-        Err(e) => {
-            eprintln!("perf gate: {e}");
-            failed = true;
-        }
-    };
-    let rec = match perf::record_full(path, label, 3) {
-        Ok(rec) => {
-            println!(
-                "sweep throughput: {:.1} points/s serial, {:.1} points/s parallel \
-                 ({} points; cache {} hits / {} misses) -> {path}",
-                rec.serial_points_per_sec,
-                rec.parallel_points_per_sec,
-                rec.grid_points,
-                rec.cache.hits(),
-                rec.cache.misses(),
-            );
-            for (id, wall_s) in &rec.figure_wall_s {
-                println!("  figure wall: {id:<20} {wall_s:>8.3} s (quick grid)");
-            }
-            rec
-        }
-        Err(e) => {
-            eprintln!("--perf failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Some(baseline) = sweep_baseline {
-        report(baseline.map(|b| perf::gate_sweep(&b, &rec, perf::MAX_PERF_DROP)));
-    }
-    // BENCH_net.json is parsed once, so a malformed file is one error,
-    // not one per row.
-    let net_baselines = match net_baselines {
-        Some(Ok(baselines)) => Some(baselines),
-        Some(Err(e)) => {
-            report(Err(e));
-            None
-        }
-        None => None,
-    };
-    // One calibrated link table serves every row; calibration is untimed.
-    let table = Arc::new(BerTable::calibrate(&FastSim, &BerTableSpec::quick()));
-    let net_path = perf::net_series_path(path);
-    for row in perf::NET_SCENARIOS {
-        let rec = match perf::measure_net(row, &table, label)
-            .and_then(|rec| perf::append(&net_path, rec))
-        {
-            Ok(rec) => rec,
-            Err(e) => {
-                eprintln!("--perf ({}) failed: {e}", row.what);
-                std::process::exit(1);
-            }
-        };
-        println!(
-            "{} throughput: {} tags x {} slots in {:.2} s \
-             ({:.2e} tag-slots/s, {} packets delivered) -> {net_path}",
-            row.what, rec.n_tags, rec.n_slots, rec.elapsed_s, rec.tag_slots_per_sec, rec.delivered,
-        );
-        if let Some(baselines) = &net_baselines {
-            report(
-                baselines
-                    .get(row.suffix)
-                    .map(|base| {
-                        perf::compare(
-                            &format!("{} tag-slots/s", row.what),
-                            rec.tag_slots_per_sec,
-                            &base.label,
-                            base.tag_slots_per_sec,
-                            perf::MAX_PERF_DROP,
-                        )
-                    })
-                    .ok_or_else(|| {
-                        format!(
-                            "BENCH_net.json has no committed baseline for the {} row \
-                             (label suffix \"{}\")",
-                            row.what, row.suffix
-                        )
-                    }),
-            );
-        }
-    }
-    if failed {
-        eprintln!(
-            "perf gate failed: throughput dropped more than {:.0}% below the \
-             committed baseline, or a baseline is missing",
-            100.0 * perf::MAX_PERF_DROP,
-        );
-        std::process::exit(1);
     }
 }
 
@@ -567,10 +427,8 @@ fn run_campaign_mode(cli: &Cli) {
     // A campaign is a plain fast-tier regeneration of the whole grid;
     // the orthogonal modes either perturb it (--profile adds clock
     // reads, --tier/--fault change figure content) or belong to the
-    // per-figure path (--perf, --manifest, --trace-out).
+    // per-figure path (--manifest, --trace-out).
     let refused = [
-        ("--perf", cli.perf.is_some()),
-        ("--gate", cli.gate),
         ("--profile", cli.profile),
         ("--trace-out", cli.trace_out.is_some()),
         ("--manifest", cli.manifest.is_some()),
@@ -880,23 +738,19 @@ fn main() {
         run_campaign_mode(&cli);
         return;
     }
-    if cli.gate && cli.perf.is_none() {
-        eprintln!("--gate only applies to --perf runs");
-        std::process::exit(2);
-    }
     if cli.trace_out.is_some() && !cli.profile {
         eprintln!("--trace-out requires --profile: spans are only recorded while profiling");
         std::process::exit(2);
     }
-    if cli.profile && (cli.check || cli.bless || cli.perf.is_some()) {
+    if cli.profile && (cli.check || cli.bless) {
         // Profiling adds clock reads around every stage; keeping it out
-        // of the perf series and golden verification keeps both honest.
-        eprintln!("--profile does not combine with --check/--bless/--perf: profile a plain run");
+        // of golden verification keeps it honest.
+        eprintln!("--profile does not combine with --check/--bless: profile a plain run");
         std::process::exit(2);
     }
-    if cli.manifest.is_some() && (cli.check || cli.bless || cli.perf.is_some()) {
+    if cli.manifest.is_some() && (cli.check || cli.bless) {
         eprintln!(
-            "--manifest does not combine with --check/--bless/--perf: a manifest records a \
+            "--manifest does not combine with --check/--bless: a manifest records a \
              regeneration run",
         );
         std::process::exit(2);
@@ -907,40 +761,24 @@ fn main() {
     if let Some(path) = &cli.manifest {
         require_writable_parent("--manifest", path);
     }
-    if cli.fault.is_some() && (cli.check || cli.bless || cli.perf.is_some()) {
+    if cli.fault.is_some() && (cli.check || cli.bless) {
         // Goldens record the full fault-class series set; a restricted
         // build diffed against them would always "fail".
         eprintln!(
-            "--fault does not combine with --check/--bless/--perf: goldens and the perf \
-             series record the full fault-class set",
+            "--fault does not combine with --check/--bless: goldens record the full \
+             fault-class set",
         );
         std::process::exit(2);
     }
-    if cli.tier != Tier::Fast && (cli.check || cli.bless || cli.perf.is_some()) {
-        // Goldens (and the perf series) are fast-tier canonical; a
+    if cli.tier != Tier::Fast && (cli.check || cli.bless) {
+        // Goldens are fast-tier canonical; a
         // physical-tier run diffed against them would always "fail".
         eprintln!(
-            "--tier {} does not combine with --check/--bless/--perf: goldens and the perf \
-             series are fast-tier canonical (the calibration figures compare tiers)",
+            "--tier {} does not combine with --check/--bless: goldens are fast-tier \
+             canonical (the calibration figures compare tiers)",
             cli.tier.name(),
         );
         std::process::exit(2);
-    }
-    if let Some(path) = &cli.perf {
-        // Records are told apart by label suffix: a label that already
-        // ends in a row's suffix would file the saturated record under
-        // that row and corrupt its baseline.
-        let suffix = perf::scenario(&cli.label).suffix;
-        if !suffix.is_empty() {
-            eprintln!(
-                "--label {} ends in the \"{suffix}\" row suffix that --perf appends itself; \
-                 pick a label without it",
-                cli.label,
-            );
-            std::process::exit(2);
-        }
-        run_perf(path, &cli.label, cli.gate);
-        return;
     }
     if cli.full && (cli.check || cli.bless) {
         // Silently validating Quick while the user believes the dense
@@ -1049,7 +887,6 @@ fn main() {
             cli.tier.name(),
             &figures,
             run_collector.as_deref(),
-            "BENCH_sweep.json",
         );
         match manifest::write(path, &built) {
             Ok(text) => eprintln!("wrote {path} ({} bytes, canonical JSON)", text.len()),

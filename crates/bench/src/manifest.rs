@@ -3,15 +3,13 @@
 //! A manifest answers "what produced these figures?" without re-running
 //! anything: figure ids and shapes, grid density, simulation tier, the
 //! per-stage timing/counter snapshot of the run's [`fmbs_obs`]
-//! collector, the working tree's `git describe`, and the last committed
-//! `BENCH_sweep.json` / `BENCH_net.json` baselines the run would be
-//! gated against. It is rendered through the goldens' canonical-JSON
-//! writer ([`crate::check::canonical_value`]), so a manifest
-//! re-canonicalizes to itself byte for byte — which is exactly what
-//! [`validate`] checks and what CI runs against the smoke manifest.
+//! collector and the working tree's `git describe`. It is rendered
+//! through the goldens' canonical-JSON writer
+//! ([`crate::check::canonical_value`]), so a manifest re-canonicalizes
+//! to itself byte for byte — which is exactly what [`validate`] checks
+//! and what CI runs against the smoke manifest.
 
 use crate::check::canonical_value;
-use crate::perf;
 use fmbs_obs::Collector;
 use serde::{Serialize, Value};
 
@@ -59,41 +57,6 @@ pub fn git_describe() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// The last committed BENCH baselines (the records a `--perf --gate`
-/// run would compare against), as a value-tree fragment; populations
-/// that do not exist yet render as `null`.
-fn bench_baselines(sweep_path: &str) -> Value {
-    let sweep = perf::last_sweep_record(sweep_path).ok().map(|r| {
-        Value::Map(vec![
-            ("label".into(), r.label.to_value()),
-            (
-                "serial_points_per_sec".into(),
-                r.serial_points_per_sec.to_value(),
-            ),
-            (
-                "parallel_points_per_sec".into(),
-                r.parallel_points_per_sec.to_value(),
-            ),
-            ("figure_wall_s".into(), r.figure_wall_s.to_value()),
-        ])
-    });
-    // The saturated row (empty label suffix).
-    let net = perf::net_baselines(&perf::net_series_path(sweep_path))
-        .ok()
-        .and_then(|mut rows| rows.remove(""))
-        .map(|r| {
-            Value::Map(vec![
-                ("label".into(), r.label.to_value()),
-                ("tag_slots_per_sec".into(), r.tag_slots_per_sec.to_value()),
-                ("elapsed_s".into(), r.elapsed_s.to_value()),
-            ])
-        });
-    Value::Map(vec![
-        ("sweep".into(), sweep.to_value()),
-        ("net".into(), net.to_value()),
-    ])
-}
-
 /// The observability snapshot: per-stage timings (calls, total and
 /// self seconds), counters, and span-drop accounting.
 fn obs_snapshot(c: &Collector) -> Value {
@@ -130,14 +93,12 @@ fn obs_snapshot(c: &Collector) -> Value {
 /// `collector` is the run's installed observability collector, when one
 /// was active (`--profile` runs); without one the stage/counter block
 /// reports empty tables rather than being omitted, so the schema is
-/// stable either way. `bench_sweep_path` locates the committed
-/// baselines (`BENCH_net.json` is derived from it).
+/// stable either way.
 pub fn build(
     grid_label: &str,
     tier_label: &str,
     figures: &[FigureEntry],
     collector: Option<&Collector>,
-    bench_sweep_path: &str,
 ) -> Value {
     let figure_values: Vec<Value> = figures
         .iter()
@@ -175,7 +136,6 @@ pub fn build(
         ),
         ("figures".into(), Value::Seq(figure_values)),
         ("observability".into(), obs),
-        ("bench_baselines".into(), bench_baselines(bench_sweep_path)),
     ])
 }
 
@@ -237,13 +197,7 @@ mod tests {
             n_points: 10,
             wall_s: 0.5,
         }];
-        build(
-            "quick",
-            "fast",
-            &figures,
-            Some(&collector),
-            "/nonexistent/BENCH_sweep.json",
-        )
+        build("quick", "fast", &figures, Some(&collector))
     }
 
     #[test]

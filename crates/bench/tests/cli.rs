@@ -58,11 +58,11 @@ fn repro_physical_tier_rejects_unsweepable_figure() {
     }
 }
 
-/// `--tier physical` refuses golden/check/perf modes (those are
-/// fast-tier canonical) instead of diffing apples against oranges.
+/// `--tier physical` refuses the golden modes (goldens are fast-tier
+/// canonical) instead of diffing apples against oranges.
 #[test]
 fn repro_physical_tier_rejects_check_bless_perf() {
-    for mode in [&["--check"][..], &["--bless"], &["--perf", "/tmp/x.json"]] {
+    for mode in [&["--check"][..], &["--bless"]] {
         let mut args = vec!["--tier", "physical"];
         args.extend_from_slice(mode);
         args.push("fig7");
@@ -125,44 +125,34 @@ fn repro_fault_rejects_non_fault_figure() {
     }
 }
 
-/// `--fault` refuses golden/check/perf modes (goldens and the perf
-/// series record the full fault-class set) instead of diffing a
-/// restricted build against full-set references.
+/// `--fault` refuses the golden modes (goldens record the full
+/// fault-class set) instead of diffing a restricted build against
+/// full-set references.
 #[test]
 fn repro_fault_rejects_check_bless_perf() {
-    for mode in [&["--check"][..], &["--bless"], &["--perf", "/tmp/x.json"]] {
+    for mode in [&["--check"][..], &["--bless"]] {
         let mut args = vec!["--fault", "outage"];
         args.extend_from_slice(mode);
         args.push("fault_resilience_goodput");
         let (code, stderr) = run_repro(&args);
         assert_eq!(code, Some(2), "{mode:?} stderr: {stderr}");
         assert!(
-            stderr.contains("does not combine with --check/--bless/--perf"),
+            stderr.contains("does not combine with --check/--bless"),
             "{mode:?}: {stderr}"
         );
     }
 }
 
-/// `--perf` appends each row's suffix to the label and tells records
-/// apart by it, so a label that already ends in a row suffix would file
-/// the saturated record as that row's baseline. It exits 2 naming the
-/// suffix, before anything is measured or written.
+/// The retired perf-series flags are unknown flags: each exits 2 on
+/// the `unknown flag` path, before anything runs or is written.
 #[test]
-fn repro_perf_rejects_a_label_with_a_row_suffix() {
-    let dir = std::env::temp_dir().join("fmbs_cli_perf_label_test");
-    let path = dir.join("BENCH_sweep.json");
-    let path = path.to_str().unwrap();
-    for label in ["x+workload", "x+faults", "x+metro"] {
-        let (code, stderr) = run_repro(&["--perf", path, "--label", label]);
-        assert_eq!(code, Some(2), "{label} stderr: {stderr}");
-        let suffix = &label[1..];
+fn repro_retired_perf_flags_are_unknown() {
+    for args in [&["--perf", "x"][..], &["--gate"], &["--label", "y"]] {
+        let (code, stderr) = run_repro(args);
+        assert_eq!(code, Some(2), "{args:?} stderr: {stderr}");
         assert!(
-            stderr.contains(&format!("\"{suffix}\" row suffix")),
-            "{label}: {stderr}"
-        );
-        assert!(
-            !std::path::Path::new(path).exists(),
-            "{label}: wrote {path}"
+            stderr.contains(&format!("unknown flag: {}", args[0])),
+            "{args:?}: {stderr}"
         );
     }
 }

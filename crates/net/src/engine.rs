@@ -1964,10 +1964,14 @@ mod tests {
         cfg.arq = Some(ArqConfig::default());
         cfg.faults = FaultSpec::none()
             .with_outages(1, 60)
+            .with_brownouts(2, 60, 0.25)
             .with_bursts(2, 40, 0.05)
             .with_resets(6);
         let a = simulate(cfg.clone(), table());
         let b = simulate(cfg.clone(), table());
+        // Every fault class with ARQ on must still conserve the queues.
+        assert!(a.stats.queue_conserved(), "{:?}", a.stats);
+        assert!(b.stats.queue_conserved(), "{:?}", b.stats);
         assert_eq!(a.trace, b.trace);
         assert_eq!(a.stats.abandoned, b.stats.abandoned);
         cfg.faults.seed ^= 1;
