@@ -55,7 +55,19 @@ impl LogDistanceModel {
 
     /// Deterministic path loss at `d_m` (no shadowing).
     pub fn path_loss_db(&self, d_m: f64) -> Db {
-        let pl0 = free_space_path_loss_db(self.d0_m, self.f_hz);
+        self.path_loss_from_db(self.reference_loss_db(), d_m)
+    }
+
+    /// The loss at the reference distance, `PL(d0)` (free space).
+    pub fn reference_loss_db(&self) -> Db {
+        free_space_path_loss_db(self.d0_m, self.f_hz)
+    }
+
+    /// [`LogDistanceModel::path_loss_db`] over a reference loss `pl0`
+    /// already computed by [`LogDistanceModel::reference_loss_db`], for
+    /// callers evaluating many distances: the same bits, without
+    /// recomputing `PL(d0)` per call.
+    pub fn path_loss_from_db(&self, pl0: Db, d_m: f64) -> Db {
         let d = d_m.max(self.d0_m);
         Db(pl0.0 + 10.0 * self.exponent * (d / self.d0_m).log10())
     }

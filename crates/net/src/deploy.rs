@@ -70,11 +70,22 @@ pub struct SiteMap {
     pub n_channels: usize,
 }
 
-/// A unit-interval sample derived from `(seed, tag, salt)` via the
-/// sweep engine's shared SplitMix64 mixer.
-pub(crate) fn unit(seed: u64, tag: u64, salt: u64) -> f64 {
-    let h = splitmix64(splitmix64(seed ^ (salt << 48)) ^ tag);
-    (h >> 11) as f64 / (1u64 << 53) as f64
+/// Unit-interval samples derived from `(seed, tag, salt)` via the
+/// sweep engine's shared SplitMix64 mixer, one stream per
+/// `(seed, salt)`: its per-run half is hashed once, here.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct UnitDraw(u64);
+
+impl UnitDraw {
+    pub(crate) fn new(seed: u64, salt: u64) -> Self {
+        UnitDraw(splitmix64(seed ^ (salt << 48)))
+    }
+
+    /// Tag `tag`'s sample in [0, 1).
+    pub(crate) fn at(self, tag: u64) -> f64 {
+        let h = splitmix64(self.0 ^ tag);
+        (h >> 11) as f64 / (1u64 << 53) as f64
+    }
 }
 
 /// A synthetic city band plan: roughly a third of the 100 channels carry
@@ -104,62 +115,70 @@ pub fn city_occupancy(host: Channel, min_shift_hz: f64) -> BandOccupancy {
 impl SiteMap {
     /// Synthesises the tags of `cfg` on a disc of `cell_radius_ft`:
     /// uniform-in-area placement, ±4 dB log-normal-ish shadowing around
-    /// `mean_power_dbm`, then [`SiteMap::place`].
+    /// `mean_power_dbm`, then [`SiteMap::place_into`].
     pub fn generate(cfg: &NetworkConfig) -> Self {
         let shifts = assign_f_back(&cfg.occupancy, cfg.host, cfg.n_tags);
-        let geometry = (0..cfg.n_tags).map(|i| {
-            let distance_ft = (cfg.cell_radius_ft * unit(cfg.seed, i as u64, 1).sqrt()).max(1.0);
-            let power_dbm = cfg.mean_power_dbm + 8.0 * (unit(cfg.seed, i as u64, 2) - 0.5);
+        let (radius, power) = (UnitDraw::new(cfg.seed, 1), UnitDraw::new(cfg.seed, 2));
+        let geometry = (0..cfg.n_tags as u64).map(|i| {
+            let distance_ft = (cfg.cell_radius_ft * radius.at(i).sqrt()).max(1.0);
+            let power_dbm = cfg.mean_power_dbm + 8.0 * (power.at(i) - 0.5);
             (distance_ft, power_dbm)
         });
-        Self::place(geometry, &shifts, cfg)
+        let mut sites = Vec::with_capacity(cfg.n_tags);
+        let n_channels = Self::place_into(geometry, &shifts, cfg, &mut sites)
+            .len()
+            .max(1);
+        SiteMap { sites, n_channels }
     }
 
-    /// Sites for tags at the given `(distance_ft, power_dbm)`, tag `i` on
-    /// `shifts[i]` (an [`assign_f_back`] plan at least as long), energy
-    /// parameters from `cfg`'s harvest profile and the DCO frequency.
-    pub(crate) fn place(
+    /// Appends the sites of tags at the given `(distance_ft, power_dbm)`
+    /// to `sites`, tag `i` on `shifts[i]` (an [`assign_f_back`] plan at
+    /// least as long), energy parameters from `cfg`'s harvest profile
+    /// and the DCO frequency. Returns each dense channel's shift key
+    /// (`f_back_hz as i64`), by channel id. Pushes only: a `sites`
+    /// reserved to the tag count is never reallocated.
+    pub(crate) fn place_into(
         geometry: impl Iterator<Item = (f64, f64)>,
         shifts: &[Option<f64>],
         cfg: &NetworkConfig,
-    ) -> Self {
+        sites: &mut Vec<TagSite>,
+    ) -> Vec<i64> {
         let slot_secs = cfg.slot_secs();
         // Dense channel ids in order of first appearance, so ids are
-        // stable for a given occupancy regardless of tag count.
-        let mut domains: Vec<i64> = Vec::new();
-        let sites = geometry
-            .zip(shifts)
-            .map(|((distance_ft, power_dbm), shift)| {
-                let f_back_hz = shift.unwrap_or(0.0);
-                let key = f_back_hz as i64;
-                let channel = match domains.iter().position(|&d| d == key) {
-                    Some(c) => c,
-                    None => {
-                        domains.push(key);
-                        domains.len() - 1
-                    }
-                } as u16;
-                let draw_uw = IcPowerModel {
-                    f_back_hz: f_back_hz.abs().max(FM_CHANNEL_SPACING_HZ),
-                    ..PAPER_OPERATING_POINT
+        // stable for a given occupancy regardless of tag count; kept as
+        // (shift key, id) sorted by key for the lookup.
+        let mut channels: Vec<(i64, u16)> = Vec::new();
+        for ((distance_ft, power_dbm), shift) in geometry.zip(shifts) {
+            let f_back_hz = shift.unwrap_or(0.0);
+            let key = f_back_hz as i64;
+            let channel = match channels.binary_search_by_key(&key, |c| c.0) {
+                Ok(at) => channels[at].1,
+                Err(at) => {
+                    channels.insert(at, (key, channels.len() as u16));
+                    channels[at].1
                 }
-                .total_uw();
-                let tx_cost_uj = draw_uw * slot_secs;
-                TagSite {
-                    distance_ft,
-                    power_dbm,
-                    f_back_hz,
-                    channel,
-                    harvest_uw: cfg.harvest.harvest_uw(Dbm(power_dbm)),
-                    tx_cost_uj,
-                    storage_uj: cfg.storage_uj.max(2.0 * tx_cost_uj),
-                }
-            })
-            .collect();
-        SiteMap {
-            sites,
-            n_channels: domains.len().max(1),
+            };
+            let draw_uw = IcPowerModel {
+                f_back_hz: f_back_hz.abs().max(FM_CHANNEL_SPACING_HZ),
+                ..PAPER_OPERATING_POINT
+            }
+            .total_uw();
+            let tx_cost_uj = draw_uw * slot_secs;
+            sites.push(TagSite {
+                distance_ft,
+                power_dbm,
+                f_back_hz,
+                channel,
+                harvest_uw: cfg.harvest.harvest_uw(Dbm(power_dbm)),
+                tx_cost_uj,
+                storage_uj: cfg.storage_uj.max(2.0 * tx_cost_uj),
+            });
         }
+        let mut keys = vec![0; channels.len()];
+        for (key, channel) in channels {
+            keys[channel as usize] = key;
+        }
+        keys
     }
 }
 

@@ -34,9 +34,9 @@
 //! in a side table that only ARQ runs allocate. A single-receiver
 //! plan's one domain reads its arrival queues from the shared
 //! [`ArrivalTrace`] in place; a metro domain copies its tags' queues
-//! once into one flat `Vec<Arrival>` with per-tag offsets, in local tag
-//! order, so its slot loop reads one contiguous block and the trace is
-//! never cloned per tag.
+//! once into a flat [`ArrivalTrace`] of its own, in local tag order, so
+//! its slot loop reads one contiguous block and the trace is never
+//! cloned per tag.
 //!
 //! # Determinism
 //!
@@ -418,21 +418,100 @@ pub struct Arrival {
     pub deadline_slots: u32,
 }
 
-/// Per-tag message arrival lists driving a [`Traffic::Trace`] run.
+/// Per-tag message arrival queues driving a [`Traffic::Trace`] run.
 ///
-/// Entry `i` is tag `i`'s FIFO queue contents, ascending by slot (tags
-/// beyond the list's length simply receive no traffic). Generators live
-/// a layer up, in `fmbs-workload`; the engine only replays traces.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+/// # Layout
+///
+/// One flat block: every tag's queue lies in one `Vec<Arrival>`, tag
+/// after tag, and `start` holds one offset per tag plus one, so tag
+/// `i`'s FIFO is `arrivals[start[i]..start[i + 1]]`, ascending by slot.
+/// A 10^6-tag trace is two allocations, not one per tag. Tags beyond
+/// [`ArrivalTrace::n_tags`] receive no traffic. Generators live a layer
+/// up, in `fmbs-workload`; the engine only replays traces.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArrivalTrace {
-    /// Arrivals per tag, each list ascending by slot.
-    pub per_tag: Vec<Vec<Arrival>>,
+    start: Vec<usize>,
+    arrivals: Vec<Arrival>,
+}
+
+impl Default for ArrivalTrace {
+    fn default() -> Self {
+        ArrivalTrace {
+            start: vec![0],
+            arrivals: Vec::new(),
+        }
+    }
 }
 
 impl ArrivalTrace {
+    /// The trace whose tag `i` queues `arrivals[start[i]..start[i + 1]]`.
+    ///
+    /// # Panics
+    /// When `start` does not begin at 0, decreases, or ends anywhere but
+    /// at `arrivals.len()`.
+    pub fn from_flat(start: Vec<usize>, arrivals: Vec<Arrival>) -> Self {
+        assert_eq!(start.first(), Some(&0), "offsets start at 0");
+        assert!(
+            start.windows(2).all(|w| w[0] <= w[1]),
+            "offsets never decrease"
+        );
+        assert_eq!(
+            start.last(),
+            Some(&arrivals.len()),
+            "offsets end at the arrival count"
+        );
+        ArrivalTrace { start, arrivals }
+    }
+
+    /// Tags with a queue (possibly empty).
+    pub fn n_tags(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// Tag `tag`'s FIFO queue, ascending by slot; empty past the last tag.
+    pub fn of(&self, tag: usize) -> &[Arrival] {
+        match (self.start.get(tag), self.start.get(tag + 1)) {
+            (Some(&a), Some(&b)) => &self.arrivals[a..b],
+            _ => &[],
+        }
+    }
+
+    /// Every tag's queue, in tag order.
+    pub fn queues(&self) -> impl ExactSizeIterator<Item = &[Arrival]> {
+        self.start.windows(2).map(|w| &self.arrivals[w[0]..w[1]])
+    }
+
     /// Total packets in the trace.
     pub fn offered(&self) -> u64 {
-        self.per_tag.iter().map(|a| a.len() as u64).sum()
+        self.arrivals.len() as u64
+    }
+
+    /// A flat copy of the queues of `tags` (in that order, as tags
+    /// `0..`): one metro domain's arrivals in local tag order.
+    pub(crate) fn select<I>(&self, tags: I) -> ArrivalTrace
+    where
+        I: ExactSizeIterator<Item = usize> + Clone,
+    {
+        let mut start = Vec::with_capacity(tags.len() + 1);
+        let mut arrivals = Vec::with_capacity(tags.clone().map(|g| self.of(g).len()).sum());
+        start.push(0);
+        for g in tags {
+            arrivals.extend_from_slice(self.of(g));
+            start.push(arrivals.len());
+        }
+        ArrivalTrace { start, arrivals }
+    }
+}
+
+/// A trace from per-tag queues, tag `i` being the `i`-th item.
+impl<Q: AsRef<[Arrival]>> FromIterator<Q> for ArrivalTrace {
+    fn from_iter<T: IntoIterator<Item = Q>>(queues: T) -> Self {
+        let mut trace = ArrivalTrace::default();
+        for q in queues {
+            trace.arrivals.extend_from_slice(q.as_ref());
+            trace.start.push(trace.arrivals.len());
+        }
+        trace
     }
 }
 
@@ -713,33 +792,20 @@ pub struct NetRun {
     pub trace: EventTrace,
 }
 
-/// One domain's arrival queues.
-///
-/// A domain that holds every tag of the run in global order (a
-/// single-receiver plan) reads the shared [`ArrivalTrace`] in place. A metro
-/// domain holds one flat copy of its tags' queues, built once per run
-/// in local tag order, so its slot loop reads one contiguous block
-/// instead of scattered per-tag allocations. Saturated runs hold none.
+/// One domain's arrival queues: none under saturated traffic, else an
+/// [`ArrivalTrace`] in local tag order. A domain that holds every tag
+/// of the run in global order (a single-receiver plan) reads the shared
+/// trace in place; a metro domain holds a flat copy of its tags' queues,
+/// built once per run, so its slot loop reads one contiguous block.
 #[derive(Debug, Default)]
-pub(crate) enum ArrivalQueues {
-    /// Saturated traffic: no queues.
-    #[default]
-    None,
-    /// The shared trace; local tag `i` is global tag `i`.
-    Shared(Arc<ArrivalTrace>),
-    /// Local tag `i`'s FIFO is `arrivals[start[i]..start[i + 1]]`.
-    Flat {
-        start: Vec<usize>,
-        arrivals: Vec<Arrival>,
-    },
-}
+pub(crate) struct ArrivalQueues(Option<Arc<ArrivalTrace>>);
 
 impl ArrivalQueues {
     /// The queues of every tag under `traffic`, read in place.
     pub(crate) fn shared(traffic: &Traffic) -> Self {
         match traffic {
-            Traffic::Saturated => ArrivalQueues::None,
-            Traffic::Trace(trace) => ArrivalQueues::Shared(trace.clone()),
+            Traffic::Saturated => ArrivalQueues(None),
+            Traffic::Trace(trace) => ArrivalQueues(Some(trace.clone())),
         }
     }
 
@@ -750,31 +816,15 @@ impl ArrivalQueues {
     where
         I: ExactSizeIterator<Item = usize> + Clone,
     {
-        let Traffic::Trace(trace) = traffic else {
-            return ArrivalQueues::None;
-        };
-        let of = |g: usize| trace.per_tag.get(g).map_or(&[][..], Vec::as_slice);
-        let mut start = Vec::with_capacity(tags.len() + 1);
-        let mut arrivals = Vec::with_capacity(tags.clone().map(|g| of(g).len()).sum());
-        start.push(0);
-        for g in tags {
-            arrivals.extend_from_slice(of(g));
-            start.push(arrivals.len());
+        match traffic {
+            Traffic::Saturated => ArrivalQueues(None),
+            Traffic::Trace(trace) => ArrivalQueues(Some(Arc::new(trace.select(tags)))),
         }
-        ArrivalQueues::Flat { start, arrivals }
     }
 
     /// Local tag `tag`'s FIFO queue, ascending by slot.
     fn of(&self, tag: u32) -> &[Arrival] {
-        let i = tag as usize;
-        match self {
-            ArrivalQueues::None => &[],
-            ArrivalQueues::Shared(trace) => trace.per_tag.get(i).map_or(&[], Vec::as_slice),
-            ArrivalQueues::Flat { start, arrivals } => match (start.get(i), start.get(i + 1)) {
-                (Some(&a), Some(&b)) => &arrivals[a..b],
-                _ => &[],
-            },
-        }
+        self.0.as_ref().map_or(&[], |t| t.of(tag as usize))
     }
 }
 
@@ -951,6 +1001,8 @@ impl<'a> DomainSim<'a> {
             arq_tags.reserve_exact(sites.len());
         }
         let mut tags = Vec::with_capacity(sites.len());
+        // One span for the domain's lookup pass, not one per lookup.
+        let lookups = fmbs_obs::stage(fmbs_obs::stages::BER_LOOKUP);
         for (i, site) in sites.iter().enumerate() {
             let raw_ber = table.lookup(cfg.bitrate, site.power_dbm, site.distance_ft);
             if cfg.arq.is_some() {
@@ -994,6 +1046,7 @@ impl<'a> DomainSim<'a> {
                 backoff_exp: 0,
             });
         }
+        drop(lookups);
 
         let stats = NetStats {
             n_tags: cfg.n_tags,
@@ -1725,8 +1778,8 @@ mod tests {
     }
 
     fn trace_of(per_tag: Vec<Vec<(u64, u32)>>) -> Traffic {
-        Traffic::Trace(Arc::new(ArrivalTrace {
-            per_tag: per_tag
+        Traffic::Trace(Arc::new(
+            per_tag
                 .into_iter()
                 .map(|v| {
                     v.into_iter()
@@ -1734,10 +1787,10 @@ mod tests {
                             slot,
                             deadline_slots,
                         })
-                        .collect()
+                        .collect::<Vec<_>>()
                 })
                 .collect(),
-        }))
+        ))
     }
 
     #[test]

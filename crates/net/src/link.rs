@@ -171,7 +171,6 @@ impl BerTable {
     /// Panics if `bitrate` was not calibrated — a rate the table has
     /// never seen cannot be meaningfully interpolated.
     pub fn lookup(&self, bitrate: Bitrate, power_dbm: f64, distance_ft: f64) -> f64 {
-        fmbs_obs::span!(fmbs_obs::stages::BER_LOOKUP);
         let bi = self
             .bitrates
             .iter()

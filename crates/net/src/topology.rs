@@ -34,7 +34,7 @@
 //! [`SiteMap`] disc, no peers, no capture. Sweep metrics place such a
 //! cell at each grid point with [`Deployment::at`].
 
-use crate::deploy::{city_occupancy, unit, HarvestProfile, SiteMap, TagSite};
+use crate::deploy::{city_occupancy, HarvestProfile, SiteMap, TagSite, UnitDraw};
 use crate::engine::{
     ArqConfig, ArrivalQueues, DomainSim, EventTrace, NetRun, NetStats, NetworkConfig, SlotExtras,
     TraceEvent, Traffic,
@@ -879,20 +879,130 @@ impl Deployment {
     /// Compiles the multi-receiver geometry: deterministic tag
     /// placement, nearest-receiver domain assignment, per-domain
     /// frequency plans and the co-channel overlap table.
+    ///
+    /// Tags are placed in contiguous chunks, and domains' sites built in
+    /// blocks of domains, on [`setup_workers`] workers. The output does
+    /// not depend on the worker count: each tag's geometry is a pure
+    /// function of `(seed, tag)`, workers fill disjoint slices of
+    /// buffers allocated by the calling thread, tags join their domains
+    /// in tag order, and each domain's sites depend on that domain's
+    /// tags alone. When tags are uncovered, every chunk stops at its
+    /// first and the lowest chunk's is reported: the lowest uncovered
+    /// tag, as one worker finds it.
     fn synthesize(&self) -> Result<MetroTopology, DeploymentError> {
+        self.synthesize_on(setup_workers(self.cfg.n_tags))
+    }
+
+    /// [`Deployment::synthesize`] on `workers` workers.
+    fn synthesize_on(&self, workers: usize) -> Result<MetroTopology, DeploymentError> {
         let cfg = &self.cfg;
         let rx = &self.receivers;
-        let seed = cfg.seed;
+        let n = cfg.n_tags;
+
+        // Each tag's receiver and (distance, ambient power), in chunks
+        // of tags.
+        let mut cell_of = vec![0u16; n];
+        let mut geometry = vec![(0.0, 0.0); n];
+        let chunk = n.div_ceil(workers.max(1));
+        let parts: Vec<_> = cell_of
+            .chunks_mut(chunk)
+            .zip(geometry.chunks_mut(chunk))
+            .enumerate()
+            .collect();
+        let placed = fmbs_obs::scoped_parts(parts, |_, (k, (cells, geom))| {
+            self.place_tags(k * chunk, cells, geom)
+        });
+        placed.into_iter().collect::<Result<(), _>>()?;
+
+        // Nearest receiver wins the tag; a domain's tags in tag order.
+        let mut sizes = vec![0usize; rx.len()];
+        for &c in &cell_of {
+            sizes[c as usize] += 1;
+        }
+        let mut domains: Vec<CollisionDomain> = sizes
+            .iter()
+            .enumerate()
+            .map(|(receiver, &len)| CollisionDomain {
+                receiver,
+                tags: Vec::with_capacity(len),
+                sites: Vec::with_capacity(len),
+                rx_dbm: Vec::with_capacity(len),
+                n_channels: 0,
+            })
+            .collect();
+        for (i, &c) in cell_of.iter().enumerate() {
+            domains[c as usize].tags.push(i as u32);
+        }
+        drop(cell_of);
+
+        // Per-domain frequency plans and sites, blocks of domains on the
+        // workers, each filling the vectors reserved above. A
+        // round-robin plan for `n` tags is a prefix of a longer one, so
+        // one serves all.
+        let longest = sizes.iter().copied().max().unwrap_or(0);
+        let shifts = fmbs_core::mac::assign_f_back(&cfg.occupancy, cfg.host, longest);
+        let f_hz = fmbs_channel::pathloss::LogDistanceModel::urban_fm().f_hz;
+        let block = domains.len().div_ceil(workers.clamp(1, domains.len()));
+        let blocks: Vec<&mut [CollisionDomain]> = domains.chunks_mut(block).collect();
+        // Each domain's channel keys (`f_back_hz as i64`), by channel.
+        let keys: Vec<Vec<i64>> = fmbs_obs::scoped_parts(blocks, |_, block| {
+            let mut keys = Vec::with_capacity(block.len());
+            for dom in block {
+                let geom = dom.tags.iter().map(|&g| geometry[g as usize]);
+                let channels = SiteMap::place_into(geom, &shifts, cfg, &mut dom.sites);
+                dom.n_channels = channels.len().max(1);
+                keys.push(channels);
+                dom.rx_dbm.extend(dom.sites.iter().map(|s| {
+                    s.power_dbm - free_space_path_loss_db(s.distance_ft * FT_TO_M, f_hz).0
+                }));
+            }
+            keys
+        })
+        .into_iter()
+        .flatten()
+        .collect();
+
+        // Spatial reuse: same f_back only contends across *overlapping*
+        // cells.
+        let mut peers: Vec<Vec<Vec<(usize, u16)>>> = domains
+            .iter()
+            .map(|d| vec![Vec::new(); d.n_channels])
+            .collect();
+        for a in 0..domains.len() {
+            for b in 0..domains.len() {
+                if a == b || !rx[domains[a].receiver].overlaps(&rx[domains[b].receiver]) {
+                    continue;
+                }
+                for (ca, key) in keys[a].iter().enumerate() {
+                    if let Some(cb) = keys[b].iter().position(|k| k == key) {
+                        peers[a][ca].push((b, cb as u16));
+                    }
+                }
+            }
+        }
+        Ok(MetroTopology { domains, peers })
+    }
+
+    /// Places tags `first..first + cells.len()`: tag `first + j`'s
+    /// nearest receiver into `cells[j]` and its (distance to that
+    /// receiver, at least 1 ft; ambient power) into `geometry[j]`. Stops
+    /// at the first tag outside its nearest receiver's radius.
+    fn place_tags(
+        &self,
+        first: usize,
+        cells: &mut [u16],
+        geometry: &mut [(f64, f64)],
+    ) -> Result<(), DeploymentError> {
+        let (cfg, rx) = (&self.cfg, &self.receivers);
         let urban = fmbs_channel::pathloss::LogDistanceModel::urban_fm();
+        let pl0 = urban.reference_loss_db();
         // Area-weighted cell choice for uniform placement.
         let weights: Vec<f64> = rx.iter().map(|r| r.radius_ft * r.radius_ft).collect();
         let total_w: f64 = weights.iter().sum();
-
-        let mut tags_of: Vec<Vec<u32>> = vec![Vec::new(); rx.len()];
-        // (distance to the receiver, ambient power) per tag, per cell.
-        let mut geometry_of: Vec<Vec<(f64, f64)>> = vec![Vec::new(); rx.len()];
-        for i in 0..cfg.n_tags {
-            let pick = unit(seed, i as u64, 10);
+        let draws = [10, 11, 12, 13].map(|salt| UnitDraw::new(cfg.seed, salt));
+        for (j, (cell_out, geom_out)) in cells.iter_mut().zip(geometry).enumerate() {
+            let i = (first + j) as u64;
+            let [pick, radius, angle, shadow] = draws.map(|d| d.at(i));
             let cell = match self.placement {
                 Placement::UniformDisc => {
                     let mut acc = 0.0;
@@ -915,8 +1025,8 @@ impl Deployment {
                 Placement::UniformDisc => rx[cell].radius_ft,
                 Placement::ClusteredHotspots { spread_ft } => spread_ft.min(rx[cell].radius_ft),
             };
-            let rad = spread * unit(seed, i as u64, 11).sqrt();
-            let ang = std::f64::consts::TAU * unit(seed, i as u64, 12);
+            let rad = spread * radius.sqrt();
+            let ang = std::f64::consts::TAU * angle;
             let px = rx[cell].x_ft + rad * ang.cos();
             let py = rx[cell].y_ft + rad * ang.sin();
             // Nearest receiver wins the tag (ties to the lower index).
@@ -939,7 +1049,7 @@ impl Deployment {
                     radius_ft: rx[nearest].radius_ft,
                 });
             }
-            let shadow = 8.0 * (unit(seed, i as u64, 13) - 0.5);
+            let shadow = 8.0 * (shadow - 0.5);
             let power_dbm = if self.stations.is_empty() {
                 cfg.mean_power_dbm + shadow
             } else {
@@ -947,74 +1057,36 @@ impl Deployment {
                     .iter()
                     .map(|st| {
                         let dm = ((px - st.x_ft).hypot(py - st.y_ft) * FT_TO_M).max(1.0);
-                        st.power_dbm - urban.path_loss_db(dm).0
+                        st.power_dbm - urban.path_loss_from_db(pl0, dm).0
                     })
                     .fold(f64::NEG_INFINITY, f64::max)
                     + shadow
             };
-            tags_of[nearest].push(i as u32);
-            geometry_of[nearest].push((dist_ft.max(1.0), power_dbm));
+            *cell_out = nearest as u16;
+            *geom_out = (dist_ft.max(1.0), power_dbm);
         }
-
-        // Per-domain frequency plans and site synthesis: a round-robin
-        // plan for `n` tags is a prefix of a longer one, so one serves all.
-        let longest = tags_of.iter().map(Vec::len).max().unwrap_or(0);
-        let shifts = fmbs_core::mac::assign_f_back(&cfg.occupancy, cfg.host, longest);
-        let domains: Vec<CollisionDomain> = tags_of
-            .into_iter()
-            .zip(geometry_of)
-            .enumerate()
-            .map(|(cell, (tags, geometry))| {
-                let map = SiteMap::place(geometry.into_iter(), &shifts, cfg);
-                let rx_dbm = map
-                    .sites
-                    .iter()
-                    .map(|s| {
-                        s.power_dbm - free_space_path_loss_db(s.distance_ft * FT_TO_M, urban.f_hz).0
-                    })
-                    .collect();
-                CollisionDomain {
-                    receiver: cell,
-                    tags,
-                    sites: map.sites,
-                    rx_dbm,
-                    n_channels: map.n_channels,
-                }
-            })
-            .collect();
-
-        // Spatial reuse: same f_back only contends across *overlapping*
-        // cells. Channel `c` is keyed by its first site's f_back.
-        let keys: Vec<Vec<i64>> = domains
-            .iter()
-            .map(|d| {
-                let mut keys = Vec::new();
-                for site in &d.sites {
-                    if site.channel as usize == keys.len() {
-                        keys.push(site.f_back_hz as i64);
-                    }
-                }
-                keys
-            })
-            .collect();
-        let mut peers: Vec<Vec<Vec<(usize, u16)>>> = domains
-            .iter()
-            .map(|d| vec![Vec::new(); d.n_channels])
-            .collect();
-        for a in 0..domains.len() {
-            for b in 0..domains.len() {
-                if a == b || !rx[domains[a].receiver].overlaps(&rx[domains[b].receiver]) {
-                    continue;
-                }
-                for (ca, key) in keys[a].iter().enumerate() {
-                    if let Some(cb) = keys[b].iter().position(|k| k == key) {
-                        peers[a][ca].push((b, cb as u16));
-                    }
-                }
-            }
-        }
-        Ok(MetroTopology { domains, peers })
+        Ok(())
     }
+}
+
+/// Tags each set-up worker gets at least: [`Deployment::build`] and
+/// `fmbs_workload`'s trace generation split their per-tag work over
+/// [`setup_workers`] workers, so anything under twice this (every
+/// corpus city, sweep point and test deployment) stays on one worker,
+/// which spawns no thread.
+pub const SETUP_TAGS_PER_WORKER: usize = 1 << 16;
+
+/// Workers a per-tag set-up pass over `n_tags` tags runs on: the
+/// host's parallelism, with at least [`SETUP_TAGS_PER_WORKER`] tags
+/// each. Small deployments return 1 without asking the host, which
+/// reads cgroup files and would cost a small build more than its tags.
+pub fn setup_workers(n_tags: usize) -> usize {
+    let most = n_tags / SETUP_TAGS_PER_WORKER;
+    if most <= 1 {
+        return 1;
+    }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    cores.min(most)
 }
 
 /// One metro run's outputs: city-wide aggregate statistics, the
@@ -1146,12 +1218,17 @@ impl CitySim {
             .collect();
         let capture = self.plan.capture_margin_db;
         let co_ber = self.plan.co_channel_ber;
+        // Per-slot phases are tallied here and recorded once at the end,
+        // not one collector lock per visited slot.
+        let mut gather = fmbs_obs::Tally::new(fmbs_obs::stages::NET_GATHER);
+        let mut barrier = fmbs_obs::Tally::new(fmbs_obs::stages::NET_BARRIER);
+        let mut resolve = fmbs_obs::Tally::new(fmbs_obs::stages::NET_RESOLVE);
         let (mut slot, mut visits) = (0, 0u64);
         while slot < self.plan.cfg.n_slots {
             let p = (visits % 2) as usize;
             let (counts, bounds, live) = (&lockstep.counts[p], &lockstep.bounds[p], &mut live[p]);
             {
-                fmbs_obs::span!(fmbs_obs::stages::NET_GATHER);
+                let _gather = gather.enter();
                 let mut bound = u64::MAX;
                 for (bi, (d, sim)) in bucket.iter_mut().enumerate() {
                     // Every peer has passed the previous visit's barrier,
@@ -1180,10 +1257,10 @@ impl CitySim {
             }
             // One worker has no one to wait for.
             if workers > 1 {
-                fmbs_obs::span!(fmbs_obs::stages::NET_BARRIER);
+                let _wait = barrier.enter();
                 lockstep.barrier.wait();
             }
-            fmbs_obs::span!(fmbs_obs::stages::NET_RESOLVE);
+            let _resolve = resolve.enter();
             for (bi, (d, sim)) in bucket.iter_mut().enumerate() {
                 if live[bi].is_empty() {
                     continue;
@@ -1361,7 +1438,7 @@ mod tests {
     fn sparse_trace(n_tags: usize, n_slots: u64, load: f64, seed: u64) -> Traffic {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        let per_tag = (0..n_tags)
+        let trace = (0..n_tags)
             .map(|_| {
                 (0..n_slots + 20)
                     .filter_map(|slot| {
@@ -1371,10 +1448,10 @@ mod tests {
                             deadline_slots,
                         })
                     })
-                    .collect()
+                    .collect::<Vec<_>>()
             })
             .collect();
-        Traffic::Trace(Arc::new(crate::engine::ArrivalTrace { per_tag }))
+        Traffic::Trace(Arc::new(trace))
     }
 
     proptest! {
@@ -1689,6 +1766,247 @@ mod tests {
             .faults(FaultSpec::none().with_outages(1, 500))
             .link(table());
         windowed.at(&point(8, 100)).run_point();
+    }
+
+    /// Tag counts either side of the per-worker floor, or the 10^6 of
+    /// the metro acceptance run when `PROPTEST_CASES` is set (as the
+    /// `metro_` property tests scale).
+    fn metro_setup_tag_counts() -> [usize; 2] {
+        if std::env::var_os("PROPTEST_CASES").is_some() {
+            [SETUP_TAGS_PER_WORKER - 1, 1_000_000]
+        } else {
+            [SETUP_TAGS_PER_WORKER - 1, SETUP_TAGS_PER_WORKER + 1]
+        }
+    }
+
+    /// One domain as the serial reference builds it: tags, sites, rx_dbm.
+    type ReferenceDomain = (Vec<u32>, Vec<TagSite>, Vec<f64>);
+
+    /// `peers[d][c]`, as in [`MetroTopology::peers`].
+    type Peers = Vec<Vec<Vec<(usize, u16)>>>;
+
+    /// Multi-receiver synthesis as one thread did it tag by tag before
+    /// the set-up was split over workers: per-cell vectors grown tag by
+    /// tag, the path loss and every hash recomputed per call, channels
+    /// found by linear search and the DCO draw recomputed per site. The
+    /// reference the chunked synthesis must match bit for bit.
+    fn serial_synthesis(d: &Deployment) -> Result<(Vec<ReferenceDomain>, Peers), DeploymentError> {
+        use fmbs_core::power::{IcPowerModel, PAPER_OPERATING_POINT};
+        let unit = |seed: u64, tag: u64, salt: u64| {
+            let h = splitmix64(splitmix64(seed ^ (salt << 48)) ^ tag);
+            (h >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let (cfg, rx, seed) = (&d.cfg, &d.receivers, d.cfg.seed);
+        let urban = fmbs_channel::pathloss::LogDistanceModel::urban_fm();
+        let weights: Vec<f64> = rx.iter().map(|r| r.radius_ft * r.radius_ft).collect();
+        let total_w: f64 = weights.iter().sum();
+        let mut tags_of: Vec<Vec<u32>> = vec![Vec::new(); rx.len()];
+        let mut geometry_of: Vec<Vec<(f64, f64)>> = vec![Vec::new(); rx.len()];
+        for i in 0..cfg.n_tags {
+            let pick = unit(seed, i as u64, 10);
+            let cell = match d.placement {
+                Placement::UniformDisc => {
+                    let (mut acc, target) = (0.0, pick * total_w);
+                    let mut chosen = rx.len() - 1;
+                    for (c, w) in weights.iter().enumerate() {
+                        acc += w;
+                        if target < acc {
+                            chosen = c;
+                            break;
+                        }
+                    }
+                    chosen
+                }
+                Placement::ClusteredHotspots { .. } => {
+                    ((pick * rx.len() as f64) as usize).min(rx.len() - 1)
+                }
+            };
+            let spread = match d.placement {
+                Placement::UniformDisc => rx[cell].radius_ft,
+                Placement::ClusteredHotspots { spread_ft } => spread_ft.min(rx[cell].radius_ft),
+            };
+            let rad = spread * unit(seed, i as u64, 11).sqrt();
+            let ang = std::f64::consts::TAU * unit(seed, i as u64, 12);
+            let px = rx[cell].x_ft + rad * ang.cos();
+            let py = rx[cell].y_ft + rad * ang.sin();
+            let (nearest, d2) = rx
+                .iter()
+                .enumerate()
+                .map(|(c, r)| {
+                    (
+                        c,
+                        (px - r.x_ft) * (px - r.x_ft) + (py - r.y_ft) * (py - r.y_ft),
+                    )
+                })
+                .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+                .unwrap();
+            let dist_ft = d2.sqrt();
+            if dist_ft > rx[nearest].radius_ft {
+                return Err(DeploymentError::UncoveredTag {
+                    tag: i as u32,
+                    distance_ft: dist_ft,
+                    receiver: nearest,
+                    radius_ft: rx[nearest].radius_ft,
+                });
+            }
+            let shadow = 8.0 * (unit(seed, i as u64, 13) - 0.5);
+            let power_dbm = if d.stations.is_empty() {
+                cfg.mean_power_dbm + shadow
+            } else {
+                d.stations
+                    .iter()
+                    .map(|st| {
+                        let dm = ((px - st.x_ft).hypot(py - st.y_ft) * FT_TO_M).max(1.0);
+                        st.power_dbm - urban.path_loss_db(dm).0
+                    })
+                    .fold(f64::NEG_INFINITY, f64::max)
+                    + shadow
+            };
+            tags_of[nearest].push(i as u32);
+            geometry_of[nearest].push((dist_ft.max(1.0), power_dbm));
+        }
+        let longest = tags_of.iter().map(Vec::len).max().unwrap_or(0);
+        let shifts = fmbs_core::mac::assign_f_back(&cfg.occupancy, cfg.host, longest);
+        let mut domains = Vec::new();
+        let mut keys = Vec::new();
+        for (tags, geometry) in tags_of.into_iter().zip(geometry_of) {
+            let mut channel_keys: Vec<i64> = Vec::new();
+            let sites: Vec<TagSite> = geometry
+                .into_iter()
+                .zip(&shifts)
+                .map(|((distance_ft, power_dbm), shift)| {
+                    let f_back_hz = shift.unwrap_or(0.0);
+                    let key = f_back_hz as i64;
+                    let channel = match channel_keys.iter().position(|&k| k == key) {
+                        Some(c) => c,
+                        None => {
+                            channel_keys.push(key);
+                            channel_keys.len() - 1
+                        }
+                    } as u16;
+                    let draw_uw = IcPowerModel {
+                        f_back_hz: f_back_hz.abs().max(fmbs_fm::band::FM_CHANNEL_SPACING_HZ),
+                        ..PAPER_OPERATING_POINT
+                    }
+                    .total_uw();
+                    let tx_cost_uj = draw_uw * cfg.slot_secs();
+                    TagSite {
+                        distance_ft,
+                        power_dbm,
+                        f_back_hz,
+                        channel,
+                        harvest_uw: cfg.harvest.harvest_uw(fmbs_channel::units::Dbm(power_dbm)),
+                        tx_cost_uj,
+                        storage_uj: cfg.storage_uj.max(2.0 * tx_cost_uj),
+                    }
+                })
+                .collect();
+            let rx_dbm = sites
+                .iter()
+                .map(|s| {
+                    s.power_dbm - free_space_path_loss_db(s.distance_ft * FT_TO_M, urban.f_hz).0
+                })
+                .collect();
+            domains.push((tags, sites, rx_dbm));
+            keys.push(channel_keys);
+        }
+        let mut peers: Peers = keys
+            .iter()
+            .map(|k| vec![Vec::new(); k.len().max(1)])
+            .collect();
+        for a in 0..rx.len() {
+            for b in 0..rx.len() {
+                if a != b && rx[a].overlaps(&rx[b]) {
+                    for (ca, key) in keys[a].iter().enumerate() {
+                        if let Some(cb) = keys[b].iter().position(|k| k == key) {
+                            peers[a][ca].push((b, cb as u16));
+                        }
+                    }
+                }
+            }
+        }
+        Ok((domains, peers))
+    }
+
+    fn site_bits(s: &TagSite) -> [u64; 7] {
+        [
+            s.distance_ft.to_bits(),
+            s.power_dbm.to_bits(),
+            s.f_back_hz.to_bits(),
+            s.channel as u64,
+            s.harvest_uw.to_bits(),
+            s.tx_cost_uj.to_bits(),
+            s.storage_uj.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn metro_setup_chunked_synthesis_matches_the_serial_reference() {
+        for n_tags in metro_setup_tag_counts() {
+            let acceptance = Deployment::city(n_tags)
+                .stations([Station::at(10_000.0, 0.0)])
+                .receivers(Receiver::grid(4, 4, 40.0))
+                .harvest(HarvestProfile::RfAmbient);
+            let hotspots = Deployment::city(n_tags)
+                .seed(5)
+                .storage(0.5)
+                .receivers(Receiver::grid(3, 2, 90.0))
+                .placement(Placement::ClusteredHotspots { spread_ft: 20.0 });
+            for d in [acceptance, hotspots] {
+                let (want, want_peers) = serial_synthesis(&d).expect("covered");
+                for workers in 1..=4 {
+                    let topo = d.synthesize_on(workers).expect("covered");
+                    assert_eq!(topo.domains.len(), want.len());
+                    for (dom, (tags, sites, rx_dbm)) in topo.domains.iter().zip(&want) {
+                        let what = format!("{n_tags} tags on {workers} workers");
+                        assert_eq!(&dom.tags, tags, "{what}");
+                        assert!(dom
+                            .sites
+                            .iter()
+                            .map(site_bits)
+                            .eq(sites.iter().map(site_bits)));
+                        assert!(dom
+                            .rx_dbm
+                            .iter()
+                            .map(|p| p.to_bits())
+                            .eq(rx_dbm.iter().map(|p| p.to_bits())));
+                        assert_eq!(dom.n_channels, want_peers[dom.receiver].len(), "{what}");
+                    }
+                    assert_eq!(topo.peers, want_peers);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn metro_setup_uncovered_tag_is_the_lowest_on_any_worker_count() {
+        // A small cell beside a large one: tags of the large disc that
+        // land nearer the small receiver lie outside its radius, about 1
+        // in 20, so every chunk of tags holds some.
+        for n_tags in metro_setup_tag_counts() {
+            let d = Deployment::city(n_tags).slots(10).receivers([
+                Receiver::at(0.0, 0.0, 100.0),
+                Receiver::at(150.0, 0.0, 40.0),
+            ]);
+            let want = serial_synthesis(&d).map(|_| ()).unwrap_err();
+            assert!(
+                matches!(want, DeploymentError::UncoveredTag { .. }),
+                "{want}"
+            );
+            for workers in 1..=4 {
+                assert_eq!(d.synthesize_on(workers).map(|_| ()).unwrap_err(), want);
+            }
+            assert_eq!(d.build().map(|_| ()).unwrap_err(), want);
+        }
+    }
+
+    #[test]
+    fn metro_setup_small_deployments_stay_on_one_worker() {
+        for n_tags in [0, 1, 128, 100_000, 2 * SETUP_TAGS_PER_WORKER - 1] {
+            assert_eq!(setup_workers(n_tags), 1, "{n_tags} tags");
+        }
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(setup_workers(1_000_000), cores.min(15));
     }
 
     #[test]

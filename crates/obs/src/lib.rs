@@ -47,7 +47,7 @@
 //! profile network_capacity (wall 0.185 s, 2 worker thread(s)):
 //!   stage                      calls  total CPU-s  self CPU-s   % cap
 //!   ber_calibrate                  1       0.0695      0.0002    0.0%
-//!   ber_lookup                  2728       0.0002      0.0002    0.1%
+//!   ber_lookup                    20       0.0002      0.0002    0.1%
 //!   fft_conv                      88       0.0515      0.0515   13.9%
 //!   net_engine                    20       0.1191      0.1189   32.2%
 //!   packet_model                   3       0.0387      0.0387   10.5%
@@ -115,7 +115,8 @@ pub mod stages {
     pub const XCORR: &str = "xcorr";
     /// One sweep point: a metric evaluated against one scenario.
     pub const SWEEP_POINT: &str = "sweep_point";
-    /// Link-table BER lookups (deployment-time and fallback).
+    /// One engine domain's pass of link-table BER lookups (nominal and
+    /// fallback rate) over its tags, filling their tag states.
     pub const BER_LOOKUP: &str = "ber_lookup";
     /// Link-table calibration (the nested sweep it runs).
     pub const BER_CALIBRATE: &str = "ber_calibrate";
@@ -284,6 +285,15 @@ impl Collector {
         }
     }
 
+    fn record_tally(&self, name: &'static str, s: StageStats) {
+        let mut inner = self.inner.lock().expect("collector lock");
+        inner.workers.insert(self.worker);
+        let e = inner.stages.entry(name).or_default();
+        e.calls += s.calls;
+        e.total_nanos += s.total_nanos;
+        e.self_nanos += s.self_nanos;
+    }
+
     fn add_counter(&self, name: &'static str, delta: u64) {
         let mut inner = self.inner.lock().expect("collector lock");
         *inner.counters.entry(name).or_default() += delta;
@@ -398,15 +408,23 @@ impl Drop for StageGuard {
             return;
         };
         let total = start.elapsed().as_nanos() as u64;
-        let child = STACK.with(|s| s.borrow_mut().pop()).unwrap_or(0);
-        STACK.with(|s| {
-            if let Some(parent) = s.borrow_mut().last_mut() {
-                *parent += total;
-            }
-        });
+        let child = close_nested(total);
         let start_off = start.saturating_duration_since(collector.epoch).as_nanos() as u64;
         collector.record_stage(name, total, total.saturating_sub(child), start_off);
     }
+}
+
+/// Closes the innermost open stage on this thread after `total` ns:
+/// pops and returns the time its nested stages took, and credits
+/// `total` to the enclosing stage's nested time.
+fn close_nested(total: u64) -> u64 {
+    let child = STACK.with(|s| s.borrow_mut().pop()).unwrap_or(0);
+    STACK.with(|s| {
+        if let Some(parent) = s.borrow_mut().last_mut() {
+            *parent += total;
+        }
+    });
+    child
 }
 
 /// Marks the time until the returned guard drops as this thread waiting
@@ -487,6 +505,89 @@ pub fn scoped_workers<T: Send>(workers: usize, f: impl Fn(usize) -> T + Sync) ->
         }
     }
     out
+}
+
+/// [`scoped_workers`] over owned parts: worker `w` gets `parts[w]` (a
+/// disjoint `&mut` slice, say) and returns `f(w, parts[w])`, in worker
+/// order. One part runs on the calling thread.
+pub fn scoped_parts<P: Send, T: Send>(parts: Vec<P>, f: impl Fn(usize, P) -> T + Sync) -> Vec<T> {
+    let parts: Vec<Mutex<Option<P>>> = parts.into_iter().map(|p| Mutex::new(Some(p))).collect();
+    scoped_workers(parts.len(), |w| {
+        let part = parts[w].lock().expect("part lock").take();
+        f(w, part.expect("each part goes to one worker"))
+    })
+}
+
+/// A stage entered many times on one thread (a per-slot phase of an
+/// engine loop), tallied locally and recorded into the collector once,
+/// when the tally drops. Each [`Tally::enter`] is accounted exactly as
+/// a [`stage`] guard would be: one call, its total time, its self time
+/// net of the stages nested in it, and its total added to the enclosing
+/// stage's nested time. Only the collector lock per call is saved. With
+/// no collector installed, entering reads no clock; a collector that
+/// records spans gets one per call, as from a guard.
+pub struct Tally {
+    name: &'static str,
+    collector: Option<Arc<Collector>>,
+    stats: StageStats,
+}
+
+impl Tally {
+    /// A tally of `name` for the collector installed on this thread.
+    pub fn new(name: &'static str) -> Tally {
+        Tally {
+            name,
+            collector: active(),
+            stats: StageStats::default(),
+        }
+    }
+
+    /// Opens one call of the stage; the returned guard closes it.
+    pub fn enter(&mut self) -> TallyGuard<'_> {
+        let start = self.collector.is_some().then(|| {
+            STACK.with(|s| s.borrow_mut().push(0));
+            Instant::now()
+        });
+        TallyGuard { tally: self, start }
+    }
+}
+
+impl Drop for Tally {
+    fn drop(&mut self) {
+        if let Some(c) = &self.collector {
+            if self.stats.calls > 0 && c.span_cap == 0 {
+                c.record_tally(self.name, self.stats);
+            }
+        }
+    }
+}
+
+/// One open call of a [`Tally`]; closes it on drop.
+pub struct TallyGuard<'a> {
+    tally: &'a mut Tally,
+    start: Option<Instant>,
+}
+
+impl Drop for TallyGuard<'_> {
+    fn drop(&mut self) {
+        let Some(start) = self.start.take() else {
+            return;
+        };
+        let total = start.elapsed().as_nanos() as u64;
+        let self_nanos = total.saturating_sub(close_nested(total));
+        let tally = &mut *self.tally;
+        match &tally.collector {
+            Some(c) if c.span_cap > 0 => {
+                let start_off = start.saturating_duration_since(c.epoch).as_nanos() as u64;
+                c.record_stage(tally.name, total, self_nanos, start_off);
+            }
+            _ => {
+                tally.stats.calls += 1;
+                tally.stats.total_nanos += total;
+                tally.stats.self_nanos += self_nanos;
+            }
+        }
+    }
 }
 
 /// Peak resident set size of this process so far (`VmHWM` in
@@ -713,6 +814,80 @@ mod tests {
         // A worker that recorded nothing adds no capacity.
         figure.absorb(&figure.child(5));
         assert_eq!(figure.busy_workers(), 2);
+    }
+
+    #[test]
+    fn a_tally_accounts_like_stage_guards() {
+        // Three calls of "step", each with a nested "inner", inside
+        // "outer": once as guards, once tallied.
+        let profile = |tallied: bool| {
+            let c = Collector::new();
+            {
+                let _g = install(Some(c.clone()));
+                let _outer = stage("outer");
+                let mut tally = Tally::new("step");
+                for _ in 0..3 {
+                    let _step = if tallied {
+                        (Some(tally.enter()), None)
+                    } else {
+                        (None, Some(stage("step")))
+                    };
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                    span!("inner");
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            }
+            c.stage_stats().into_iter().collect::<BTreeMap<_, _>>()
+        };
+        for tallied in [false, true] {
+            let stats = profile(tallied);
+            let (outer, step, inner) = (stats["outer"], stats["step"], stats["inner"]);
+            assert_eq!(
+                (outer.calls, step.calls, inner.calls),
+                (1, 3, 3),
+                "{tallied}"
+            );
+            // Self time is total net of the nested stages, to the ns.
+            assert_eq!(step.self_nanos + inner.total_nanos, step.total_nanos);
+            assert_eq!(outer.self_nanos + step.total_nanos, outer.total_nanos);
+            assert_eq!(inner.self_nanos, inner.total_nanos);
+            assert!(step.total_nanos >= 6_000_000, "{tallied}: {step:?}");
+        }
+    }
+
+    #[test]
+    fn a_tally_without_a_collector_records_nothing_and_spans_stay_per_call() {
+        {
+            let mut idle = Tally::new("idle");
+            let g = idle.enter();
+            assert!(g.start.is_none(), "no clock read");
+        }
+        let c = Collector::with_spans(8);
+        {
+            let _g = install(Some(c.clone()));
+            let mut tally = Tally::new("step");
+            for _ in 0..2 {
+                let _s = tally.enter();
+            }
+            // Never entered: no row.
+            let _unused = Tally::new("never");
+        }
+        assert_eq!(c.spans().0.len(), 2);
+        let stats = c.stage_stats();
+        assert_eq!(stats.len(), 1);
+        assert_eq!((stats[0].0, stats[0].1.calls), ("step", 2));
+    }
+
+    #[test]
+    fn scoped_parts_hand_each_worker_its_own_part() {
+        let mut data = vec![0u32; 10];
+        let parts: Vec<&mut [u32]> = data.chunks_mut(4).collect();
+        let lens = scoped_parts(parts, |w, part| {
+            part.fill(w as u32 + 1);
+            part.len()
+        });
+        assert_eq!(lens, vec![4, 4, 2]);
+        assert_eq!(data, vec![1, 1, 1, 1, 2, 2, 2, 2, 3, 3]);
     }
 
     #[test]

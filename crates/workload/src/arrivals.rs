@@ -16,12 +16,17 @@
 use crate::profile::{shape_of, MessageShape};
 use fmbs_core::sim::scenario::{AppProfile, ArrivalModel, Scenario};
 use fmbs_net::engine::{Arrival, ArrivalTrace};
+use fmbs_net::topology::setup_workers;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Salt separating trace-generation RNG streams from the engine's
 /// per-tag contention streams (which use `0xA11CE << 32`).
 pub const TRACE_SALT: u64 = 0x70AD << 32;
+
+/// The most arrivals one generation chunk reserves room for up front
+/// (2^24, 256 MB); a chunk past it grows as it fills.
+const MAX_RESERVED_ARRIVALS: usize = 1 << 24;
 
 /// Peak of [`diurnal_factor`] (its mean over a day is 1).
 pub const DIURNAL_PEAK: f64 = 1.8;
@@ -85,22 +90,76 @@ impl TraceSpec {
     /// Generates the trace. Deterministic: same spec, same trace,
     /// bit-for-bit. [`ArrivalModel::Saturated`] has no trace (the
     /// engine's full-buffer mode replaces it) and yields empty queues.
+    ///
+    /// Tags are generated in contiguous chunks on
+    /// [`fmbs_net::topology::setup_workers`] workers. The trace does not
+    /// depend on the worker count: every tag draws from its own stream
+    /// (`seed ^ TRACE_SALT ^ tag`), and the chunks are joined in tag
+    /// order.
     pub fn generate(&self) -> ArrivalTrace {
+        self.generate_on(setup_workers(self.n_tags))
+    }
+
+    /// [`TraceSpec::generate`] on `workers` workers.
+    fn generate_on(&self, workers: usize) -> ArrivalTrace {
         fmbs_obs::span!(fmbs_obs::stages::TRACE_GEN);
         let shape = shape_of(self.profile);
         let msg_rate = self.offered_load.max(0.0) / shape.mean_packets();
-        let per_tag = (0..self.n_tags)
-            .map(|i| {
-                let mut rng = StdRng::seed_from_u64(self.seed ^ TRACE_SALT ^ i as u64);
-                match self.model {
-                    ArrivalModel::Saturated => Vec::new(),
-                    ArrivalModel::Poisson => self.poisson_tag(&mut rng, &shape, msg_rate),
-                    ArrivalModel::Diurnal => self.diurnal_tag(&mut rng, &shape, msg_rate),
-                    ArrivalModel::Mmpp => self.mmpp_tag(&mut rng, &shape, msg_rate),
-                }
+        let n = self.n_tags;
+        let chunk = n.div_ceil(workers.max(1)).max(1);
+        // Tag i's queue ends at start[i + 1]; each chunk counts from its
+        // own first arrival until the chunks are joined.
+        let mut start = vec![0usize; n + 1];
+        // Buffers reserved here: the first chunk's for the whole trace,
+        // which it becomes, with the others appended in tag order.
+        let mut chunks: Vec<Vec<Arrival>> = (0..n)
+            .step_by(chunk)
+            .map(|lo| {
+                let tags = if lo == 0 { n } else { chunk.min(n - lo) };
+                Vec::with_capacity(self.expected_arrivals(tags))
             })
             .collect();
-        ArrivalTrace { per_tag }
+        let parts: Vec<_> = start[1..].chunks_mut(chunk).zip(&mut chunks).collect();
+        let spawned = parts.len() > 1;
+        fmbs_obs::scoped_parts(parts, |k, (ends, out)| {
+            // A spawned worker profiles its chunk under the same stage;
+            // a lone chunk runs inside the span above.
+            let _span = spawned.then(|| fmbs_obs::stage(fmbs_obs::stages::TRACE_GEN));
+            for (j, end) in ends.iter_mut().enumerate() {
+                self.tag_arrivals(k * chunk + j, &shape, msg_rate, out);
+                *end = out.len();
+            }
+        });
+        let mut rest = chunks.into_iter();
+        let mut arrivals = rest.next().unwrap_or_default();
+        for (ends, out) in start[1..].chunks_mut(chunk).skip(1).zip(rest) {
+            let base = arrivals.len();
+            ends.iter_mut().for_each(|e| *e += base);
+            arrivals.extend_from_slice(&out);
+        }
+        ArrivalTrace::from_flat(start, arrivals)
+    }
+
+    /// A capacity guess for `tags` tags' arrivals: the offered load over
+    /// the horizon plus 5%, so a chunk's buffer is rarely regrown.
+    fn expected_arrivals(&self, tags: usize) -> usize {
+        if self.model == ArrivalModel::Saturated {
+            return 0;
+        }
+        let mean = self.offered_load * self.n_slots as f64 * tags as f64;
+        // A NaN load reserves nothing (`NaN as usize` is 0).
+        (1.05 * mean).clamp(0.0, MAX_RESERVED_ARRIVALS as f64) as usize + 64
+    }
+
+    /// Appends tag `tag`'s arrivals, ascending by slot, to `out`.
+    fn tag_arrivals(&self, tag: usize, shape: &MessageShape, rate: f64, out: &mut Vec<Arrival>) {
+        let mut rng = StdRng::seed_from_u64(self.seed ^ TRACE_SALT ^ tag as u64);
+        match self.model {
+            ArrivalModel::Saturated => {}
+            ArrivalModel::Poisson => self.poisson_tag(&mut rng, shape, rate, out),
+            ArrivalModel::Diurnal => self.diurnal_tag(&mut rng, shape, rate, out),
+            ArrivalModel::Mmpp => self.mmpp_tag(&mut rng, shape, rate, out),
+        }
     }
 
     /// Expands one message into its packet arrivals (all queued in the
@@ -123,46 +182,53 @@ impl TraceSpec {
         }
     }
 
-    fn poisson_tag(&self, rng: &mut StdRng, shape: &MessageShape, rate: f64) -> Vec<Arrival> {
-        let mut out = Vec::new();
+    fn poisson_tag(
+        &self,
+        rng: &mut StdRng,
+        shape: &MessageShape,
+        rate: f64,
+        out: &mut Vec<Arrival>,
+    ) {
         if rate <= 0.0 {
-            return out;
+            return;
         }
         let mut t = exp_next(rng, rate);
         while (t as u64) < self.n_slots {
-            self.push_message(rng, shape, t as u64, &mut out);
+            self.push_message(rng, shape, t as u64, out);
             t += exp_next(rng, rate);
         }
-        out
     }
 
     /// Diurnal arrivals by thinning: sample a homogeneous process at
     /// the peak rate and accept each candidate with probability
     /// `diurnal_factor(t) / DIURNAL_PEAK`.
-    fn diurnal_tag(&self, rng: &mut StdRng, shape: &MessageShape, rate: f64) -> Vec<Arrival> {
-        let mut out = Vec::new();
+    fn diurnal_tag(
+        &self,
+        rng: &mut StdRng,
+        shape: &MessageShape,
+        rate: f64,
+        out: &mut Vec<Arrival>,
+    ) {
         if rate <= 0.0 {
-            return out;
+            return;
         }
         let max_rate = rate * DIURNAL_PEAK;
         let mut t = exp_next(rng, max_rate);
         while (t as u64) < self.n_slots {
             let day_fraction = t / self.n_slots as f64;
             if rng.gen::<f64>() * DIURNAL_PEAK < diurnal_factor(day_fraction) {
-                self.push_message(rng, shape, t as u64, &mut out);
+                self.push_message(rng, shape, t as u64, out);
             }
             t += exp_next(rng, max_rate);
         }
-        out
     }
 
     /// Two-state Markov-modulated Poisson process. Because exponential
     /// dwell and inter-arrival times are memoryless, re-drawing the
     /// next arrival after a state switch is statistically exact.
-    fn mmpp_tag(&self, rng: &mut StdRng, shape: &MessageShape, rate: f64) -> Vec<Arrival> {
-        let mut out = Vec::new();
+    fn mmpp_tag(&self, rng: &mut StdRng, shape: &MessageShape, rate: f64, out: &mut Vec<Arrival>) {
         if rate <= 0.0 {
-            return out;
+            return;
         }
         let mut t = 0.0f64;
         let mut burst = false;
@@ -179,7 +245,7 @@ impl TraceSpec {
                 if (t as u64) >= self.n_slots {
                     break;
                 }
-                self.push_message(rng, shape, t as u64, &mut out);
+                self.push_message(rng, shape, t as u64, out);
             } else {
                 t = switch_at;
                 if (t as u64) >= self.n_slots {
@@ -194,7 +260,6 @@ impl TraceSpec {
                 switch_at = t + exp_next(rng, 1.0 / dwell);
             }
         }
-        out
     }
 }
 
@@ -244,7 +309,7 @@ mod tests {
             ArrivalModel::Mmpp,
         ] {
             let trace = spec(model, 0.08).generate();
-            for queue in &trace.per_tag {
+            for queue in trace.queues() {
                 assert!(queue.windows(2).all(|w| w[0].slot <= w[1].slot));
                 assert!(queue.iter().all(|a| a.slot < 4_000));
                 assert!(queue.iter().all(|a| a.deadline_slots >= 1));
@@ -275,7 +340,7 @@ mod tests {
     fn diurnal_peaks_midday_and_mmpp_bursts() {
         let diurnal = spec(ArrivalModel::Diurnal, 0.1).generate();
         let (mut edges, mut midday) = (0u64, 0u64);
-        for q in &diurnal.per_tag {
+        for q in diurnal.queues() {
             for a in q {
                 if a.slot < 1_000 || a.slot >= 3_000 {
                     edges += 1;
@@ -293,8 +358,8 @@ mod tests {
         let window = MMPP_MEAN_BURST_SLOTS as u64;
         let fano = |trace: &fmbs_net::engine::ArrivalTrace| {
             let bins_per_tag = (4_000 / window) as usize;
-            let mut bins = vec![0f64; bins_per_tag * trace.per_tag.len()];
-            for (i, q) in trace.per_tag.iter().enumerate() {
+            let mut bins = vec![0f64; bins_per_tag * trace.n_tags()];
+            for (i, q) in trace.queues().enumerate() {
                 for a in q {
                     bins[i * bins_per_tag + (a.slot / window) as usize] += 1.0;
                 }
@@ -319,14 +384,69 @@ mod tests {
         assert_eq!(spec(ArrivalModel::Poisson, 0.0).generate().offered(), 0);
     }
 
+    /// Tag counts either side of the per-worker floor, or the 10^6 of
+    /// the metro acceptance run when `PROPTEST_CASES` is set (as the
+    /// `metro_` property tests scale).
+    fn metro_setup_tag_counts() -> [usize; 2] {
+        use fmbs_net::topology::SETUP_TAGS_PER_WORKER;
+        if std::env::var_os("PROPTEST_CASES").is_some() {
+            [SETUP_TAGS_PER_WORKER - 1, 1_000_000]
+        } else {
+            [SETUP_TAGS_PER_WORKER - 1, SETUP_TAGS_PER_WORKER + 1]
+        }
+    }
+
+    #[test]
+    fn metro_setup_chunked_generate_matches_the_serial_per_tag_reference() {
+        for n_tags in metro_setup_tag_counts() {
+            for model in [
+                ArrivalModel::Saturated,
+                ArrivalModel::Poisson,
+                ArrivalModel::Diurnal,
+                ArrivalModel::Mmpp,
+            ] {
+                let spec = TraceSpec {
+                    n_tags,
+                    n_slots: 400,
+                    model,
+                    offered_load: 0.005,
+                    profile: AppProfile::TalkingPoster,
+                    ..spec(model, 0.0)
+                };
+                // One queue per tag, each grown on its own, as the trace
+                // was built before it became one block.
+                let shape = shape_of(spec.profile);
+                let rate = spec.offered_load / shape.mean_packets();
+                let reference: Vec<Vec<Arrival>> = (0..n_tags)
+                    .map(|i| {
+                        let mut queue = Vec::new();
+                        spec.tag_arrivals(i, &shape, rate, &mut queue);
+                        queue
+                    })
+                    .collect();
+                if model != ArrivalModel::Saturated {
+                    assert!(reference.iter().any(|q| q.len() > 1), "{model:?}");
+                }
+                for workers in 1..=4 {
+                    let trace = spec.generate_on(workers);
+                    assert_eq!(trace.n_tags(), n_tags);
+                    assert!(
+                        trace.queues().eq(reference.iter().map(Vec::as_slice)),
+                        "{model:?}: {n_tags} tags on {workers} workers"
+                    );
+                }
+                assert_eq!(spec.generate(), spec.generate_on(1), "{model:?}");
+            }
+        }
+    }
+
     #[test]
     fn poster_messages_are_multi_packet() {
         let mut s = spec(ArrivalModel::Poisson, 0.05);
         s.profile = AppProfile::TalkingPoster;
         let trace = s.generate();
         let has_burst = trace
-            .per_tag
-            .iter()
+            .queues()
             .any(|q| q.windows(4).any(|w| w.iter().all(|a| a.slot == w[0].slot)));
         assert!(has_burst, "talking-poster messages expand to >= 4 packets");
     }

@@ -72,31 +72,27 @@ impl Policy {
             },
             Policy::RateCap { max_load } => {
                 let mut shed = 0u64;
-                let per_tag = trace
-                    .per_tag
-                    .into_iter()
-                    .map(|queue| {
-                        let mut tokens = RATE_CAP_BURST;
-                        let mut last_slot = 0u64;
-                        queue
-                            .into_iter()
-                            .filter(|a| {
-                                tokens = (tokens + (a.slot - last_slot) as f64 * max_load)
-                                    .min(RATE_CAP_BURST);
-                                last_slot = a.slot;
-                                if tokens >= 1.0 {
-                                    tokens -= 1.0;
-                                    true
-                                } else {
-                                    shed += 1;
-                                    false
-                                }
-                            })
-                            .collect()
-                    })
-                    .collect();
+                let mut start = Vec::with_capacity(trace.n_tags() + 1);
+                let mut kept = Vec::with_capacity(trace.offered() as usize);
+                start.push(0);
+                for queue in trace.queues() {
+                    let mut tokens = RATE_CAP_BURST;
+                    let mut last_slot = 0u64;
+                    for a in queue {
+                        tokens =
+                            (tokens + (a.slot - last_slot) as f64 * max_load).min(RATE_CAP_BURST);
+                        last_slot = a.slot;
+                        if tokens >= 1.0 {
+                            tokens -= 1.0;
+                            kept.push(*a);
+                        } else {
+                            shed += 1;
+                        }
+                    }
+                    start.push(kept.len());
+                }
                 Admitted {
-                    trace: ArrivalTrace { per_tag },
+                    trace: ArrivalTrace::from_flat(start, kept),
                     offered_raw,
                     admission_shed: shed,
                     drop_expired: false,
@@ -111,15 +107,17 @@ mod tests {
     use super::*;
     use fmbs_net::engine::Arrival;
 
+    fn burst(n: usize) -> Vec<Arrival> {
+        (0..n)
+            .map(|k| Arrival {
+                slot: k as u64,
+                deadline_slots: 10,
+            })
+            .collect()
+    }
+
     fn burst_trace(n: usize) -> ArrivalTrace {
-        ArrivalTrace {
-            per_tag: vec![(0..n)
-                .map(|k| Arrival {
-                    slot: k as u64,
-                    deadline_slots: 10,
-                })
-                .collect()],
-        }
+        [burst(n)].into_iter().collect()
     }
 
     #[test]
@@ -152,9 +150,7 @@ mod tests {
 
     #[test]
     fn rate_cap_conserves_across_many_tags() {
-        let trace = ArrivalTrace {
-            per_tag: (0..8).map(|_| burst_trace(13).per_tag[0].clone()).collect(),
-        };
+        let trace: ArrivalTrace = (0..8).map(|_| burst(13)).collect();
         let out = Policy::RateCap { max_load: 0.3 }.apply(trace);
         assert_eq!(out.trace.offered() + out.admission_shed, 8 * 13);
     }

@@ -19,8 +19,8 @@ one verdict, using the metric's `better` direction and `bound`:
     worse       the change's median is worse than the base's by more
                 than bound x the base's median
     better      the change wins at least 9/10 of the pairs (ties count
-                for neither) and the medians differ by more than the
-                base's IQR
+                for neither), and its median is better by more than the
+                base's IQR and by at least 2% of the base's median
     unresolved  the base's IQR is wider than bound x the base's median
     same        none of the above
 
@@ -45,6 +45,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 # "better" needs at least WIN_NUM/WIN_DEN of the pairs won.
 WIN_NUM, WIN_DEN = 9, 10
+# ... and a median gain of at least this share of the base median: a
+# near-deterministic metric has an IQR near 0, so a sub-1% gap with every
+# pair won would otherwise read better on unchanged code.
+MIN_GAIN = 0.02
 
 Summary = namedtuple(
     "Summary", "base_median base_iqr change_median change_iqr wins pairs verdict")
@@ -72,7 +76,8 @@ def judge(base, change, better, bound):
     base_iqr = b3 - b1
     if -gain(b_med, c_med) > bound * abs(b_med):
         verdict = "worse"
-    elif WIN_DEN * wins >= WIN_NUM * len(base) and gain(b_med, c_med) > base_iqr:
+    elif (WIN_DEN * wins >= WIN_NUM * len(base) and gain(b_med, c_med) > base_iqr
+          and gain(b_med, c_med) >= MIN_GAIN * abs(b_med)):
         verdict = "better"
     elif base_iqr > bound * abs(b_med):
         verdict = "unresolved"

@@ -58,6 +58,17 @@ class Verdicts(unittest.TestCase):
         s = judge(base, change, "lower", 0.25)
         self.assertEqual((s.wins, s.verdict), (10, "same"))
 
+    def test_a_gain_below_the_minimum_effect_is_not_better(self):
+        # Peak RSS is near-deterministic: a 0.04% or 0.6% gap with every
+        # pair won and a base IQR far below it is still noise.
+        for base_mb, change_mb in [(262.8, 262.7), (141.6, 140.7)]:
+            base = [base_mb, base_mb + 0.01, base_mb - 0.01, base_mb, base_mb + 0.01]
+            change = [change_mb] * 5
+            s = judge(base, change, "lower", 0.2)
+            self.assertEqual(s.wins, 5)
+            self.assertGreater(s.base_median - s.change_median, s.base_iqr)
+            self.assertEqual(s.verdict, "same", (base_mb, change_mb))
+
     def test_higher_is_better_metrics_are_judged_upward(self):
         base = [100.0, 102.0, 98.0, 101.0, 99.0]
         self.assertEqual(judge(base, [0.6 * x for x in base], "higher", 0.25).verdict, "worse")

@@ -362,8 +362,8 @@ proptest! {
         let a = spec.generate();
         let b = spec.generate();
         prop_assert_eq!(&a, &b);
-        prop_assert_eq!(a.per_tag.len(), n_tags);
-        for tag in &a.per_tag {
+        prop_assert_eq!(a.n_tags(), n_tags);
+        for tag in a.queues() {
             for w in tag.windows(2) {
                 prop_assert!(w[0].slot <= w[1].slot);
             }
