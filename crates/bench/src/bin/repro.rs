@@ -939,7 +939,7 @@ mod tests {
         let (covered, wall_s, threads) = profile_figure(experiments::fig7);
         let share = profile_coverage(covered, wall_s, threads);
         assert!(covered > 0.0, "the sweep recorded its stages");
-        let pool = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let pool = fmbs_obs::cores();
         assert!((1..=pool).contains(&threads), "{threads} busy of {pool}");
         assert!(
             share <= 1.0,

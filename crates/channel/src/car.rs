@@ -11,6 +11,7 @@
 //! * the car's antenna/ground-plane advantage extends RF range to 60 ft
 //!   (modelled in [`crate::backscatter_link`], not here).
 
+use crate::noise::fill_gaussian;
 use fmbs_dsp::fir::FirDesign;
 use fmbs_dsp::iir::Biquad;
 use fmbs_dsp::windows::Window;
@@ -80,14 +81,19 @@ impl CabinChain {
             out[i] = direct[i] + refl;
         }
 
-        // Engine noise: low-frequency-weighted Gaussian noise.
-        let mut rng = StdRng::seed_from_u64(seed);
+        // Engine noise: low-frequency-weighted Gaussian noise. The white
+        // block is drawn into `direct`'s buffer, which the reflection
+        // pass has finished with.
+        let mut white = direct;
+        {
+            fmbs_obs::span!(fmbs_obs::stages::NOISE_DRAWS);
+            fill_gaussian(&mut StdRng::seed_from_u64(seed), &mut white);
+        }
         let mut rumble_filter = Biquad::lowpass(self.sample_rate, 400.0, 0.707);
-        for v in out.iter_mut() {
-            let white = crate::pathloss::gaussian(&mut rng);
+        for (v, &w) in out.iter_mut().zip(&white) {
             // Mix of low-passed rumble and a little broadband hiss.
-            let rumble = rumble_filter.push(white);
-            *v += self.engine_noise_rms * (3.0 * rumble + 0.3 * white);
+            let rumble = rumble_filter.push(w);
+            *v += self.engine_noise_rms * (3.0 * rumble + 0.3 * w);
         }
         out
     }

@@ -9,7 +9,8 @@
 //!   dB and linear quantities.
 //! * [`pathloss`] — Friis free-space and log-distance models with
 //!   log-normal shadowing (the drive-survey substrate for Fig. 2).
-//! * [`noise`] — thermal noise floors and seeded AWGN.
+//! * [`noise`] — thermal noise floors, seeded AWGN and the block normal
+//!   sampler (`fill_gaussian`) every hot noise process draws from.
 //! * [`fading`] — a Jakes-style sum-of-sinusoids fader for body motion
 //!   (standing / walking / running — Fig. 17b).
 //! * [`antenna`] — gains and efficiencies of the paper's antennas: poster

@@ -86,6 +86,14 @@ impl LogDistanceModel {
 
 /// One standard-normal draw via Box–Muller (rand's distribution crates are
 /// outside the offline allow-list).
+///
+/// The hot noise processes draw through [`crate::noise::fill_gaussian`]
+/// instead, five to seven times cheaper per draw. This one stays for the
+/// cold draws: shadowing here, and the survey's cell shadowing and
+/// temporal fading (fig. 2a/2b, under 1 ms). Their goldens and the
+/// survey's median-power test are calibrated against this stream, and
+/// that test sits 0.54 dB inside its window at its seed, so moving these
+/// draws belongs to a re-bless of the survey calibration itself.
 pub fn gaussian<R: Rng>(rng: &mut R) -> f64 {
     loop {
         let u1: f64 = rng.gen::<f64>();

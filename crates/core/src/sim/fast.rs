@@ -23,6 +23,9 @@
 //! FFT convolution — see the [`super`] module docs for how this keeps
 //! parallel sweeps bit-identical to serial ones. Only the channel the
 //! payload rides (mono, or L−R for stereo-band payloads) is synthesised.
+//! Its post-detection noise is one [`fill_gaussian`] (a ziggurat, no
+//! transcendental on ~99% of draws) per block; a profile reports a run's
+//! draws as one `noise_draws` call.
 
 use super::metric::STEREO_PAYLOAD_GAIN;
 use super::scenario::{ReceiverKind, Scenario};
@@ -32,7 +35,7 @@ use crate::modem::encoder::DataEncoder;
 use crate::modem::{bit_error_rate, Bitrate};
 use fmbs_channel::backscatter_link::audio_snr_from_cnr;
 use fmbs_channel::car::CabinChain;
-use fmbs_channel::pathloss::gaussian;
+use fmbs_channel::noise::fill_gaussian;
 use fmbs_dsp::fir::{Fir, FirDesign};
 use fmbs_dsp::windows::Window;
 use rand::rngs::StdRng;
@@ -140,6 +143,7 @@ impl FastSim {
         let mut channel = vec![0.0f64; n];
         let mut clicks = vec![0.0f64; n];
         let mut gauss = vec![0.0f64; block.max(1)];
+        let mut draws = fmbs_obs::Tally::one_call(fmbs_obs::stages::NOISE_DRAWS);
         // Click state: a decaying impulse excited at Poisson arrivals.
         let mut click_level = 0.0f64;
         let mut i = 0usize;
@@ -188,8 +192,9 @@ impl FastSim {
                 } else {
                     (&mut rng_mono, &host.mono, 1.0, noise_rms)
                 };
-                for g in gauss[..len].iter_mut() {
-                    *g = gaussian(rng);
+                {
+                    let _draws = draws.enter();
+                    fill_gaussian(rng, &mut gauss[..len]);
                 }
                 let out = &mut channel[i..i + len];
                 let hc = &host[i..i + len];
@@ -312,6 +317,7 @@ mod tests {
     use crate::modem::encoder::test_bits;
     use fmbs_audio::program::ProgramKind;
     use fmbs_channel::fading::MotionProfile;
+    use fmbs_channel::pathloss::gaussian;
     use proptest::prelude::*;
 
     fn tone(f: f64, secs: f64, amp: f64) -> Vec<f64> {
@@ -326,6 +332,26 @@ mod tests {
         let out = FastSim.run_payload(&s, &tone(1_000.0, 0.5, 0.9), false);
         let snr = fmbs_audio::metrics::tone_snr_db(&out.mono[4_800..], FAST_AUDIO_RATE, 1_000.0);
         assert!(snr > 35.0, "strong-link tone SNR {snr}");
+    }
+
+    #[test]
+    fn a_profiled_point_records_its_noise_draws_once() {
+        // A 0.5 s payload walks 50 blocks; the draws of each noise
+        // process are one call. The car adds the cabin's engine noise.
+        let payload = tone(1_000.0, 0.5, 0.9);
+        let draws = |s: &Scenario| {
+            let c = fmbs_obs::Collector::new();
+            let plain = FastSim.run_payload(s, &payload, false);
+            let profiled = {
+                let _g = fmbs_obs::install(Some(c.clone()));
+                FastSim.run_payload(s, &payload, false)
+            };
+            assert_eq!(plain.mono, profiled.mono, "profiling moved the bits");
+            let stats: std::collections::BTreeMap<_, _> = c.stage_stats().into_iter().collect();
+            stats[fmbs_obs::stages::NOISE_DRAWS].calls
+        };
+        assert_eq!(draws(&Scenario::bench(-40.0, 4.0, ProgramKind::News)), 1);
+        assert_eq!(draws(&Scenario::car(-40.0, 4.0, ProgramKind::News)), 2);
     }
 
     #[test]

@@ -232,20 +232,24 @@ impl PhysicalSim {
         // Jakes process (and seed rule) as the fast tier.
         let block = (iq_rate * 0.01) as usize;
         let mut rx_input: Vec<Complex> = Vec::with_capacity(block);
+        let mut draws = fmbs_obs::Tally::one_call(fmbs_obs::stages::NOISE_DRAWS);
         for start in (0..fe.host.len()).step_by(block) {
             let end = (start + block).min(fe.host.len());
             let h = fader.as_mut().map(|f| f.next_gain());
-            rx_input.clear();
-            rx_input.extend((start..end).map(|i| {
-                let host = fe.host[i];
+            // The block's thermal noise first, then the scaled signals
+            // added onto it (`n + s` and `s + n` are the same bits).
+            rx_input.resize(end - start, Complex::ZERO);
+            {
+                let _draws = draws.enter();
+                awgn.fill(&mut rx_input);
+            }
+            for (z, i) in rx_input.iter_mut().zip(start..end) {
                 let mut bs = fe.backscatter(i).scale(a_bs);
                 if let Some(h) = h {
                     bs *= h;
                 }
-                let mut z = bs + host.scale(a_host);
-                z += awgn.next_complex();
-                z
-            }));
+                *z += bs + fe.host[i].scale(a_host);
+            }
             for (_, stage) in receivers.iter_mut() {
                 fmbs_obs::span!(fmbs_obs::stages::FM_RECEIVE);
                 stage.push(&rx_input);

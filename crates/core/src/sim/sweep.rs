@@ -595,11 +595,7 @@ impl SweepBuilder {
         }
         let workers = self
             .threads
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            })
+            .unwrap_or_else(fmbs_obs::cores)
             .min(points.len());
         if workers <= 1 {
             return self.run_serial(sim, metric);

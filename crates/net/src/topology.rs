@@ -1077,16 +1077,14 @@ impl Deployment {
 pub const SETUP_TAGS_PER_WORKER: usize = 1 << 16;
 
 /// Workers a per-tag set-up pass over `n_tags` tags runs on: the
-/// host's parallelism, with at least [`SETUP_TAGS_PER_WORKER`] tags
-/// each. Small deployments return 1 without asking the host, which
-/// reads cgroup files and would cost a small build more than its tags.
+/// host's parallelism ([`fmbs_obs::cores`]), with at least
+/// [`SETUP_TAGS_PER_WORKER`] tags each.
 pub fn setup_workers(n_tags: usize) -> usize {
     let most = n_tags / SETUP_TAGS_PER_WORKER;
     if most <= 1 {
         return 1;
     }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    cores.min(most)
+    fmbs_obs::cores().min(most)
 }
 
 /// One metro run's outputs: city-wide aggregate statistics, the
@@ -1150,8 +1148,7 @@ impl CitySim {
     /// any worker count (property-tested), so parallelism is purely a
     /// wall-clock lever.
     pub fn run(&self) -> MetroRun {
-        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-        self.run_with_threads(threads)
+        self.run_with_threads(fmbs_obs::cores())
     }
 
     /// Runs single-threaded — the reference the parallel path must
@@ -2005,8 +2002,7 @@ mod tests {
         for n_tags in [0, 1, 128, 100_000, 2 * SETUP_TAGS_PER_WORKER - 1] {
             assert_eq!(setup_workers(n_tags), 1, "{n_tags} tags");
         }
-        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-        assert_eq!(setup_workers(1_000_000), cores.min(15));
+        assert_eq!(setup_workers(1_000_000), fmbs_obs::cores().min(15));
     }
 
     #[test]

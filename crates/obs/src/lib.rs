@@ -118,6 +118,11 @@ pub mod stages {
     /// One engine domain's pass of link-table BER lookups (nominal and
     /// fallback rate) over its tags, filling their tag states.
     pub const BER_LOOKUP: &str = "ber_lookup";
+    /// Standard-normal noise draws (`fmbs_channel::noise::fill_gaussian`)
+    /// of one run of a noise process: the fast tier's post-detection
+    /// noise, the physical tier's thermal noise or the cabin's engine
+    /// noise. One call per run, however many blocks it fills.
+    pub const NOISE_DRAWS: &str = "noise_draws";
     /// Link-table calibration (the nested sweep it runs).
     pub const BER_CALIBRATE: &str = "ber_calibrate";
     /// Packet-survival Monte-Carlo through the FEC decoder.
@@ -530,6 +535,10 @@ pub struct Tally {
     name: &'static str,
     collector: Option<Arc<Collector>>,
     stats: StageStats,
+    /// Every call counts as one ([`Tally::one_call`]).
+    one_call: bool,
+    /// Start of the first call accumulated here rather than recorded.
+    first: Option<Instant>,
 }
 
 impl Tally {
@@ -539,7 +548,19 @@ impl Tally {
             name,
             collector: active(),
             stats: StageStats::default(),
+            one_call: false,
+            first: None,
         }
+    }
+
+    /// A tally whose calls are recorded as one call of `name` (a run's
+    /// work split over its blocks): the times add up as in
+    /// [`Tally::new`], and a collector that records spans gets one, from
+    /// the first call's start, for their sum.
+    pub fn one_call(name: &'static str) -> Tally {
+        let mut tally = Tally::new(name);
+        tally.one_call = true;
+        tally
     }
 
     /// Opens one call of the stage; the returned guard closes it.
@@ -554,10 +575,22 @@ impl Tally {
 
 impl Drop for Tally {
     fn drop(&mut self) {
-        if let Some(c) = &self.collector {
-            if self.stats.calls > 0 && c.span_cap == 0 {
-                c.record_tally(self.name, self.stats);
-            }
+        let (Some(c), Some(first)) = (&self.collector, self.first) else {
+            return;
+        };
+        if self.one_call {
+            self.stats.calls = 1;
+        }
+        if c.span_cap > 0 {
+            let start_off = first.saturating_duration_since(c.epoch).as_nanos() as u64;
+            c.record_stage(
+                self.name,
+                self.stats.total_nanos,
+                self.stats.self_nanos,
+                start_off,
+            );
+        } else {
+            c.record_tally(self.name, self.stats);
         }
     }
 }
@@ -577,17 +610,27 @@ impl Drop for TallyGuard<'_> {
         let self_nanos = total.saturating_sub(close_nested(total));
         let tally = &mut *self.tally;
         match &tally.collector {
-            Some(c) if c.span_cap > 0 => {
+            Some(c) if c.span_cap > 0 && !tally.one_call => {
                 let start_off = start.saturating_duration_since(c.epoch).as_nanos() as u64;
                 c.record_stage(tally.name, total, self_nanos, start_off);
             }
             _ => {
+                tally.first.get_or_insert(start);
                 tally.stats.calls += 1;
                 tally.stats.total_nanos += total;
                 tally.stats.self_nanos += self_nanos;
             }
         }
     }
+}
+
+/// The host's available parallelism (at least 1), read once per
+/// process: on Linux each `std::thread::available_parallelism` call
+/// reads cgroup files, which costs a small network sweep point more
+/// than its work.
+pub fn cores() -> usize {
+    static CORES: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Peak resident set size of this process so far (`VmHWM` in
@@ -876,6 +919,43 @@ mod tests {
         let stats = c.stage_stats();
         assert_eq!(stats.len(), 1);
         assert_eq!((stats[0].0, stats[0].1.calls), ("step", 2));
+    }
+
+    #[test]
+    fn a_one_call_tally_records_its_calls_as_one() {
+        for spans in [false, true] {
+            let c = if spans {
+                Collector::with_spans(8)
+            } else {
+                Collector::new()
+            };
+            {
+                let _g = install(Some(c.clone()));
+                let _outer = stage("outer");
+                let mut tally = Tally::one_call("draws");
+                for _ in 0..3 {
+                    let _d = tally.enter();
+                    std::thread::sleep(std::time::Duration::from_millis(1));
+                }
+            }
+            let stats = c.stage_stats().into_iter().collect::<BTreeMap<_, _>>();
+            let (outer, draws) = (stats["outer"], stats["draws"]);
+            assert_eq!((outer.calls, draws.calls), (1, 1), "spans {spans}");
+            assert!(draws.total_nanos >= 3_000_000, "spans {spans}: {draws:?}");
+            assert_eq!(outer.self_nanos + draws.total_nanos, outer.total_nanos);
+            let (recorded, _) = c.spans();
+            let draw_spans: Vec<_> = recorded.iter().filter(|s| s.stage == "draws").collect();
+            assert_eq!(draw_spans.len(), usize::from(spans));
+            if let Some(s) = draw_spans.first() {
+                assert_eq!(s.dur_nanos, draws.total_nanos);
+            }
+        }
+    }
+
+    #[test]
+    fn cores_is_the_hosts_parallelism() {
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!((cores(), cores()), (host, host));
     }
 
     #[test]

@@ -123,9 +123,7 @@ fn build_bed(cfg: MusicConfig, n: usize) -> MusicBed {
 /// Worker threads for `tasks` tasks: one per available core, at most
 /// one per task.
 fn workers(tasks: usize) -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, |n| n.get())
-        .min(tasks)
+    fmbs_obs::cores().min(tasks)
 }
 
 /// Evaluates `f` at `0..tasks` on scoped worker threads that claim task

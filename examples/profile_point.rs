@@ -1,13 +1,16 @@
 //! Decomposes the cost of one sweep point — the unit of work behind
 //! every swept figure — so perf PRs can see where the milliseconds live
 //! before and after a change, and prints the network engine's cost per
-//! transmission attempt beside it.
+//! transmission attempt beside it. The kernel rows include the two
+//! normal samplers' ns per draw.
 //!
 //! ```sh
 //! cargo run --release --example profile_point
 //! ```
 
 use fmbs_audio::program::ProgramKind;
+use fmbs_channel::noise::fill_gaussian;
+use fmbs_channel::pathloss::gaussian;
 use fmbs_core::modem::decoder::DataDecoder;
 use fmbs_core::modem::encoder::DataEncoder;
 use fmbs_core::modem::Bitrate;
@@ -22,6 +25,8 @@ use fmbs_dsp::resample::Upsampler;
 use fmbs_dsp::windows::Window;
 use fmbs_net::prelude::{BerTable, Deployment, NetworkConfig, Receiver, Station, Traffic};
 use fmbs_workload::arrivals::TraceSpec;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -103,6 +108,21 @@ fn main() {
             .collect::<Vec<_>>()
     });
     println!("  goertzel bank   {ms:>8.3} ms   (16 tones, 200 x 240-sample windows)");
+
+    println!("normal draws (10^6 standard-normal draws):");
+    let draws = 1_000_000;
+    let mut rng = StdRng::seed_from_u64(1);
+    let ms = time_ms(3, || (0..draws).map(|_| gaussian(&mut rng)).sum::<f64>());
+    println!(
+        "  gaussian        {:>8.2} ns/draw   (Box-Muller, one per call)",
+        ms * 1e6 / draws as f64
+    );
+    let mut buf = vec![0.0; draws];
+    let ms = time_ms(3, || fill_gaussian(&mut rng, &mut buf));
+    println!(
+        "  fill_gaussian   {:>8.2} ns/draw   (ziggurat, one block)",
+        ms * 1e6 / draws as f64
+    );
 
     println!("network engine (one thread, plan built untimed):");
     // A flat link table: these rows time the engine, not calibration.

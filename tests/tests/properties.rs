@@ -480,9 +480,17 @@ proptest! {
             fmbs_obs::stages::RF_FRONT_END,
             fmbs_obs::stages::RF_BACK_END,
             fmbs_obs::stages::FM_RECEIVE,
+            fmbs_obs::stages::NOISE_DRAWS,
         ] {
             prop_assert!(stages.contains(&stage), "no {} stage", stage);
         }
+        // Each point's back end records its thermal noise draws as one
+        // call, however many 10 ms blocks it fills.
+        let stats: std::collections::BTreeMap<_, _> = obs.stage_stats().into_iter().collect();
+        prop_assert_eq!(
+            stats[fmbs_obs::stages::NOISE_DRAWS].calls,
+            stats[fmbs_obs::stages::RF_BACK_END].calls
+        );
     }
 }
 
