@@ -269,7 +269,7 @@ pub fn fig6(ctx: &BuildCtx) -> Experiment {
         SweepBuilder::new(base.with_workload(workload))
             .tone_freqs_hz(freqs.iter().copied())
             .repeats(ctx.grid.repeats())
-            .run_on(ctx.tier, &ToneSnr::default())
+            .run(ctx.tier.simulator(), &ToneSnr::default())
             .series(|v| match v.scenario.workload {
                 Workload::Tone { freq_hz, .. } => freq_hz / 1_000.0,
                 _ => unreachable!(),
@@ -299,7 +299,7 @@ pub fn fig7(ctx: &BuildCtx) -> Experiment {
         .powers_dbm(ctx.grid.powers_dbm())
         .distances_ft(ctx.grid.distances_ft())
         .repeats(ctx.grid.repeats())
-        .run_on(ctx.tier, &ToneSnr::default());
+        .run(ctx.tier.simulator(), &ToneSnr::default());
     Experiment {
         id: "fig7".into(),
         title: tier_title(ctx.tier, "SNR vs receiving power and distance"),
@@ -328,7 +328,7 @@ fn fig8(ctx: &BuildCtx, bitrate: Bitrate) -> Experiment {
         .distances_ft(ctx.grid.distances_ft())
         .programs([ProgramKind::News, ProgramKind::RockMusic])
         .repeats(ctx.grid.repeats())
-        .run_on(ctx.tier, &Ber::default());
+        .run(ctx.tier.simulator(), &Ber::default());
     Experiment {
         id: id.into(),
         title: tier_title(
@@ -368,7 +368,7 @@ pub fn fig9(ctx: &BuildCtx) -> Experiment {
         .distances_ft([8.0, 10.0, 12.0, 13.0, 14.0])
         .mrc_depths([1, 2, 3, 4])
         .repeats(ctx.grid.repeats())
-        .run_on(ctx.tier, &BerMrc::from_scenario());
+        .run(ctx.tier.simulator(), &BerMrc::from_scenario());
     let series = results
         .series_by(|v| v.scenario.mrc_depth, |v| v.scenario.distance_ft)
         .into_iter()
@@ -414,7 +414,7 @@ pub fn fig10(ctx: &BuildCtx) -> Experiment {
             let results = SweepBuilder::new(base.with_workload(workload))
                 .distances_ft([1.0, 2.0, 3.0, 4.0])
                 .repeats(ctx.grid.repeats())
-                .run_on(ctx.tier, &Ber::default());
+                .run(ctx.tier.simulator(), &Ber::default());
             series.push(Series::new(
                 format!("{mode}  {rate}"),
                 results.series(|v| v.scenario.distance_ft),
@@ -438,7 +438,7 @@ pub fn fig11(ctx: &BuildCtx) -> Experiment {
     let results = SweepBuilder::new(base)
         .powers_dbm(ctx.grid.powers_dbm())
         .distances_ft(ctx.grid.distances_ft())
-        .run_on(ctx.tier, &Pesq::default());
+        .run(ctx.tier.simulator(), &Pesq::default());
     Experiment {
         id: "fig11".into(),
         title: tier_title(ctx.tier, "PESQ with overlay backscatter"),
@@ -457,7 +457,7 @@ pub fn fig12(ctx: &BuildCtx) -> Experiment {
     let results = SweepBuilder::new(base)
         .powers_dbm([-20.0, -30.0, -40.0, -50.0])
         .distances_ft(ctx.grid.distances_ft())
-        .run_on(ctx.tier, &CoopPesq::default());
+        .run(ctx.tier.simulator(), &CoopPesq::default());
     Experiment {
         id: "fig12".into(),
         title: tier_title(
@@ -482,7 +482,7 @@ fn fig13(ctx: &BuildCtx, id: &str, title: &str) -> Experiment {
     let results = SweepBuilder::new(base)
         .powers_dbm([-20.0, -30.0, -40.0])
         .distances_ft(ctx.grid.distances_ft())
-        .run_on(ctx.tier, &Pesq::default());
+        .run(ctx.tier.simulator(), &Pesq::default());
     Experiment {
         id: id.into(),
         title: tier_title(ctx.tier, title),
@@ -506,7 +506,7 @@ pub fn fig14(ctx: &BuildCtx) -> Experiment {
     .powers_dbm(powers)
     .distances_ft(distances)
     .repeats(ctx.grid.repeats())
-    .run_on(ctx.tier, &ToneSnr::default());
+    .run(ctx.tier.simulator(), &ToneSnr::default());
     let pesq = SweepBuilder::new(
         Scenario::car(-20.0, 20.0, ProgramKind::News)
             .with_workload(Workload::speech(ctx.grid.audio_secs())),
@@ -514,7 +514,7 @@ pub fn fig14(ctx: &BuildCtx) -> Experiment {
     .powers_dbm(powers)
     .distances_ft(distances)
     .repeats(ctx.grid.repeats())
-    .run_on(ctx.tier, &Pesq::default());
+    .run(ctx.tier.simulator(), &Pesq::default());
     // Interleave as the paper's panel order: SNR then PESQ per power.
     let mut series = Vec::new();
     for &p in &powers {
@@ -550,7 +550,7 @@ pub fn fig17(ctx: &BuildCtx) -> Experiment {
         SweepBuilder::new(base.with_workload(workload))
             .motions(motions)
             .repeats(ctx.grid.repeats().max(2))
-            .run_on(ctx.tier, metric)
+            .run(ctx.tier.simulator(), metric)
             .series(|v| v.coords.motion as f64)
     };
     let s100 = run(
@@ -642,7 +642,7 @@ pub fn rates_table(ctx: &BuildCtx) -> Experiment {
     let results = SweepBuilder::new(base)
         .bitrates(Bitrate::ALL.iter().copied())
         .repeats(ctx.grid.repeats())
-        .run_on(ctx.tier, &Ber::default());
+        .run(ctx.tier.simulator(), &Ber::default());
     let pts = results.series(|v| match v.scenario.workload {
         Workload::Data { bitrate, .. } => bitrate.symbol_rate(),
         _ => unreachable!(),
@@ -1414,8 +1414,8 @@ fn cross_tier_series(
     budget: f64,
 ) -> Vec<Series> {
     use fmbs_core::sim::sweep::Coords;
-    let fast = sweep.run_on(Tier::Fast, metric);
-    let phys = sweep.run_on(Tier::Physical, metric);
+    let fast = sweep.run(Tier::Fast.simulator(), metric);
+    let phys = sweep.run(Tier::Physical.simulator(), metric);
     assert_eq!(fast.points.len(), phys.points.len());
     // (cell coords, fast sum, physical sum, |delta| sum, count).
     let mut cells: Vec<(Coords, f64, f64, f64, usize)> = Vec::new();

@@ -4,9 +4,9 @@
 //! an [`report::Experiment`] with the same series the paper plots. The
 //! `repro` binary prints/serialises them. perfbench (`BENCHMARK.json`)
 //! times every figure, and `scripts/bench_pairs.py` judges a change
-//! against its base with paired runs; the Criterion benches in
-//! `benches/` time the DSP kernels, the sweep engine and the network
-//! engine. [`perf`] keeps the metro acceptance geometry they share.
+//! against its base with paired runs. [`perf`] keeps the metro
+//! acceptance geometry that perfbench's `metro_trace` workload and the
+//! metro memory guard share.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

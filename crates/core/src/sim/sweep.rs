@@ -15,7 +15,7 @@
 use super::cache::{self, CacheStats, SweepCache};
 use super::metric::Metric;
 use super::scenario::Scenario;
-use super::{Simulator, Tier};
+use super::Simulator;
 use crate::modem::Bitrate;
 use fmbs_audio::program::ProgramKind;
 use fmbs_channel::fading::MotionProfile;
@@ -573,13 +573,6 @@ impl SweepBuilder {
             points,
             cache: shared.map(|c| c.stats()).unwrap_or_default(),
         }
-    }
-
-    /// Executes the sweep on a named simulation tier — the pluggable-tier
-    /// entry point `repro --tier` goes through. Identical to
-    /// [`Self::run`] with [`Tier::simulator`]'s instance.
-    pub fn run_on(&self, tier: Tier, metric: &dyn Metric) -> SweepResults {
-        self.run(tier.simulator(), metric)
     }
 
     /// Executes the sweep in parallel over scoped worker threads.

@@ -162,7 +162,7 @@ impl SquareFmOscillator {
 
     /// Advances one sample returning the *ideal cosine* subcarrier instead
     /// of the square wave. Used to quantify the square-wave approximation
-    /// (the ablation bench compares the two).
+    /// (the `ablation` figure compares the two).
     #[inline]
     pub fn next_cosine(&mut self, m: f64) -> f64 {
         let out = self.phase.cos();

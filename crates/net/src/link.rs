@@ -39,7 +39,7 @@ pub struct BerTableSpec {
 
 impl BerTableSpec {
     /// A small grid that calibrates in well under a second: enough for
-    /// the quick `network_capacity` figure and the benches.
+    /// the quick `network_capacity` figure, the examples and the tests.
     pub fn quick() -> Self {
         BerTableSpec {
             powers_dbm: vec![-60.0, -50.0, -40.0, -30.0],
@@ -143,7 +143,7 @@ impl BerTable {
     }
 
     /// Builds a table from explicit values (rate-major, then power, then
-    /// distance) — for synthetic tables in tests and benches.
+    /// distance) — for synthetic tables in tests and `examples/profile_point`.
     pub fn from_grid(
         powers_dbm: Vec<f64>,
         distances_ft: Vec<f64>,

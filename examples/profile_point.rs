@@ -1,8 +1,10 @@
-//! Decomposes the cost of one sweep point — the unit of work behind
-//! every swept figure — so perf PRs can see where the milliseconds live
-//! before and after a change, and prints the network engine's cost per
-//! transmission attempt beside it. The kernel rows include the two
-//! normal samplers' ns per draw.
+//! The repo's one kernel-timing table. It decomposes the cost of one
+//! sweep point — the unit of work behind every swept figure — so a
+//! change can see where the milliseconds live before and after it,
+//! times the receive-side kernels the figures run (FFT pairs, channel
+//! filter, ×10 upsampler, Goertzel bank, coop alignment), the two
+//! normal samplers' ns per draw, and the network engine's cost per
+//! transmission attempt. End-to-end speed is perfbench's to judge.
 //!
 //! ```sh
 //! cargo run --release --example profile_point
@@ -11,6 +13,7 @@
 use fmbs_audio::program::ProgramKind;
 use fmbs_channel::noise::fill_gaussian;
 use fmbs_channel::pathloss::gaussian;
+use fmbs_core::coop::{upsample, CooperativeDecoder};
 use fmbs_core::modem::decoder::DataDecoder;
 use fmbs_core::modem::encoder::DataEncoder;
 use fmbs_core::modem::Bitrate;
@@ -19,7 +22,8 @@ use fmbs_core::sim::physical::{PhysicalSim, PhysicalSimConfig};
 use fmbs_core::sim::scenario::{AppProfile, ArrivalModel, Scenario, Workload};
 use fmbs_core::sim::Simulator;
 use fmbs_dsp::complex::Complex;
-use fmbs_dsp::fir::{ComplexFir, FirDesign};
+use fmbs_dsp::fft::Fft;
+use fmbs_dsp::fir::{DecimatingFir, FirDesign};
 use fmbs_dsp::goertzel::GoertzelBank;
 use fmbs_dsp::resample::Upsampler;
 use fmbs_dsp::windows::Window;
@@ -80,8 +84,28 @@ fn main() {
     }
 
     println!("receive-side kernels:");
+    // A forward and an inverse transform per rep: the PESQ frame (2k),
+    // the Welch segment (4k), an `fft_conv` block (16k) and a buffer
+    // past the cache (128k).
+    for (name, n, reps) in [
+        ("2k", 1 << 11, 2_000),
+        ("4k", 1 << 12, 1_000),
+        ("16k", 1 << 14, 200),
+        ("128k", 1 << 17, 20),
+    ] {
+        let fft = Fft::new(n);
+        let mut buf: Vec<Complex> = (0..n)
+            .map(|i| Complex::from_angle(i as f64 * 0.1))
+            .collect();
+        let ms = time_ms(reps, || {
+            fft.forward(&mut buf);
+            fft.inverse(&mut buf);
+        });
+        println!("  fft {name:<11} {ms:>8.3} ms   (forward + inverse pair)");
+    }
     // The physical tier's channel filter: 0.75 s of IQ at 2.56 MHz,
-    // 127 taps, decimated by 10 to the MPX rate.
+    // 127 taps, decimated by 10 to the MPX rate, fed as the back end
+    // feeds it: 10 ms blocks of 25,600 samples.
     let iq: Vec<Complex> = (0..1_920_000)
         .map(|i| Complex::from_angle(i as f64 * 0.37).scale(0.8))
         .collect();
@@ -90,9 +114,18 @@ fn main() {
         window: Window::Blackman,
     }
     .lowpass(2_560_000.0, 130_000.0);
-    let mut cfir = ComplexFir::from_fir(&chan);
-    let ms = time_ms(5, || cfir.process_decimated(&iq, 10));
-    println!("  channel filter  {ms:>8.3} ms   (127 taps, 1.92 M IQ samples, /10)");
+    let mut decimated = Vec::with_capacity(iq.len() / 10);
+    let ms = time_ms(5, || {
+        let mut fir = DecimatingFir::new(chan.taps().to_vec(), 10);
+        decimated.clear();
+        for block in iq.chunks(25_600) {
+            fir.push(block, &mut decimated);
+        }
+        decimated.len()
+    });
+    println!(
+        "  channel filter  {ms:>8.3} ms   (127 taps, 1.92 M IQ samples in 25.6 k blocks, /10)"
+    );
     // The cooperative decoder's x10 upsampler over 2 s of 48 kHz audio.
     let audio: Vec<f64> = (0..96_000).map(|i| (i as f64 * 0.21).sin()).collect();
     let mut up = Upsampler::new(10, 8);
@@ -108,6 +141,18 @@ fn main() {
             .collect::<Vec<_>>()
     });
     println!("  goertzel bank   {ms:>8.3} ms   (16 tones, 200 x 240-sample windows)");
+    // The cooperative decoder's alignment search, coarse to fine: 1 s of
+    // 48 kHz audio per phone (x10 upsampled), lags within ±50 ms.
+    let phone1: Vec<f64> = (0..48_000)
+        .map(|i| (i as f64 * 0.13).sin() * (i as f64 * 0.0071).cos())
+        .collect();
+    let phone2: Vec<f64> = (0..48_000)
+        .map(|i| phone1[(i + 48_000 - 31) % 48_000])
+        .collect();
+    let (s1, s2) = (upsample(&phone1), upsample(&phone2));
+    let coop = CooperativeDecoder::new(FAST_AUDIO_RATE);
+    let ms = time_ms(20, || coop.align([&phone1, &phone2], [&s1, &s2]));
+    println!("  coop alignment  {ms:>8.3} ms   (1 s at 48 kHz per phone, ±50 ms lags)");
 
     println!("normal draws (10^6 standard-normal draws):");
     let draws = 1_000_000;

@@ -7,7 +7,7 @@
 use fmbs_bench::perf::metro_acceptance_deployment;
 use fmbs_core::modem::Bitrate;
 use fmbs_core::sim::scenario::{AppProfile, ArrivalModel};
-use fmbs_net::engine::TAG_STATE_BYTES;
+use fmbs_net::engine::{Arrival, TAG_STATE_BYTES};
 use fmbs_net::prelude::{BerTable, NetworkConfig, Traffic};
 use fmbs_workload::arrivals::TraceSpec;
 use std::sync::Arc;
@@ -20,12 +20,13 @@ const N_SLOTS: u64 = 10_000;
 /// domains in its own allocator arena.
 const WORKERS: usize = 2;
 
-/// Peak-RSS growth per tag across building and running the plan: the
-/// plan's sites, the per-domain engines (hot tag state, flat arrival
-/// queues, event queues) and the merged statistics. With two workers it
-/// read 234-237 B/tag in release and debug builds on x86-64 Linux; the
-/// bound adds 26 B (11%) to 234. Engines that clone each tag's arrival `Vec`
-/// and keep a 144-byte tag state read 291.
+/// Peak-RSS growth per tag across building and running the plan, less
+/// the arrival trace's own bytes: the plan's sites, the per-domain
+/// engines (hot tag state, flat arrival queues, event queues) and the
+/// merged statistics. With two workers it read 240-241 B/tag in release
+/// and debug builds on x86-64 Linux; the bound adds 19 B (8%) to 241.
+/// Engines that clone each tag's arrival `Vec` and keep a 144-byte tag
+/// state read 291 (measured from after the trace was built).
 const GROWTH_BOUND_BYTES_PER_TAG: f64 = 260.0;
 
 fn peak_rss_mb() -> f64 {
@@ -43,6 +44,10 @@ fn trace_driven_metro_run_grows_the_peak_by_a_bounded_amount_per_tag() {
         vec![Bitrate::Kbps1_6],
         vec![1e-4; 4],
     ));
+    // The baseline comes before the trace is built, and the trace's own
+    // bytes come off the reading, so how the trace is laid out does not
+    // move what the guard bounds.
+    let before = peak_rss_mb();
     let trace = Arc::new(
         TraceSpec {
             n_tags: N_TAGS,
@@ -55,7 +60,8 @@ fn trace_driven_metro_run_grows_the_peak_by_a_bounded_amount_per_tag() {
         }
         .generate(),
     );
-    let before = peak_rss_mb();
+    let trace_bytes = trace.offered() as usize * std::mem::size_of::<Arrival>()
+        + (N_TAGS + 1) * std::mem::size_of::<usize>();
     let run = metro_acceptance_deployment(N_TAGS, N_SLOTS)
         .traffic(Traffic::Trace(trace.clone()))
         .link(table)
@@ -63,10 +69,11 @@ fn trace_driven_metro_run_grows_the_peak_by_a_bounded_amount_per_tag() {
         .expect("valid metro deployment")
         .sim()
         .run_with_threads(WORKERS);
-    let per_tag = (peak_rss_mb() - before) * 1024.0 * 1024.0 / N_TAGS as f64;
+    let grown = (peak_rss_mb() - before) * 1024.0 * 1024.0 - trace_bytes as f64;
+    let per_tag = grown / N_TAGS as f64;
     println!(
         "trace-driven 4x4 metro run of {N_TAGS} tags on {WORKERS} workers: peak RSS grew \
-         {per_tag:.0} B per tag ({hot_bytes} B of hot tag state)"
+         {per_tag:.0} B per tag beyond the trace's {trace_bytes} B ({hot_bytes} B of hot tag state)"
     );
     assert_eq!(run.stats.offered, trace.offered());
     assert!(run.stats.queue_conserved(), "{:?}", run.stats);
