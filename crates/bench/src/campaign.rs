@@ -333,6 +333,38 @@ mod tests {
         );
     }
 
+    // The strict capture claim, in every corpus city: with the city's
+    // margin the collision rate never rises at any density of the quick
+    // grid, and at the densest it falls. A city with one receiver cell
+    // (boulder) holds it too, since its one domain carries received
+    // powers like any other. Goodput is not claimed: a margin can cost a
+    // little goodput through backoff dynamics.
+    #[test]
+    fn capture_lowers_collisions_in_every_corpus_city() {
+        let spec = experiments::spec_by_id("metro_scale_capture").unwrap();
+        for city in corpus_cities() {
+            let e = (spec.at)(&BuildCtx {
+                city: Some(&city),
+                ..BuildCtx::new(Grid::Quick)
+            });
+            let (id, m) = (&city.id, city.capture_margin_db);
+            let points = |label: String| {
+                let s = e.series.iter().find(|s| s.label == label);
+                s.unwrap_or_else(|| panic!("{id}: no series {label:?}"))
+                    .points
+                    .clone()
+            };
+            let off = points("collision rate, capture off".into());
+            let on = points(format!("collision rate, {m} dB capture margin"));
+            assert_eq!(off.len(), on.len());
+            for (&(x, y_off), &(_, y_on)) in off.iter().zip(&on) {
+                assert!(y_on <= y_off, "{id}: {x} tags, on {y_on} > off {y_off}");
+            }
+            let (&(x, y_off), &(_, y_on)) = (off.last().unwrap(), on.last().unwrap());
+            assert!(y_on < y_off, "{id}: {x} tags, on {y_on} !< off {y_off}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
 

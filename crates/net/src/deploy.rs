@@ -1,5 +1,5 @@
-//! Deployment synthesis: where the tags sit, which channel each one
-//! backscatters onto, and what powers it.
+//! Per-tag sites: which channel each tag backscatters onto and what
+//! powers it, for the tags [`crate::topology::Deployment`] places.
 //!
 //! A deployment is derived *functionally* from the network seed — tag
 //! `i`'s geometry comes from a splitmix hash of `(seed, i)`, never from
@@ -9,7 +9,6 @@
 use crate::engine::NetworkConfig;
 use fmbs_channel::units::Dbm;
 use fmbs_core::harvest::{rf_harvest_uw, Illumination, SolarCell};
-use fmbs_core::mac::assign_f_back;
 use fmbs_core::power::{IcPowerModel, PAPER_OPERATING_POINT};
 use fmbs_core::sim::sweep::splitmix64;
 use fmbs_fm::band::{BandOccupancy, Channel, FM_CHANNEL_COUNT, FM_CHANNEL_SPACING_HZ};
@@ -41,7 +40,8 @@ impl HarvestProfile {
 /// One deployed tag: geometry, channel plan and energy parameters.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct TagSite {
-    /// Distance to the (single, central) receiver in feet.
+    /// Distance to the receiver of the tag's collision domain (its
+    /// nearest) in feet, at least 1.
     pub distance_ft: f64,
     /// Ambient FM power at this tag in dBm.
     pub power_dbm: f64,
@@ -58,16 +58,6 @@ pub struct TagSite {
     /// cost if that is larger — a tag's capacitor is sized for its own
     /// transmit burst (far-channel tags run a faster, hungrier DCO).
     pub storage_uj: f64,
-}
-
-/// A synthesised deployment: per-tag sites plus the size of the channel
-/// plan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SiteMap {
-    /// One site per tag.
-    pub sites: Vec<TagSite>,
-    /// Number of distinct collision domains in use.
-    pub n_channels: usize,
 }
 
 /// Unit-interval samples derived from `(seed, tag, salt)` via the
@@ -112,89 +102,76 @@ pub fn city_occupancy(host: Channel, min_shift_hz: f64) -> BandOccupancy {
     occ
 }
 
-impl SiteMap {
-    /// Synthesises the tags of `cfg` on a disc of `cell_radius_ft`:
-    /// uniform-in-area placement, ±4 dB log-normal-ish shadowing around
-    /// `mean_power_dbm`, then [`SiteMap::place_into`].
-    pub fn generate(cfg: &NetworkConfig) -> Self {
-        let shifts = assign_f_back(&cfg.occupancy, cfg.host, cfg.n_tags);
-        let (radius, power) = (UnitDraw::new(cfg.seed, 1), UnitDraw::new(cfg.seed, 2));
-        let geometry = (0..cfg.n_tags as u64).map(|i| {
-            let distance_ft = (cfg.cell_radius_ft * radius.at(i).sqrt()).max(1.0);
-            let power_dbm = cfg.mean_power_dbm + 8.0 * (power.at(i) - 0.5);
-            (distance_ft, power_dbm)
-        });
-        let mut sites = Vec::with_capacity(cfg.n_tags);
-        let n_channels = Self::place_into(geometry, &shifts, cfg, &mut sites)
-            .len()
-            .max(1);
-        SiteMap { sites, n_channels }
-    }
-
-    /// Appends the sites of tags at the given `(distance_ft, power_dbm)`
-    /// to `sites`, tag `i` on `shifts[i]` (an [`assign_f_back`] plan at
-    /// least as long), energy parameters from `cfg`'s harvest profile
-    /// and the DCO frequency. Returns each dense channel's shift key
-    /// (`f_back_hz as i64`), by channel id. Pushes only: a `sites`
-    /// reserved to the tag count is never reallocated.
-    pub(crate) fn place_into(
-        geometry: impl Iterator<Item = (f64, f64)>,
-        shifts: &[Option<f64>],
-        cfg: &NetworkConfig,
-        sites: &mut Vec<TagSite>,
-    ) -> Vec<i64> {
-        let slot_secs = cfg.slot_secs();
-        // Dense channel ids in order of first appearance, so ids are
-        // stable for a given occupancy regardless of tag count; kept as
-        // (shift key, id) sorted by key for the lookup.
-        let mut channels: Vec<(i64, u16)> = Vec::new();
-        for ((distance_ft, power_dbm), shift) in geometry.zip(shifts) {
-            let f_back_hz = shift.unwrap_or(0.0);
-            let key = f_back_hz as i64;
-            let channel = match channels.binary_search_by_key(&key, |c| c.0) {
-                Ok(at) => channels[at].1,
-                Err(at) => {
-                    channels.insert(at, (key, channels.len() as u16));
-                    channels[at].1
-                }
-            };
-            let draw_uw = IcPowerModel {
-                f_back_hz: f_back_hz.abs().max(FM_CHANNEL_SPACING_HZ),
-                ..PAPER_OPERATING_POINT
+/// Appends the sites of tags at the given `(distance_ft, power_dbm)`
+/// to `sites`, tag `i` on `shifts[i]` (an
+/// [`fmbs_core::mac::assign_f_back`] plan at least as long), energy
+/// parameters from `cfg`'s harvest profile and the DCO frequency.
+/// Returns each dense channel's shift key (`f_back_hz as i64`), by
+/// channel id. Pushes only: a `sites` reserved to the tag count is
+/// never reallocated.
+pub(crate) fn place_into(
+    geometry: impl Iterator<Item = (f64, f64)>,
+    shifts: &[Option<f64>],
+    cfg: &NetworkConfig,
+    sites: &mut Vec<TagSite>,
+) -> Vec<i64> {
+    let slot_secs = cfg.slot_secs();
+    // Dense channel ids in order of first appearance, so ids are
+    // stable for a given occupancy regardless of tag count; kept as
+    // (shift key, id) sorted by key for the lookup.
+    let mut channels: Vec<(i64, u16)> = Vec::new();
+    for ((distance_ft, power_dbm), shift) in geometry.zip(shifts) {
+        let f_back_hz = shift.unwrap_or(0.0);
+        let key = f_back_hz as i64;
+        let channel = match channels.binary_search_by_key(&key, |c| c.0) {
+            Ok(at) => channels[at].1,
+            Err(at) => {
+                channels.insert(at, (key, channels.len() as u16));
+                channels[at].1
             }
-            .total_uw();
-            let tx_cost_uj = draw_uw * slot_secs;
-            sites.push(TagSite {
-                distance_ft,
-                power_dbm,
-                f_back_hz,
-                channel,
-                harvest_uw: cfg.harvest.harvest_uw(Dbm(power_dbm)),
-                tx_cost_uj,
-                storage_uj: cfg.storage_uj.max(2.0 * tx_cost_uj),
-            });
+        };
+        let draw_uw = IcPowerModel {
+            f_back_hz: f_back_hz.abs().max(FM_CHANNEL_SPACING_HZ),
+            ..PAPER_OPERATING_POINT
         }
-        let mut keys = vec![0; channels.len()];
-        for (key, channel) in channels {
-            keys[channel as usize] = key;
-        }
-        keys
+        .total_uw();
+        let tx_cost_uj = draw_uw * slot_secs;
+        sites.push(TagSite {
+            distance_ft,
+            power_dbm,
+            f_back_hz,
+            channel,
+            harvest_uw: cfg.harvest.harvest_uw(Dbm(power_dbm)),
+            tx_cost_uj,
+            storage_uj: cfg.storage_uj.max(2.0 * tx_cost_uj),
+        });
     }
+    let mut keys = vec![0; channels.len()];
+    for (key, channel) in channels {
+        keys[channel as usize] = key;
+    }
+    keys
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::topology::{CollisionDomain, Deployment, Receiver};
+
+    /// The one domain of a one-receiver plan: `d` in a cell of
+    /// `radius_ft` at the origin.
+    fn one_domain(d: Deployment, radius_ft: f64) -> CollisionDomain {
+        let plan = d
+            .receivers([Receiver::at(0.0, 0.0, radius_ft)])
+            .build()
+            .expect("valid");
+        plan.domains()[0].clone()
+    }
 
     #[test]
     fn deployment_is_seed_deterministic() {
-        let cfg = NetworkConfig {
-            cell_radius_ft: 20.0,
-            seed: 7,
-            ..NetworkConfig::new(50, 1)
-        };
-        let a = SiteMap::generate(&cfg);
-        let b = SiteMap::generate(&cfg);
+        let a = one_domain(Deployment::city(50).seed(7), 20.0);
+        let b = one_domain(Deployment::city(50).seed(7), 20.0);
         for (x, y) in a.sites.iter().zip(&b.sites) {
             assert_eq!(x.distance_ft.to_bits(), y.distance_ft.to_bits());
             assert_eq!(x.power_dbm.to_bits(), y.power_dbm.to_bits());
@@ -204,12 +181,12 @@ mod tests {
 
     #[test]
     fn sites_stay_on_the_disc_and_in_band() {
-        let d = SiteMap::generate(&NetworkConfig {
-            cell_radius_ft: 25.0,
-            harvest: HarvestProfile::Solar(Illumination::Shade),
-            seed: 3,
-            ..NetworkConfig::new(200, 1)
-        });
+        let d = one_domain(
+            Deployment::city(200)
+                .harvest(HarvestProfile::Solar(Illumination::Shade))
+                .seed(3),
+            25.0,
+        );
         for s in &d.sites {
             assert!(s.distance_ft >= 1.0 && s.distance_ft <= 25.0);
             assert!(s.power_dbm > -45.0 && s.power_dbm < -35.0);

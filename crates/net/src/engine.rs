@@ -583,8 +583,6 @@ pub struct NetworkConfig {
     pub bitrate: Bitrate,
     /// Packet length in bits (sets the slot duration).
     pub packet_bits: u32,
-    /// Deployment disc radius in feet.
-    pub cell_radius_ft: f64,
     /// Mean ambient FM power across the deployment (dBm).
     pub mean_power_dbm: f64,
     /// The host station's channel.
@@ -630,7 +628,6 @@ impl NetworkConfig {
             n_slots,
             bitrate: Bitrate::Kbps1_6,
             packet_bits: 256,
-            cell_radius_ft: 16.0,
             mean_power_dbm: -40.0,
             host: Channel(17),
             occupancy: city_occupancy(Channel(17), fmbs_core::DEFAULT_F_BACK_HZ),

@@ -12,9 +12,9 @@
 //!   samples single-link BER from a physics tier over a (power,
 //!   distance, rate) grid and interpolates per packet; a calibration
 //!   test pins it against direct simulation on held-out points.
-//! * [`deploy`] — deployment synthesis: tag geometry on a disc,
-//!   frequency-division channel plans via
-//!   [`fmbs_core::mac::assign_f_back`], per-tag harvest budgets.
+//! * [`deploy`] — per-tag sites: frequency-division channel plans via
+//!   [`fmbs_core::mac::assign_f_back`] and per-tag harvest budgets, for
+//!   the tags [`topology::Deployment`] places in its receiver cells.
 //! * [`engine`] — the event engine: a calendar queue of per-slot FIFO
 //!   buckets (slot order, then push order) drives per-tag state
 //!   machines (slotted Aloha with binary-exponential backoff, energy
@@ -76,7 +76,7 @@ pub mod topology;
 /// Convenience re-exports covering the main API surface.
 pub mod prelude {
     pub use crate::corpus::{load_corpus, CityScenario, CorpusError, ReceiverGrid};
-    pub use crate::deploy::{city_occupancy, HarvestProfile, SiteMap, TagSite};
+    pub use crate::deploy::{city_occupancy, HarvestProfile, TagSite};
     pub use crate::engine::{
         ArqConfig, Arrival, ArrivalTrace, EventQueue, EventTrace, NetRun, NetStats, NetworkConfig,
         Outcome, TraceEvent, TraceKind, Traffic,

@@ -30,11 +30,12 @@
 //!   [`MAX_RECEIVERS`] receivers before any per-tag work;
 //!   [`Deployment::work_budget`] raises the tag-slot budget.
 //!
-//! A single-receiver plan is the one-domain case: tags `0..n` on a
-//! [`SiteMap`] disc, no peers, no capture. Sweep metrics place such a
-//! cell at each grid point with [`Deployment::at`].
+//! A single-receiver plan is the one-domain case of the same synthesis:
+//! tags `0..n` placed, powered and captured as in any other cell, with
+//! no peers. Sweep metrics place such a cell at each grid point with
+//! [`Deployment::at`].
 
-use crate::deploy::{city_occupancy, HarvestProfile, SiteMap, TagSite, UnitDraw};
+use crate::deploy::{city_occupancy, place_into, HarvestProfile, TagSite, UnitDraw};
 use crate::engine::{
     ArqConfig, ArrivalQueues, DomainSim, EventTrace, NetRun, NetStats, NetworkConfig, SlotExtras,
     TraceEvent, Traffic,
@@ -360,8 +361,7 @@ pub struct CollisionDomain {
     pub sites: Vec<TagSite>,
     /// Received backscatter power at the receiver per local tag (dBm):
     /// ambient power at the tag minus the tag→receiver free-space path
-    /// loss — what the capture margin is measured against. Empty for a
-    /// single-receiver plan's domain, which resolves without capture.
+    /// loss — what the capture margin is measured against.
     pub rx_dbm: Vec<f64>,
     /// Size of this domain's frequency plan (dense local channel ids).
     pub n_channels: usize,
@@ -470,11 +470,11 @@ impl Deployment {
         Deployment::one_cell(NetworkConfig::new(n_tags, 1_000))
     }
 
-    /// `cfg` in one receiver cell of `cfg.cell_radius_ft`, with the
-    /// default geometry and no link table.
-    fn one_cell(cfg: NetworkConfig) -> Self {
+    /// `cfg` in one 16 ft receiver cell at the origin, with the default
+    /// geometry and no link table.
+    pub(crate) fn one_cell(cfg: NetworkConfig) -> Self {
         Deployment {
-            receivers: vec![Receiver::at(0.0, 0.0, cfg.cell_radius_ft)],
+            receivers: vec![Receiver::at(0.0, 0.0, 16.0)],
             cfg,
             stations: Vec::new(),
             placement: Placement::UniformDisc,
@@ -506,7 +506,6 @@ impl Deployment {
             n_tags: scenario.n_tags.max(1) as usize,
             n_slots: scenario.mac_slots.max(1) as u64,
             bitrate,
-            cell_radius_ft: scenario.distance_ft.max(1.0),
             mean_power_dbm: scenario.ambient_at_tag.0,
             occupancy: city_occupancy(Channel(17), scenario.f_back_hz),
             seed: scenario.seed,
@@ -518,6 +517,7 @@ impl Deployment {
             ..NetworkConfig::new(1, 1)
         };
         Deployment {
+            receivers: vec![Receiver::at(0.0, 0.0, scenario.distance_ft.max(1.0))],
             link: self.link.clone(),
             max_tag_slots: self.max_tag_slots,
             ..Deployment::one_cell(cfg)
@@ -555,7 +555,7 @@ impl Deployment {
     }
 
     /// Sets the mean ambient FM power (dBm) tags hear when no explicit
-    /// [`Station`]s are configured (always, in a single-receiver plan).
+    /// [`Station`]s are configured.
     pub fn power(mut self, mean_power_dbm: f64) -> Self {
         self.cfg.mean_power_dbm = mean_power_dbm;
         self
@@ -629,8 +629,7 @@ impl Deployment {
         self
     }
 
-    /// Places the FM broadcast stations that set ambient power
-    /// (multi-receiver plans only, see [`Deployment::receivers`]).
+    /// Places the FM broadcast stations that set ambient power.
     pub fn stations(mut self, stations: impl IntoIterator<Item = Station>) -> Self {
         self.stations = stations.into_iter().collect();
         self
@@ -638,18 +637,13 @@ impl Deployment {
 
     /// Places the receiver cells. One receiver is a single collision
     /// domain; two or more shard the run into parallel collision
-    /// domains. One receiver keeps only its radius: its tags lie on a
-    /// [`SiteMap`] disc, ignoring centre, stations, placement, capture.
+    /// domains.
     pub fn receivers(mut self, receivers: impl IntoIterator<Item = Receiver>) -> Self {
         self.receivers = receivers.into_iter().collect();
-        if let [only] = self.receivers.as_slice() {
-            self.cfg.cell_radius_ft = only.radius_ft;
-        }
         self
     }
 
-    /// Sets the tag placement model (multi-receiver plans only, see
-    /// [`Deployment::receivers`]).
+    /// Sets the tag placement model.
     pub fn placement(mut self, placement: Placement) -> Self {
         self.placement = placement;
         self
@@ -658,9 +652,6 @@ impl Deployment {
     /// Switches the capture effect on with the given margin in dB: in a
     /// contended slot the strongest received signal wins outright when
     /// its advantage over the runner-up is at least this.
-    ///
-    /// Multi-receiver plans only: a single-receiver plan ignores the
-    /// margin, and every collision there stays a collision.
     pub fn capture(mut self, margin_db: f64) -> Self {
         self.capture_margin_db = Some(margin_db);
         self
@@ -668,9 +659,6 @@ impl Deployment {
 
     /// Sets the raw-BER elevation each co-channel transmission in an
     /// overlapping neighbour domain adds (default 0.01).
-    ///
-    /// Multi-receiver plans only: a single-receiver plan has no
-    /// neighbour domains, so it ignores this.
     pub fn co_channel_ber(mut self, ber: f64) -> Self {
         self.co_channel_ber = ber;
         self
@@ -745,14 +733,9 @@ impl Deployment {
             });
         }
 
-        let topology = if self.receivers.len() >= 2 {
-            self.synthesize()?
-        } else {
-            self.one_cell_topology()
-        };
         Ok(CityPlan {
             cfg: cfg.clone(),
-            topology,
+            topology: self.synthesize()?,
             capture_margin_db: self.capture_margin_db,
             co_channel_ber: self.co_channel_ber,
             link: self.link.clone(),
@@ -859,26 +842,10 @@ impl Deployment {
         Ok(())
     }
 
-    /// Compiles a single-receiver plan: one domain holding tags `0..n`
-    /// on the [`SiteMap`] disc, with no peers and no received powers.
-    fn one_cell_topology(&self) -> MetroTopology {
-        let cfg = &self.cfg;
-        let map = SiteMap::generate(cfg);
-        MetroTopology {
-            domains: vec![CollisionDomain {
-                receiver: 0,
-                tags: (0..cfg.n_tags as u32).collect(),
-                sites: map.sites,
-                rx_dbm: Vec::new(),
-                n_channels: map.n_channels,
-            }],
-            peers: vec![vec![Vec::new(); map.n_channels]],
-        }
-    }
-
-    /// Compiles the multi-receiver geometry: deterministic tag
-    /// placement, nearest-receiver domain assignment, per-domain
-    /// frequency plans and the co-channel overlap table.
+    /// Compiles the geometry: deterministic tag placement,
+    /// nearest-receiver domain assignment, per-domain frequency plans and
+    /// the co-channel overlap table. One receiver is the one-domain case:
+    /// every tag joins it, in tag order.
     ///
     /// Tags are placed in contiguous chunks, and domains' sites built in
     /// blocks of domains, on [`setup_workers`] workers. The output does
@@ -949,7 +916,7 @@ impl Deployment {
             let mut keys = Vec::with_capacity(block.len());
             for dom in block {
                 let geom = dom.tags.iter().map(|&g| geometry[g as usize]);
-                let channels = SiteMap::place_into(geom, &shifts, cfg, &mut dom.sites);
+                let channels = place_into(geom, &shifts, cfg, &mut dom.sites);
                 dom.n_channels = channels.len().max(1);
                 keys.push(channels);
                 dom.rx_dbm.extend(dom.sites.iter().map(|s| {
@@ -1269,11 +1236,8 @@ impl CitySim {
                     }
                     extra[bi][ch as usize] = others as f64 * co_ber;
                 }
-                let dom = &topo.domains[*d];
                 let se = SlotExtras {
-                    capture: capture
-                        .filter(|_| !dom.rx_dbm.is_empty())
-                        .map(|m| (dom.rx_dbm.as_slice(), m)),
+                    capture: capture.map(|m| (topo.domains[*d].rx_dbm.as_slice(), m)),
                     interference: &extra[bi],
                 };
                 sim.resolve(slot, &se);
@@ -1504,35 +1468,43 @@ mod tests {
         }
     }
 
-    // Pins a known gap: a single-receiver plan places its tags on a
-    // `SiteMap` disc at the flat mean power, and its domain carries no
-    // received powers, so `.capture(..)`, `.stations(..)`,
-    // `.placement(..)` and the receiver's centre change nothing there,
-    // even under heavy contention.
+    // A one-receiver plan is the one-domain case of the metro synthesis,
+    // so every geometry and capture setting reaches it: under heavy
+    // contention capture turns collisions into deliveries, and a
+    // station, the receiver's centre (as the station hears it) and
+    // clustered placement each change what happens.
     #[test]
-    fn single_receiver_plan_ignores_capture() {
-        let base = Deployment::city(400).slots(200).record_trace(true);
-        let off = base
-            .clone()
-            .receivers(Receiver::grid(1, 1, 40.0))
-            .build()
-            .expect("valid")
-            .into_sim(table())
-            .run();
-        let on = base
-            .receivers([Receiver::at(900.0, -300.0, 40.0 / std::f64::consts::SQRT_2)])
-            .capture(6.0)
-            .stations([Station::at(10_000.0, 0.0)])
-            .placement(Placement::ClusteredHotspots { spread_ft: 5.0 })
-            .build()
-            .expect("valid")
-            .into_sim(table())
-            .run();
+    fn single_receiver_plan_honours_its_settings() {
+        // Packet survival falls off steeply with weaker ambient power
+        // and longer range, so moving a tag changes its outcomes.
+        let steep = Arc::new(BerTable::from_grid(
+            vec![-60.0, -20.0],
+            vec![1.0, 30.0],
+            vec![Bitrate::Kbps1_6],
+            vec![0.08, 0.1, 0.0, 0.02],
+        ));
+        let run = |d: Deployment| d.build().expect("valid").into_sim(steep.clone()).run();
+        let base = Deployment::city(400)
+            .slots(200)
+            .record_trace(true)
+            .receivers(Receiver::grid(1, 1, 40.0));
+        let off = run(base.clone());
         assert!(off.stats.collided > 0, "the cell must be contended");
-        assert_eq!(off.trace, on.trace);
-        assert_eq!(off.stats.delivered, on.stats.delivered);
-        assert_eq!(off.stats.collided, on.stats.collided);
-        assert_eq!(off.stats.per_tag_delivered, on.stats.per_tag_delivered);
+        let captured = run(base.clone().capture(6.0));
+        assert!(
+            captured.stats.collided < off.stats.collided,
+            "capture {} vs none {}",
+            captured.stats.collided,
+            off.stats.collided
+        );
+        let station = base.clone().stations([Station::at(10_000.0, 0.0)]);
+        let heard = run(station.clone());
+        assert_ne!(off.trace, heard.trace, "a station sets the ambient power");
+        let moved =
+            run(station.receivers([Receiver::at(900.0, -300.0, 40.0 / std::f64::consts::SQRT_2)]));
+        assert_ne!(heard.trace, moved.trace, "the centre moves the tags");
+        let clustered = run(base.placement(Placement::ClusteredHotspots { spread_ft: 5.0 }));
+        assert_ne!(off.trace, clustered.trace, "hotspots move the tags");
     }
 
     #[test]
@@ -1719,7 +1691,7 @@ mod tests {
         assert_eq!(cfg.n_slots, 777);
         assert_eq!(cfg.bitrate, Bitrate::Kbps3_2);
         assert_eq!(cfg.mean_power_dbm, -35.0);
-        assert_eq!(cfg.cell_radius_ft, 12.0);
+        assert_eq!(at.receivers, [Receiver::at(0.0, 0.0, 12.0)]);
     }
 
     #[test]
@@ -1782,7 +1754,7 @@ mod tests {
     /// `peers[d][c]`, as in [`MetroTopology::peers`].
     type Peers = Vec<Vec<Vec<(usize, u16)>>>;
 
-    /// Multi-receiver synthesis as one thread did it tag by tag before
+    /// Synthesis as one thread did it tag by tag before
     /// the set-up was split over workers: per-cell vectors grown tag by
     /// tag, the path loss and every hash recomputed per call, channels
     /// found by linear search and the DCO draw recomputed per site. The
@@ -1949,7 +1921,11 @@ mod tests {
                 .storage(0.5)
                 .receivers(Receiver::grid(3, 2, 90.0))
                 .placement(Placement::ClusteredHotspots { spread_ft: 20.0 });
-            for d in [acceptance, hotspots] {
+            let one_cell = Deployment::city(n_tags)
+                .seed(9)
+                .stations([Station::at(10_000.0, 0.0)])
+                .receivers([Receiver::at(900.0, -300.0, 40.0)]);
+            for d in [acceptance, hotspots, one_cell] {
                 let (want, want_peers) = serial_synthesis(&d).expect("covered");
                 for workers in 1..=4 {
                     let topo = d.synthesize_on(workers).expect("covered");

@@ -854,23 +854,15 @@ proptest! {
         prop_assert!(plan.is_ok(), "{:?}", plan.err());
         let plan = plan.unwrap();
         prop_assert_eq!(plan.domains().len(), nx * ny);
-        if nx * ny == 1 {
-            // The one-domain case: every tag, in global order.
-            prop_assert!(!plan.is_metro());
-            let dom = &plan.domains()[0];
-            prop_assert!(dom.tags.iter().copied().eq(0..n_tags as u32));
-            prop_assert_eq!(dom.sites.len(), n_tags);
-        } else {
-            let mut owners = vec![0u32; n_tags];
-            for dom in plan.domains() {
-                prop_assert_eq!(dom.tags.len(), dom.sites.len());
-                prop_assert_eq!(dom.tags.len(), dom.rx_dbm.len());
-                for &t in &dom.tags {
-                    owners[t as usize] += 1;
-                }
+        let mut owners = vec![0u32; n_tags];
+        for dom in plan.domains() {
+            prop_assert_eq!(dom.tags.len(), dom.sites.len());
+            prop_assert_eq!(dom.tags.len(), dom.rx_dbm.len());
+            for &t in &dom.tags {
+                owners[t as usize] += 1;
             }
-            prop_assert!(owners.iter().all(|&c| c == 1), "{owners:?}");
         }
+        prop_assert!(owners.iter().all(|&c| c == 1), "{owners:?}");
     }
 
     /// Capture-margin monotonicity: raising the margin never *creates*
