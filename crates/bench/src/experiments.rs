@@ -3,12 +3,13 @@
 //! Each builder reproduces the *workload and measurement* of the
 //! corresponding experiment on the simulated substrate. Every swept
 //! figure is a declarative [`SweepBuilder`] spec — typed axes over
-//! power/distance/rate/genre/motion plus a [`Metric`] — executed in
-//! parallel by the sweep engine with deterministic per-point seeding;
-//! nothing here hand-rolls a sweep loop. Parameter grids default to
-//! slightly coarser versions of the paper's sweeps so the whole set
-//! completes in minutes; pass `--full` to the `repro` binary for the
-//! dense grids.
+//! power/distance/rate/genre/motion plus a [`Metric`], or, on the
+//! network tier, one [`WorkloadSpec::run`] per point whose stats every
+//! series reads — executed in parallel by the sweep engine with
+//! deterministic per-point seeding; nothing here hand-rolls a sweep
+//! loop. Parameter grids default to slightly coarser versions of the
+//! paper's sweeps so the whole set completes in minutes; pass `--full`
+//! to the `repro` binary for the dense grids.
 //!
 //! Every builder has one signature, `fn(&BuildCtx) -> Experiment`: a
 //! [`BuildCtx`] carries everything a build can vary (grid density,
@@ -31,17 +32,14 @@ use fmbs_core::sim::sweep::{SweepBuilder, SweepResults};
 use fmbs_core::sim::Tier;
 use fmbs_net::prelude::{
     ArqConfig, BerTable, BerTableSpec, CityScenario, Deployment, FaultKind, FaultSpec,
-    HarvestProfile, NetCollisionRate, NetGoodput, Receiver, Station,
+    HarvestProfile, Receiver, Station,
 };
 use fmbs_survey::drive::DriveSurvey;
 use fmbs_survey::occupancy;
 use fmbs_survey::stations::City;
 use fmbs_survey::stereo_util;
 use fmbs_survey::temporal::TemporalSurvey;
-use fmbs_workload::prelude::{
-    domain_fairness, DeadlineMissRate, DeliveryRatio, OfferedVsGoodput, Policy, RecoveryTimeSlots,
-    RetxOverhead, SloLatencyP99, SloLatencyP999, WorkloadSpec,
-};
+use fmbs_workload::prelude::{domain_fairness, Policy, WorkloadSpec, WorkloadStats};
 use std::sync::Arc;
 
 /// Grid density selector.
@@ -791,38 +789,39 @@ pub fn network_capacity(ctx: &BuildCtx) -> Experiment {
         Grid::Full => [1_024, 4_096],
     };
     let base = bench_base(city);
+    // The collision sweep declares one frame at axis index 0, so its
+    // point seeds differ from the goodput sweep's: three sweeps, not a
+    // shared one.
+    let sweep = |frames: &[u32], spec: WorkloadSpec| {
+        SweepBuilder::new(base)
+            .n_tags(n_tags.iter().copied())
+            .mac_slot_counts(frames.iter().copied())
+            .evaluate(|s| spec.run(s))
+    };
 
-    let goodput = SweepBuilder::new(base)
-        .n_tags(n_tags.iter().copied())
-        .mac_slot_counts(frames)
-        .run(&FastSim, &NetGoodput(deployed_in(&table, city)));
+    let goodput = sweep(&frames, WorkloadSpec::new(deployed_in(&table, city)));
     let mut series: Vec<Series> = goodput
+        .project(|w| w.net.goodput_bps())
         .series_by(|v| v.scenario.mac_slots, |v| v.scenario.n_tags as f64)
         .into_iter()
         .map(|(slots, pts)| Series::new(format!("goodput (bps), {slots}-slot frame"), pts))
         .collect();
 
-    let starved = SweepBuilder::new(base)
-        .n_tags(n_tags.iter().copied())
-        .mac_slot_counts([frames[1]])
-        .run(
-            &FastSim,
-            &NetGoodput(deployed_in(&table, city).harvest(HarvestProfile::Solar(
-                fmbs_core::harvest::Illumination::Streetlight,
-            ))),
-        );
+    let starved = sweep(
+        &frames[1..],
+        WorkloadSpec::new(deployed_in(&table, city).harvest(HarvestProfile::Solar(
+            fmbs_core::harvest::Illumination::Streetlight,
+        ))),
+    );
     series.push(Series::new(
         "goodput (bps), streetlight harvest",
-        starved.series(|v| v.scenario.n_tags as f64),
+        by_tags(&starved, |w| w.net.goodput_bps()),
     ));
 
-    let collisions = SweepBuilder::new(base)
-        .n_tags(n_tags.iter().copied())
-        .mac_slot_counts([frames[1]])
-        .run(&FastSim, &NetCollisionRate(deployed_in(&table, city)));
+    let collisions = sweep(&frames[1..], WorkloadSpec::new(deployed_in(&table, city)));
     series.push(Series::new(
         "collision rate",
-        collisions.series(|v| v.scenario.n_tags as f64),
+        by_tags(&collisions, |w| w.net.collision_rate()),
     ));
 
     Experiment {
@@ -873,45 +872,57 @@ fn workload_base(ctx: &BuildCtx, model: ArrivalModel) -> Scenario {
     s
 }
 
+/// One [`WorkloadSpec::run`] per point of the workload density axis.
+fn workload_sweep(
+    ctx: &BuildCtx,
+    model: ArrivalModel,
+    spec: &WorkloadSpec,
+) -> SweepResults<WorkloadStats> {
+    SweepBuilder::new(workload_base(ctx, model))
+        .n_tags(workload_tags(ctx.grid))
+        .evaluate(|s| spec.run(s))
+}
+
+/// One reading of every point's stats, as a series over tag count.
+fn by_tags(
+    runs: &SweepResults<WorkloadStats>,
+    read: impl Fn(&WorkloadStats) -> f64,
+) -> Vec<(f64, f64)> {
+    runs.project(read).series(|v| v.scenario.n_tags as f64)
+}
+
 /// p99/p999 sojourn time versus tag density under each arrival model,
 /// plus the rate-cap policy's effect on the Poisson tail.
 pub fn workload_slo_latency(ctx: &BuildCtx) -> Experiment {
     let table = link_table(ctx.grid);
-    let tags = workload_tags(ctx.grid);
-    let spec = || WorkloadSpec::new(deployed_in(&table, ctx.city));
+    let spec = WorkloadSpec::new(deployed_in(&table, ctx.city));
+    let p99 = |w: &WorkloadStats| w.sojourn_quantile(0.99).0;
 
-    let mut series = Vec::new();
+    let poisson = workload_sweep(ctx, ArrivalModel::Poisson, &spec);
+    let mut series = vec![Series::new(
+        "p99 sojourn (s), poisson",
+        by_tags(&poisson, p99),
+    )];
     for (model, name) in [
-        (ArrivalModel::Poisson, "poisson"),
         (ArrivalModel::Diurnal, "diurnal"),
         (ArrivalModel::Mmpp, "mmpp"),
     ] {
-        let run = SweepBuilder::new(workload_base(ctx, model))
-            .n_tags(tags.iter().copied())
-            .run(&FastSim, &SloLatencyP99(spec()));
+        let runs = workload_sweep(ctx, model, &spec);
         series.push(Series::new(
             format!("p99 sojourn (s), {name}"),
-            run.series(|v| v.scenario.n_tags as f64),
+            by_tags(&runs, p99),
         ));
     }
-    let p999 = SweepBuilder::new(workload_base(ctx, ArrivalModel::Poisson))
-        .n_tags(tags.iter().copied())
-        .run(&FastSim, &SloLatencyP999(spec()));
     series.push(Series::new(
         "p999 sojourn (s), poisson",
-        p999.series(|v| v.scenario.n_tags as f64),
+        by_tags(&poisson, |w| w.sojourn_quantile(0.999).0),
     ));
-    let capped = SweepBuilder::new(workload_base(ctx, ArrivalModel::Poisson))
-        .n_tags(tags.iter().copied())
-        .run(
-            &FastSim,
-            &SloLatencyP99(spec().with_policy(Policy::RateCap {
-                max_load: WORKLOAD_OFFERED_LOAD / 2.0,
-            })),
-        );
+    let capped = spec.with_policy(Policy::RateCap {
+        max_load: WORKLOAD_OFFERED_LOAD / 2.0,
+    });
     series.push(Series::new(
         "p99 sojourn (s), poisson + rate-cap",
-        capped.series(|v| v.scenario.n_tags as f64),
+        by_tags(&workload_sweep(ctx, ArrivalModel::Poisson, &capped), p99),
     ));
 
     Experiment {
@@ -932,12 +943,21 @@ pub fn workload_slo_latency(ctx: &BuildCtx) -> Experiment {
 /// admission policy (Poisson arrivals, sensor-beacon deadlines).
 pub fn workload_slo_miss(ctx: &BuildCtx) -> Experiment {
     let table = link_table(ctx.grid);
-    let tags = workload_tags(ctx.grid);
-    let spec = || WorkloadSpec::new(deployed_in(&table, ctx.city));
+    let spec = WorkloadSpec::new(deployed_in(&table, ctx.city));
+    let sweep = |policy| {
+        workload_sweep(
+            ctx,
+            ArrivalModel::Poisson,
+            &spec.clone().with_policy(policy),
+        )
+    };
 
-    let mut series = Vec::new();
+    let admit_all = sweep(Policy::AdmitAll);
+    let mut series = vec![Series::new(
+        "deadline-miss rate, admit-all",
+        by_tags(&admit_all, WorkloadStats::deadline_miss_rate),
+    )];
     for (policy, name) in [
-        (Policy::AdmitAll, "admit-all"),
         (
             Policy::RateCap {
                 max_load: WORKLOAD_OFFERED_LOAD / 2.0,
@@ -946,20 +966,14 @@ pub fn workload_slo_miss(ctx: &BuildCtx) -> Experiment {
         ),
         (Policy::DeadlineAware, "deadline-aware"),
     ] {
-        let run = SweepBuilder::new(workload_base(ctx, ArrivalModel::Poisson))
-            .n_tags(tags.iter().copied())
-            .run(&FastSim, &DeadlineMissRate(spec().with_policy(policy)));
         series.push(Series::new(
             format!("deadline-miss rate, {name}"),
-            run.series(|v| v.scenario.n_tags as f64),
+            by_tags(&sweep(policy), WorkloadStats::deadline_miss_rate),
         ));
     }
-    let absorbed = SweepBuilder::new(workload_base(ctx, ArrivalModel::Poisson))
-        .n_tags(tags.iter().copied())
-        .run(&FastSim, &OfferedVsGoodput(spec()));
     series.push(Series::new(
         "delivered / offered, admit-all",
-        absorbed.series(|v| v.scenario.n_tags as f64),
+        by_tags(&admit_all, WorkloadStats::offered_vs_goodput),
     ));
 
     Experiment {
@@ -1030,39 +1044,40 @@ fn fault_workload_in(
 pub fn fault_resilience_goodput(ctx: &BuildCtx) -> Experiment {
     let (kind, city) = (ctx.fault, ctx.city);
     let table = link_table(ctx.grid);
-    let tags = workload_tags(ctx.grid);
     let kinds: Vec<FaultKind> = kind.map_or_else(|| FaultKind::ALL.to_vec(), |k| vec![k]);
-    let clean = || fault_workload_in(&table, city, FaultSpec::none(), ArqConfig::default());
-    let sweep = |metric: &dyn Metric| {
-        SweepBuilder::new(workload_base(ctx, ArrivalModel::Poisson))
-            .n_tags(tags.iter().copied())
-            .run(&FastSim, metric)
-            .series(|v| v.scenario.n_tags as f64)
+    let sweep = |faults| {
+        let spec = fault_workload_in(&table, city, faults, ArqConfig::default());
+        workload_sweep(ctx, ArrivalModel::Poisson, &spec)
     };
-
-    let mut series = vec![Series::new(
-        "delivery ratio, no fault",
-        sweep(&DeliveryRatio(clean())),
-    )];
-    for k in &kinds {
-        let spec = fault_workload_in(&table, city, fault_plan(*k), ArqConfig::default());
-        series.push(Series::new(
-            format!("delivery ratio, {}", k.name()),
-            sweep(&DeliveryRatio(spec)),
-        ));
-    }
     // What reliability costs in airtime: the retransmitted share of
     // attempts on the clean channel versus the fault class that works
     // the ARQ hardest (the restricted build mirrors its own kind).
+    let stressor = kind.unwrap_or(FaultKind::Burst);
+
+    let clean = sweep(FaultSpec::none());
+    let mut series = vec![Series::new(
+        "delivery ratio, no fault",
+        by_tags(&clean, WorkloadStats::delivery_ratio),
+    )];
+    let mut stressed = None;
+    for k in kinds {
+        let runs = sweep(fault_plan(k));
+        series.push(Series::new(
+            format!("delivery ratio, {}", k.name()),
+            by_tags(&runs, WorkloadStats::delivery_ratio),
+        ));
+        if k == stressor {
+            stressed = Some(runs);
+        }
+    }
+    let stressed = stressed.expect("the stressor is one of the plotted fault classes");
     series.push(Series::new(
         "retx overhead, no fault",
-        sweep(&RetxOverhead(clean())),
+        by_tags(&clean, WorkloadStats::retx_overhead),
     ));
-    let stressor = kind.unwrap_or(FaultKind::Burst);
-    let spec = fault_workload_in(&table, city, fault_plan(stressor), ArqConfig::default());
     series.push(Series::new(
         format!("retx overhead, {}", stressor.name()),
-        sweep(&RetxOverhead(spec)),
+        by_tags(&stressed, WorkloadStats::retx_overhead),
     ));
 
     Experiment {
@@ -1107,9 +1122,9 @@ pub fn fault_resilience_recovery(ctx: &BuildCtx) -> Experiment {
                     ..ArqConfig::default()
                 },
             );
-            r_mean += RecoveryTimeSlots::new(spec.clone()).evaluate(&FastSim, &scenario)
-                / cells.len() as f64;
-            o_mean += RetxOverhead(spec).evaluate(&FastSim, &scenario) / cells.len() as f64;
+            let (stats, recovery) = spec.run_recovery(&scenario);
+            r_mean += recovery / cells.len() as f64;
+            o_mean += stats.retx_overhead() / cells.len() as f64;
         }
         recovery.push((b as f64, r_mean));
         overhead.push((b as f64, o_mean));

@@ -6,7 +6,7 @@
 //!   so their backscatter lands on different unused FM channels
 //!   ([`assign_f_back`]).
 //! * **Slotted Aloha** — tags sharing one channel transmit in random
-//!   slots "similar to the Aloha protocol [25]" ([`SlottedAloha`]).
+//!   slots "similar to the Aloha protocol \[25\]" ([`SlottedAloha`]).
 
 use fmbs_fm::band::{BandOccupancy, Channel};
 use rand::rngs::StdRng;

@@ -1,4 +1,4 @@
-//! Forward error correction (§8: "We can use coding [42] to improve the
+//! Forward error correction (§8: "We can use coding \[42\] to improve the
 //! FM backscatter range").
 //!
 //! A rate-1/2, constraint-length-3 convolutional code (generators 7, 5 —

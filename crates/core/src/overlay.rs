@@ -4,7 +4,7 @@
 //! The mode every FM receiver supports (including non-programmable car
 //! stereos — §5.4): the tag's audio or data rides in the mono band, and
 //! the listener hears host + payload as a composite. These harnesses are
-//! thin adapters over the [`Simulator`]/[`Metric`](crate::sim::metric::Metric)
+//! thin adapters over the [`Simulator`]/[`Metric`]
 //! API — the same code path the sweep engine drives for Figs. 7, 8, 11
 //! and 14.
 

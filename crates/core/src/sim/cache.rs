@@ -49,7 +49,6 @@ use super::physical::RfFrontEnd;
 use super::scenario::{HostAudio, Scenario, SynthesisedPayload, Workload};
 use crate::modem::Bitrate;
 use fmbs_audio::program::ProgramKind;
-use serde::{Deserialize, Serialize, Value};
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -204,24 +203,10 @@ struct FrontEndKey {
 /// point.
 const FRONT_END_MAX_BYTES: usize = 1 << 30;
 
-/// Schema version written by [`CacheStats::to_value`]. Version 1 (the
-/// implicit pre-versioned schema) lacked the `version` and
-/// `front_end_*` fields; version 2 carries every counter the cache
-/// keeps, physical front end included.
-pub const CACHE_STATS_VERSION: u32 = 2;
-
 /// Hit/miss counters of one sweep's cache, reported in
 /// [`super::sweep::SweepResults`].
-///
-/// Serialization is hand-written (the vendored serde derive has no
-/// field defaults): committed perf records embed this struct, and the
-/// series predates the `version` and `front_end_*` fields, so
-/// deserialization defaults anything missing instead of erroring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Schema version of the serialized form (see
-    /// [`CACHE_STATS_VERSION`]); records without the field read as 1.
-    pub version: u32,
     /// Host-audio derivations served from the cache.
     pub host_hits: usize,
     /// Host-audio derivations computed (then inserted).
@@ -234,81 +219,6 @@ pub struct CacheStats {
     pub front_end_hits: usize,
     /// Physical-tier RF front-end derivations computed (then inserted).
     pub front_end_misses: usize,
-}
-
-impl Default for CacheStats {
-    fn default() -> Self {
-        CacheStats {
-            version: CACHE_STATS_VERSION,
-            host_hits: 0,
-            host_misses: 0,
-            payload_hits: 0,
-            payload_misses: 0,
-            front_end_hits: 0,
-            front_end_misses: 0,
-        }
-    }
-}
-
-impl CacheStats {
-    /// Total lookups served from the cache.
-    pub fn hits(&self) -> usize {
-        self.host_hits + self.payload_hits + self.front_end_hits
-    }
-
-    /// Total lookups that had to compute.
-    pub fn misses(&self) -> usize {
-        self.host_misses + self.payload_misses + self.front_end_misses
-    }
-}
-
-impl Serialize for CacheStats {
-    fn to_value(&self) -> Value {
-        Value::Map(vec![
-            ("version".into(), Value::U64(u64::from(self.version))),
-            ("host_hits".into(), Value::U64(self.host_hits as u64)),
-            ("host_misses".into(), Value::U64(self.host_misses as u64)),
-            ("payload_hits".into(), Value::U64(self.payload_hits as u64)),
-            (
-                "payload_misses".into(),
-                Value::U64(self.payload_misses as u64),
-            ),
-            (
-                "front_end_hits".into(),
-                Value::U64(self.front_end_hits as u64),
-            ),
-            (
-                "front_end_misses".into(),
-                Value::U64(self.front_end_misses as u64),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for CacheStats {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        // Absent fields default rather than error so version-1 records
-        // (committed before the front-end counters were serialized)
-        // stay parseable.
-        fn field<T: Deserialize + Default>(v: &Value, name: &str) -> Result<T, serde::Error> {
-            match v.get_field(name) {
-                Ok(f) => T::from_value(f),
-                Err(_) => Ok(T::default()),
-            }
-        }
-        Ok(CacheStats {
-            version: match v.get_field("version") {
-                Ok(f) => u32::from_value(f)?,
-                Err(_) => 1,
-            },
-            host_hits: field(v, "host_hits")?,
-            host_misses: field(v, "host_misses")?,
-            payload_hits: field(v, "payload_hits")?,
-            payload_misses: field(v, "payload_misses")?,
-            front_end_hits: field(v, "front_end_hits")?,
-            front_end_misses: field(v, "front_end_misses")?,
-        })
-    }
 }
 
 /// The front-end map and the heap bytes its entries hold.
@@ -347,7 +257,6 @@ impl SweepCache {
     /// physical front end included).
     pub fn stats(&self) -> CacheStats {
         CacheStats {
-            version: CACHE_STATS_VERSION,
             host_hits: self.host_hits.load(Ordering::Relaxed),
             host_misses: self.host_misses.load(Ordering::Relaxed),
             payload_hits: self.payload_hits.load(Ordering::Relaxed),

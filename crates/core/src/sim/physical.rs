@@ -307,7 +307,7 @@ impl Simulator for PhysicalSim {
     ///
     /// The configuration's `iq_rate` is kept; the link budget, distance,
     /// `f_back` and seed are taken from the scenario, so one
-    /// `PhysicalSim` serves a whole sweep (including `f_backs_hz` axes). The host station is modelled
+    /// `PhysicalSim` serves a whole sweep. The host station is modelled
     /// as a mono transmitter carrying the scenario's programme (no
     /// pre-emphasis, matching the fast tier's audio-domain model);
     /// stereo-band workloads are placed in a proper 19 kHz-pilot + 38 kHz

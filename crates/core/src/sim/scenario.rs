@@ -363,8 +363,7 @@ pub struct Scenario {
     pub program_seed: u64,
     /// Backscatter subcarrier frequency `f_back` in Hz (§3.3). Sets the
     /// tag's DCO power draw (`fmbs-core::power`) and, in the network
-    /// tier, the base of the multi-tag channel plan. Sweepable via
-    /// [`super::sweep::SweepBuilder::f_backs_hz`].
+    /// tier, the base of the multi-tag channel plan.
     pub f_back_hz: f64,
     /// MRC combining depth consumed by metrics built with
     /// [`super::metric::BerMrc::from_scenario`] (1 = no combining).

@@ -1,16 +1,17 @@
 //! The declarative sweep engine.
 //!
-//! Every figure of the paper's evaluation is a sweep: a metric evaluated
-//! over a grid of scenarios spanning some subset of {ambient power,
-//! distance, bit rate, programme, motion, receiver, tag, tone frequency,
-//! `f_back`, MRC depth, MAC slot count, tag count, arrival model,
-//! offered load, application profile} × repetitions. [`SweepBuilder`] declares those axes; `run` expands
-//! the grid and executes it on N scoped worker threads (generalising the
-//! bounded two-stage pipeline in [`super::stream`] to an N-worker
-//! engine), with **deterministic per-point seeding**: each point's seed
-//! is a hash of the base seed and the point's grid coordinates, so the
-//! results are bit-identical whether the grid runs serially, in
-//! parallel, or in any scheduling order.
+//! Every figure of the paper's evaluation is a sweep: a measurement
+//! evaluated over a grid of scenarios spanning some subset of {ambient
+//! power, distance, bit rate, programme, motion, tone frequency, MRC
+//! depth, MAC slot count, tag count, arrival model, offered load,
+//! application profile} × repetitions. [`SweepBuilder`] declares those
+//! axes; [`SweepBuilder::evaluate`] expands the grid and runs any
+//! per-point function on N scoped worker threads, with **deterministic
+//! per-point seeding**: each point's seed is a hash of the base seed
+//! and the point's grid coordinates, so the results are bit-identical
+//! whether the grid runs serially, in parallel, or in any scheduling
+//! order. [`SweepBuilder::run`] is the one-number case: a [`Metric`]
+//! measured against a [`Simulator`].
 
 use super::cache::{self, CacheStats, SweepCache};
 use super::metric::Metric;
@@ -37,14 +38,8 @@ pub struct Coords {
     pub program: usize,
     /// Index into the motion axis.
     pub motion: usize,
-    /// Index into the receiver axis.
-    pub receiver: usize,
-    /// Index into the tag axis.
-    pub tag: usize,
     /// Index into the tone-frequency axis.
     pub tone_freq: usize,
-    /// Index into the `f_back` axis.
-    pub f_back: usize,
     /// Index into the MRC-depth axis.
     pub mrc: usize,
     /// Index into the MAC-slot-count axis.
@@ -72,25 +67,44 @@ pub struct SweepPoint {
 
 /// One evaluated grid point.
 #[derive(Debug, Clone, Copy)]
-pub struct SweepValue {
+pub struct SweepValue<T = f64> {
     /// The scenario that was run.
     pub scenario: Scenario,
     /// Grid coordinates.
     pub coords: Coords,
-    /// The metric's measurement.
-    pub value: f64,
+    /// The point's measurement.
+    pub value: T,
 }
 
 /// Results of a sweep, in grid order.
 #[derive(Debug, Clone, Default)]
-pub struct SweepResults {
+pub struct SweepResults<T = f64> {
     /// Evaluated points, in the same order [`SweepBuilder::points`]
     /// expands them.
-    pub points: Vec<SweepValue>,
+    pub points: Vec<SweepValue<T>>,
     /// Hit/miss counters of the sweep's content-addressed cache (all
     /// zeros when the cache was disabled). Physical front-end counters
     /// are included; they stay zero for fast-tier sweeps.
     pub cache: CacheStats,
+}
+
+impl<T> SweepResults<T> {
+    /// Projects every point's measurement to one number — how one run
+    /// per point feeds several figure series.
+    pub fn project(&self, f: impl Fn(&T) -> f64) -> SweepResults {
+        SweepResults {
+            points: self
+                .points
+                .iter()
+                .map(|p| SweepValue {
+                    scenario: p.scenario,
+                    coords: p.coords,
+                    value: f(&p.value),
+                })
+                .collect(),
+            cache: self.cache,
+        }
+    }
 }
 
 impl SweepResults {
@@ -181,10 +195,7 @@ pub struct SweepBuilder {
     bitrates: Vec<Bitrate>,
     programs: Vec<ProgramKind>,
     motions: Vec<MotionProfile>,
-    receivers: Vec<super::scenario::ReceiverKind>,
-    tags: Vec<super::scenario::TagKind>,
     tone_freqs_hz: Vec<f64>,
-    f_backs_hz: Vec<f64>,
     mrc_depths: Vec<u32>,
     mac_slot_counts: Vec<u32>,
     n_tags: Vec<u32>,
@@ -222,8 +233,10 @@ fn point_seed(base: u64, c: &Coords) -> u64 {
         c.bitrate,
         c.program,
         c.motion,
-        c.receiver,
-        c.tag,
+        // Axes 6 and 7 (receiver and tag device) are gone; their index
+        // stays folded in as 0 so every seed is unchanged.
+        0,
+        0,
         c.tone_freq,
         c.repeat,
     ];
@@ -234,10 +247,10 @@ fn point_seed(base: u64, c: &Coords) -> u64 {
     // indices: index 0 (the "axis undeclared" placeholder) is
     // seed-transparent, so every figure that predates these axes keeps
     // its exact noise realisations, and declaring a new axis leaves the
-    // points it shares with the old grid untouched.
+    // points it shares with the old grid untouched. (Axis 10, `f_back`,
+    // is gone; never declared, it only ever folded in index 0.)
     for (axis, v) in [
-        (10u64, c.f_back),
-        (11, c.mrc),
+        (11u64, c.mrc),
         (12, c.mac_slots),
         (13, c.n_tags),
         (14, c.arrival),
@@ -262,10 +275,7 @@ impl SweepBuilder {
             bitrates: Vec::new(),
             programs: Vec::new(),
             motions: Vec::new(),
-            receivers: Vec::new(),
-            tags: Vec::new(),
             tone_freqs_hz: Vec::new(),
-            f_backs_hz: Vec::new(),
             mrc_depths: Vec::new(),
             mac_slot_counts: Vec::new(),
             n_tags: Vec::new(),
@@ -309,31 +319,10 @@ impl SweepBuilder {
         self
     }
 
-    /// Sweeps the receiver device.
-    pub fn receivers(
-        mut self,
-        receivers: impl IntoIterator<Item = super::scenario::ReceiverKind>,
-    ) -> Self {
-        self.receivers = receivers.into_iter().collect();
-        self
-    }
-
-    /// Sweeps the tag device.
-    pub fn tags(mut self, tags: impl IntoIterator<Item = super::scenario::TagKind>) -> Self {
-        self.tags = tags.into_iter().collect();
-        self
-    }
-
     /// Sweeps the tone frequency (requires a [`super::scenario::Workload::Tone`] base
     /// workload).
     pub fn tone_freqs_hz(mut self, freqs: impl IntoIterator<Item = f64>) -> Self {
         self.tone_freqs_hz = freqs.into_iter().collect();
-        self
-    }
-
-    /// Sweeps the backscatter subcarrier frequency `f_back` (Hz).
-    pub fn f_backs_hz(mut self, freqs: impl IntoIterator<Item = f64>) -> Self {
-        self.f_backs_hz = freqs.into_iter().collect();
         self
     }
 
@@ -404,9 +393,9 @@ impl SweepBuilder {
     }
 
     /// Expands the grid into concrete points, axis order: power ×
-    /// distance × bitrate × programme × motion × receiver × tag ×
-    /// tone-frequency × f_back × MRC depth × MAC slots × tag count ×
-    /// arrival model × offered load × app profile × repeat.
+    /// distance × bitrate × programme × motion × tone-frequency × MRC
+    /// depth × MAC slots × tag count × arrival model × offered load ×
+    /// app profile × repeat.
     pub fn points(&self) -> Vec<SweepPoint> {
         // Singleton placeholder for undeclared axes: `None` means "keep
         // the base scenario's value".
@@ -423,10 +412,7 @@ impl SweepBuilder {
         let bitrates = axis(&self.bitrates);
         let programs = axis(&self.programs);
         let motions = axis(&self.motions);
-        let receivers = axis(&self.receivers);
-        let tags = axis(&self.tags);
         let freqs = axis(&self.tone_freqs_hz);
-        let f_backs = axis(&self.f_backs_hz);
         let mrcs = axis(&self.mrc_depths);
         let mac_slots = axis(&self.mac_slot_counts);
         let n_tags = axis(&self.n_tags);
@@ -443,10 +429,7 @@ impl SweepBuilder {
             bitrates.len(),
             programs.len(),
             motions.len(),
-            receivers.len(),
-            tags.len(),
             freqs.len(),
-            f_backs.len(),
             mrcs.len(),
             mac_slots.len(),
             n_tags.len(),
@@ -457,25 +440,22 @@ impl SweepBuilder {
         ];
         let total: usize = lens.iter().product();
         let mut out = Vec::with_capacity(total);
-        let mut idx = [0usize; 16];
+        let mut idx = [0usize; 13];
         for _ in 0..total {
-            let rep = idx[15];
+            let rep = idx[12];
             let coords = Coords {
                 power: idx[0],
                 distance: idx[1],
                 bitrate: idx[2],
                 program: idx[3],
                 motion: idx[4],
-                receiver: idx[5],
-                tag: idx[6],
-                tone_freq: idx[7],
-                f_back: idx[8],
-                mrc: idx[9],
-                mac_slots: idx[10],
-                n_tags: idx[11],
-                arrival: idx[12],
-                offered: idx[13],
-                profile: idx[14],
+                tone_freq: idx[5],
+                mrc: idx[6],
+                mac_slots: idx[7],
+                n_tags: idx[8],
+                arrival: idx[9],
+                offered: idx[10],
+                profile: idx[11],
                 repeat: rep,
             };
             let mut s = self.base;
@@ -494,34 +474,25 @@ impl SweepBuilder {
             if let Some(m) = motions[idx[4]] {
                 s.motion = m;
             }
-            if let Some(r) = receivers[idx[5]] {
-                s.receiver = r;
-            }
-            if let Some(tg) = tags[idx[6]] {
-                s.tag = tg;
-            }
-            if let Some(f) = freqs[idx[7]] {
+            if let Some(f) = freqs[idx[5]] {
                 s.workload = set_tone_freq(s.workload, f);
             }
-            if let Some(f) = f_backs[idx[8]] {
-                s.f_back_hz = f;
-            }
-            if let Some(m) = mrcs[idx[9]] {
+            if let Some(m) = mrcs[idx[6]] {
                 s.mrc_depth = m;
             }
-            if let Some(k) = mac_slots[idx[10]] {
+            if let Some(k) = mac_slots[idx[7]] {
                 s.mac_slots = k;
             }
-            if let Some(n) = n_tags[idx[11]] {
+            if let Some(n) = n_tags[idx[8]] {
                 s.n_tags = n;
             }
-            if let Some(a) = arrivals[idx[12]] {
+            if let Some(a) = arrivals[idx[9]] {
                 s.arrival_model = a;
             }
-            if let Some(l) = offered[idx[13]] {
+            if let Some(l) = offered[idx[10]] {
                 s.offered_load = l;
             }
-            if let Some(p) = profiles[idx[14]] {
+            if let Some(p) = profiles[idx[11]] {
                 s.app_profile = p;
             }
             // Deterministic per-point seed: a hash of the base seed and
@@ -537,7 +508,7 @@ impl SweepBuilder {
                 scenario: s,
                 coords,
             });
-            for d in (0..16).rev() {
+            for d in (0..13).rev() {
                 idx[d] += 1;
                 if idx[d] < lens[d] {
                     break;
@@ -548,9 +519,21 @@ impl SweepBuilder {
         out
     }
 
-    /// Executes the sweep on one thread (reference implementation; the
-    /// parallel engine must match it bit for bit).
+    /// Measures `metric` against `sim` at every grid point, in parallel:
+    /// the one-number case of [`Self::evaluate`].
+    pub fn run(&self, sim: &dyn Simulator, metric: &dyn Metric) -> SweepResults {
+        self.evaluate(|s| metric.evaluate(sim, s))
+    }
+
+    /// [`Self::run`] on one thread: the reference the parallel path
+    /// must match bit for bit.
     pub fn run_serial(&self, sim: &dyn Simulator, metric: &dyn Metric) -> SweepResults {
+        self.evaluate_serial(|s| metric.evaluate(sim, s))
+    }
+
+    /// Evaluates `f` at every grid point on one thread (reference
+    /// implementation; [`Self::evaluate`] must match it bit for bit).
+    pub fn evaluate_serial<T>(&self, f: impl Fn(&Scenario) -> T) -> SweepResults<T> {
         let points = self.points();
         // Adopt a cache already installed on this thread (a campaign
         // run shares one across figures); otherwise make a fresh one.
@@ -565,7 +548,7 @@ impl SweepBuilder {
                 coords: p.coords,
                 value: {
                     fmbs_obs::span!(fmbs_obs::stages::SWEEP_POINT);
-                    metric.evaluate(sim, &p.scenario)
+                    f(&p.scenario)
                 },
             })
             .collect();
@@ -575,26 +558,24 @@ impl SweepBuilder {
         }
     }
 
-    /// Executes the sweep in parallel over scoped worker threads.
+    /// Evaluates `f` at every grid point in parallel over scoped worker
+    /// threads.
     ///
     /// Workers claim points from a shared cursor and evaluate them
     /// independently; because every point's scenario (seed included) is
     /// fixed at expansion time, the result is identical to
-    /// [`Self::run_serial`] regardless of scheduling.
-    pub fn run(&self, sim: &dyn Simulator, metric: &dyn Metric) -> SweepResults {
+    /// [`Self::evaluate_serial`] regardless of scheduling.
+    pub fn evaluate<T: Send>(&self, f: impl Fn(&Scenario) -> T + Sync) -> SweepResults<T> {
         let points = self.points();
-        if points.is_empty() {
-            return SweepResults::default();
-        }
         let workers = self
             .threads
             .unwrap_or_else(fmbs_obs::cores)
             .min(points.len());
         if workers <= 1 {
-            return self.run_serial(sim, metric);
+            return self.evaluate_serial(f);
         }
 
-        // As in `run_serial`: adopt the calling thread's installed
+        // As in `evaluate_serial`: adopt the calling thread's installed
         // cache if there is one, so campaign figures share hits.
         let shared: Option<Arc<SweepCache>> =
             self.cache.then(|| cache::active().unwrap_or_default());
@@ -603,7 +584,7 @@ impl SweepBuilder {
         // counters only — no RNG is touched), merged back in worker
         // order so the aggregate is schedule-independent.
         let cursor = AtomicUsize::new(0);
-        let mut values: Vec<Option<f64>> = vec![None; points.len()];
+        let mut values: Vec<Option<T>> = points.iter().map(|_| None).collect();
         let done = fmbs_obs::scoped_workers(workers, |_| {
             // Every worker reads through the one shared cache; the guard
             // keeps the install scoped to this worker.
@@ -614,7 +595,7 @@ impl SweepBuilder {
                 let Some(p) = points.get(i) else { break done };
                 let value = {
                     fmbs_obs::span!(fmbs_obs::stages::SWEEP_POINT);
-                    metric.evaluate(sim, &p.scenario)
+                    f(&p.scenario)
                 };
                 done.push((i, value));
             }
@@ -755,6 +736,31 @@ mod tests {
                 s.value,
                 p.value
             );
+        }
+    }
+
+    /// One evaluation per point feeds several readings: each projection
+    /// of a parallel `evaluate` equals the serial reference and the
+    /// one-number `run` of the same reading, bit for bit.
+    #[test]
+    fn evaluate_projects_every_reading_of_one_run() {
+        let sweep = ber_grid();
+        let both = |s: &Scenario| (Ber::default().evaluate(&FastSim, s), s.seed);
+        let serial = sweep.evaluate_serial(both);
+        let parallel = sweep.clone().threads(3).evaluate(both);
+        let ber = sweep.run(&FastSim, &Ber::default());
+        for (read, single) in [
+            (parallel.project(|v| v.0), &ber),
+            (serial.project(|v| v.0), &ber),
+        ] {
+            for (a, b) in read.points.iter().zip(&single.points) {
+                assert_eq!(a.coords, b.coords);
+                assert_eq!(a.value.to_bits(), b.value.to_bits());
+            }
+        }
+        for (s, p) in serial.points.iter().zip(&parallel.points) {
+            assert_eq!(s.value.1, p.scenario.seed);
+            assert_eq!(p.value.1, p.scenario.seed);
         }
     }
 

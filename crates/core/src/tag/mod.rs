@@ -113,7 +113,7 @@ impl Tag {
 
     /// Single-sideband backscatter (footnote 2 of §3.3: "the cos(A−B)
     /// term can be removed using single-sideband modulation as described
-    /// in [36]"). A four-state switch network (Interscatter-style)
+    /// in \[36\]"). A four-state switch network (Interscatter-style)
     /// approximates a complex exponential: the quadrature square pair
     /// `sign(cos φ) + i·sign(sin φ)` concentrates energy in the *upper*
     /// sideband at `fc + f_back`, suppressing the image at `fc − f_back`

@@ -122,6 +122,20 @@ pub fn quantile_nearest_rank_counted(xs: &[f64], q: f64) -> (f64, usize) {
     (sorted[idx], sorted.len())
 }
 
+/// Jain's fairness index `(Σx)² / (n·Σx²)` of non-negative shares: 1
+/// when every share is equal, 1/n when one takes everything. 1 for no
+/// shares, or when every share is zero. Both sums accumulate left to
+/// right, in the order given.
+pub fn jain_index(xs: impl IntoIterator<Item = f64>) -> f64 {
+    let (n, sum, sq_sum) = xs
+        .into_iter()
+        .fold((0usize, 0.0, 0.0), |(n, s, q), x| (n + 1, s + x, q + x * x));
+    if n == 0 || sq_sum <= 0.0 {
+        return 1.0;
+    }
+    sum * sum / (n as f64 * sq_sum)
+}
+
 /// An empirical cumulative distribution function.
 ///
 /// Construction and every accessor share
@@ -263,6 +277,14 @@ mod tests {
         assert!((linear_to_db(2.0) - 3.0103).abs() < 1e-3);
         assert!((db_to_linear(-30.0) - 0.001).abs() < 1e-12);
         assert!((amplitude_to_db(10.0) - 20.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn jain_index_spans_one_over_n_to_one() {
+        assert_eq!(jain_index([3.0, 3.0, 3.0]), 1.0);
+        assert!((jain_index([5.0, 0.0, 0.0, 0.0]) - 0.25).abs() < 1e-12);
+        assert_eq!(jain_index([]), 1.0);
+        assert_eq!(jain_index([0.0, 0.0]), 1.0);
     }
 
     #[test]

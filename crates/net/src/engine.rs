@@ -115,7 +115,7 @@ impl Bucket {
 ///
 /// A ring of per-slot FIFO buckets covers the window
 /// `[base, base + window())`: bucket `slot & mask` holds the tags of
-/// `slot` in push order, in a list of cells of [`CELL_TAGS`] tags.
+/// `slot` in push order, in a list of cells of `CELL_TAGS` tags.
 /// Events past the window wait in a heap ordered by slot, then push
 /// order, and move into their bucket, in that order, as soon as the
 /// window reaches their slot. Nothing is pushed into a bucket before
@@ -650,7 +650,7 @@ impl NetworkConfig {
 }
 
 /// Aggregate statistics of one run.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct NetStats {
     /// Deployed tags.
     pub n_tags: usize,
@@ -720,20 +720,7 @@ impl NetStats {
     /// Jain's fairness index over per-tag delivered packets (1 =
     /// perfectly even, 1/n = one tag hogs the channel).
     pub fn jain_fairness(&self) -> f64 {
-        let n = self.per_tag_delivered.len();
-        if n == 0 {
-            return 1.0;
-        }
-        let sum: f64 = self.per_tag_delivered.iter().map(|&x| x as f64).sum();
-        let sq_sum: f64 = self
-            .per_tag_delivered
-            .iter()
-            .map(|&x| (x as f64) * (x as f64))
-            .sum();
-        if sq_sum <= 0.0 {
-            return 1.0;
-        }
-        sum * sum / (n as f64 * sq_sum)
+        fmbs_dsp::stats::jain_index(self.per_tag_delivered.iter().map(|&x| x as f64))
     }
 
     /// Contention-latency percentile (`p` in [0, 1]) in seconds;

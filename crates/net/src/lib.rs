@@ -32,11 +32,13 @@
 //!   (band occupancy, stations, receiver grids, harvest, placement)
 //!   loaded and validated into [`topology::Deployment`]s, the input to
 //!   `repro --campaign`.
-//! * [`metrics`] — network [`fmbs_core::sim::metric::Metric`]s
-//!   (goodput, collision rate, Jain fairness, latency percentiles) that
-//!   plug straight into [`fmbs_core::sim::sweep::SweepBuilder`], making
-//!   `n_tags`, `mac_slot_counts` and `f_backs_hz` sweepable axes with
-//!   the engine's usual parallel == serial bit-identity.
+//!
+//! A sweep point runs the one-cell deployment [`topology::Deployment::at`]
+//! places there, once, and every reading — goodput, collision rate,
+//! Jain fairness, latency percentiles — comes from its
+//! [`engine::NetStats`]. [`fmbs_core::sim::sweep::SweepBuilder::evaluate`]
+//! makes `n_tags` and `mac_slot_counts` sweepable axes with the
+//! engine's usual parallel == serial bit-identity.
 //!
 //! ```
 //! use fmbs_audio::program::ProgramKind;
@@ -53,11 +55,14 @@
 //! // grid point runs the one-cell deployment `Deployment::at` places.
 //! let base = Scenario::bench(-40.0, 12.0, ProgramKind::News)
 //!     .with_workload(Workload::data(Bitrate::Kbps1_6, 256));
-//! let results = SweepBuilder::new(base)
+//! let deployment = Deployment::city(1).link(table);
+//! let runs = SweepBuilder::new(base)
 //!     .n_tags([8, 64])
-//!     .run(&FastSim, &NetGoodput(Deployment::city(1).link(table)));
-//! assert_eq!(results.points.len(), 2);
-//! assert!(results.points.iter().all(|p| p.value > 0.0));
+//!     .evaluate(|s| deployment.at(s).run_point().stats);
+//! assert_eq!(runs.points.len(), 2);
+//! assert!(runs.points.iter().all(|p| p.value.goodput_bps() > 0.0));
+//! let collisions = runs.project(NetStats::collision_rate);
+//! assert!(collisions.points.iter().all(|p| (0.0..=1.0).contains(&p.value)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -68,7 +73,6 @@ pub mod deploy;
 pub mod engine;
 pub mod faults;
 pub mod link;
-pub mod metrics;
 #[cfg(test)]
 mod oracle;
 pub mod topology;
@@ -83,7 +87,6 @@ pub mod prelude {
     };
     pub use crate::faults::{recovery_time_slots, FaultKind, FaultSchedule, FaultSpec, Window};
     pub use crate::link::{BerTable, BerTableSpec, TableDelta, TableDeltaCell};
-    pub use crate::metrics::{NetCollisionRate, NetFairness, NetGoodput, NetLatency};
     pub use crate::topology::{
         capture_winner, CityPlan, CitySim, CollisionDomain, Deployment, DeploymentError, MetroRun,
         Placement, Receiver, Station, MAX_RECEIVERS,

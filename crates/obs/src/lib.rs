@@ -5,7 +5,7 @@
 //! wall-time regions) and bump *counters* without knowing whether
 //! anyone is listening. A [`Collector`] is *installed* into a
 //! thread-local ([`install`]) for the duration of a profiled run;
-//! while none is installed, [`stage`] and [`counter`] reduce to one
+//! while none is installed, [`stage`] and [`counter()`] reduce to one
 //! thread-local read and touch nothing else — no clock reads, no
 //! allocation, and (critically) **no RNG stream**, so a profiled run
 //! is bit-identical to an unprofiled one.

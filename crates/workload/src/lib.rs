@@ -15,14 +15,16 @@
 //!   a deadline.
 //! * [`policy`] — admission policies (admit-all, rate-cap token bucket,
 //!   deadline-aware shedding) applied between generator and engine.
-//! * [`metrics`] — `SloLatencyP99`/`SloLatencyP999`, `DeadlineMissRate`
-//!   and `OfferedVsGoodput` as ordinary
-//!   [`fmbs_core::sim::metric::Metric`]s, so the traffic axes sweep
-//!   like any other axis with parallel == serial bit-identity.
-//! * [`resilience`] — fault-facing metrics over the same runs:
-//!   `DeliveryRatio`, `RetxOverhead` and `RecoveryTimeSlots` measure
-//!   how a deployment degrades and recovers under the fault plans of
-//!   [`fmbs_net::faults`] with the engine's link-layer ARQ.
+//! * [`metrics`] — [`metrics::WorkloadSpec::run`], one trace-driven
+//!   run per sweep point, and its [`metrics::WorkloadStats`]: sojourn
+//!   quantiles, deadline-miss rate and delivered/offered. A sweep
+//!   evaluates `run` like any other per-point function, so the traffic
+//!   axes sweep with parallel == serial bit-identity, and every series
+//!   of a figure reads one run per point.
+//! * [`resilience`] — fault-facing readings of the same runs: delivery
+//!   ratio, retransmission overhead and goodput recovery time
+//!   ([`metrics::WorkloadSpec::run_recovery`]) under the fault plans
+//!   of [`fmbs_net::faults`] with the engine's link-layer ARQ.
 //!
 //! ```
 //! use fmbs_audio::program::ProgramKind;
@@ -38,14 +40,15 @@
 //! let base = Scenario::bench(-40.0, 12.0, ProgramKind::News)
 //!     .with_workload(Workload::data(Bitrate::Kbps1_6, 256))
 //!     .with_traffic(ArrivalModel::Poisson, 0.02, AppProfile::SensorBeacon);
-//! let miss = SweepBuilder::new(base)
+//! let spec = WorkloadSpec::new(Deployment::city(1).link(table));
+//! // One run per point; every reading comes from its stats.
+//! let runs = SweepBuilder::new(base)
 //!     .n_tags([8, 256])
-//!     .run(
-//!         &FastSim,
-//!         &DeadlineMissRate(WorkloadSpec::new(Deployment::city(1).link(table))),
-//!     );
+//!     .evaluate(|s| spec.run(s));
+//! let miss = runs.project(WorkloadStats::deadline_miss_rate);
 //! assert_eq!(miss.points.len(), 2);
 //! assert!(miss.points.iter().all(|p| (0.0..=1.0).contains(&p.value)));
+//! assert!(runs.points.iter().all(|p| p.value.offered_vs_goodput() <= 1.0));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -60,11 +63,7 @@ pub mod resilience;
 /// Convenience re-exports covering the main API surface.
 pub mod prelude {
     pub use crate::arrivals::{diurnal_factor, TraceSpec};
-    pub use crate::metrics::{
-        domain_fairness, domain_slo_totals, DeadlineMissRate, OfferedVsGoodput, SloLatencyP99,
-        SloLatencyP999, WorkloadSpec, WorkloadStats,
-    };
+    pub use crate::metrics::{domain_fairness, WorkloadSpec, WorkloadStats};
     pub use crate::policy::{Admitted, Policy};
     pub use crate::profile::{shape_of, MessageShape};
-    pub use crate::resilience::{DeliveryRatio, RecoveryTimeSlots, RetxOverhead};
 }

@@ -1,13 +1,17 @@
-//! SLO metrics over trace-driven runs.
+//! SLO readings over trace-driven runs.
 //!
 //! A [`WorkloadSpec`] bundles the network tier's [`Deployment`] with an
 //! admission [`Policy`]; `run` generates the scenario's arrival trace,
 //! applies the policy, replays the trace through the one-cell
 //! deployment [`Deployment::at`] places at the grid point and returns
-//! combined statistics. The metric wrappers implement the
-//! ordinary [`Metric`] trait, so `offered_load`, `arrival_model` and
-//! `app_profile` sweep exactly like physics axes — same point seeds,
-//! same parallel == serial bit-identity.
+//! combined [`WorkloadStats`]. A sweep evaluates `run` once per point
+//! ([`fmbs_core::sim::sweep::SweepBuilder::evaluate`]), so
+//! `offered_load`, `arrival_model` and `app_profile` sweep exactly like
+//! physics axes — same point seeds, same parallel == serial
+//! bit-identity — and every series of a figure reads the one run: the
+//! sojourn quantiles, [`WorkloadStats::deadline_miss_rate`],
+//! [`WorkloadStats::offered_vs_goodput`] and the resilience readings of
+//! [`crate::resilience`].
 //!
 //! Quantiles use [`fmbs_dsp::stats::quantile_nearest_rank_counted`];
 //! note its small-sample caveat — a p999 over fewer than 1000 delivered
@@ -16,16 +20,14 @@
 
 use crate::arrivals::TraceSpec;
 use crate::policy::{Admitted, Policy};
-use fmbs_core::sim::metric::Metric;
 use fmbs_core::sim::scenario::{ArrivalModel, Scenario};
-use fmbs_core::sim::Simulator;
-use fmbs_dsp::stats::quantile_nearest_rank_counted;
+use fmbs_dsp::stats::{jain_index, quantile_nearest_rank_counted};
 use fmbs_net::engine::{EventTrace, NetStats, Traffic};
 use fmbs_net::topology::Deployment;
 use std::sync::Arc;
 
-/// Shared setup for the SLO metrics: the deployment plus the admission
-/// policy traffic is filtered through.
+/// Shared setup for a trace-driven run: the deployment plus the
+/// admission policy traffic is filtered through.
 #[derive(Debug, Clone)]
 pub struct WorkloadSpec {
     /// Link table (`.link(table)`), harvest, framing, faults and ARQ.
@@ -35,7 +37,7 @@ pub struct WorkloadSpec {
 }
 
 /// One trace-driven run's combined statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadStats {
     /// The engine's statistics (delivered, sojourns, queue accounting).
     pub net: NetStats,
@@ -73,8 +75,30 @@ impl WorkloadStats {
         self.net.delivered as f64 / self.offered_raw as f64
     }
 
+    /// Fraction of raw offered packets eventually delivered — the
+    /// resilience headline. With ARQ on, delivered packets are exactly
+    /// the acknowledged ones; admission sheds, expired sheds, abandons
+    /// and still-queued packets all count against the ratio. 1 when
+    /// nothing was offered (no demand, no loss).
+    pub fn delivery_ratio(&self) -> f64 {
+        if self.offered_raw == 0 {
+            return 1.0;
+        }
+        self.net.delivered as f64 / self.offered_raw as f64
+    }
+
+    /// Fraction of transmission attempts that were ARQ retransmissions
+    /// — the airtime price of reliability. 0 without ARQ (nothing is
+    /// ever retransmitted) and 0 when no attempt was made.
+    pub fn retx_overhead(&self) -> f64 {
+        if self.net.attempts == 0 {
+            return 0.0;
+        }
+        self.net.retransmissions as f64 / self.net.attempts as f64
+    }
+
     /// End-to-end conservation: raw arrivals == admission sheds +
-    /// delivered + expired sheds + still queued.
+    /// delivered + expired sheds + abandoned + still queued.
     pub fn conserved(&self) -> bool {
         self.net.queue_conserved() && self.offered_raw == self.admission_shed + self.net.offered
     }
@@ -101,110 +125,64 @@ impl WorkloadSpec {
     /// full-buffer mode: no queues exist, so the SLO numerators and
     /// denominators are all zero and the network statistics carry the
     /// result.
+    ///
+    /// # Panics
+    /// When the run breaks end-to-end conservation
+    /// ([`WorkloadStats::conserved`]); the message names the point's
+    /// tag count, seed and counts.
     pub fn run(&self, scenario: &Scenario) -> WorkloadStats {
         self.run_traced(scenario, false).0
     }
 
     /// Like [`WorkloadSpec::run`] but optionally records and returns
-    /// the engine's slot-level event trace — the resilience metrics
-    /// need it to measure goodput recovery around a fault window. `run`
-    /// is this with recording off (an empty trace costs nothing).
+    /// the engine's slot-level event trace — the recovery reading needs
+    /// it to measure goodput around a fault window. `run` is this with
+    /// recording off (an empty trace costs nothing); recording never
+    /// changes a count.
     pub fn run_traced(
         &self,
         scenario: &Scenario,
         record_trace: bool,
     ) -> (WorkloadStats, EventTrace) {
         let point = self.net.at(scenario).record_trace(record_trace);
-        if scenario.arrival_model == ArrivalModel::Saturated {
-            let run = point.run_point();
-            return (
-                WorkloadStats {
-                    net: run.stats,
-                    offered_raw: 0,
-                    admission_shed: 0,
-                },
-                run.trace,
-            );
-        }
-        let slot_secs = point.network_config().slot_secs();
-        let trace = TraceSpec::from_scenario(scenario, slot_secs).generate();
-        let Admitted {
-            trace,
+        let (run, offered_raw, admission_shed) =
+            if scenario.arrival_model == ArrivalModel::Saturated {
+                (point.run_point(), 0, 0)
+            } else {
+                let slot_secs = point.network_config().slot_secs();
+                let trace = TraceSpec::from_scenario(scenario, slot_secs).generate();
+                let Admitted {
+                    trace,
+                    offered_raw,
+                    admission_shed,
+                    drop_expired,
+                } = self.policy.apply(trace);
+                let run = point
+                    .traffic(Traffic::Trace(Arc::new(trace)))
+                    .drop_expired(drop_expired)
+                    .run_point();
+                (run, offered_raw, admission_shed)
+            };
+        let stats = WorkloadStats {
+            net: run.stats,
             offered_raw,
             admission_shed,
-            drop_expired,
-        } = self.policy.apply(trace);
-        let run = point
-            .traffic(Traffic::Trace(Arc::new(trace)))
-            .drop_expired(drop_expired)
-            .run_point();
-        (
-            WorkloadStats {
-                net: run.stats,
-                offered_raw,
-                admission_shed,
-            },
-            run.trace,
-        )
-    }
-}
-
-/// 99th-percentile sojourn time (arrival → delivery, queueing included)
-/// in seconds.
-#[derive(Debug, Clone)]
-pub struct SloLatencyP99(pub WorkloadSpec);
-
-impl Metric for SloLatencyP99 {
-    fn name(&self) -> &'static str {
-        "slo_latency_p99"
-    }
-
-    fn evaluate(&self, _sim: &dyn Simulator, scenario: &Scenario) -> f64 {
-        self.0.run(scenario).sojourn_quantile(0.99).0
-    }
-}
-
-/// 99.9th-percentile sojourn time in seconds. Degrades to the max
-/// sojourn below 1000 delivered packets (see
-/// [`fmbs_dsp::stats::quantile_nearest_rank_counted`]).
-#[derive(Debug, Clone)]
-pub struct SloLatencyP999(pub WorkloadSpec);
-
-impl Metric for SloLatencyP999 {
-    fn name(&self) -> &'static str {
-        "slo_latency_p999"
-    }
-
-    fn evaluate(&self, _sim: &dyn Simulator, scenario: &Scenario) -> f64 {
-        self.0.run(scenario).sojourn_quantile(0.999).0
-    }
-}
-
-/// Fraction of raw offered packets missing their deadline.
-#[derive(Debug, Clone)]
-pub struct DeadlineMissRate(pub WorkloadSpec);
-
-impl Metric for DeadlineMissRate {
-    fn name(&self) -> &'static str {
-        "deadline_miss_rate"
-    }
-
-    fn evaluate(&self, _sim: &dyn Simulator, scenario: &Scenario) -> f64 {
-        self.0.run(scenario).deadline_miss_rate()
-    }
-}
-
-/// Delivered packets over raw offered packets.
-#[derive(Debug, Clone)]
-pub struct OfferedVsGoodput(pub WorkloadSpec);
-
-impl Metric for OfferedVsGoodput {
-    fn name(&self) -> &'static str {
-        "offered_vs_goodput"
-    }
-
-    fn evaluate(&self, _sim: &dyn Simulator, scenario: &Scenario) -> f64 {
-        self.0.run(scenario).offered_vs_goodput()
+        };
+        let net = &stats.net;
+        assert!(
+            stats.conserved(),
+            "conservation violated at n_tags {} seed {:#x}: offered_raw {offered_raw} vs \
+             admission_shed {admission_shed} + offered {}, offered vs delivered {} + expired {} \
+             + abandoned {} + still queued {}",
+            scenario.n_tags,
+            scenario.seed,
+            net.offered,
+            net.delivered,
+            net.expired_dropped,
+            net.abandoned,
+            net.still_queued,
+        );
+        (stats, run.trace)
     }
 }
 
@@ -213,30 +191,12 @@ impl Metric for OfferedVsGoodput {
 /// hogs the city. The multi-cell analogue of
 /// [`NetStats::jain_fairness`], which stays per-tag within a cell.
 pub fn domain_fairness(per_domain: &[NetStats]) -> f64 {
-    let goodputs: Vec<f64> = per_domain
-        .iter()
-        .filter(|s| s.n_tags > 0)
-        .map(NetStats::goodput_bps)
-        .collect();
-    if goodputs.is_empty() {
-        return 1.0;
-    }
-    let sum: f64 = goodputs.iter().sum();
-    let sq_sum: f64 = goodputs.iter().map(|g| g * g).sum();
-    if sq_sum <= 0.0 {
-        return 1.0;
-    }
-    sum * sum / (goodputs.len() as f64 * sq_sum)
-}
-
-/// Aggregate deadline-aware SLO accounting over per-domain metro stats:
-/// `(total offered, total on-time)`. Domains report independently; the
-/// city-wide miss rate is `1 − on_time / offered` when anything was
-/// offered.
-pub fn domain_slo_totals(per_domain: &[NetStats]) -> (u64, u64) {
-    per_domain
-        .iter()
-        .fold((0, 0), |(o, t), s| (o + s.offered, t + s.on_time))
+    jain_index(
+        per_domain
+            .iter()
+            .filter(|s| s.n_tags > 0)
+            .map(NetStats::goodput_bps),
+    )
 }
 
 #[cfg(test)]
@@ -244,7 +204,6 @@ mod tests {
     use super::*;
     use fmbs_audio::program::ProgramKind;
     use fmbs_core::modem::Bitrate;
-    use fmbs_core::sim::fast::FastSim;
     use fmbs_core::sim::scenario::{AppProfile, Workload};
     use fmbs_net::link::BerTable;
 
@@ -264,6 +223,32 @@ mod tests {
         s.n_tags = n_tags;
         s.mac_slots = 600;
         s
+    }
+
+    /// A saturated (full-buffer) point: the flat network figures' run.
+    fn net_scenario(n_tags: u32, mac_slots: u32) -> Scenario {
+        let mut s = Scenario::bench(-40.0, 14.0, ProgramKind::News)
+            .with_workload(Workload::data(Bitrate::Kbps1_6, 256));
+        s.n_tags = n_tags;
+        s.mac_slots = mac_slots;
+        s
+    }
+
+    #[test]
+    fn goodput_and_collisions_respond_to_density() {
+        let sparse = spec().run(&net_scenario(4, 300)).net;
+        let dense = spec().run(&net_scenario(600, 300)).net;
+        assert!(dense.goodput_bps() > sparse.goodput_bps());
+        assert!(dense.collision_rate() > sparse.collision_rate());
+    }
+
+    #[test]
+    fn fairness_and_latency_are_sane() {
+        let run = spec().run(&net_scenario(60, 400)).net;
+        let f = run.jain_fairness();
+        assert!(f > 0.3 && f <= 1.0, "fairness {f}");
+        let l = run.latency_percentile_secs(0.95);
+        assert!(l >= 0.0);
     }
 
     #[test]
@@ -301,12 +286,13 @@ mod tests {
     #[test]
     fn metrics_expose_the_run() {
         let s = scenario(40, 0.01);
-        let p99 = SloLatencyP99(spec()).evaluate(&FastSim, &s);
-        let p999 = SloLatencyP999(spec()).evaluate(&FastSim, &s);
+        let run = spec().run(&s);
+        let p99 = run.sojourn_quantile(0.99).0;
+        let p999 = run.sojourn_quantile(0.999).0;
         assert!(p99 > 0.0 && p999 >= p99, "p99 {p99} p999 {p999}");
-        let miss = DeadlineMissRate(spec()).evaluate(&FastSim, &s);
+        let miss = run.deadline_miss_rate();
         assert!((0.0..=1.0).contains(&miss));
-        let ratio = OfferedVsGoodput(spec()).evaluate(&FastSim, &s);
+        let ratio = run.offered_vs_goodput();
         assert!(ratio > 0.0 && ratio <= 1.0, "ratio {ratio}");
     }
 
@@ -320,9 +306,6 @@ mod tests {
         );
         let skewed = vec![run(10, 0.002), run(700, 0.4)];
         assert!(domain_fairness(&skewed) < domain_fairness(&even));
-        let (offered, on_time) = domain_slo_totals(&skewed);
-        assert_eq!(offered, skewed[0].offered + skewed[1].offered);
-        assert!(on_time <= offered);
         assert_eq!(domain_fairness(&[]), 1.0);
     }
 

@@ -10,7 +10,6 @@
 //! ```
 
 use fmbs_core::modem::Bitrate;
-use fmbs_core::prelude::Metric;
 use fmbs_core::sim::fast::FastSim;
 use fmbs_core::sim::scenario::{AppProfile, ArrivalModel, Scenario, Workload};
 use fmbs_net::prelude::*;
@@ -60,14 +59,16 @@ fn main() {
         s.n_tags = 64;
         s.mac_slots = 400;
 
-        let stats = spec.run(&s);
-        assert!(stats.conserved());
-        let delivery = DeliveryRatio(spec.clone()).evaluate(&FastSim, &s);
-        let overhead = RetxOverhead(spec.clone()).evaluate(&FastSim, &s);
-        let recovery = RecoveryTimeSlots::new(spec).evaluate(&FastSim, &s);
+        // One traced run per row carries every column.
+        let (stats, recovery) = spec.run_recovery(&s);
         println!(
             "{:>11}   {:>6}/{:<6} ({:.2})   {:>13.3}   {:>16.0}",
-            max_retx, stats.net.delivered, stats.offered_raw, delivery, overhead, recovery,
+            max_retx,
+            stats.net.delivered,
+            stats.offered_raw,
+            stats.delivery_ratio(),
+            stats.retx_overhead(),
+            recovery,
         );
     }
 

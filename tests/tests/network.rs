@@ -5,7 +5,7 @@
 use fmbs_audio::program::ProgramKind;
 use fmbs_core::modem::Bitrate;
 use fmbs_core::sim::fast::FastSim;
-use fmbs_core::sim::metric::{Ber, Metric};
+use fmbs_core::sim::metric::Ber;
 use fmbs_core::sim::scenario::{Scenario, Workload};
 use fmbs_core::sim::sweep::SweepBuilder;
 use fmbs_net::prelude::*;
@@ -145,8 +145,8 @@ fn network_runs_are_event_level_deterministic() {
     assert_ne!(a.trace, c.trace, "a fresh seed must change the trace");
 }
 
-/// Acceptance: a parallel `n_tags` sweep over a network metric is
-/// bit-identical to the serial reference run.
+/// Acceptance: a parallel `n_tags` sweep of network runs is
+/// bit-identical to the serial reference run, in both readings.
 #[test]
 fn parallel_n_tags_sweep_is_bit_identical_to_serial() {
     let table = Arc::new(BerTable::from_grid(
@@ -157,24 +157,16 @@ fn parallel_n_tags_sweep_is_bit_identical_to_serial() {
     ));
     let base = Scenario::bench(-40.0, 12.0, ProgramKind::News)
         .with_workload(Workload::data(Bitrate::Kbps1_6, 256));
-    for metric_run in 0..2 {
-        let sweep = SweepBuilder::new(base)
-            .n_tags([2, 16, 64])
-            .mac_slot_counts([128, 256])
-            .repeats(2);
-        let (serial, parallel) = if metric_run == 0 {
-            let m = NetGoodput(Deployment::city(1).link(table.clone()));
-            (
-                sweep.run_serial(&FastSim, &m),
-                sweep.clone().threads(4).run(&FastSim, &m),
-            )
-        } else {
-            let m = NetCollisionRate(Deployment::city(1).link(table.clone()));
-            (
-                sweep.run_serial(&FastSim, &m),
-                sweep.clone().threads(4).run(&FastSim, &m),
-            )
-        };
+    let deployment = Deployment::city(1).link(table);
+    let run = |s: &Scenario| deployment.at(s).run_point().stats;
+    let sweep = SweepBuilder::new(base)
+        .n_tags([2, 16, 64])
+        .mac_slot_counts([128, 256])
+        .repeats(2);
+    let serial_runs = sweep.evaluate_serial(run);
+    let parallel_runs = sweep.clone().threads(4).evaluate(run);
+    for read in [NetStats::goodput_bps, NetStats::collision_rate] {
+        let (serial, parallel) = (serial_runs.project(read), parallel_runs.project(read));
         assert_eq!(serial.points.len(), 3 * 2 * 2);
         for (s, p) in serial.points.iter().zip(&parallel.points) {
             assert_eq!(s.coords, p.coords);
@@ -235,16 +227,16 @@ fn latency_and_fairness_track_contention() {
         s.mac_slots = 400;
         s
     };
-    let lat = NetLatency::p95(Deployment::city(1).link(table.clone()));
-    let sparse = lat.evaluate(&FastSim, &scenario(4));
-    let dense = lat.evaluate(&FastSim, &scenario(400));
+    let deployment = Deployment::city(1).link(table);
+    let run = |n: u32| deployment.at(&scenario(n)).run_point().stats;
+    let sparse = run(4).latency_percentile_secs(0.95);
+    let dense = run(400).latency_percentile_secs(0.95);
     assert!(
         dense > sparse,
         "p95 latency under contention ({dense}) must exceed sparse ({sparse})"
     );
-    let fair = NetFairness(Deployment::city(1).link(table));
     for n in [4, 400] {
-        let f = fair.evaluate(&FastSim, &scenario(n));
+        let f = run(n).jain_fairness();
         assert!(f > 0.0 && f <= 1.0, "fairness {f} out of range at n={n}");
     }
 }

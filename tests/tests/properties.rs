@@ -566,27 +566,26 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use fmbs_core::modem::Bitrate;
-        use fmbs_core::sim::fast::FastSim;
         use fmbs_core::sim::scenario::{AppProfile, ArrivalModel, Workload};
         use fmbs_core::sim::sweep::SweepBuilder;
         use fmbs_net::prelude::Deployment;
-        use fmbs_workload::prelude::{DeadlineMissRate, WorkloadSpec};
+        use fmbs_workload::prelude::WorkloadSpec;
         let mut base = Scenario::bench(-40.0, 16.0, ProgramKind::News)
             .with_workload(Workload::data(Bitrate::Kbps1_6, 256))
             .with_seed(seed);
         base.n_tags = n_tags;
         base.mac_slots = 300;
-        let metric = DeadlineMissRate(WorkloadSpec::new(Deployment::city(1).link(shared_ber_table())));
+        let spec = WorkloadSpec::new(Deployment::city(1).link(shared_ber_table()));
         let sweep = SweepBuilder::new(base)
             .arrival_models([ArrivalModel::Poisson, ArrivalModel::Mmpp])
             .offered_loads([0.01, 0.05])
             .app_profiles([AppProfile::SensorBeacon, AppProfile::FabricTelemetry]);
-        let serial = sweep.run_serial(&FastSim, &metric);
-        let parallel = sweep.clone().threads(threads).run(&FastSim, &metric);
+        let serial = sweep.evaluate_serial(|s| spec.run(s));
+        let parallel = sweep.clone().threads(threads).evaluate(|s| spec.run(s));
         prop_assert_eq!(serial.points.len(), 2 * 2 * 2);
         for (s, p) in serial.points.iter().zip(&parallel.points) {
             prop_assert_eq!(s.coords, p.coords);
-            prop_assert_eq!(s.value.to_bits(), p.value.to_bits());
+            prop_assert_eq!(&s.value, &p.value);
         }
     }
 }
@@ -705,25 +704,24 @@ proptest! {
         seed in any::<u64>(),
         fault_seed in any::<u64>(),
     ) {
-        use fmbs_core::sim::fast::FastSim;
         use fmbs_core::sim::scenario::{AppProfile, ArrivalModel};
         use fmbs_core::sim::sweep::SweepBuilder;
         use fmbs_net::prelude::{ArqConfig, Deployment};
-        use fmbs_workload::prelude::{DeliveryRatio, WorkloadSpec};
-        let metric = DeliveryRatio(WorkloadSpec::new(
+        use fmbs_workload::prelude::WorkloadSpec;
+        let spec = WorkloadSpec::new(
             Deployment::city(1).link(shared_ber_table())
                 .faults(chaos_fault_spec(kind_idx, fault_seed, 2, 60, 0.4))
                 .arq(ArqConfig::default()),
-        ));
+        );
         let sweep = SweepBuilder::new(chaos_scenario(n_tags, 250, 0.03, seed))
             .arrival_models([ArrivalModel::Poisson, ArrivalModel::Mmpp])
             .app_profiles([AppProfile::SensorBeacon, AppProfile::TalkingPoster]);
-        let serial = sweep.run_serial(&FastSim, &metric);
-        let parallel = sweep.clone().threads(threads).run(&FastSim, &metric);
+        let serial = sweep.evaluate_serial(|s| spec.run(s));
+        let parallel = sweep.clone().threads(threads).evaluate(|s| spec.run(s));
         prop_assert_eq!(serial.points.len(), 2 * 2);
         for (s, p) in serial.points.iter().zip(&parallel.points) {
             prop_assert_eq!(s.coords, p.coords);
-            prop_assert_eq!(s.value.to_bits(), p.value.to_bits());
+            prop_assert_eq!(&s.value, &p.value);
         }
     }
 
